@@ -108,14 +108,17 @@ def run_bootcalibrations(structure: OptionStructure, plan: BootstrapPlan,
     """Calibrate each resample and reprice the original chain at its parameters.
 
     Returns (results, failures); failed samples are recorded as (index, message) and
-    skipped. Workers are self-contained (own seeds, own frozen draws), so the result
-    list is deterministic at any thread count.
+    skipped. Running out of memory is not a property of a sample: MemoryError
+    propagates. Workers are self-contained (own seeds, own frozen draws), so the
+    result list is deterministic at any thread count.
     """
     indices = list(range(plan.sample_count))
 
     def run(j: int):
         try:
             return _run_one(structure, plan, overall_theta, j)
+        except MemoryError:
+            raise
         except Exception as exc:  # noqa: BLE001 - per-sample failures are data
             return (j, f"{type(exc).__name__}: {exc}")
 

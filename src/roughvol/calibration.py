@@ -3,9 +3,11 @@
 The objective G(Theta) = sum_i w_i (C_i^Theta - C_i^mkt)^2 is a Monte-Carlo quantity;
 evaluated naively it is noisy and finite-difference Jacobians are meaningless. The
 calibrator therefore freezes the standard-normal draws once per run (common random
-numbers): every parameter evaluation rebuilds the joint covariance for its own Hurst
-index, refactorizes, and pushes the same frozen draws through it, making Theta -> G a
-deterministic, smooth function of the parameters.
+numbers): each new Hurst index gets its joint covariance, its Cholesky factor and the
+frozen draws pushed through it, and the resulting paths are kept until the next new H,
+making Theta -> G a deterministic, smooth function of the parameters. Evaluations at
+an unchanged H reuse those paths, and no parameter vector is priced twice by the
+optimizers; every reuse is exact, so results are what full re-evaluation would give.
 
 The global stage is a small genetic algorithm over the bounded box (tournament
 selection of size 3, per-gene blend crossover, Gaussian mutation with sigma = 5% of the
@@ -23,7 +25,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import least_squares
 
-from .fbm import TimeGrid, build_joint_covariance, draw_normal_bundle, transform_normals
+from .fbm import (PathBundle, TimeGrid, build_joint_covariance, draw_normal_bundle,
+                  transform_normals)
 from .market import OptionStructure
 from .model import PARAM_NAMES, ModelParams, volatility_paths
 from .pricing import chain_estimates
@@ -46,6 +49,9 @@ MODEL_VARIANTS = ("alphaRFSV", "RFSV", "rBergomi", "fixed_H")
 
 #: sub-stream tag for the genetic algorithm's RNG (path blocks use tag 0).
 _STREAM_GA = 1
+
+#: position of the Hurst index in a parameter vector.
+_H = PARAM_NAMES.index("H")
 
 
 @dataclass(frozen=True)
@@ -180,8 +186,10 @@ class FrozenPricer:
     """Deterministic Theta -> model-price map over frozen normal draws.
 
     Construction draws the normals once (per config seed) on the union grid of the
-    chain's maturities; each call rebuilds the covariance for the requested Hurst
-    index and transforms the same draws. Thread count affects wall time only.
+    chain's maturities and scales the orthogonal draws by sqrt(dt) once, since they do
+    not depend on H. The transformed paths of the last Hurst index are cached: a call
+    at a new H builds its covariance and transforms the same draws, a call at the same
+    H reuses the paths. Thread count affects wall time only.
     """
 
     def __init__(self, structure: OptionStructure, config: CalibrationConfig):
@@ -189,32 +197,38 @@ class FrozenPricer:
         self.config = config
         self.grid = TimeGrid.with_maturities(sorted(set(structure.maturities)),
                                              config.steps_per_year)
-        self._z, self._z_tilde = draw_normal_bundle(
+        self._z, self._w_tilde = draw_normal_bundle(
             self.grid.n, config.path_count, config.seed, threads=config.threads)
+        self._w_tilde *= np.sqrt(self.grid.deltas)
         self._sqrt_w = np.sqrt(structure.weights)
         self._closes = structure.closes
         self._options = structure.options
-        self._cov_cache: tuple[float, object] | None = None
+        self._path_cache: tuple[float, PathBundle] | None = None
 
-    def _covariance(self, H: float):
-        cache = self._cov_cache  # snapshot: parallel evaluations may swap the cache
+    def _paths(self, H: float) -> PathBundle:
+        cache = self._path_cache  # snapshot: parallel evaluations may swap the cache
         if cache is not None and cache[0] == H:
             return cache[1]
+        self._path_cache = None  # release the old paths before building new ones
         cov = build_joint_covariance(self.grid, H)
-        self._cov_cache = (H, cov)
-        return cov
+        bundle = transform_normals(self._z, self._w_tilde, cov)
+        self._path_cache = (H, bundle)
+        return bundle
 
     def prices(self, theta) -> np.ndarray:
         params = theta if isinstance(theta, ModelParams) else ModelParams.from_array(theta)
-        cov = self._covariance(params.H)
-        bundle = transform_normals(self._z, self._z_tilde, cov)
+        bundle = self._paths(params.H)
         vols = volatility_paths(bundle, params, self.grid)
         estimates = chain_estimates(bundle, vols, self.structure.env, self._options,
                                     estimator="conditional_mixed")
         return np.array([e.price for e in estimates])
 
+    def weighted_errors(self, prices: np.ndarray) -> np.ndarray:
+        """The residual vector sqrt(w_i) (C_i - C_i^mkt) of given model prices."""
+        return self._sqrt_w * (prices - self._closes)
+
     def residuals(self, theta) -> np.ndarray:
-        return self._sqrt_w * (self.prices(theta) - self._closes)
+        return self.weighted_errors(self.prices(theta))
 
     def objective(self, theta) -> float:
         r = self.residuals(theta)
@@ -228,7 +242,7 @@ def objective(theta, structure: OptionStructure, config: CalibrationConfig) -> f
 
 
 def _evaluate_all(objective_fn, thetas, threads: int) -> np.ndarray:
-    if threads <= 1 or len(thetas) == 1:
+    if threads <= 1 or len(thetas) <= 1:
         return np.array([objective_fn(t) for t in thetas])
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
         return np.array(list(pool.map(objective_fn, thetas)))
@@ -249,8 +263,8 @@ def _ga_minimize(config: CalibrationConfig, objective_fn):
     history = [best_value]
 
     for _ in range(config.ga_generations):
-        order = np.argsort(values, kind="stable")
-        new_pop = [pop[i].copy() for i in order[:n_elite]]
+        elite = np.argsort(values, kind="stable")[:n_elite]
+        new_pop = [pop[i].copy() for i in elite]
         while len(new_pop) < pop_size:
             # tournament selection, size 3
             parents = []
@@ -263,7 +277,9 @@ def _ga_minimize(config: CalibrationConfig, objective_fn):
             child += rng.standard_normal(5) * 0.05 * width
             new_pop.append(bounds.clip(child))
         pop = np.array(new_pop)
-        values = _evaluate_all(objective_fn, list(pop), config.threads)
+        # the objective is deterministic: the elites keep their values unrepriced
+        values = np.concatenate([values[elite], _evaluate_all(
+            objective_fn, list(pop[n_elite:]), config.threads)])
         gen_best = int(np.argmin(values))
         if values[gen_best] < best_value:
             best_theta, best_value = pop[gen_best].copy(), float(values[gen_best])
@@ -284,10 +300,14 @@ def global_search(structure: OptionStructure | None, config: CalibrationConfig,
     return ModelParams.from_array(best_theta)
 
 
-def _fd_jacobian(residual_fn, x, r0, steps, lower, upper):
-    """One-sided finite differences, step flipped at the upper bound."""
+def _fd_jacobian(residual_fn, x, r0, steps, lower, upper, order=None):
+    """One-sided finite differences, step flipped at the upper bound.
+
+    ``order`` is the order in which columns are evaluated (default: left to right);
+    each column depends on its own step only, so the matrix does not depend on it.
+    """
     jac = np.empty((r0.size, x.size))
-    for k in range(x.size):
+    for k in range(x.size) if order is None else order:
         h = steps[k]
         if x[k] + h > upper[k]:
             h = -h
@@ -299,18 +319,37 @@ def _fd_jacobian(residual_fn, x, r0, steps, lower, upper):
 
 def local_refine(start: ModelParams, structure: OptionStructure | None,
                  config: CalibrationConfig, residual_fn=None,
-                 pricer: FrozenPricer | None = None) -> CalibrationResult:
+                 pricer: FrozenPricer | None = None,
+                 priced: dict | None = None) -> CalibrationResult:
     """Bound-constrained least squares from ``start`` under frozen noise.
 
     Stops when the objective improvement falls below obj_tol or the step norm below
     step_tol; the final objective never exceeds the starting one. Fixed (collapsed)
     parameters are excluded from the optimization vector and reported unchanged.
+    Each parameter vector is evaluated once: the optimizer's first point, the base
+    point of every Jacobian and the final point reuse earlier evaluations, and the
+    fit metrics come from the final point's prices. ``priced`` maps
+    ``theta.tobytes()`` to prices the pricer has already computed.
     """
     bounds = config.effective_bounds()
-    if residual_fn is None:
-        if pricer is None:
-            pricer = FrozenPricer(structure, config)
-        residual_fn = pricer.residuals
+    if residual_fn is None and pricer is None:
+        pricer = FrozenPricer(structure, config)
+    priced = {} if priced is None else priced
+    residuals: dict[bytes, np.ndarray] = {}
+
+    def prices_at(theta: np.ndarray) -> np.ndarray:
+        key = theta.tobytes()
+        if key not in priced:
+            priced[key] = pricer.prices(theta)
+        return priced[key]
+
+    def evaluate(theta: np.ndarray) -> np.ndarray:
+        if residual_fn is None:
+            return pricer.weighted_errors(prices_at(theta))
+        key = theta.tobytes()
+        if key not in residuals:
+            residuals[key] = np.asarray(residual_fn(theta), dtype=float)
+        return residuals[key]
 
     theta0 = bounds.clip(start.as_array())
     free = bounds.free
@@ -322,52 +361,60 @@ def local_refine(start: ModelParams, structure: OptionStructure | None,
         return theta
 
     def res(x: np.ndarray) -> np.ndarray:
-        return np.asarray(residual_fn(assemble(x)), dtype=float)
+        return evaluate(assemble(x))
 
-    start_res = np.asarray(residual_fn(theta0), dtype=float)
+    def result(theta: np.ndarray, objective: float, diagnostics: dict) -> CalibrationResult:
+        metrics = fit_metrics(prices_at(theta), structure) if pricer else None
+        return CalibrationResult(theta=ModelParams.from_array(theta), objective=objective,
+                                 metrics=metrics, iterations={"local": diagnostics},
+                                 seed=config.seed)
+
+    start_res = evaluate(theta0)
     start_obj = float(start_res @ start_res)
     if not np.isfinite(start_obj):
         raise ValueError(f"objective is not finite at the starting point: {start_obj}")
 
     if not np.any(free):
         # fully pinned variant: nothing to optimize
-        result_theta = ModelParams.from_array(theta0)
-        diagnostics = {"nfev": 1, "iterations": 0, "message": "all parameters fixed"}
-        metrics = fit_metrics(pricer.prices(result_theta), structure) if pricer else None
-        return CalibrationResult(theta=result_theta, objective=start_obj,
-                                 metrics=metrics, iterations={"local": diagnostics},
-                                 seed=config.seed)
+        return result(theta0, start_obj,
+                      {"nfev": 1, "iterations": 0, "message": "all parameters fixed"})
 
     lb, ub = bounds.lower[free], bounds.upper[free]
     steps = config.fd_rel_step * bounds.width[free]
     # trf iterates strictly inside the box; nudge an on-bound start into the interior
     x0 = np.clip(theta0[free], lb + 1e-12 * (ub - lb), ub - 1e-12 * (ub - lb))
+    # vary H last, so the other columns reuse the paths cached at the base point's H
+    order = np.argsort(np.flatnonzero(free) == _H, kind="stable")
 
     def jac(x: np.ndarray) -> np.ndarray:
-        return _fd_jacobian(res, x, res(x), steps, lb, ub)
+        return _fd_jacobian(res, x, res(x), steps, lb, ub, order)
 
     ls = least_squares(res, x0, jac=jac, bounds=(lb, ub), method="trf",
                        ftol=config.obj_tol, xtol=config.step_tol, gtol=None)
     theta_arr = assemble(ls.x)
-    final_res = np.asarray(residual_fn(theta_arr), dtype=float)
+    final_res = evaluate(theta_arr)
     final_obj = float(final_res @ final_res)
     if final_obj > start_obj:  # keep the descent contract even if trf's last trial lost
         theta_arr, final_obj = theta0, start_obj
-    result_theta = ModelParams.from_array(theta_arr)
-    diagnostics = {"nfev": int(ls.nfev), "njev": int(ls.njev or 0),
+    return result(theta_arr, final_obj,
+                  {"nfev": int(ls.nfev), "njev": int(ls.njev or 0),
                    "status": int(ls.status), "message": str(ls.message),
-                   "start_objective": start_obj}
-    metrics = fit_metrics(pricer.prices(result_theta), structure) if pricer else None
-    return CalibrationResult(theta=result_theta, objective=final_obj, metrics=metrics,
-                             iterations={"local": diagnostics}, seed=config.seed)
+                   "start_objective": start_obj})
 
 
 def calibrate(structure: OptionStructure, config: CalibrationConfig) -> CalibrationResult:
     """Global genetic search followed by local refinement, one frozen path bundle."""
     pricer = FrozenPricer(structure, config)
-    best_theta, history = _ga_minimize(config, pricer.objective)
+    priced: dict[bytes, np.ndarray] = {}
+
+    def objective(theta: np.ndarray) -> float:
+        prices = priced[theta.tobytes()] = pricer.prices(theta)
+        r = pricer.weighted_errors(prices)
+        return float(r @ r)
+
+    best_theta, history = _ga_minimize(config, objective)
     start = ModelParams.from_array(best_theta)
-    result = local_refine(start, structure, config, pricer=pricer)
+    result = local_refine(start, structure, config, pricer=pricer, priced=priced)
     result.iterations["ga_best_per_generation"] = history
     result.iterations["ga_start"] = {name: getattr(start, name) for name in PARAM_NAMES}
     return result

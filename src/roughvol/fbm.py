@@ -456,16 +456,20 @@ def sample_paths(cov: JointCovariance, path_count: int, seed: int,
                       seed=int(seed), path_count=path_count, grid=grid)
 
 
-def transform_normals(z: np.ndarray, z_tilde: np.ndarray, cov: JointCovariance) -> PathBundle:
+def transform_normals(z: np.ndarray, w_tilde_increments: np.ndarray,
+                      cov: JointCovariance) -> PathBundle:
     """Turn frozen normal draws into a PathBundle under a (possibly new) covariance.
 
-    Used by the calibrator: the draws stay fixed while the covariance (hence the Hurst
-    index) changes, making the parameter-to-paths map deterministic and smooth.
+    ``w_tilde_increments`` is the Z_tilde draw already scaled by sqrt(deltas); it does
+    not depend on H, so a caller that transforms the same draws under many covariances
+    scales it once and the bundle shares that array instead of copying it. Used by the
+    calibrator: the draws stay fixed while the covariance (hence the Hurst index)
+    changes, making the parameter-to-paths map deterministic and smooth.
     """
     n = cov.grid.n
-    if z.shape[1] != 2 * n or z_tilde.shape[1] != n:
+    if z.shape[1] != 2 * n or w_tilde_increments.shape[1] != n:
         raise ValueError("normal draw shapes do not match the covariance grid")
     joint = z @ cov.cholesky_factor.T
     return PathBundle(fbm_paths=joint[:, :n], w_paths=joint[:, n:],
-                      w_tilde_increments=z_tilde * np.sqrt(cov.grid.deltas),
+                      w_tilde_increments=w_tilde_increments,
                       seed=-1, path_count=z.shape[0], grid=cov.grid)

@@ -47,27 +47,27 @@ class PriceEstimate:
     path_count: int
 
 
-def _bs_call_totvar(spot, strike: float, rate: float, totvar, maturity: float):
-    """Black-Scholes call with total variance parameterization, vectorized over paths.
+def _bs_calls(spot: np.ndarray, totvar: np.ndarray, strikes, rate: float,
+              maturity: float) -> list[np.ndarray]:
+    """Black-Scholes calls at each strike on per-path (spot, total variance) arrays.
 
     ``totvar`` is sigma^2 * T; zero total variance degenerates to the discounted
-    intrinsic value max(spot - strike * exp(-rT), 0).
+    intrinsic value max(spot - strike * exp(-rT), 0). The positivity mask and
+    sqrt(totvar) do not depend on the strike and are computed once for all of them.
     """
-    spot = np.asarray(spot, dtype=float)
-    totvar = np.asarray(totvar, dtype=float)
-    disc_k = strike * np.exp(-rate * maturity)
-    out = np.maximum(spot - disc_k, 0.0)
     # a spot that underflowed to zero is a worthless call; log() would warn on it
     pos = (totvar > 0.0) & (spot > 0.0)
-    if np.any(pos):
-        sq = np.sqrt(totvar[pos])
-        s = spot[pos] if spot.ndim else spot
-        d1 = (np.log(s / strike) + rate * maturity) / sq + 0.5 * sq
-        vals = s * special.ndtr(d1) - disc_k * special.ndtr(d1 - sq)
-        if out.ndim:
-            out[pos] = vals
-        else:
-            out = vals
+    sq = np.sqrt(totvar[pos])
+    s = spot[pos]
+    half_sq = 0.5 * sq
+    drift = rate * maturity
+    out = []
+    for strike in strikes:
+        disc_k = strike * np.exp(-rate * maturity)
+        values = np.maximum(spot - disc_k, 0.0)
+        d1 = (np.log(s / strike) + drift) / sq + half_sq
+        values[pos] = s * special.ndtr(d1) - disc_k * special.ndtr(d1 - sq)
+        out.append(values)
     return out
 
 
@@ -82,8 +82,8 @@ def black_scholes_call(spot: float, strike: float, rate: float, vol: float,
         raise ValueError(f"spot and strike must be positive, got {spot}, {strike}")
     if vol < 0.0 or maturity < 0.0:
         raise ValueError("vol and maturity must be nonnegative")
-    value = _bs_call_totvar(np.array([spot]), strike, rate,
-                            np.array([vol**2 * maturity]), maturity)
+    (value,) = _bs_calls(np.array([spot], dtype=float), np.array([vol**2 * maturity]),
+                         (strike,), rate, maturity)
     return float(value[0])
 
 
@@ -117,26 +117,34 @@ def _left_vol_cumulatives(vols: VolPathSet, bundle: PathBundle):
 
     Returns (paths x n) arrays whose column k covers [0, t_k]. The first step uses
     sigma0 (the t = 0 value of the volatility), matching the path scheme exactly.
+    Both outputs are built in place, without concatenated, differenced or squared
+    temporaries.
     """
-    sigma = vols.sigma_paths
-    n_paths, n = sigma.shape
-    dt = vols.grid.deltas
-    dw = np.diff(bundle.w_paths, axis=1, prepend=0.0)
-    sig_left = np.concatenate(
-        [np.full((n_paths, 1), vols.params.sigma0), sigma[:, : n - 1]], axis=1
-    )
-    cum_var = np.cumsum(sig_left**2 * dt, axis=1)
-    cum_sdw = np.cumsum(sig_left * dw, axis=1)
+    sigma, w = vols.sigma_paths, bundle.w_paths
+    cum_var = np.empty_like(sigma)
+    cum_sdw = np.empty_like(sigma)
+    # left-endpoint volatilities per step: [sigma0, sigma_{t_1}, ..., sigma_{t_{n-1}}]
+    cum_var[:, 0] = vols.params.sigma0
+    cum_var[:, 1:] = sigma[:, :-1]
+    # Wiener increments from W_0 = 0
+    cum_sdw[:, 0] = w[:, 0]
+    np.subtract(w[:, 1:], w[:, :-1], out=cum_sdw[:, 1:])
+    cum_sdw *= cum_var
+    np.square(cum_var, out=cum_var)
+    cum_var *= vols.grid.deltas
+    np.cumsum(cum_var, axis=1, out=cum_var)
+    np.cumsum(cum_sdw, axis=1, out=cum_sdw)
     return cum_var, cum_sdw
 
 
-def _conditional_values(cum_var, cum_sdw, idx: int, strike: float, maturity: float,
-                        env: MarketEnv, rho: float) -> np.ndarray:
+def _conditional_values(cum_var, cum_sdw, idx: int, strikes, maturity: float,
+                        env: MarketEnv, rho: float) -> list[np.ndarray]:
+    """Per-path conditional call values at one maturity node, one array per strike."""
     int_var = cum_var[:, idx]
     int_sdw = cum_sdw[:, idx]
     eff_spot = env.spot * np.exp(rho * int_sdw - 0.5 * rho**2 * int_var)
     eff_totvar = (1.0 - rho**2) * int_var
-    return _bs_call_totvar(eff_spot, strike, env.rate, eff_totvar, maturity)
+    return _bs_calls(eff_spot, eff_totvar, strikes, env.rate, maturity)
 
 
 def price_call_conditional(vols: VolPathSet, bundle: PathBundle, strike: float,
@@ -146,13 +154,8 @@ def price_call_conditional(vols: VolPathSet, bundle: PathBundle, strike: float,
     Unbiased for the same discretized model as the plain estimator and typically far
     less variable, since only the rho-correlated part of the randomness remains.
     """
-    idx = vols.grid.index_of(maturity)
-    cum_var, cum_sdw = _left_vol_cumulatives(vols, bundle)
-    values = _conditional_values(cum_var, cum_sdw, idx, strike, maturity, env,
-                                 vols.params.rho)
-    mean, se = _mean_se(values)
-    return PriceEstimate(price=mean, std_error=se, estimator="conditional_mixed",
-                         path_count=values.size)
+    (estimate,) = chain_estimates(bundle, vols, env, ((strike, maturity),))
+    return estimate
 
 
 @dataclass(frozen=True)
@@ -190,13 +193,18 @@ def chain_estimates(bundle: PathBundle, vols: VolPathSet, env: MarketEnv,
         log_paths = log_price_paths(bundle, vols, env, vols.params)
         return [price_call_plain(log_paths, vols.grid, k, t, env) for k, t in options]
     cum_var, cum_sdw = _left_vol_cumulatives(vols, bundle)
-    out = []
-    for k, t in options:
-        idx = vols.grid.index_of(t)
-        values = _conditional_values(cum_var, cum_sdw, idx, k, t, env, vols.params.rho)
-        mean, se = _mean_se(values)
-        out.append(PriceEstimate(price=mean, std_error=se,
-                                 estimator="conditional_mixed", path_count=values.size))
+    by_maturity: dict[float, list[int]] = {}
+    for i, (_, t) in enumerate(options):
+        by_maturity.setdefault(t, []).append(i)
+    out = [None] * len(options)
+    for t, members in by_maturity.items():
+        strikes = [options[i][0] for i in members]
+        per_strike = _conditional_values(cum_var, cum_sdw, vols.grid.index_of(t), strikes,
+                                         t, env, vols.params.rho)
+        for i, values in zip(members, per_strike):
+            mean, se = _mean_se(values)
+            out[i] = PriceEstimate(price=mean, std_error=se, estimator="conditional_mixed",
+                                   path_count=values.size)
     return out
 
 

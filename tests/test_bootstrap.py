@@ -244,6 +244,28 @@ def test_run_bootcalibrations_collects_failures(tiny_chain, monkeypatch):
     assert failures == [(1, "ValueError: boom")]
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_bootcalibrations_propagates_memory_error(tiny_chain, monkeypatch, threads):
+    overall = ModelParams(sigma0=0.08, rho=-0.3, H=0.2, xi=1.0, alpha=1.0)
+    plan = tiny_plan()
+
+    def failing(exc):
+        def run_one(structure, plan, overall_theta, j):
+            if j == 1:
+                raise exc
+            return BootCalibration(theta=overall_theta, prices=np.zeros(structure.n),
+                                   indices=np.arange(structure.n), seed=j)
+        return run_one
+
+    monkeypatch.setattr(boot_mod, "_run_one", failing(MemoryError("out of memory")))
+    with pytest.raises(MemoryError):
+        run_bootcalibrations(tiny_chain, plan, overall, threads=threads)
+    monkeypatch.setattr(boot_mod, "_run_one", failing(ValueError("boom")))
+    results, failures = run_bootcalibrations(tiny_chain, plan, overall, threads=threads)
+    assert [r.seed for r in results] == [0, 2]
+    assert failures == [(1, "ValueError: boom")]
+
+
 # ---------------------------------------------------------------------------
 # scatter-matrix export
 

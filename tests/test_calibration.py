@@ -1,6 +1,8 @@
 """Calibrator tests: objective assembly, fit metrics, the genetic global stage on
 analytic objectives, local refinement, model variants, and a small end-to-end fit."""
+import concurrent.futures
 import datetime as dt
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from roughvol.calibration import (
     CalibrationConfig,
     FrozenPricer,
     ParamBounds,
+    _fd_jacobian,
+    _ga_minimize,
     calibrate,
     fit_metrics,
     format_pct,
@@ -120,7 +124,7 @@ def test_frozen_pricer_matches_manual_assembly():
     pricer = FrozenPricer(s, config)
     z, zt = draw_normal_bundle(pricer.grid.n, config.path_count, config.seed)
     cov = build_joint_covariance(pricer.grid, THETA.H)
-    bundle = transform_normals(z, zt, cov)
+    bundle = transform_normals(z, zt * np.sqrt(pricer.grid.deltas), cov)
     vols = volatility_paths(bundle, THETA, pricer.grid)
     manual = [e.price for e in chain_estimates(bundle, vols, s.env, s.options)]
     assert_allclose(pricer.prices(THETA), manual, rtol=0.0, atol=0.0)
@@ -310,3 +314,111 @@ def test_calibrate_is_deterministic(synth_chain):
     b = calibrate(synth_chain, config)
     assert a.theta == b.theta
     assert a.objective == b.objective
+
+
+# ---------------------------------------------------------------------------
+# exact reuse: cached paths and skipped repeat evaluations change no number
+
+
+def test_pricer_path_cache_is_exact():
+    s = small_structure()
+    config = fast_config()
+    sequence = [THETA, THETA,
+                ModelParams(sigma0=0.08, rho=-0.3, H=0.2, xi=1.4, alpha=1.0),
+                ModelParams(sigma0=0.11, rho=-0.3, H=0.2, xi=1.4, alpha=1.0),
+                ModelParams(sigma0=0.11, rho=-0.3, H=0.12, xi=1.4, alpha=1.0),
+                ModelParams(sigma0=0.11, rho=-0.3, H=0.2, xi=1.4, alpha=1.0)]
+    cached = FrozenPricer(s, config)
+    for theta in sequence:
+        assert np.array_equal(cached.prices(theta), FrozenPricer(s, config).prices(theta))
+
+
+def test_pricer_path_cache_under_thread_contention():
+    s = small_structure()
+    config = fast_config(path_count=500)
+    thetas = [ModelParams(sigma0=0.08, rho=-0.3, H=h, xi=1.0 + 0.1 * (i % 3), alpha=1.0)
+              for i, h in enumerate([0.1, 0.2, 0.3] * 8)]
+    expected = [FrozenPricer(s, config).prices(t) for t in thetas]
+    shared = FrozenPricer(s, config)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(shared.prices, thetas, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+
+
+def analytic_objective(calls):
+    """Weighted squared distance to a fixed point, in plain float arithmetic."""
+    target = [0.10, -0.50, 0.15, 1.50, 0.50]
+    width = list(ParamBounds.default().width)
+
+    def fn(theta):
+        calls.append(np.array(theta))
+        return sum(((float(t) - c) / w) ** 2 for t, c, w in zip(theta, target, width))
+
+    return fn
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_ga_prices_elites_once(threads):
+    calls = []
+    config = fast_config(ga_population=12, ga_generations=3, threads=threads)
+    best, history = _ga_minimize(config, analytic_objective(calls))
+    assert len(calls) == 12 + 3 * (12 - 2)
+    # recorded from the GA that re-evaluated its elites every generation
+    assert best.tolist() == [0.09017965172564568, -0.48151363274808284,
+                             0.14177301197796024, 1.388586179526734, 0.6258785405916318]
+    assert history == [0.10071937129240574, 0.03852344927405461,
+                       0.03629673112551746, 0.02197607067743578]
+
+
+def test_local_refine_evaluates_each_point_once():
+    seen = []
+    inner = linear_residuals(np.array([0.10, -0.50, 0.15, 1.50, 0.50]))
+
+    def counting(theta):
+        seen.append(np.array(theta))
+        return inner(theta)
+
+    start = ModelParams(sigma0=0.05, rho=-0.9, H=0.08, xi=2.5, alpha=0.9)
+    result = local_refine(start, None, fast_config(), residual_fn=counting)
+    local = result.iterations["local"]
+    assert all(not np.array_equal(a, b) for a, b in zip(seen, seen[1:]))
+    assert len({t.tobytes() for t in seen}) == len(seen)
+    # one call per trust-region trial plus one per Jacobian column, nothing more
+    assert len(seen) == local["nfev"] + 5 * local["njev"]
+
+
+def test_calibrate_prices_each_parameter_vector_once(monkeypatch):
+    s = small_structure()
+    config = fast_config(model_variant="rBergomi", ga_population=6, ga_generations=2)
+    seen = []
+    real_prices = FrozenPricer.prices
+
+    def counting(self, theta):
+        seen.append(np.asarray(theta, dtype=float).tobytes())
+        return real_prices(self, theta)
+
+    monkeypatch.setattr(FrozenPricer, "prices", counting)
+    result = calibrate(s, config)
+    assert len(set(seen)) == len(seen)
+    monkeypatch.undo()
+    assert result.metrics == fit_metrics(FrozenPricer(s, config).prices(result.theta), s)
+
+
+def test_fd_jacobian_independent_of_column_order():
+    def residual_fn(x):
+        return np.array([np.sin(x[0]) * x[2], x[1] ** 3 - x[3], np.exp(x[2] * x[3]),
+                         x[0] * x[1] * x[2] * x[3]])
+
+    x = np.array([0.3, -0.4, 0.15, 1.2])
+    steps = np.full(4, 1e-4)
+    lower, upper = np.zeros(4) - 2.0, np.array([2.0, 2.0, 0.15, 2.0])  # x[2] on its bound
+    r0 = residual_fn(x)
+    reference = _fd_jacobian(residual_fn, x, r0, steps, lower, upper)
+    for order in ([3, 2, 1, 0], [0, 1, 3, 2], [2, 0, 3, 1]):
+        assert np.array_equal(_fd_jacobian(residual_fn, x, r0, steps, lower, upper, order),
+                              reference)

@@ -355,7 +355,7 @@ def test_transform_normals_reproduces_sample_paths():
     cov = build_joint_covariance(grid, 0.22)
     z, z_tilde = draw_normal_bundle(grid.n, 6000, seed=5)
     direct = sample_paths(cov, 6000, seed=5)
-    rebuilt = transform_normals(z, z_tilde, cov)
+    rebuilt = transform_normals(z, z_tilde * np.sqrt(grid.deltas), cov)
     assert np.array_equal(direct.fbm_paths, rebuilt.fbm_paths)
     assert np.array_equal(direct.w_paths, rebuilt.w_paths)
     assert np.array_equal(direct.w_tilde_increments, rebuilt.w_tilde_increments)

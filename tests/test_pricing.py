@@ -2,6 +2,7 @@
 reduction, and whole-chain consistency. BS references computed at 30-digit precision."""
 import numpy as np
 import pytest
+from scipy import special
 
 from roughvol.fbm import TimeGrid, build_joint_covariance, sample_paths
 from roughvol.model import MarketEnv, ModelParams, log_price_paths, volatility_paths
@@ -12,6 +13,7 @@ from roughvol.pricing import (
     price_call_conditional,
     price_call_plain,
     price_chain,
+    _mean_se,
 )
 
 # parameters of the reported rough-Bergomi fit, a realistic stress point for the
@@ -225,3 +227,41 @@ def test_chain_estimates_requires_known_estimator(rough_setup):
     grid, bundle, env, vols = rough_setup
     single = chain_estimates(bundle, vols, env, ((100.0, 1.0),), estimator="plain")
     assert single[0].estimator == "plain"
+
+
+def reference_conditional(vols, bundle, env, options):
+    """The conditional estimator written out per option: concatenated left-point
+    volatilities, differenced W and one full Black-Scholes pass for every quote."""
+    sigma = vols.sigma_paths
+    n_paths, n = sigma.shape
+    dw = np.diff(bundle.w_paths, axis=1, prepend=0.0)
+    sig_left = np.concatenate([np.full((n_paths, 1), vols.params.sigma0),
+                               sigma[:, : n - 1]], axis=1)
+    cum_var = np.cumsum(sig_left**2 * vols.grid.deltas, axis=1)
+    cum_sdw = np.cumsum(sig_left * dw, axis=1)
+    rho = vols.params.rho
+    out = []
+    for strike, t in options:
+        idx = vols.grid.index_of(t)
+        spot = env.spot * np.exp(rho * cum_sdw[:, idx] - 0.5 * rho**2 * cum_var[:, idx])
+        totvar = (1.0 - rho**2) * cum_var[:, idx]
+        disc_k = strike * np.exp(-env.rate * t)
+        values = np.maximum(spot - disc_k, 0.0)
+        pos = (totvar > 0.0) & (spot > 0.0)
+        sq = np.sqrt(totvar[pos])
+        s = spot[pos]
+        d1 = (np.log(s / strike) + env.rate * t) / sq + 0.5 * sq
+        values[pos] = s * special.ndtr(d1) - disc_k * special.ndtr(d1 - sq)
+        out.append(_mean_se(values))
+    return out
+
+
+def test_chain_estimates_equal_per_option_reference():
+    env = MarketEnv(spot=100.0, rate=0.02)
+    options = ((110.0, 1.0), (90.0, 0.25), (100.0, 1.0), (100.0, 0.25), (95.0, 0.5),
+               (120.0, 1.0))
+    grid = TimeGrid.with_maturities([0.25, 0.5, 1.0], 12)
+    bundle = sample_paths(build_joint_covariance(grid, FIT_PARAMS.H), 3000, seed=12)
+    vols = volatility_paths(bundle, FIT_PARAMS, grid)
+    got = [(e.price, e.std_error) for e in chain_estimates(bundle, vols, env, options)]
+    assert got == reference_conditional(vols, bundle, env, options)
