@@ -58,7 +58,8 @@ __all__ = [
     "sample_paths",
 ]
 
-#: fixed path-block size; the unit of RNG-stream derivation and parallel dispatch.
+#: fixed path-block size; the unit of RNG-stream derivation and parallel dispatch, and
+#: the unit of memory of fresh-draw pricing, which holds one block per worker.
 PATH_BLOCK = 4096
 
 #: escalating diagonal jitter schedule for nearly rank-deficient covariance matrices.
@@ -330,10 +331,13 @@ def build_joint_covariance(grid: TimeGrid, H: float) -> JointCovariance:
     sigma = np.block([[fbm_block, cross], [cross.T, wiener_block]])
 
     jitter_used = 0.0
-    eye = np.eye(sigma.shape[0])
     for jit in (0.0,) + JITTER_LADDER:
+        target = sigma
+        if jit:
+            target = sigma.copy()
+            target.flat[:: target.shape[0] + 1] += jit
         try:
-            factor = np.linalg.cholesky(sigma + jit * eye if jit else sigma)
+            factor = np.linalg.cholesky(target)
             jitter_used = jit
             break
         except np.linalg.LinAlgError:
@@ -380,8 +384,15 @@ def derive_seed(base: int, *path: int) -> int:
     return int(state[0])
 
 
-def _block_seeds(seed: int, n_blocks: int):
-    return [np.random.SeedSequence([int(seed), _STREAM_PATHS, b]) for b in range(n_blocks)]
+def _block_count(path_count: int) -> int:
+    return -(-path_count // PATH_BLOCK)
+
+
+def _block_normals(seed: int, b: int, path_count: int, n: int):
+    """Block b's draws from its own stream, Z (rows x 2n) first, then Z_tilde (rows x n)."""
+    rows = min(PATH_BLOCK, path_count - b * PATH_BLOCK)
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), _STREAM_PATHS, b]))
+    return rng.standard_normal((rows, 2 * n)), rng.standard_normal((rows, n))
 
 
 def _run_blocks(worker, n_blocks: int, threads: int) -> None:
@@ -404,56 +415,64 @@ def draw_normal_bundle(n: int, path_count: int, seed: int, threads: int = 1):
     """
     if path_count < 1:
         raise ValueError("path_count must be >= 1")
-    n_blocks = -(-path_count // PATH_BLOCK)
-    seeds = _block_seeds(seed, n_blocks)
     z = np.empty((path_count, 2 * n))
     z_tilde = np.empty((path_count, n))
 
     def worker(b: int) -> None:
-        lo = b * PATH_BLOCK
-        hi = min(lo + PATH_BLOCK, path_count)
-        rng = np.random.default_rng(seeds[b])
-        z[lo:hi] = rng.standard_normal((hi - lo, 2 * n))
-        z_tilde[lo:hi] = rng.standard_normal((hi - lo, n))
+        z_b, zt_b = _block_normals(seed, b, path_count, n)
+        rows = slice(b * PATH_BLOCK, b * PATH_BLOCK + zt_b.shape[0])
+        z[rows] = z_b
+        z_tilde[rows] = zt_b
 
-    _run_blocks(worker, n_blocks, threads)
+    _run_blocks(worker, _block_count(path_count), threads)
     return z, z_tilde
 
 
+def _sample_block(cov: JointCovariance, path_count: int, seed: int, b: int) -> PathBundle:
+    """Path block b as its own bundle: views of one transform product, and Z_tilde
+    scaled in place."""
+    grid = cov.grid
+    n = grid.n
+    z, zt = _block_normals(seed, b, path_count, n)
+    joint = z @ cov.cholesky_factor.T
+    zt *= np.sqrt(grid.deltas)
+    return PathBundle(fbm_paths=joint[:, :n], w_paths=joint[:, n:], w_tilde_increments=zt,
+                      seed=int(seed), path_count=zt.shape[0], grid=grid)
+
+
 def sample_paths(cov: JointCovariance, path_count: int, seed: int,
-                 threads: int = 1) -> PathBundle:
+                 threads: int = 1, *, block: int | None = None) -> PathBundle:
     """Draw exact joint (B^H, W) paths plus independent orthogonal increments.
 
     Standard normals are transformed by the Cholesky factor block-by-block; each block
     owns an RNG stream derived from (seed, block index), so the output is deterministic
-    for fixed inputs regardless of ``threads``.
+    for fixed inputs regardless of ``threads``. With ``block=b`` only path block b of
+    the ``path_count``-path draw is sampled, rows b * PATH_BLOCK onwards, bit for bit
+    as in the full draw; ``threads`` is then unused.
     """
     if path_count < 1:
         raise ValueError("path_count must be >= 1")
-    grid = cov.grid
-    n = grid.n
-    lt = cov.cholesky_factor.T
-    sqrt_dt = np.sqrt(grid.deltas)
-    n_blocks = -(-path_count // PATH_BLOCK)
-    seeds = _block_seeds(seed, n_blocks)
+    n_blocks = _block_count(path_count)
+    if block is not None:
+        if not 0 <= block < n_blocks:
+            raise ValueError(f"block {block} outside 0..{n_blocks - 1} for "
+                             f"{path_count} paths")
+        return _sample_block(cov, path_count, seed, block)
+    n = cov.grid.n
     fbm = np.empty((path_count, n))
     w = np.empty((path_count, n))
     w_tilde = np.empty((path_count, n))
 
     def worker(b: int) -> None:
-        lo = b * PATH_BLOCK
-        hi = min(lo + PATH_BLOCK, path_count)
-        rng = np.random.default_rng(seeds[b])
-        z = rng.standard_normal((hi - lo, 2 * n))
-        zt = rng.standard_normal((hi - lo, n))
-        joint = z @ lt
-        fbm[lo:hi] = joint[:, :n]
-        w[lo:hi] = joint[:, n:]
-        w_tilde[lo:hi] = zt * sqrt_dt
+        part = _sample_block(cov, path_count, seed, b)
+        rows = slice(b * PATH_BLOCK, b * PATH_BLOCK + part.path_count)
+        fbm[rows] = part.fbm_paths
+        w[rows] = part.w_paths
+        w_tilde[rows] = part.w_tilde_increments
 
     _run_blocks(worker, n_blocks, threads)
     return PathBundle(fbm_paths=fbm, w_paths=w, w_tilde_increments=w_tilde,
-                      seed=int(seed), path_count=path_count, grid=grid)
+                      seed=int(seed), path_count=path_count, grid=cov.grid)
 
 
 def transform_normals(z: np.ndarray, w_tilde_increments: np.ndarray,

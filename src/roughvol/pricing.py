@@ -12,18 +12,22 @@ rectangle quadrature as the path scheme, which makes the conditional estimator e
 unbiased for the discretized model the plain estimator prices — the two may be compared
 on shared samples at standard-error resolution.
 
-A whole option chain is served from one simulated path set: the simulation grid is the
-union of a regular grid and every quoted maturity, and each option reads the paths
-truncated to its own maturity node.
+A whole option chain is priced on one simulation grid, the union of a regular grid and
+every quoted maturity; each option reads the paths truncated to its own maturity node.
+Fresh-draw pricing streams the paths one PATH_BLOCK at a time: each block is sampled,
+priced on its own and dropped, and the per-block estimates are pooled in block order,
+so memory grows with the worker count, not with the path count.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special
 
-from .fbm import PathBundle, TimeGrid, build_joint_covariance, sample_paths
+from .fbm import (JointCovariance, PathBundle, TimeGrid, _block_count, _run_blocks,
+                  build_joint_covariance, sample_paths)
 from .model import MarketEnv, ModelParams, VolPathSet, log_price_paths, volatility_paths
 
 __all__ = [
@@ -33,8 +37,13 @@ __all__ = [
     "price_call_plain",
     "price_call_conditional",
     "chain_estimates",
+    "fresh_estimates",
     "price_chain",
 ]
+
+#: entries per row sub-block of the left-point integrals (2 MB of float64 per
+#: temporary), so the temporaries stay in cache at any grid size.
+_CHUNK_ENTRIES = 1 << 18
 
 ESTIMATORS = ("plain", "conditional_mixed")
 
@@ -112,36 +121,44 @@ def price_call_plain(log_paths: np.ndarray, grid: TimeGrid, strike: float,
                          path_count=log_paths.shape[0])
 
 
-def _left_vol_cumulatives(vols: VolPathSet, bundle: PathBundle):
-    """Cumulative int sigma^2 dt and int sigma dW along paths, left-endpoint rule.
+def _left_vol_integrals(vols: VolPathSet, bundle: PathBundle, nodes):
+    """int sigma^2 dt and int sigma dW over [0, t_k] at each node k, left-endpoint rule.
 
-    Returns (paths x n) arrays whose column k covers [0, t_k]. The first step uses
-    sigma0 (the t = 0 value of the volatility), matching the path scheme exactly.
-    Both outputs are built in place, without concatenated, differenced or squared
-    temporaries.
+    Returns two (len(nodes) x paths) arrays. The first step uses sigma0 (the t = 0
+    value of the volatility), matching the path scheme exactly. The integrands are
+    summed along each path with one sequential cumsum per sub-block of rows, so only
+    a sub-block of full-length temporaries is ever held.
     """
     sigma, w = vols.sigma_paths, bundle.w_paths
-    cum_var = np.empty_like(sigma)
-    cum_sdw = np.empty_like(sigma)
-    # left-endpoint volatilities per step: [sigma0, sigma_{t_1}, ..., sigma_{t_{n-1}}]
-    cum_var[:, 0] = vols.params.sigma0
-    cum_var[:, 1:] = sigma[:, :-1]
-    # Wiener increments from W_0 = 0
-    cum_sdw[:, 0] = w[:, 0]
-    np.subtract(w[:, 1:], w[:, :-1], out=cum_sdw[:, 1:])
-    cum_sdw *= cum_var
-    np.square(cum_var, out=cum_var)
-    cum_var *= vols.grid.deltas
-    np.cumsum(cum_var, axis=1, out=cum_var)
-    np.cumsum(cum_sdw, axis=1, out=cum_sdw)
-    return cum_var, cum_sdw
+    n_paths = sigma.shape[0]
+    end = max(nodes) + 1
+    int_var = np.empty((len(nodes), n_paths))
+    int_sdw = np.empty((len(nodes), n_paths))
+    dt = vols.grid.deltas[:end]
+    chunk = max(1, _CHUNK_ENTRIES // end)
+    for lo in range(0, n_paths, chunk):
+        hi = min(lo + chunk, n_paths)
+        cum_var = np.empty((hi - lo, end))
+        cum_sdw = np.empty((hi - lo, end))
+        # left-endpoint volatilities per step: [sigma0, sigma_{t_1}, ..., sigma_{t_{end-2}}]
+        cum_var[:, 0] = vols.params.sigma0
+        cum_var[:, 1:] = sigma[lo:hi, : end - 1]
+        # Wiener increments from W_0 = 0
+        cum_sdw[:, 0] = w[lo:hi, 0]
+        np.subtract(w[lo:hi, 1:end], w[lo:hi, : end - 1], out=cum_sdw[:, 1:])
+        cum_sdw *= cum_var
+        np.square(cum_var, out=cum_var)
+        cum_var *= dt
+        np.cumsum(cum_var, axis=1, out=cum_var)
+        np.cumsum(cum_sdw, axis=1, out=cum_sdw)
+        int_var[:, lo:hi] = cum_var[:, nodes].T
+        int_sdw[:, lo:hi] = cum_sdw[:, nodes].T
+    return int_var, int_sdw
 
 
-def _conditional_values(cum_var, cum_sdw, idx: int, strikes, maturity: float,
-                        env: MarketEnv, rho: float) -> list[np.ndarray]:
+def _conditional_values(int_var, int_sdw, strikes, maturity: float, env: MarketEnv,
+                        rho: float) -> list[np.ndarray]:
     """Per-path conditional call values at one maturity node, one array per strike."""
-    int_var = cum_var[:, idx]
-    int_sdw = cum_sdw[:, idx]
     eff_spot = env.spot * np.exp(rho * int_sdw - 0.5 * rho**2 * int_var)
     eff_totvar = (1.0 - rho**2) * int_var
     return _bs_calls(eff_spot, eff_totvar, strikes, env.rate, maturity)
@@ -192,15 +209,16 @@ def chain_estimates(bundle: PathBundle, vols: VolPathSet, env: MarketEnv,
     if estimator == "plain":
         log_paths = log_price_paths(bundle, vols, env, vols.params)
         return [price_call_plain(log_paths, vols.grid, k, t, env) for k, t in options]
-    cum_var, cum_sdw = _left_vol_cumulatives(vols, bundle)
     by_maturity: dict[float, list[int]] = {}
     for i, (_, t) in enumerate(options):
         by_maturity.setdefault(t, []).append(i)
+    nodes = [vols.grid.index_of(t) for t in by_maturity]
+    int_var, int_sdw = _left_vol_integrals(vols, bundle, nodes)
     out = [None] * len(options)
-    for t, members in by_maturity.items():
+    for j, (t, members) in enumerate(by_maturity.items()):
         strikes = [options[i][0] for i in members]
-        per_strike = _conditional_values(cum_var, cum_sdw, vols.grid.index_of(t), strikes,
-                                         t, env, vols.params.rho)
+        per_strike = _conditional_values(int_var[j], int_sdw[j], strikes, t, env,
+                                         vols.params.rho)
         for i, values in zip(members, per_strike):
             mean, se = _mean_se(values)
             out[i] = PriceEstimate(price=mean, std_error=se, estimator="conditional_mixed",
@@ -208,12 +226,61 @@ def chain_estimates(bundle: PathBundle, vols: VolPathSet, env: MarketEnv,
     return out
 
 
+def _pool_estimates(parts) -> PriceEstimate:
+    """One estimate from estimates on disjoint path sets, as if on their union.
+
+    The pooled mean weights each part's mean by its path count. The pooled sample
+    variance adds the within-part sums of squares, (n_b - 1) n_b se_b^2, to the
+    between-part ones, n_b (mean_b - mean)^2. Both sums are exactly rounded, so the
+    result does not depend on the order of the parts. Parts that are all constant at
+    one value pool to that value with standard error 0 exactly, as `_mean_se` gives.
+    """
+    first = parts[0]
+    if len(parts) == 1:
+        return first
+    total = sum(e.path_count for e in parts)
+    if all(e.std_error == 0.0 and e.price == first.price for e in parts):
+        return replace(first, path_count=total)
+    mean = math.fsum(e.path_count * e.price for e in parts) / total
+    squares = math.fsum((e.path_count - 1) * e.path_count * e.std_error**2
+                        + e.path_count * (e.price - mean) ** 2 for e in parts)
+    return replace(first, price=mean, std_error=math.sqrt(squares / (total - 1) / total),
+                   path_count=total)
+
+
+def fresh_estimates(cov: JointCovariance, params: ModelParams, env: MarketEnv, options,
+                    path_count: int, seed: int, estimator: str = "conditional_mixed",
+                    threads: int = 1) -> list[PriceEstimate]:
+    """Price every option on ``path_count`` fresh paths, one PATH_BLOCK at a time.
+
+    Each block is sampled (`sample_paths` with ``block=b``), turned into volatility
+    paths and priced by `chain_estimates` on its own; ``threads`` blocks run at once.
+    The per-block estimates are pooled in block order, so the result does not depend on
+    ``threads``, and memory holds one block per worker whatever ``path_count`` is.
+    """
+    n_blocks = _block_count(path_count)
+    per_block = [None] * n_blocks
+
+    def worker(b: int) -> None:
+        bundle = sample_paths(cov, path_count, seed, block=b)
+        vols = volatility_paths(bundle, params, cov.grid)
+        per_block[b] = chain_estimates(bundle, vols, env, options, estimator=estimator)
+
+    _run_blocks(worker, n_blocks, threads)
+    return [_pool_estimates(parts) for parts in zip(*per_block)]
+
+
 def price_chain(request: ChainPricingRequest, threads: int = 1) -> list[PriceEstimate]:
-    """Simulate once on the union grid (regular + quoted maturities), price everything."""
+    """Price the request's options on fresh paths over the union grid (regular +
+    quoted maturities).
+
+    One covariance is built and factorized; the paths are then streamed block by block
+    through `fresh_estimates`, with ``threads`` blocks at once. Estimates are
+    byte-identical at any ``threads`` and equal a single-bundle `chain_estimates` of
+    the same draw up to the rounding of the pooled sums.
+    """
     maturities = [t for _, t in request.options]
     grid = TimeGrid.with_maturities(maturities, request.steps_per_year)
     cov = build_joint_covariance(grid, request.params.H)
-    bundle = sample_paths(cov, request.path_count, request.seed, threads=threads)
-    vols = volatility_paths(bundle, request.params, grid)
-    return chain_estimates(bundle, vols, request.env, request.options,
-                           estimator=request.estimator)
+    return fresh_estimates(cov, request.params, request.env, request.options,
+                           request.path_count, request.seed, request.estimator, threads)

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import t as _student_t
 
-from .fbm import TimeGrid, build_joint_covariance, derive_seed, sample_paths
+from .fbm import TimeGrid, build_joint_covariance, derive_seed
 from .market import OptionStructure
-from .model import PARAM_NAMES, ModelParams, volatility_paths
-from .pricing import chain_estimates
+from .model import PARAM_NAMES, ModelParams
+from .pricing import fresh_estimates
 
 __all__ = [
     "KsResult",
@@ -210,11 +210,11 @@ class SignificanceResult:
         }
 
 
-def _repetition_arfv(structure: OptionStructure, params: ModelParams, grid: TimeGrid,
-                     cov, path_count: int, seed: int) -> float:
-    bundle = sample_paths(cov, path_count, seed)
-    vols = volatility_paths(bundle, params, grid)
-    estimates = chain_estimates(bundle, vols, structure.env, structure.options)
+def _repetition_arfv(structure: OptionStructure, params: ModelParams, cov,
+                     path_count: int, seed: int) -> float:
+    # blocks run serially: the repetitions are already the parallel level
+    estimates = fresh_estimates(cov, params, structure.env, structure.options,
+                                path_count, seed)
     prices = np.array([e.price for e in estimates])
     return float(np.mean(np.abs(prices - structure.closes) / structure.env.spot))
 
@@ -243,7 +243,7 @@ def significance_test(structure: OptionStructure, theta_full: ModelParams,
         arm, k = job
         params, cov = arms[arm]
         seed = derive_seed(base_seed, _STREAM_SIGNIFICANCE, k, arm)
-        return arm, _repetition_arfv(structure, params, grid, cov, path_count, seed)
+        return arm, _repetition_arfv(structure, params, cov, path_count, seed)
 
     if threads <= 1:
         raw = [run(j) for j in jobs]

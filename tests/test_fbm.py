@@ -350,6 +350,29 @@ def test_block_boundary_paths_are_stable():
                           large.fbm_paths[: fbm.PATH_BLOCK + 10])
 
 
+def test_single_block_equals_rows_of_full_draw():
+    grid = TimeGrid.regular(1.0, 6)
+    cov = build_joint_covariance(grid, 0.15)
+    path_count = 2 * fbm.PATH_BLOCK + 10  # the last block is short
+    full = sample_paths(cov, path_count, seed=13)
+    for b in range(3):
+        part = sample_paths(cov, path_count, seed=13, block=b)
+        rows = slice(b * fbm.PATH_BLOCK, min((b + 1) * fbm.PATH_BLOCK, path_count))
+        assert part.path_count == rows.stop - rows.start
+        assert np.array_equal(part.fbm_paths, full.fbm_paths[rows])
+        assert np.array_equal(part.w_paths, full.w_paths[rows])
+        assert np.array_equal(part.w_tilde_increments, full.w_tilde_increments[rows])
+    assert part.path_count == 10
+
+
+@pytest.mark.parametrize("block", [-1, 3])
+def test_block_out_of_range(block):
+    grid = TimeGrid.regular(1.0, 4)
+    cov = build_joint_covariance(grid, 0.2)
+    with pytest.raises(ValueError, match="block"):
+        sample_paths(cov, 2 * fbm.PATH_BLOCK + 10, seed=1, block=block)
+
+
 def test_transform_normals_reproduces_sample_paths():
     grid = TimeGrid.regular(1.0, 8)
     cov = build_joint_covariance(grid, 0.22)

@@ -1,19 +1,25 @@
 """Pricing tests: Black-Scholes reference values, estimator unbiasedness and variance
 reduction, and whole-chain consistency. BS references computed at 30-digit precision."""
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
-from roughvol.fbm import TimeGrid, build_joint_covariance, sample_paths
+from roughvol.fbm import PATH_BLOCK, TimeGrid, build_joint_covariance, sample_paths
 from roughvol.model import MarketEnv, ModelParams, log_price_paths, volatility_paths
 from roughvol.pricing import (
     ChainPricingRequest,
+    PriceEstimate,
     black_scholes_call,
     chain_estimates,
     price_call_conditional,
     price_call_plain,
     price_chain,
     _mean_se,
+    _pool_estimates,
 )
 
 # parameters of the reported rough-Bergomi fit, a realistic stress point for the
@@ -174,12 +180,25 @@ def test_price_chain_matches_manual_assembly():
 
     grid = TimeGrid.with_maturities([0.5, 1.0], 12)
     cov = build_joint_covariance(grid, FIT_PARAMS.H)
+    # the reference prices each path block on its own and pools the blocks in order
+    per_block = []
+    for b in range(2):
+        part = sample_paths(cov, 8000, seed=31, block=b)
+        vols = volatility_paths(part, FIT_PARAMS, grid)
+        per_block.append([price_call_conditional(vols, part, k, t, env)
+                          for k, t in options])
+    for est, parts in zip(chain, zip(*per_block)):
+        manual = _pool_estimates(parts)
+        assert est.price == manual.price
+        assert est.std_error == manual.std_error
+        assert est.path_count == 8000
+    # and agrees with one whole-bundle assembly up to the rounding of the pooled sums
     bundle = sample_paths(cov, 8000, seed=31)
     vols = volatility_paths(bundle, FIT_PARAMS, grid)
     for (strike, maturity), est in zip(options, chain):
-        manual = price_call_conditional(vols, bundle, strike, maturity, env)
-        assert est.price == manual.price
-        assert est.std_error == manual.std_error
+        whole = price_call_conditional(vols, bundle, strike, maturity, env)
+        assert est.price == pytest.approx(whole.price, rel=1e-13)
+        assert est.std_error == pytest.approx(whole.std_error, rel=1e-10)
 
 
 def test_price_chain_plain_estimator():
@@ -265,3 +284,85 @@ def test_chain_estimates_equal_per_option_reference():
     vols = volatility_paths(bundle, FIT_PARAMS, grid)
     got = [(e.price, e.std_error) for e in chain_estimates(bundle, vols, env, options)]
     assert got == reference_conditional(vols, bundle, env, options)
+
+
+# ---------------------------------------------------------------------------
+# streamed block pricing
+
+
+def _estimate(values):
+    mean, se = _mean_se(np.asarray(values, dtype=float))
+    return PriceEstimate(price=mean, std_error=se, estimator="plain",
+                         path_count=len(values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.floats(0.0, 1e3), min_size=2, max_size=60),
+       cuts=st.sets(st.integers(1, 59), max_size=6))
+def test_pooled_estimate_matches_whole_sample(values, cuts):
+    bounds = [0, *sorted(c for c in cuts if c < len(values)), len(values)]
+    parts = [_estimate(values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    pooled = _pool_estimates(parts)
+    mean, se = _mean_se(np.asarray(values))
+    # the SE of a near-constant sample is itself rounding noise of size eps * |x|
+    floor = 1e-12 * max(values)
+    assert pooled.price == pytest.approx(mean, rel=1e-12, abs=floor)
+    assert pooled.std_error == pytest.approx(se, rel=1e-12, abs=floor)
+    assert pooled.path_count == len(values)
+
+
+def test_pooled_constant_sample_has_zero_se():
+    values = [0.1 * 3] * 9  # 0.30000000000000004: n * value / n would round
+    pooled = _pool_estimates([_estimate(values[:4]), _estimate(values[4:8]),
+                              _estimate(values[8:])])
+    assert pooled.price == values[0]
+    assert pooled.std_error == 0.0
+    assert pooled.path_count == 9
+
+
+def test_pooled_last_block_of_one_path():
+    values = [1.0, 4.0, 2.5, 7.0, 3.25]
+    pooled = _pool_estimates([_estimate(values[:4]), _estimate(values[4:])])
+    mean, se = _mean_se(np.asarray(values))
+    assert pooled.price == pytest.approx(mean, rel=1e-14)
+    assert pooled.std_error == pytest.approx(se, rel=1e-14)
+
+
+@pytest.mark.parametrize("estimator", ["conditional_mixed", "plain"])
+@pytest.mark.parametrize("path_count", [PATH_BLOCK, PATH_BLOCK + 1, 2 * PATH_BLOCK + 10])
+def test_price_chain_matches_single_bundle(estimator, path_count):
+    env = MarketEnv(spot=100.0, rate=0.01)
+    options = ((95.0, 0.25), (105.0, 0.25), (100.0, 1.0))
+    request = ChainPricingRequest(options=options, env=env, params=FIT_PARAMS,
+                                  path_count=path_count, steps_per_year=12, seed=5,
+                                  estimator=estimator)
+    grid = TimeGrid.with_maturities([0.25, 1.0], 12)
+    bundle = sample_paths(build_joint_covariance(grid, FIT_PARAMS.H), path_count, seed=5)
+    vols = volatility_paths(bundle, FIT_PARAMS, grid)
+    whole = chain_estimates(bundle, vols, env, options, estimator=estimator)
+    runs = [price_chain(request, threads=t) for t in (1, 2, 4)]
+    for est, ref in zip(runs[0], whole):
+        assert est.price == pytest.approx(ref.price, rel=1e-13)
+        assert est.std_error == pytest.approx(ref.std_error, rel=1e-10)
+        assert est.path_count == path_count
+    for other in runs[1:]:
+        assert other == runs[0]
+
+
+def _traced_peak(path_count: int) -> int:
+    request = ChainPricingRequest(options=((95.0, 0.5), (105.0, 1.0)),
+                                  env=MarketEnv(spot=100.0), params=FIT_PARAMS,
+                                  path_count=path_count, steps_per_year=24, seed=3)
+    tracemalloc.start()
+    try:
+        price_chain(request, threads=1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_price_chain_memory_does_not_grow_with_path_count():
+    # numpy reports its array allocations to tracemalloc
+    small = _traced_peak(2 * PATH_BLOCK)
+    large = _traced_peak(8 * PATH_BLOCK)
+    assert large <= 1.25 * small
