@@ -9,19 +9,17 @@ calibration runs a genetic global stage plus trust-region refinement under commo
 random numbers; bootstrap resampling quantifies parameter robustness and feeds the
 sensitivity and significance tests.
 """
-from .fbm import (FactorizationError, JointCovariance, PathBundle, QuadratureError,
-                  TimeGrid, build_joint_covariance, derive_seed, fbm_autocovariance,
-                  fbm_wiener_cross_covariance, molchan_golosov_kernel, sample_paths,
-                  transform_normals)
+from .fbm import (FactorizationError, JointCovariance, PathBundle, TimeGrid,
+                  build_joint_covariance, derive_seed, sample_paths, transform_normals)
 from .model import MarketEnv, ModelParams, PARAM_NAMES, VolPathSet, log_price_paths, \
     volatility_paths
 from .pricing import (ChainPricingRequest, PriceEstimate, black_scholes_call,
-                      price_call_conditional, price_call_plain, price_chain)
+                      chain_estimates, price_call_plain, price_chain)
 from .market import (ChainFormatError, OptionQuote, OptionStructure, compute_weights,
                      load_chain, write_chain)
 from .calibration import (CalibrationConfig, CalibrationResult, FitMetrics,
                           FrozenPricer, ParamBounds, calibrate, fit_metrics,
-                          format_pct, global_search, local_refine, objective)
+                          format_pct, global_search, local_refine)
 from .bootstrap import (BootCalibration, BootstrapPlan, BootstrapReport,
                         bootstrap_statistics, bootstrap_structure,
                         export_scatter_matrix, run_bootcalibrations)
@@ -35,23 +33,21 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # fbm
-    "TimeGrid", "JointCovariance", "PathBundle", "QuadratureError",
-    "FactorizationError", "fbm_autocovariance", "molchan_golosov_kernel",
-    "fbm_wiener_cross_covariance", "build_joint_covariance", "sample_paths",
-    "transform_normals", "derive_seed",
+    "TimeGrid", "JointCovariance", "PathBundle", "FactorizationError",
+    "build_joint_covariance", "sample_paths", "transform_normals", "derive_seed",
     # model
     "ModelParams", "MarketEnv", "VolPathSet", "PARAM_NAMES", "volatility_paths",
     "log_price_paths",
     # pricing
     "PriceEstimate", "ChainPricingRequest", "black_scholes_call", "price_call_plain",
-    "price_call_conditional", "price_chain",
+    "chain_estimates", "price_chain",
     # market
     "OptionQuote", "OptionStructure", "ChainFormatError", "load_chain", "write_chain",
     "compute_weights",
     # calibration
     "ParamBounds", "CalibrationConfig", "CalibrationResult", "FitMetrics",
-    "FrozenPricer", "calibrate", "global_search", "local_refine", "objective",
-    "fit_metrics", "format_pct",
+    "FrozenPricer", "calibrate", "global_search", "local_refine", "fit_metrics",
+    "format_pct",
     # bootstrap
     "BootstrapPlan", "BootCalibration", "BootstrapReport", "bootstrap_structure",
     "run_bootcalibrations", "bootstrap_statistics", "export_scatter_matrix",

@@ -12,13 +12,12 @@ robustness tables.
 """
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
 from .calibration import CalibrationConfig, FrozenPricer, local_refine
-from .fbm import derive_seed
+from .fbm import derive_seed, parallel_map
 from .market import OptionStructure
 from .model import PARAM_NAMES, ModelParams
 
@@ -112,8 +111,6 @@ def run_bootcalibrations(structure: OptionStructure, plan: BootstrapPlan,
     propagates. Workers are self-contained (own seeds, own frozen draws), so the
     result list is deterministic at any thread count.
     """
-    indices = list(range(plan.sample_count))
-
     def run(j: int):
         try:
             return _run_one(structure, plan, overall_theta, j)
@@ -122,11 +119,7 @@ def run_bootcalibrations(structure: OptionStructure, plan: BootstrapPlan,
         except Exception as exc:  # noqa: BLE001 - per-sample failures are data
             return (j, f"{type(exc).__name__}: {exc}")
 
-    if threads <= 1:
-        raw = [run(j) for j in indices]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            raw = list(pool.map(run, indices))
+    raw = parallel_map(run, range(plan.sample_count), threads)
     results = [r for r in raw if isinstance(r, BootCalibration)]
     failures = [r for r in raw if not isinstance(r, BootCalibration)]
     return results, failures

@@ -19,14 +19,13 @@ reinstated exactly on output.
 """
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import least_squares
 
 from .fbm import (PathBundle, TimeGrid, build_joint_covariance, draw_normal_bundle,
-                  transform_normals)
+                  parallel_map, transform_normals)
 from .market import OptionStructure
 from .model import PARAM_NAMES, ModelParams, volatility_paths
 from .pricing import chain_estimates
@@ -39,7 +38,6 @@ __all__ = [
     "FrozenPricer",
     "format_pct",
     "fit_metrics",
-    "objective",
     "global_search",
     "local_refine",
     "calibrate",
@@ -235,17 +233,9 @@ class FrozenPricer:
         return float(r @ r)
 
 
-def objective(theta, structure: OptionStructure, config: CalibrationConfig) -> float:
-    """G(Theta) under frozen noise: identical (theta, structure, config) give identical
-    values. One-shot convenience; inside a calibration the pricer is built once."""
-    return FrozenPricer(structure, config).objective(np.asarray(theta, dtype=float))
-
-
 def _evaluate_all(objective_fn, thetas, threads: int) -> np.ndarray:
-    if threads <= 1 or len(thetas) <= 1:
-        return np.array([objective_fn(t) for t in thetas])
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        return np.array(list(pool.map(objective_fn, thetas)))
+    """Objective values of ``thetas`` in order; called once per GA generation."""
+    return np.array(parallel_map(objective_fn, thetas, threads))
 
 
 def _ga_minimize(config: CalibrationConfig, objective_fn):

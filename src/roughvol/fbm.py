@@ -29,8 +29,8 @@ which also yields a closed form for the cross covariance (w = min(t,s)):
                                  - (H-1/2) w^{H+1/2} tail(w/t) ],
 
 with B(a,b;x) the non-regularized incomplete Beta function. The closed form is used for
-vectorized covariance assembly; `fbm_wiener_cross_covariance` exposes the equivalent
-adaptive-quadrature evaluation with the endpoint singularities removed by power
+vectorized covariance assembly; tests/test_fbm.py cross-checks it against adaptive
+quadrature of the kernel, with the endpoint singularities removed by power
 substitutions.
 """
 from __future__ import annotations
@@ -40,22 +40,20 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 __all__ = [
     "TimeGrid",
     "JointCovariance",
     "PathBundle",
-    "QuadratureError",
     "FactorizationError",
-    "fbm_autocovariance",
     "molchan_constant",
-    "molchan_golosov_kernel",
-    "fbm_wiener_cross_covariance",
     "cross_covariance_matrix",
     "build_joint_covariance",
     "draw_normal_bundle",
     "sample_paths",
+    "transform_normals",
+    "derive_seed",
 ]
 
 #: fixed path-block size; the unit of RNG-stream derivation and parallel dispatch, and
@@ -69,10 +67,6 @@ JITTER_LADDER = (1e-14, 1e-13, 1e-12, 1e-11, 1e-10)
 GRID_ATOL = 1e-12
 
 
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
-
-
 class FactorizationError(RuntimeError):
     """Covariance factorization failed even at maximum diagonal jitter."""
 
@@ -82,19 +76,6 @@ def _validate_hurst(H: float) -> float:
     if not 0.0 < H < 1.0:
         raise ValueError(f"Hurst index must lie in (0, 1), got {H}")
     return H
-
-
-def fbm_autocovariance(t: float, s: float, H: float) -> float:
-    """Autocovariance r(t,s) = 1/2 (t^{2H} + s^{2H} - |t-s|^{2H}) of fBm.
-
-    Symmetric in (t, s); r(t, t) = t^{2H}. Raises ValueError for negative times
-    or H outside (0, 1).
-    """
-    H = _validate_hurst(H)
-    t, s = float(t), float(s)
-    if t < 0.0 or s < 0.0:
-        raise ValueError(f"times must be nonnegative, got t={t}, s={s}")
-    return 0.5 * (t ** (2 * H) + s ** (2 * H) - abs(t - s) ** (2 * H))
 
 
 def molchan_constant(H: float) -> float:
@@ -120,94 +101,11 @@ def _kernel_tail(x, H):
     return z**b / b * special.hyp2f1(2.0 * H, b, b + 1.0, z)
 
 
-def molchan_golosov_kernel(t: float, s: float, H: float) -> float:
-    """Finite-interval fBm kernel K_H(t, s) for 0 < s < t.
-
-    Unbounded as s -> t when H < 1/2 (the (t-s)^{H-1/2} factor) and as s -> 0
-    (s^{H-1/2} from the reduced correction term); both singularities are integrable.
-    K_H is identically 1 at H = 1/2.
-    """
-    H = _validate_hurst(H)
-    t, s = float(t), float(s)
-    if not 0.0 < s <= t:
-        raise ValueError(f"kernel requires 0 < s <= t, got t={t}, s={s}")
-    c = molchan_constant(H)
-    a = H - 0.5
-    # the inner z-integral collapses to s^{2H-1} * tail(s/t)
-    return c * ((t / s) ** a * (t - s) ** a - a * s**a * float(_kernel_tail(s / t, H)))
-
-
-def fbm_wiener_cross_covariance(t: float, s: float, H: float, tol: float = 1e-10) -> float:
-    """E[B^H_t W_s] = int_0^{min(t,s)} K_H(t, u) du by adaptive quadrature.
-
-    The kernel's endpoint singularities are removed by power substitutions before
-    integration: near u = 0 the map u = v^p with p = max(1/(H+1/2), 2/(3-2H)), near
-    u = t the map u = t - v^{1/(H+1/2)}; in both substituted integrands the singular
-    factor is cancelled analytically, so no evaluation ever forms (t-u)^{H-1/2} from
-    a catastrophically cancelled difference. The integral is split at min(t,s)/2.
-
-    Raises QuadratureError if the combined achieved error estimate exceeds ``tol``.
-    """
-    H = _validate_hurst(H)
-    t, s = float(t), float(s)
-    if t < 0.0 or s < 0.0:
-        raise ValueError(f"times must be nonnegative, got t={t}, s={s}")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    w = min(t, s)
-    if w == 0.0:
-        return 0.0
-    if H == 0.5:  # K_H is identically 1
-        return w
-
-    c = molchan_constant(H)
-    a = H - 0.5
-    b = H + 0.5
-    q = 1.0 / b
-    p = max(q, 2.0 / (3.0 - 2.0 * H))
-    a1 = p * (1.5 - H) - 1.0  # exponent left on the first kernel term after u = v^p
-    a2 = p * b - 1.0          # exponent left on the tail term after u = v^p
-
-    def lower_piece(v: float) -> float:
-        # u = v^p on (0, w/2]; u^{H-1/2} (tail term) and u^{1/2-H} (first term)
-        # are absorbed into v^{a2} and v^{a1}, both with nonnegative exponents.
-        u = v**p
-        term1 = t**a * (t - u) ** a * v**a1
-        term2 = a * float(_kernel_tail(u / t, H)) * v**a2
-        return c * p * (term1 - term2)
-
-    def upper_piece(v: float) -> float:
-        # u = t - d with d = v^q on [w/2, w]; d^{H-1/2} * dv-Jacobian == q exactly,
-        # and tail(u/t) is rewritten through 2F1 at the small argument d/t.
-        d = v**q
-        u = t - d
-        term1 = q * (t / u) ** a
-        hyp = special.hyp2f1(2.0 * H, b, b + 1.0, d / t)
-        term2 = a / b * u**a * t ** (-b) * hyp * q * d
-        return c * (term1 - term2)
-
-    val1, err1 = integrate.quad(
-        lower_piece, 0.0, (w / 2.0) ** (1.0 / p),
-        epsabs=tol / 2.0, epsrel=1e-11, limit=200, full_output=1,
-    )[:2]
-    val2, err2 = integrate.quad(
-        upper_piece, (t - w) ** (1.0 / q), (t - w / 2.0) ** (1.0 / q),
-        epsabs=tol / 2.0, epsrel=1e-11, limit=200, full_output=1,
-    )[:2]
-    achieved = err1 + err2
-    if achieved > tol:
-        raise QuadratureError(
-            f"cross-covariance quadrature achieved +/-{achieved:.3e}, requested {tol:.3e}"
-        )
-    return val1 + val2
-
-
 def cross_covariance_matrix(times: np.ndarray, H: float) -> np.ndarray:
     """Matrix of E[B^H_{t_i} W_{t_j}] over a grid, via the closed incomplete-Beta form.
 
-    Entry (i, j) equals int_0^{min(t_i, t_j)} K_H(t_i, u) du. Agrees with
-    `fbm_wiener_cross_covariance` to quadrature precision but is vectorized, which is
-    what makes per-parameter covariance rebuilds affordable inside calibration.
+    Entry (i, j) equals int_0^{min(t_i, t_j)} K_H(t_i, u) du. Being vectorized is what
+    makes per-parameter covariance rebuilds affordable inside calibration.
     """
     H = _validate_hurst(H)
     times = np.asarray(times, dtype=float)
@@ -364,7 +262,6 @@ class PathBundle:
     fbm_paths: np.ndarray
     w_paths: np.ndarray
     w_tilde_increments: np.ndarray
-    seed: int
     path_count: int
     grid: TimeGrid = field(repr=False, default=None)
 
@@ -395,15 +292,18 @@ def _block_normals(seed: int, b: int, path_count: int, n: int):
     return rng.standard_normal((rows, 2 * n)), rng.standard_normal((rows, n))
 
 
-def _run_blocks(worker, n_blocks: int, threads: int) -> None:
-    """Execute ``worker(block_index)`` for every block; output slices are disjoint, so
-    the result is independent of scheduling."""
-    if threads <= 1 or n_blocks == 1:
-        for b in range(n_blocks):
-            worker(b)
-        return
+def parallel_map(fn, items, threads: int) -> list:
+    """``[fn(item) for item in items]``, with up to ``threads`` calls at once.
+
+    Results come back in the order of ``items`` whatever the scheduling, and the
+    exception of the first failing item propagates. Runs serially when
+    ``threads <= 1`` or there is at most one item.
+    """
+    items = list(items)
+    if threads <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(worker, range(n_blocks)))
+        return list(pool.map(fn, items))
 
 
 def draw_normal_bundle(n: int, path_count: int, seed: int, threads: int = 1):
@@ -424,7 +324,7 @@ def draw_normal_bundle(n: int, path_count: int, seed: int, threads: int = 1):
         z[rows] = z_b
         z_tilde[rows] = zt_b
 
-    _run_blocks(worker, _block_count(path_count), threads)
+    parallel_map(worker, range(_block_count(path_count)), threads)
     return z, z_tilde
 
 
@@ -437,7 +337,7 @@ def _sample_block(cov: JointCovariance, path_count: int, seed: int, b: int) -> P
     joint = z @ cov.cholesky_factor.T
     zt *= np.sqrt(grid.deltas)
     return PathBundle(fbm_paths=joint[:, :n], w_paths=joint[:, n:], w_tilde_increments=zt,
-                      seed=int(seed), path_count=zt.shape[0], grid=grid)
+                      path_count=zt.shape[0], grid=grid)
 
 
 def sample_paths(cov: JointCovariance, path_count: int, seed: int,
@@ -470,9 +370,9 @@ def sample_paths(cov: JointCovariance, path_count: int, seed: int,
         w[rows] = part.w_paths
         w_tilde[rows] = part.w_tilde_increments
 
-    _run_blocks(worker, n_blocks, threads)
+    parallel_map(worker, range(n_blocks), threads)
     return PathBundle(fbm_paths=fbm, w_paths=w, w_tilde_increments=w_tilde,
-                      seed=int(seed), path_count=path_count, grid=cov.grid)
+                      path_count=path_count, grid=cov.grid)
 
 
 def transform_normals(z: np.ndarray, w_tilde_increments: np.ndarray,
@@ -491,4 +391,4 @@ def transform_normals(z: np.ndarray, w_tilde_increments: np.ndarray,
     joint = z @ cov.cholesky_factor.T
     return PathBundle(fbm_paths=joint[:, :n], w_paths=joint[:, n:],
                       w_tilde_increments=w_tilde_increments,
-                      seed=-1, path_count=z.shape[0], grid=cov.grid)
+                      path_count=z.shape[0], grid=cov.grid)

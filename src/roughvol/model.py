@@ -19,7 +19,8 @@ import numpy as np
 
 from .fbm import PathBundle, TimeGrid
 
-__all__ = ["ModelParams", "MarketEnv", "VolPathSet", "volatility_paths", "log_price_paths"]
+__all__ = ["PARAM_NAMES", "ModelParams", "MarketEnv", "VolPathSet", "volatility_paths",
+           "log_price_paths"]
 
 #: canonical parameter order used by arrays, bounds and optimizers.
 PARAM_NAMES = ("sigma0", "rho", "H", "xi", "alpha")

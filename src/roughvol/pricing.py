@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import special
 
-from .fbm import (JointCovariance, PathBundle, TimeGrid, _block_count, _run_blocks,
-                  build_joint_covariance, sample_paths)
+from .fbm import (JointCovariance, PathBundle, TimeGrid, _block_count,
+                  build_joint_covariance, parallel_map, sample_paths)
 from .model import MarketEnv, ModelParams, VolPathSet, log_price_paths, volatility_paths
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "ChainPricingRequest",
     "black_scholes_call",
     "price_call_plain",
-    "price_call_conditional",
     "chain_estimates",
     "fresh_estimates",
     "price_chain",
@@ -164,17 +163,6 @@ def _conditional_values(int_var, int_sdw, strikes, maturity: float, env: MarketE
     return _bs_calls(eff_spot, eff_totvar, strikes, env.rate, maturity)
 
 
-def price_call_conditional(vols: VolPathSet, bundle: PathBundle, strike: float,
-                           maturity: float, env: MarketEnv) -> PriceEstimate:
-    """Conditional (mixed) estimator: per-path Black-Scholes value given the W-path.
-
-    Unbiased for the same discretized model as the plain estimator and typically far
-    less variable, since only the rho-correlated part of the randomness remains.
-    """
-    (estimate,) = chain_estimates(bundle, vols, env, ((strike, maturity),))
-    return estimate
-
-
 @dataclass(frozen=True)
 class ChainPricingRequest:
     """Everything needed to price a list of (strike, maturity) options in one pass."""
@@ -205,7 +193,13 @@ class ChainPricingRequest:
 
 def chain_estimates(bundle: PathBundle, vols: VolPathSet, env: MarketEnv,
                     options, estimator: str = "conditional_mixed") -> list[PriceEstimate]:
-    """Price every option from one already-simulated path set (truncated per maturity)."""
+    """Price every option from one already-simulated path set (truncated per maturity).
+
+    The default conditional (mixed) estimator averages per-path Black-Scholes values
+    given the W-path. It is unbiased for the same discretized model as the plain
+    estimator and typically far less variable, since only the rho-correlated part of
+    the randomness remains.
+    """
     if estimator == "plain":
         log_paths = log_price_paths(bundle, vols, env, vols.params)
         return [price_call_plain(log_paths, vols.grid, k, t, env) for k, t in options]
@@ -258,15 +252,12 @@ def fresh_estimates(cov: JointCovariance, params: ModelParams, env: MarketEnv, o
     The per-block estimates are pooled in block order, so the result does not depend on
     ``threads``, and memory holds one block per worker whatever ``path_count`` is.
     """
-    n_blocks = _block_count(path_count)
-    per_block = [None] * n_blocks
-
-    def worker(b: int) -> None:
+    def price_block(b: int) -> list[PriceEstimate]:
         bundle = sample_paths(cov, path_count, seed, block=b)
         vols = volatility_paths(bundle, params, cov.grid)
-        per_block[b] = chain_estimates(bundle, vols, env, options, estimator=estimator)
+        return chain_estimates(bundle, vols, env, options, estimator=estimator)
 
-    _run_blocks(worker, n_blocks, threads)
+    per_block = parallel_map(price_block, range(_block_count(path_count)), threads)
     return [_pool_estimates(parts) for parts in zip(*per_block)]
 
 

@@ -10,14 +10,13 @@ to Welch's unequal-variance t-test.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import t as _student_t
+from scipy import special
 
-from .fbm import TimeGrid, build_joint_covariance, derive_seed
+from .fbm import TimeGrid, build_joint_covariance, derive_seed, parallel_map
 from .market import OptionStructure
 from .model import PARAM_NAMES, ModelParams
 from .pricing import fresh_estimates
@@ -119,7 +118,8 @@ def welch_t_test(x, y) -> TTestResult:
         raise ValueError("both samples have zero variance; t statistic is undefined")
     t = (mx - my) / math.sqrt(se2)
     dof = se2**2 / (a**2 / (x.size - 1) + b**2 / (y.size - 1))
-    p = 2.0 * float(_student_t.sf(abs(t), dof))
+    # stdtr(dof, -|t|) is the Student-t survival function at |t|
+    p = 2.0 * float(special.stdtr(dof, -abs(t)))
     return TTestResult(statistic=t, dof=dof, p_value=min(1.0, p), mean_x=mx, mean_y=my)
 
 
@@ -245,11 +245,7 @@ def significance_test(structure: OptionStructure, theta_full: ModelParams,
         seed = derive_seed(base_seed, _STREAM_SIGNIFICANCE, k, arm)
         return arm, _repetition_arfv(structure, params, cov, path_count, seed)
 
-    if threads <= 1:
-        raw = [run(j) for j in jobs]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            raw = list(pool.map(run, jobs))
+    raw = parallel_map(run, jobs, threads)
     arfv_full = np.array([v for arm, v in raw if arm == 0])
     arfv_restricted = np.array([v for arm, v in raw if arm == 1])
     return SignificanceResult(t_test=welch_t_test(arfv_full, arfv_restricted),

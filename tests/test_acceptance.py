@@ -17,7 +17,7 @@ from roughvol.calibration import CalibrationConfig, calibrate
 from roughvol.cli import main as cli_main
 from roughvol.fbm import TimeGrid, build_joint_covariance, sample_paths
 from roughvol.model import MarketEnv, ModelParams, log_price_paths, volatility_paths
-from roughvol.pricing import price_call_conditional, price_call_plain
+from roughvol.pricing import chain_estimates, price_call_plain
 from roughvol.stats import (ks_two_sample, octile_grouping, sensitivity_analysis,
                             significance_test)
 from roughvol.synth import generate_chain
@@ -76,7 +76,7 @@ def test_03_constant_volatility_recovers_black_scholes():
     # xi below the subnormal floor: exp(xi * B) is exactly 1, volatility is flat
     flat = ModelParams(sigma0=0.2, rho=0.0, H=0.5, xi=1e-300, alpha=0.0)
     vols = volatility_paths(bundle, flat, grid)
-    cond = price_call_conditional(vols, bundle, 100.0, 1.0, env)
+    cond = chain_estimates(bundle, vols, env, [(100.0, 1.0)])[0]
     assert cond.std_error == 0.0  # every path carries the same conditional value
     assert cond.price == pytest.approx(target, abs=1e-9)
     logs = log_price_paths(bundle, vols, env, flat)
@@ -86,7 +86,7 @@ def test_03_constant_volatility_recovers_black_scholes():
     # with correlation both estimators stay unbiased, the conditional one noisily so
     tilted = ModelParams(sigma0=0.2, rho=-0.3, H=0.5, xi=1e-300, alpha=0.0)
     vols = volatility_paths(bundle, tilted, grid)
-    cond = price_call_conditional(vols, bundle, 100.0, 1.0, env)
+    cond = chain_estimates(bundle, vols, env, [(100.0, 1.0)])[0]
     logs = log_price_paths(bundle, vols, env, tilted)
     plain = price_call_plain(logs, grid, 100.0, 1.0, env)
     assert abs(cond.price - target) <= 3.0 * cond.std_error
@@ -122,7 +122,7 @@ def test_05_conditional_estimator_reduces_variance(ref_paths):
     logs = log_price_paths(bundle, vols, env, REF_RBERGOMI)
     for strike in (100.0, 120.0):  # at the money and 20% out of the money
         plain = price_call_plain(logs, grid, strike, 1.0, env)
-        cond = price_call_conditional(vols, bundle, strike, 1.0, env)
+        cond = chain_estimates(bundle, vols, env, [(strike, 1.0)])[0]
         ratio = cond.std_error / plain.std_error
         print(f"K={strike:.0f}: SE ratio {ratio:.3f} (informational target <= 0.5)")
         assert ratio < 1.0

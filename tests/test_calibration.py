@@ -19,7 +19,6 @@ from roughvol.calibration import (
     format_pct,
     global_search,
     local_refine,
-    objective,
 )
 from roughvol.fbm import build_joint_covariance, draw_normal_bundle, transform_normals
 from roughvol.market import OptionQuote, OptionStructure, compute_weights
@@ -144,15 +143,16 @@ def test_objective_scales_with_weights():
                              weights=4.0 * s.weights)
     config = fast_config()
     theta = THETA.as_array()
-    assert objective(theta, scaled, config) == pytest.approx(
-        4.0 * objective(theta, s, config), rel=1e-12)
+    assert FrozenPricer(scaled, config).objective(theta) == pytest.approx(
+        4.0 * FrozenPricer(s, config).objective(theta), rel=1e-12)
 
 
 def test_objective_is_frozen_deterministic():
     s = small_structure()
     config = fast_config()
     theta = THETA.as_array()
-    assert objective(theta, s, config) == objective(theta, s, config)
+    assert (FrozenPricer(s, config).objective(theta)
+            == FrozenPricer(s, config).objective(theta))
 
 
 def test_pricer_threads_do_not_change_prices():

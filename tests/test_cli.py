@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -304,3 +305,17 @@ def test_console_script_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "synth-chain" in proc.stdout
+
+
+def test_cli_import_leaves_out_scipy_stats_and_integrate():
+    # importing them roughly doubles the start-up time of every command
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, roughvol.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

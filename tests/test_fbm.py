@@ -8,23 +8,126 @@ to ~1e-21), and the constants from the Gamma-function definition.
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import integrate, special
 
 from roughvol import fbm
 from roughvol.fbm import (
     FactorizationError,
-    QuadratureError,
     TimeGrid,
+    _kernel_tail,
+    _validate_hurst,
     build_joint_covariance,
     cross_covariance_matrix,
     derive_seed,
     draw_normal_bundle,
-    fbm_autocovariance,
-    fbm_wiener_cross_covariance,
     molchan_constant,
-    molchan_golosov_kernel,
     sample_paths,
     transform_normals,
 )
+
+# ---------------------------------------------------------------------------
+# scalar oracles: the autocovariance, the kernel, and the cross covariance by
+# quadrature of the kernel, which the vectorized closed form is checked against
+
+
+class QuadratureError(RuntimeError):
+    """Adaptive quadrature failed to reach the requested tolerance."""
+
+
+def fbm_autocovariance(t: float, s: float, H: float) -> float:
+    """Autocovariance r(t,s) = 1/2 (t^{2H} + s^{2H} - |t-s|^{2H}) of fBm.
+
+    Symmetric in (t, s); r(t, t) = t^{2H}. Raises ValueError for negative times
+    or H outside (0, 1).
+    """
+    H = _validate_hurst(H)
+    t, s = float(t), float(s)
+    if t < 0.0 or s < 0.0:
+        raise ValueError(f"times must be nonnegative, got t={t}, s={s}")
+    return 0.5 * (t ** (2 * H) + s ** (2 * H) - abs(t - s) ** (2 * H))
+
+
+def molchan_golosov_kernel(t: float, s: float, H: float) -> float:
+    """Finite-interval fBm kernel K_H(t, s) for 0 < s < t.
+
+    Unbounded as s -> t when H < 1/2 (the (t-s)^{H-1/2} factor) and as s -> 0
+    (s^{H-1/2} from the reduced correction term); both singularities are integrable.
+    K_H is identically 1 at H = 1/2.
+    """
+    H = _validate_hurst(H)
+    t, s = float(t), float(s)
+    if not 0.0 < s <= t:
+        raise ValueError(f"kernel requires 0 < s <= t, got t={t}, s={s}")
+    c = molchan_constant(H)
+    a = H - 0.5
+    # the inner z-integral collapses to s^{2H-1} * tail(s/t)
+    return c * ((t / s) ** a * (t - s) ** a - a * s**a * float(_kernel_tail(s / t, H)))
+
+
+def fbm_wiener_cross_covariance(t: float, s: float, H: float, tol: float = 1e-10) -> float:
+    """E[B^H_t W_s] = int_0^{min(t,s)} K_H(t, u) du by adaptive quadrature.
+
+    The kernel's endpoint singularities are removed by power substitutions before
+    integration: near u = 0 the map u = v^p with p = max(1/(H+1/2), 2/(3-2H)), near
+    u = t the map u = t - v^{1/(H+1/2)}; in both substituted integrands the singular
+    factor is cancelled analytically, so no evaluation ever forms (t-u)^{H-1/2} from
+    a catastrophically cancelled difference. The integral is split at min(t,s)/2.
+
+    Raises QuadratureError if the combined achieved error estimate exceeds ``tol``.
+    """
+    H = _validate_hurst(H)
+    t, s = float(t), float(s)
+    if t < 0.0 or s < 0.0:
+        raise ValueError(f"times must be nonnegative, got t={t}, s={s}")
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    w = min(t, s)
+    if w == 0.0:
+        return 0.0
+    if H == 0.5:  # K_H is identically 1
+        return w
+
+    c = molchan_constant(H)
+    a = H - 0.5
+    b = H + 0.5
+    q = 1.0 / b
+    p = max(q, 2.0 / (3.0 - 2.0 * H))
+    a1 = p * (1.5 - H) - 1.0  # exponent left on the first kernel term after u = v^p
+    a2 = p * b - 1.0          # exponent left on the tail term after u = v^p
+
+    def lower_piece(v: float) -> float:
+        # u = v^p on (0, w/2]; u^{H-1/2} (tail term) and u^{1/2-H} (first term)
+        # are absorbed into v^{a2} and v^{a1}, both with nonnegative exponents.
+        u = v**p
+        term1 = t**a * (t - u) ** a * v**a1
+        term2 = a * float(_kernel_tail(u / t, H)) * v**a2
+        return c * p * (term1 - term2)
+
+    def upper_piece(v: float) -> float:
+        # u = t - d with d = v^q on [w/2, w]; d^{H-1/2} * dv-Jacobian == q exactly,
+        # and tail(u/t) is rewritten through 2F1 at the small argument d/t.
+        d = v**q
+        u = t - d
+        term1 = q * (t / u) ** a
+        hyp = special.hyp2f1(2.0 * H, b, b + 1.0, d / t)
+        term2 = a / b * u**a * t ** (-b) * hyp * q * d
+        return c * (term1 - term2)
+
+    val1, err1 = integrate.quad(
+        lower_piece, 0.0, (w / 2.0) ** (1.0 / p),
+        epsabs=tol / 2.0, epsrel=1e-11, limit=200, full_output=1,
+    )[:2]
+    val2, err2 = integrate.quad(
+        upper_piece, (t - w) ** (1.0 / q), (t - w / 2.0) ** (1.0 / q),
+        epsabs=tol / 2.0, epsrel=1e-11, limit=200, full_output=1,
+    )[:2]
+    achieved = err1 + err2
+    if achieved > tol:
+        raise QuadratureError(
+            f"cross-covariance quadrature achieved +/-{achieved:.3e}, requested {tol:.3e}"
+        )
+    return val1 + val2
+
 
 # ---------------------------------------------------------------------------
 # autocovariance

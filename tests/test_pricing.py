@@ -11,11 +11,11 @@ from scipy import special
 from roughvol.fbm import PATH_BLOCK, TimeGrid, build_joint_covariance, sample_paths
 from roughvol.model import MarketEnv, ModelParams, log_price_paths, volatility_paths
 from roughvol.pricing import (
+    ESTIMATORS,
     ChainPricingRequest,
     PriceEstimate,
     black_scholes_call,
     chain_estimates,
-    price_call_conditional,
     price_call_plain,
     price_chain,
     _mean_se,
@@ -90,7 +90,7 @@ def test_conditional_estimator_is_exact_when_uncorrelated(flat_setup):
     p = ModelParams(sigma0=0.2, rho=0.0, H=0.3, xi=1e-300, alpha=0.0)
     env = MarketEnv(spot=100.0, rate=0.01)
     vols = volatility_paths(bundle, p, grid)
-    est = price_call_conditional(vols, bundle, 100.0, 1.0, env)
+    est = chain_estimates(bundle, vols, env, [(100.0, 1.0)])[0]
     # identical per-path values collapse to a zero standard error exactly
     assert est.std_error == 0.0
     assert est.price == pytest.approx(
@@ -102,7 +102,7 @@ def test_conditional_estimator_unbiased_with_correlation(flat_setup):
     p = ModelParams(sigma0=0.2, rho=-0.5, H=0.3, xi=1e-300, alpha=0.0)
     env = MarketEnv(spot=100.0, rate=0.0)
     vols = volatility_paths(bundle, p, grid)
-    est = price_call_conditional(vols, bundle, 100.0, 1.0, env)
+    est = chain_estimates(bundle, vols, env, [(100.0, 1.0)])[0]
     target = black_scholes_call(100.0, 100.0, 0.0, 0.2, 1.0)
     assert est.std_error > 0.0
     assert abs(est.price - target) < 3.0 * est.std_error
@@ -127,7 +127,7 @@ def test_estimators_agree_on_shared_paths(rough_setup):
     x = log_price_paths(bundle, vols, env, FIT_PARAMS)
     for strike in (90.0, 100.0, 110.0):
         plain = price_call_plain(x, grid, strike, 1.0, env)
-        cond = price_call_conditional(vols, bundle, strike, 1.0, env)
+        cond = chain_estimates(bundle, vols, env, [(strike, 1.0)])[0]
         gap = abs(plain.price - cond.price)
         assert gap < 3.0 * np.hypot(plain.std_error, cond.std_error), strike
 
@@ -137,7 +137,7 @@ def test_conditional_estimator_reduces_variance(rough_setup, strike):
     grid, bundle, env, vols = rough_setup
     x = log_price_paths(bundle, vols, env, FIT_PARAMS)
     plain = price_call_plain(x, grid, strike, 1.0, env)
-    cond = price_call_conditional(vols, bundle, strike, 1.0, env)
+    cond = chain_estimates(bundle, vols, env, [(strike, 1.0)])[0]
     assert cond.std_error < plain.std_error
 
 
@@ -147,7 +147,7 @@ def test_offgrid_maturity_rejected(rough_setup):
     with pytest.raises(ValueError, match="not a grid node"):
         price_call_plain(x, grid, 100.0, 0.513, env)
     with pytest.raises(ValueError, match="not a grid node"):
-        price_call_conditional(vols, bundle, 100.0, 0.513, env)
+        chain_estimates(bundle, vols, env, [(100.0, 0.513)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +185,7 @@ def test_price_chain_matches_manual_assembly():
     for b in range(2):
         part = sample_paths(cov, 8000, seed=31, block=b)
         vols = volatility_paths(part, FIT_PARAMS, grid)
-        per_block.append([price_call_conditional(vols, part, k, t, env)
+        per_block.append([chain_estimates(part, vols, env, [(k, t)])[0]
                           for k, t in options])
     for est, parts in zip(chain, zip(*per_block)):
         manual = _pool_estimates(parts)
@@ -196,7 +196,7 @@ def test_price_chain_matches_manual_assembly():
     bundle = sample_paths(cov, 8000, seed=31)
     vols = volatility_paths(bundle, FIT_PARAMS, grid)
     for (strike, maturity), est in zip(options, chain):
-        whole = price_call_conditional(vols, bundle, strike, maturity, env)
+        whole = chain_estimates(bundle, vols, env, [(strike, maturity)])[0]
         assert est.price == pytest.approx(whole.price, rel=1e-13)
         assert est.std_error == pytest.approx(whole.std_error, rel=1e-10)
 
@@ -366,3 +366,71 @@ def test_price_chain_memory_does_not_grow_with_path_count():
     small = _traced_peak(2 * PATH_BLOCK)
     large = _traced_peak(8 * PATH_BLOCK)
     assert large <= 1.25 * small
+
+
+# ---------------------------------------------------------------------------
+# no-arbitrage properties on shared paths
+
+PROPERTY_GRID = TimeGrid.with_maturities([0.25, 0.5, 1.0], 12)
+PROPERTY_BUNDLE = sample_paths(build_joint_covariance(PROPERTY_GRID, FIT_PARAMS.H), 400,
+                               seed=2024)
+
+# vol-of-vol up to 1.2: beyond it, uncorrected (alpha = 0) volatility is so heavy-tailed
+# that 400 paths understate the standard error of the plain estimator
+rough_params = st.builds(
+    ModelParams, sigma0=st.floats(0.05, 0.3), rho=st.floats(-0.95, 0.5),
+    H=st.just(FIT_PARAMS.H), xi=st.floats(0.1, 1.2), alpha=st.floats(0.0, 1.0))
+property_env = st.builds(MarketEnv, spot=st.just(100.0), rate=st.floats(0.0, 0.05))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(params=rough_params, env=property_env, maturity=st.sampled_from([0.25, 0.5, 1.0]),
+       low=st.floats(40.0, 160.0), step=st.floats(0.5, 20.0),
+       count=st.integers(3, 7), estimator=st.sampled_from(ESTIMATORS))
+def test_chain_prices_monotone_and_convex_in_strike(params, env, maturity, low, step,
+                                                    count, estimator):
+    vols = volatility_paths(PROPERTY_BUNDLE, params, PROPERTY_GRID)
+    options = [(low + i * step, maturity) for i in range(count)]
+    prices = np.array([e.price for e in chain_estimates(PROPERTY_BUNDLE, vols, env,
+                                                        options, estimator)])
+    # every path's value is non-increasing and convex in the strike, so the averages
+    # over the same paths are too; a stretch where every path ends in the money is
+    # linear, and its second difference is rounding noise
+    assert np.all(np.diff(prices) <= 0.0)
+    assert np.all(np.diff(prices, 2) >= -1e-12 * env.spot)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(params=rough_params, env=property_env,
+       strikes=st.lists(st.floats(20.0, 250.0), min_size=1, max_size=6),
+       maturity=st.sampled_from([0.25, 0.5, 1.0]), estimator=st.sampled_from(ESTIMATORS))
+def test_chain_prices_within_static_bounds(params, env, strikes, maturity, estimator):
+    vols = volatility_paths(PROPERTY_BUNDLE, params, PROPERTY_GRID)
+    options = [(k, maturity) for k in strikes]
+    for (k, t), est in zip(options, chain_estimates(PROPERTY_BUNDLE, vols, env, options,
+                                                    estimator)):
+        lower = max(env.spot - k * np.exp(-env.rate * t), 0.0)
+        # deep in the money at rho = 0 every path is worth the intrinsic value, and
+        # price and SE are rounding noise around it
+        slack = 4.0 * est.std_error + 1e-12 * env.spot
+        assert lower - slack <= est.price <= env.spot + slack
+
+
+PERMUTED_OPTIONS = ((90.0, 0.25), (100.0, 0.25), (100.0, 0.5), (95.0, 1.0),
+                    (110.0, 1.0), (100.0, 1.0))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(order=st.permutations(range(len(PERMUTED_OPTIONS))),
+       estimator=st.sampled_from(ESTIMATORS))
+def test_price_chain_is_invariant_to_quote_order(order, estimator):
+    env = MarketEnv(spot=100.0, rate=0.01)
+
+    def priced(options):
+        return price_chain(ChainPricingRequest(
+            options=options, env=env, params=FIT_PARAMS, path_count=300,
+            steps_per_year=12, seed=17, estimator=estimator))
+
+    base = priced(PERMUTED_OPTIONS)
+    permuted = priced(tuple(PERMUTED_OPTIONS[i] for i in order))
+    assert permuted == [base[i] for i in order]

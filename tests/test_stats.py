@@ -144,6 +144,21 @@ def test_welch_affine_invariance():
     assert b.dof == pytest.approx(a.dof, rel=1e-12)
 
 
+def test_welch_p_value_equals_student_t_tail():
+    from scipy.stats import t as student_t
+
+    rng = np.random.default_rng(11)
+    samples = [(rng.normal(size=12), rng.normal(0.3, 2.0, size=9)),
+               ([1.1, 2.3, 1.9, 2.8, 0.4], [1.6, 2.0, 1.5, 2.2]),
+               ([0.0, 1.0, 2.0], [0.5, 1.5, 2.5]),
+               (rng.normal(0.0, 1e-3, size=40), rng.normal(1.0, 1e-3, size=30))]
+    for x, y in samples:
+        r = welch_t_test(x, y)
+        assert r.p_value == min(1.0, 2.0 * float(student_t.sf(abs(r.statistic), r.dof)))
+    # the last pair sits far in the tail
+    assert abs(r.statistic) > 100.0
+
+
 def test_welch_degenerate_inputs():
     with pytest.raises(ValueError, match="at least 2"):
         welch_t_test([1.0], [1.0, 2.0])
