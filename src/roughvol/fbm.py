@@ -12,11 +12,23 @@ against a standard Wiener process W, with the finite-interval (Molchan-Golosov) 
                       - (H - 1/2) s^{1/2-H} int_s^t z^{H-3/2} (z-s)^{H-1/2} dz ],
     C_H = sqrt( 2H Gamma(3/2 - H) / (Gamma(H + 1/2) Gamma(2 - 2H)) ).
 
-This module assembles the exact joint covariance of (B^H, W) on a time grid — fBm block
-r(t,s), Wiener block min(t,s), cross block E[B^H_t W_s] = int_0^{min(t,s)} K_H(t,u) du —
-factorizes it, and draws exact joint Gaussian paths plus an independent orthogonal
+This module factorizes the exact joint covariance of (B^H, W) on a time grid — fBm
+block r(t,s), Wiener block min(t,s), cross block E[B^H_t W_s] = int_0^{min(t,s)}
+K_H(t,u) du — and draws exact joint Gaussian paths plus an independent orthogonal
 increment set. Sampling is blocked with per-block RNG streams so results are bit-identical
 at any degree of parallelism.
+
+The factorization puts W first. With Z = (Z_W, Z_B) standard normal, the Wiener
+increments are dW_j = sqrt(dt_j) Z_W[j], so W is a cumulative sum that does not depend
+on H. The fBm is B^H = K Z_W + L_S Z_B, where the step kernel
+
+    K[i, j] = E[B^H_{t_i} dW_j] / sqrt(dt_j) = int_{t_{j-1}}^{t_j} K_H(t_i, u) du / sqrt(dt_j)
+
+is the Volterra kernel integrated over step j (lower-triangular, since K_H(t, u) = 0
+for u > t), and L_S is the Cholesky factor of the n x n conditional covariance
+S = r - K K^T of B^H given the Wiener increments. Only the n x 2n block [K | L_S] is
+stored and multiplied. At H = 1/2 the kernel is identically 1, B^H = W and S = 0, so
+no Cholesky is taken and the fBm paths are the Wiener paths.
 
 The inner integral of the kernel reduces to an incomplete-Beta-type "tail" integral
 
@@ -101,22 +113,51 @@ def _kernel_tail(x, H):
     return z**b / b * special.hyp2f1(2.0 * H, b, b + 1.0, z)
 
 
+def _cross_covariance(t, w, H: float):
+    """E[B^H_t W_w] for t >= w > 0, elementwise, via the closed incomplete-Beta form."""
+    c = molchan_constant(H)
+    a_beta, b = 1.5 - H, H + 0.5
+    x = w / t
+    binc = special.betainc(a_beta, b, x) * special.beta(a_beta, b)
+    return c / b * (t**b * binc - (H - 0.5) * w**b * _kernel_tail(x, H))
+
+
 def cross_covariance_matrix(times: np.ndarray, H: float) -> np.ndarray:
     """Matrix of E[B^H_{t_i} W_{t_j}] over a grid, via the closed incomplete-Beta form.
 
-    Entry (i, j) equals int_0^{min(t_i, t_j)} K_H(t_i, u) du. Being vectorized is what
-    makes per-parameter covariance rebuilds affordable inside calibration.
+    Entry (i, j) equals int_0^{min(t_i, t_j)} K_H(t_i, u) du.
     """
     H = _validate_hurst(H)
-    times = np.asarray(times, dtype=float)
-    c = molchan_constant(H)
-    a_beta, b = 1.5 - H, H + 0.5
-    tcol = times[:, None]
-    w = np.minimum(tcol, times[None, :])
-    x = w / tcol
-    binc = special.betainc(a_beta, b, x) * special.beta(a_beta, b)
-    tail = _kernel_tail(x, H)
-    return c / b * (tcol**b * binc - (H - 0.5) * w**b * tail)
+    tcol = np.asarray(times, dtype=float)[:, None]
+    return _cross_covariance(tcol, np.minimum(tcol, tcol.T), H)
+
+
+def _fbm_autocovariance(times: np.ndarray, H: float) -> np.ndarray:
+    """Matrix of r(t_i, t_j) = 1/2 (t_i^{2H} + t_j^{2H} - |t_i - t_j|^{2H})."""
+    t2h = times ** (2.0 * H)
+    gaps = np.abs(times[:, None] - times[None, :])
+    return 0.5 * (t2h[:, None] + t2h[None, :] - gaps ** (2.0 * H))
+
+
+def _wiener_factor(grid: TimeGrid) -> np.ndarray:
+    """tril(ones) * sqrt(deltas): the factor that maps Z_W to W at the grid times."""
+    return np.tril(np.ones((grid.n, grid.n))) * np.sqrt(grid.deltas)
+
+
+def _step_kernel(grid: TimeGrid, H: float) -> np.ndarray:
+    """K[i, j] = E[B^H_{t_i} dW_j] / sqrt(dt_j), from the cross covariance at j <= i only.
+
+    Differences of C[i, j] = E[B^H_{t_i} W_{t_j}] along j, with C[i, -1] = 0. Above the
+    diagonal C[i, j] = C[i, i], so K is exactly zero there and C is not evaluated.
+    """
+    times, n = grid.times, grid.n
+    rows, cols = np.tril_indices(n)
+    cross = np.zeros((n, n))
+    cross[rows, cols] = _cross_covariance(times[rows], times[cols], H)
+    kernel = np.diff(cross, axis=1, prepend=0.0)
+    kernel.flat[1 :: n + 1] = 0.0  # the superdiagonal holds -C[i, i]
+    kernel /= np.sqrt(grid.deltas)
+    return kernel
 
 
 @dataclass(eq=False)
@@ -196,58 +237,82 @@ class TimeGrid:
 
 @dataclass(eq=False)
 class JointCovariance:
-    """Joint covariance of (B^H at grid times, W at grid times) and its Cholesky factor.
+    """Factorized joint covariance of (B^H at grid times, W at grid times).
 
-    Layout: index i < n is B^H_{t_i}, index n + j is W_{t_j}. ``jitter`` records the
-    diagonal shift (0.0 when plain factorization succeeded); the factor then reproduces
-    sigma_matrix + jitter * I.
+    Stores only the n x 2n fBm factor ``fbm_factor = [K | L_S]``: B^H = Z @ fbm_factor.T
+    for standard normals Z whose first n columns (Z_W) drive W, as
+    W = cumsum(sqrt(deltas) * Z_W), and whose last n columns (Z_B) drive the part of
+    B^H that is independent of W. ``jitter`` records the diagonal shift added to the
+    conditional covariance S before its Cholesky (0.0 when plain factorization
+    succeeded, and always at H = 1/2, where S = 0).
+
+    ``sigma_matrix`` and ``cholesky_factor`` are the 2n x 2n matrices in the fBm-first
+    layout (index i < n is B^H_{t_i}, index n + j is W_{t_j}); they are built on each
+    access and not kept.
     """
 
     grid: TimeGrid
     H: float
-    sigma_matrix: np.ndarray
-    cholesky_factor: np.ndarray
+    fbm_factor: np.ndarray
     jitter: float = 0.0
+
+    @property
+    def sigma_matrix(self) -> np.ndarray:
+        """The exact joint covariance, fBm block r(t,s), Wiener block min(t,s)."""
+        times = self.grid.times
+        cross = cross_covariance_matrix(times, self.H)
+        return np.block([[_fbm_autocovariance(times, self.H), cross],
+                         [cross.T, np.minimum(times[:, None], times[None, :])]])
+
+    @property
+    def cholesky_factor(self) -> np.ndarray:
+        """L with L L^T = sigma_matrix + jitter on the fBm diagonal; columns follow Z.
+
+        The B^H rows are [K | L_S] and the W rows are [tril(ones) * sqrt(deltas) | 0],
+        so L is lower-triangular once W is ordered first.
+        """
+        n = self.grid.n
+        return np.vstack([self.fbm_factor,
+                          np.hstack([_wiener_factor(self.grid), np.zeros((n, n))])])
 
 
 def build_joint_covariance(grid: TimeGrid, H: float) -> JointCovariance:
-    """Assemble and factorize the 2n x 2n joint covariance on a grid.
+    """Factorize the joint (B^H, W) covariance on a grid, W first.
 
-    Blocks: fBm-fBm from the autocovariance r(t,s), W-W from min(t,s), cross from the
-    closed-form kernel integral. Factorization first attempts a plain Cholesky; on
-    failure an escalating diagonal jitter (1e-14 .. 1e-10, five steps) is applied —
-    fine grids and the H = 1/2 degeneracy (where B^H coincides with W) make the matrix
-    numerically rank-deficient. Exhausting the ladder raises FactorizationError naming
-    the smallest eigenvalue estimate.
+    Forms the step kernel K from the closed-form cross covariance and factorizes only
+    the n x n conditional covariance S = r - K K^T. Factorization first attempts a
+    plain Cholesky; on failure an escalating diagonal jitter (1e-14 .. 1e-10, five
+    steps) is applied, since fine grids make S numerically rank-deficient. Exhausting
+    the ladder raises FactorizationError naming the smallest eigenvalue of S. At
+    H = 1/2, where B^H = W, K is the Wiener factor and L_S = 0 with no jitter.
     """
     H = _validate_hurst(H)
-    times = grid.times
-    t2h = times ** (2.0 * H)
-    fbm_block = 0.5 * (t2h[:, None] + t2h[None, :] - np.abs(times[:, None] - times[None, :]) ** (2.0 * H))
-    wiener_block = np.minimum(times[:, None], times[None, :])
-    cross = cross_covariance_matrix(times, H)
-    sigma = np.block([[fbm_block, cross], [cross.T, wiener_block]])
-
-    jitter_used = 0.0
+    n = grid.n
+    factor = np.zeros((n, 2 * n))
+    if H == 0.5:
+        factor[:, :n] = _wiener_factor(grid)
+        return JointCovariance(grid=grid, H=H, fbm_factor=factor)
+    kernel = factor[:, :n]
+    kernel[:] = _step_kernel(grid, H)
+    cond = _fbm_autocovariance(grid.times, H)
+    cond -= kernel @ kernel.T
     for jit in (0.0,) + JITTER_LADDER:
-        target = sigma
+        target = cond
         if jit:
-            target = sigma.copy()
-            target.flat[:: target.shape[0] + 1] += jit
+            target = cond.copy()
+            target.flat[:: n + 1] += jit
         try:
-            factor = np.linalg.cholesky(target)
-            jitter_used = jit
+            factor[:, n:] = np.linalg.cholesky(target)
             break
         except np.linalg.LinAlgError:
             continue
     else:
-        min_eig = float(np.linalg.eigvalsh(sigma)[0])
+        min_eig = float(np.linalg.eigvalsh(cond)[0])
         raise FactorizationError(
             f"covariance factorization failed at maximum jitter {JITTER_LADDER[-1]:.0e}; "
-            f"smallest eigenvalue estimate {min_eig:.3e}"
+            f"smallest eigenvalue estimate {min_eig:.3e} of the conditional fBm covariance"
         )
-    return JointCovariance(grid=grid, H=H, sigma_matrix=sigma,
-                           cholesky_factor=factor, jitter=jitter_used)
+    return JointCovariance(grid=grid, H=H, fbm_factor=factor, jitter=jit)
 
 
 @dataclass(eq=False)
@@ -309,9 +374,11 @@ def parallel_map(fn, items, threads: int) -> list:
 def draw_normal_bundle(n: int, path_count: int, seed: int, threads: int = 1):
     """Draw the frozen standard-normal inputs: Z (path_count x 2n), Z_tilde (path_count x n).
 
-    Block b draws from the same per-block stream as `sample_paths`, Z first then
-    Z_tilde, so transforming these draws reproduces `sample_paths` bit for bit. This
-    is the object a common-random-numbers calibration freezes.
+    Z's first n columns drive W and its last n the part of B^H independent of W (see
+    `JointCovariance`). Block b draws from the same per-block stream as
+    `sample_paths`, Z first then Z_tilde, so transforming these draws reproduces
+    `sample_paths` bit for bit. This is the object a common-random-numbers
+    calibration freezes.
     """
     if path_count < 1:
         raise ValueError("path_count must be >= 1")
@@ -328,15 +395,25 @@ def draw_normal_bundle(n: int, path_count: int, seed: int, threads: int = 1):
     return z, z_tilde
 
 
+def _joint_paths(z: np.ndarray, cov: JointCovariance) -> tuple[np.ndarray, np.ndarray]:
+    """(B^H, W) paths from Z: W = cumsum(sqrt(deltas) * Z_W), B^H = Z @ [K | L_S]^T.
+
+    The path kernel of `sample_paths` and `transform_normals`. At H = 1/2 the fBm
+    paths are the Wiener array itself.
+    """
+    n = cov.grid.n
+    w = np.multiply(z[:, :n], np.sqrt(cov.grid.deltas))
+    np.cumsum(w, axis=1, out=w)
+    return (w if cov.H == 0.5 else z @ cov.fbm_factor.T), w
+
+
 def _sample_block(cov: JointCovariance, path_count: int, seed: int, b: int) -> PathBundle:
-    """Path block b as its own bundle: views of one transform product, and Z_tilde
-    scaled in place."""
+    """Path block b as its own bundle, with Z_tilde scaled in place."""
     grid = cov.grid
-    n = grid.n
-    z, zt = _block_normals(seed, b, path_count, n)
-    joint = z @ cov.cholesky_factor.T
+    z, zt = _block_normals(seed, b, path_count, grid.n)
+    fbm, w = _joint_paths(z, cov)
     zt *= np.sqrt(grid.deltas)
-    return PathBundle(fbm_paths=joint[:, :n], w_paths=joint[:, n:], w_tilde_increments=zt,
+    return PathBundle(fbm_paths=fbm, w_paths=w, w_tilde_increments=zt,
                       path_count=zt.shape[0], grid=grid)
 
 
@@ -344,11 +421,13 @@ def sample_paths(cov: JointCovariance, path_count: int, seed: int,
                  threads: int = 1, *, block: int | None = None) -> PathBundle:
     """Draw exact joint (B^H, W) paths plus independent orthogonal increments.
 
-    Standard normals are transformed by the Cholesky factor block-by-block; each block
-    owns an RNG stream derived from (seed, block index), so the output is deterministic
-    for fixed inputs regardless of ``threads``. With ``block=b`` only path block b of
-    the ``path_count``-path draw is sampled, rows b * PATH_BLOCK onwards, bit for bit
-    as in the full draw; ``threads`` is then unused.
+    Standard normals are drawn block-by-block, Z (first n columns for W, last n for
+    the conditional fBm part) then Z_tilde, and mapped to paths by the W-first
+    factor; each block owns an RNG stream derived from (seed, block index), so the
+    output is deterministic for fixed inputs regardless of ``threads``. With
+    ``block=b`` only path block b of the ``path_count``-path draw is sampled, rows
+    b * PATH_BLOCK onwards, bit for bit as in the full draw; ``threads`` is then
+    unused.
     """
     if path_count < 1:
         raise ValueError("path_count must be >= 1")
@@ -359,8 +438,8 @@ def sample_paths(cov: JointCovariance, path_count: int, seed: int,
                              f"{path_count} paths")
         return _sample_block(cov, path_count, seed, block)
     n = cov.grid.n
-    fbm = np.empty((path_count, n))
     w = np.empty((path_count, n))
+    fbm = w if cov.H == 0.5 else np.empty((path_count, n))
     w_tilde = np.empty((path_count, n))
 
     def worker(b: int) -> None:
@@ -379,6 +458,8 @@ def transform_normals(z: np.ndarray, w_tilde_increments: np.ndarray,
                       cov: JointCovariance) -> PathBundle:
     """Turn frozen normal draws into a PathBundle under a (possibly new) covariance.
 
+    Z's first n columns give W by a cumulative sum, which does not depend on H; the
+    fBm paths are Z @ [K | L_S]^T under ``cov`` (see `JointCovariance`).
     ``w_tilde_increments`` is the Z_tilde draw already scaled by sqrt(deltas); it does
     not depend on H, so a caller that transforms the same draws under many covariances
     scales it once and the bundle shares that array instead of copying it. Used by the
@@ -388,7 +469,6 @@ def transform_normals(z: np.ndarray, w_tilde_increments: np.ndarray,
     n = cov.grid.n
     if z.shape[1] != 2 * n or w_tilde_increments.shape[1] != n:
         raise ValueError("normal draw shapes do not match the covariance grid")
-    joint = z @ cov.cholesky_factor.T
-    return PathBundle(fbm_paths=joint[:, :n], w_paths=joint[:, n:],
-                      w_tilde_increments=w_tilde_increments,
+    fbm, w = _joint_paths(z, cov)
+    return PathBundle(fbm_paths=fbm, w_paths=w, w_tilde_increments=w_tilde_increments,
                       path_count=z.shape[0], grid=cov.grid)

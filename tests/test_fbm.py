@@ -368,12 +368,66 @@ def test_factor_reproduces_matrix():
                     cov.sigma_matrix + cov.jitter * np.eye(2 * grid.n), atol=1e-12)
 
 
-def test_degenerate_case_uses_jitter():
-    # at H = 1/2, B^H == W and the joint matrix is exactly rank-deficient
+def test_brownian_case_is_exact_without_jitter():
+    # at H = 1/2, B^H == W: no Cholesky, no jitter, and the fBm paths are W bit for bit
     grid = TimeGrid.regular(1.0, 64)
     cov = build_joint_covariance(grid, 0.5)
-    assert cov.jitter > 0.0
-    assert np.all(np.isfinite(cov.cholesky_factor))
+    assert cov.jitter == 0.0
+    assert np.array_equal(cov.fbm_factor[:, grid.n:], np.zeros((grid.n, grid.n)))
+    sampled = sample_paths(cov, fbm.PATH_BLOCK + 10, seed=4, threads=2)
+    assert np.array_equal(sampled.fbm_paths, sampled.w_paths)
+    z, z_tilde = draw_normal_bundle(grid.n, 500, seed=4)
+    rebuilt = transform_normals(z, z_tilde * np.sqrt(grid.deltas), cov)
+    assert np.array_equal(rebuilt.fbm_paths, rebuilt.w_paths)
+
+
+UNION_GRID = TimeGrid.with_maturities([91 / 365, 182 / 365, 273 / 365, 1.0], 252)
+
+
+@pytest.mark.parametrize("H", [0.05, 0.2, 0.45, 0.7])
+def test_step_kernel_is_lower_triangular(H):
+    cov = build_joint_covariance(UNION_GRID, H)
+    kernel = cov.fbm_factor[:, :UNION_GRID.n]
+    assert np.array_equal(np.triu(kernel, 1), np.zeros_like(kernel))
+
+
+@pytest.mark.parametrize("H", [0.05, 0.2, 0.45, 0.7])
+def test_wiener_rows_of_factor_are_exact(H):
+    cov = build_joint_covariance(UNION_GRID, H)
+    n = UNION_GRID.n
+    factor = cov.cholesky_factor
+    assert np.array_equal(factor[n:, :n], np.tril(np.ones((n, n))) * np.sqrt(UNION_GRID.deltas))
+    assert np.array_equal(factor[n:, n:], np.zeros((n, n)))
+
+
+@pytest.mark.parametrize("H", [0.05, 0.2, 0.45, 0.7])
+def test_w_first_factor_reproduces_matrix(H):
+    cov = build_joint_covariance(UNION_GRID, H)
+    factor = cov.cholesky_factor
+    shift = np.zeros(2 * UNION_GRID.n)
+    shift[:UNION_GRID.n] = cov.jitter  # jitter goes to the conditional fBm block only
+    assert_allclose(factor @ factor.T, cov.sigma_matrix + np.diag(shift), rtol=0, atol=1e-12)
+
+
+def test_covariance_stores_one_n_by_2n_factor():
+    # the 2n x 2n matrices are built on access only
+    cov = build_joint_covariance(UNION_GRID, 0.2)
+    n = UNION_GRID.n
+    stored = [v for obj in (cov, cov.grid) for v in vars(obj).values()
+              if isinstance(v, np.ndarray)]
+    assert sum(a.size for a in stored) <= 2 * n * n + 4 * n
+    assert cov.fbm_factor.shape == (n, 2 * n)
+    assert cov.sigma_matrix.shape == cov.cholesky_factor.shape == (2 * n, 2 * n)
+
+
+def test_factorization_failure_names_conditional_covariance(monkeypatch):
+    def always_fail(_):
+        raise np.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr(np.linalg, "cholesky", always_fail)
+    grid = TimeGrid.regular(1.0, 4)
+    with pytest.raises(FactorizationError, match="conditional fBm covariance"):
+        build_joint_covariance(grid, 0.3)
 
 
 def test_factorization_failure_reports_smallest_eigenvalue(monkeypatch):
