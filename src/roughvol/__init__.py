@@ -19,7 +19,7 @@ from .market import (ChainFormatError, OptionQuote, OptionStructure, compute_wei
                      load_chain, write_chain)
 from .calibration import (CalibrationConfig, CalibrationResult, FitMetrics,
                           FrozenPricer, ParamBounds, calibrate, fit_metrics,
-                          format_pct, global_search, local_refine)
+                          format_pct, local_refine)
 from .bootstrap import (BootCalibration, BootstrapPlan, BootstrapReport,
                         bootstrap_statistics, bootstrap_structure,
                         export_scatter_matrix, run_bootcalibrations)
@@ -46,8 +46,7 @@ __all__ = [
     "compute_weights",
     # calibration
     "ParamBounds", "CalibrationConfig", "CalibrationResult", "FitMetrics",
-    "FrozenPricer", "calibrate", "global_search", "local_refine", "fit_metrics",
-    "format_pct",
+    "FrozenPricer", "calibrate", "local_refine", "fit_metrics", "format_pct",
     # bootstrap
     "BootstrapPlan", "BootCalibration", "BootstrapReport", "bootstrap_structure",
     "run_bootcalibrations", "bootstrap_statistics", "export_scatter_matrix",

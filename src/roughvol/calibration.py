@@ -24,11 +24,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import least_squares
 
-from .fbm import (PathBundle, TimeGrid, build_joint_covariance, draw_normal_bundle,
-                  parallel_map, transform_normals)
+from .fbm import (PATH_BLOCK, PathBundle, TimeGrid, build_joint_covariance,
+                  draw_normal_bundle, parallel_map, transform_normals)
 from .market import OptionStructure
-from .model import PARAM_NAMES, ModelParams, volatility_paths
-from .pricing import chain_estimates
+from .model import PARAM_NAMES, ModelParams
+from .pricing import _block_estimates
 
 __all__ = [
     "ParamBounds",
@@ -38,7 +38,6 @@ __all__ = [
     "FrozenPricer",
     "format_pct",
     "fit_metrics",
-    "global_search",
     "local_refine",
     "calibrate",
 ]
@@ -185,9 +184,11 @@ class FrozenPricer:
 
     Construction draws the normals once (per config seed) on the union grid of the
     chain's maturities and scales the orthogonal draws by sqrt(dt) once, since they do
-    not depend on H. The transformed paths of the last Hurst index are cached: a call
-    at a new H builds its covariance and transforms the same draws, a call at the same
-    H reuses the paths. Thread count affects wall time only.
+    not depend on H. The paths of the last Hurst index are cached as one bundle per
+    PATH_BLOCK row slice: a call at a new H builds its covariance and transforms each
+    slice, a call at the same H reuses the bundles. Prices pool the per-block
+    estimates of the pricing block kernel, as fresh-draw pricing does, pricing one
+    block after another. Thread count affects wall time only.
     """
 
     def __init__(self, structure: OptionStructure, config: CalibrationConfig):
@@ -201,24 +202,25 @@ class FrozenPricer:
         self._sqrt_w = np.sqrt(structure.weights)
         self._closes = structure.closes
         self._options = structure.options
-        self._path_cache: tuple[float, PathBundle] | None = None
+        self._path_cache: tuple[float, list[PathBundle]] | None = None
 
-    def _paths(self, H: float) -> PathBundle:
+    def _paths(self, H: float) -> list[PathBundle]:
         cache = self._path_cache  # snapshot: parallel evaluations may swap the cache
         if cache is not None and cache[0] == H:
             return cache[1]
         self._path_cache = None  # release the old paths before building new ones
         cov = build_joint_covariance(self.grid, H)
-        bundle = transform_normals(self._z, self._w_tilde, cov)
-        self._path_cache = (H, bundle)
-        return bundle
+        bundles = [transform_normals(self._z[lo:lo + PATH_BLOCK],
+                                     self._w_tilde[lo:lo + PATH_BLOCK], cov)
+                   for lo in range(0, self.config.path_count, PATH_BLOCK)]
+        self._path_cache = (H, bundles)
+        return bundles
 
     def prices(self, theta) -> np.ndarray:
         params = theta if isinstance(theta, ModelParams) else ModelParams.from_array(theta)
-        bundle = self._paths(params.H)
-        vols = volatility_paths(bundle, params, self.grid)
-        estimates = chain_estimates(bundle, vols, self.structure.env, self._options,
-                                    estimator="conditional_mixed")
+        bundles = self._paths(params.H)
+        estimates = _block_estimates(bundles.__getitem__, len(bundles), params,
+                                     self.structure.env, self._options)
         return np.array([e.price for e in estimates])
 
     def weighted_errors(self, prices: np.ndarray) -> np.ndarray:
@@ -275,19 +277,6 @@ def _ga_minimize(config: CalibrationConfig, objective_fn):
             best_theta, best_value = pop[gen_best].copy(), float(values[gen_best])
         history.append(float(values[gen_best]))
     return best_theta, history
-
-
-def global_search(structure: OptionStructure | None, config: CalibrationConfig,
-                  objective_fn=None) -> ModelParams:
-    """Genetic minimization over the bounded box; returns the best individual seen.
-
-    Deterministic given the config seed. ``objective_fn`` defaults to the frozen
-    Monte-Carlo objective; tests inject analytic objectives through it.
-    """
-    if objective_fn is None:
-        objective_fn = FrozenPricer(structure, config).objective
-    best_theta, _ = _ga_minimize(config, objective_fn)
-    return ModelParams.from_array(best_theta)
 
 
 def _fd_jacobian(residual_fn, x, r0, steps, lower, upper, order=None):

@@ -13,6 +13,7 @@ stderr and exit with code 1 (argparse usage errors keep their conventional code 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import datetime as dt
 import io
@@ -44,11 +45,23 @@ _LOG_LEVELS = ("debug", "info", "warning", "error")
 # plumbing
 
 
-def _atomic_write(path: Path, text: str) -> None:
+@contextlib.contextmanager
+def _atomic_path(path: Path):
+    """Yield a temporary sibling of ``path`` to write; on success rename it over
+    ``path``, on failure delete it."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    try:
+        yield tmp
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
     log.info("wrote %s", path)
+
+
+def _atomic_write(path: Path, text: str) -> None:
+    with _atomic_path(path) as tmp:
+        tmp.write_text(text)
 
 
 def _atomic_json(path: Path, obj) -> None:
@@ -211,13 +224,10 @@ def cmd_synth_chain(args: argparse.Namespace) -> int:
     )
     outdir = settings.outdir
     name = str(settings.get("name", "chain"))
-    csv_path, sidecar = outdir / f"{name}.csv", outdir / f"{name}.json"
-    tmp_csv = csv_path.with_name(csv_path.name + ".tmp")
-    tmp_sidecar = sidecar.with_name(sidecar.name + ".tmp")
-    write_chain(structure, tmp_csv, sidecar=tmp_sidecar)
-    os.replace(tmp_csv, csv_path)
-    os.replace(tmp_sidecar, sidecar)
-    log.info("wrote %s and %s", csv_path, sidecar)
+    # the sidecar lands first: `load_chain` cannot read the CSV without it
+    with (_atomic_path(outdir / f"{name}.csv") as tmp_csv,
+          _atomic_path(outdir / f"{name}.json") as tmp_sidecar):
+        write_chain(structure, tmp_csv, sidecar=tmp_sidecar)
     _atomic_json(outdir / f"{name}.truth.json", {
         "theta": _theta_dict(theta), "spot": env.spot, "rate": env.rate,
         "seed": settings.seed, "rel_spread": float(settings.get("rel_spread", 0.01)),
@@ -312,12 +322,9 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
     _atomic_write(outdir / "bootstrap_theta.csv",
                   _csv_text(list(PARAM_NAMES), theta_rows))
 
-    scatter = outdir / "scatter_matrix.txt"
-    tmp = scatter.with_name(scatter.name + ".tmp")
-    export_scatter_matrix(report.theta_samples, report.theta_hat,
-                          overall.as_array(), tmp)
-    os.replace(tmp, scatter)
-    log.info("wrote %s", scatter)
+    with _atomic_path(outdir / "scatter_matrix.txt") as tmp:
+        export_scatter_matrix(report.theta_samples, report.theta_hat,
+                              overall.as_array(), tmp)
     return 0
 
 

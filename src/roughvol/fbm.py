@@ -19,8 +19,9 @@ increment set. Sampling is blocked with per-block RNG streams so results are bit
 at any degree of parallelism.
 
 The factorization puts W first. With Z = (Z_W, Z_B) standard normal, the Wiener
-increments are dW_j = sqrt(dt_j) Z_W[j], so W is a cumulative sum that does not depend
-on H. The fBm is B^H = K Z_W + L_S Z_B, where the step kernel
+increments are dW_j = sqrt(dt_j) Z_W[j], which do not depend on H. Paths carry dW, the
+form that the left-point integrals and the asset scheme consume; W itself, their
+cumulative sum, is never formed. The fBm is B^H = K Z_W + L_S Z_B, where the step kernel
 
     K[i, j] = E[B^H_{t_i} dW_j] / sqrt(dt_j) = int_{t_{j-1}}^{t_j} K_H(t_i, u) du / sqrt(dt_j)
 
@@ -28,7 +29,7 @@ is the Volterra kernel integrated over step j (lower-triangular, since K_H(t, u)
 for u > t), and L_S is the Cholesky factor of the n x n conditional covariance
 S = r - K K^T of B^H given the Wiener increments. Only the n x 2n block [K | L_S] is
 stored and multiplied. At H = 1/2 the kernel is identically 1, B^H = W and S = 0, so
-no Cholesky is taken and the fBm paths are the Wiener paths.
+no Cholesky is taken and the fBm paths are the cumulative sum of dW.
 
 The inner integral of the kernel reduces to an incomplete-Beta-type "tail" integral
 
@@ -68,8 +69,8 @@ __all__ = [
     "derive_seed",
 ]
 
-#: fixed path-block size; the unit of RNG-stream derivation and parallel dispatch, and
-#: the unit of memory of fresh-draw pricing, which holds one block per worker.
+#: fixed path-block size; the unit of RNG-stream derivation, parallel dispatch and
+#: pricing: every price pools per-block estimates, one block in memory per worker.
 PATH_BLOCK = 4096
 
 #: escalating diagonal jitter schedule for nearly rank-deficient covariance matrices.
@@ -240,9 +241,9 @@ class JointCovariance:
     """Factorized joint covariance of (B^H at grid times, W at grid times).
 
     Stores only the n x 2n fBm factor ``fbm_factor = [K | L_S]``: B^H = Z @ fbm_factor.T
-    for standard normals Z whose first n columns (Z_W) drive W, as
-    W = cumsum(sqrt(deltas) * Z_W), and whose last n columns (Z_B) drive the part of
-    B^H that is independent of W. ``jitter`` records the diagonal shift added to the
+    for standard normals Z whose first n columns (Z_W) drive the Wiener increments
+    dW = sqrt(deltas) * Z_W, and whose last n columns (Z_B) drive the part of B^H that
+    is independent of W. ``jitter`` records the diagonal shift added to the
     conditional covariance S before its Cholesky (0.0 when plain factorization
     succeeded, and always at H = 1/2, where S = 0).
 
@@ -317,15 +318,18 @@ def build_joint_covariance(grid: TimeGrid, H: float) -> JointCovariance:
 
 @dataclass(eq=False)
 class PathBundle:
-    """Sampled joint paths: B^H and W at grid times plus independent scaled increments.
+    """Sampled joint paths: B^H at grid times, the Wiener increments that drive it, and
+    independent scaled increments.
 
-    ``w_tilde_increments[:, k]`` is an N(0, deltas[k]) draw independent of everything
-    else — the orthogonal Brownian component consumed by the asset scheme. Identical
-    (seed, grid, path_count) reproduce bit-identical bundles at any thread count.
+    ``w_increments[:, k]`` is dW_k = W_{t_k} - W_{t_{k-1}} = sqrt(deltas[k]) Z_W[k],
+    exactly as drawn; W itself is never formed. ``w_tilde_increments[:, k]`` is an
+    N(0, deltas[k]) draw independent of everything else — the orthogonal Brownian
+    component consumed by the asset scheme. Identical (seed, grid, path_count)
+    reproduce bit-identical bundles at any thread count.
     """
 
     fbm_paths: np.ndarray
-    w_paths: np.ndarray
+    w_increments: np.ndarray
     w_tilde_increments: np.ndarray
     path_count: int
     grid: TimeGrid = field(repr=False, default=None)
@@ -374,11 +378,11 @@ def parallel_map(fn, items, threads: int) -> list:
 def draw_normal_bundle(n: int, path_count: int, seed: int, threads: int = 1):
     """Draw the frozen standard-normal inputs: Z (path_count x 2n), Z_tilde (path_count x n).
 
-    Z's first n columns drive W and its last n the part of B^H independent of W (see
+    Z's first n columns drive dW and its last n the part of B^H independent of W (see
     `JointCovariance`). Block b draws from the same per-block stream as
-    `sample_paths`, Z first then Z_tilde, so transforming these draws reproduces
-    `sample_paths` bit for bit. This is the object a common-random-numbers
-    calibration freezes.
+    `sample_paths` with ``block=b``, Z first then Z_tilde, so transforming any
+    PATH_BLOCK row slice of these draws reproduces that block bit for bit. This is the
+    object a common-random-numbers calibration freezes.
     """
     if path_count < 1:
         raise ValueError("path_count must be >= 1")
@@ -395,80 +399,62 @@ def draw_normal_bundle(n: int, path_count: int, seed: int, threads: int = 1):
     return z, z_tilde
 
 
-def _joint_paths(z: np.ndarray, cov: JointCovariance) -> tuple[np.ndarray, np.ndarray]:
-    """(B^H, W) paths from Z: W = cumsum(sqrt(deltas) * Z_W), B^H = Z @ [K | L_S]^T.
+def _joint_paths(z: np.ndarray, w_tilde_increments: np.ndarray,
+                 cov: JointCovariance) -> PathBundle:
+    """The path kernel of `sample_paths` and `transform_normals`.
 
-    The path kernel of `sample_paths` and `transform_normals`. At H = 1/2 the fBm
-    paths are the Wiener array itself.
+    dW = sqrt(deltas) * Z_W and B^H = Z @ [K | L_S]^T; at H = 1/2, B^H = cumsum(dW)
+    with no product.
     """
-    n = cov.grid.n
-    w = np.multiply(z[:, :n], np.sqrt(cov.grid.deltas))
-    np.cumsum(w, axis=1, out=w)
-    return (w if cov.H == 0.5 else z @ cov.fbm_factor.T), w
-
-
-def _sample_block(cov: JointCovariance, path_count: int, seed: int, b: int) -> PathBundle:
-    """Path block b as its own bundle, with Z_tilde scaled in place."""
-    grid = cov.grid
-    z, zt = _block_normals(seed, b, path_count, grid.n)
-    fbm, w = _joint_paths(z, cov)
-    zt *= np.sqrt(grid.deltas)
-    return PathBundle(fbm_paths=fbm, w_paths=w, w_tilde_increments=zt,
-                      path_count=zt.shape[0], grid=grid)
+    dw = z[:, : cov.grid.n] * np.sqrt(cov.grid.deltas)
+    fbm = np.cumsum(dw, axis=1) if cov.H == 0.5 else z @ cov.fbm_factor.T
+    return PathBundle(fbm_paths=fbm, w_increments=dw,
+                      w_tilde_increments=w_tilde_increments, path_count=z.shape[0],
+                      grid=cov.grid)
 
 
 def sample_paths(cov: JointCovariance, path_count: int, seed: int,
                  threads: int = 1, *, block: int | None = None) -> PathBundle:
-    """Draw exact joint (B^H, W) paths plus independent orthogonal increments.
+    """Draw exact joint paths: B^H, the Wiener increments dW and independent
+    orthogonal increments.
 
-    Standard normals are drawn block-by-block, Z (first n columns for W, last n for
+    Standard normals are drawn block-by-block, Z (first n columns for dW, last n for
     the conditional fBm part) then Z_tilde, and mapped to paths by the W-first
     factor; each block owns an RNG stream derived from (seed, block index), so the
     output is deterministic for fixed inputs regardless of ``threads``. With
     ``block=b`` only path block b of the ``path_count``-path draw is sampled, rows
-    b * PATH_BLOCK onwards, bit for bit as in the full draw; ``threads`` is then
-    unused.
+    b * PATH_BLOCK onwards, bit for bit as in the whole draw; ``threads`` is then
+    unused. Either draw goes through the one path kernel, as `transform_normals` does.
     """
     if path_count < 1:
         raise ValueError("path_count must be >= 1")
-    n_blocks = _block_count(path_count)
-    if block is not None:
+    n = cov.grid.n
+    if block is None:
+        z, z_tilde = draw_normal_bundle(n, path_count, seed, threads)
+    else:
+        n_blocks = _block_count(path_count)
         if not 0 <= block < n_blocks:
             raise ValueError(f"block {block} outside 0..{n_blocks - 1} for "
                              f"{path_count} paths")
-        return _sample_block(cov, path_count, seed, block)
-    n = cov.grid.n
-    w = np.empty((path_count, n))
-    fbm = w if cov.H == 0.5 else np.empty((path_count, n))
-    w_tilde = np.empty((path_count, n))
-
-    def worker(b: int) -> None:
-        part = _sample_block(cov, path_count, seed, b)
-        rows = slice(b * PATH_BLOCK, b * PATH_BLOCK + part.path_count)
-        fbm[rows] = part.fbm_paths
-        w[rows] = part.w_paths
-        w_tilde[rows] = part.w_tilde_increments
-
-    parallel_map(worker, range(n_blocks), threads)
-    return PathBundle(fbm_paths=fbm, w_paths=w, w_tilde_increments=w_tilde,
-                      path_count=path_count, grid=cov.grid)
+        z, z_tilde = _block_normals(seed, block, path_count, n)
+    z_tilde *= np.sqrt(cov.grid.deltas)
+    return _joint_paths(z, z_tilde, cov)
 
 
 def transform_normals(z: np.ndarray, w_tilde_increments: np.ndarray,
                       cov: JointCovariance) -> PathBundle:
     """Turn frozen normal draws into a PathBundle under a (possibly new) covariance.
 
-    Z's first n columns give W by a cumulative sum, which does not depend on H; the
-    fBm paths are Z @ [K | L_S]^T under ``cov`` (see `JointCovariance`).
-    ``w_tilde_increments`` is the Z_tilde draw already scaled by sqrt(deltas); it does
-    not depend on H, so a caller that transforms the same draws under many covariances
-    scales it once and the bundle shares that array instead of copying it. Used by the
-    calibrator: the draws stay fixed while the covariance (hence the Hurst index)
-    changes, making the parameter-to-paths map deterministic and smooth.
+    Z's first n columns give the Wiener increments dW = sqrt(deltas) * Z_W, which do
+    not depend on H; the fBm paths are Z @ [K | L_S]^T under ``cov`` (see
+    `JointCovariance`). W is never formed. ``w_tilde_increments`` is the Z_tilde draw
+    already scaled by sqrt(deltas); it does not depend on H, so a caller that
+    transforms the same draws under many covariances scales it once and the bundle
+    shares that array instead of copying it. Used by the calibrator, one PATH_BLOCK
+    row slice at a time: the draws stay fixed while the covariance (hence the Hurst
+    index) changes, making the parameter-to-paths map deterministic and smooth.
     """
     n = cov.grid.n
     if z.shape[1] != 2 * n or w_tilde_increments.shape[1] != n:
         raise ValueError("normal draw shapes do not match the covariance grid")
-    fbm, w = _joint_paths(z, cov)
-    return PathBundle(fbm_paths=fbm, w_paths=w, w_tilde_increments=w_tilde_increments,
-                      path_count=z.shape[0], grid=cov.grid)
+    return _joint_paths(z, w_tilde_increments, cov)

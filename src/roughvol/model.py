@@ -113,7 +113,7 @@ def log_price_paths(bundle: PathBundle, vols: VolPathSet, env: MarketEnv,
     sigma = vols.sigma_paths
     n_paths, n = sigma.shape
     dt = vols.grid.deltas
-    dw = np.diff(bundle.w_paths, axis=1, prepend=0.0)
+    dw = bundle.w_increments
     dwt = bundle.w_tilde_increments
     rho = params.rho
     orth = np.sqrt(1.0 - rho**2)

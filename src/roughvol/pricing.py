@@ -14,9 +14,11 @@ on shared samples at standard-error resolution.
 
 A whole option chain is priced on one simulation grid, the union of a regular grid and
 every quoted maturity; each option reads the paths truncated to its own maturity node.
-Fresh-draw pricing streams the paths one PATH_BLOCK at a time: each block is sampled,
-priced on its own and dropped, and the per-block estimates are pooled in block order,
-so memory grows with the worker count, not with the path count.
+Every Monte-Carlo price comes from one block kernel, `_block_estimates`: each
+PATH_BLOCK of paths is priced on its own and the per-block estimates are pooled in
+block order. Fresh-draw pricing samples each block in the kernel and drops it, so
+memory grows with the worker count, not the path count; calibration passes its cached
+frozen-noise blocks.
 """
 from __future__ import annotations
 
@@ -128,7 +130,7 @@ def _left_vol_integrals(vols: VolPathSet, bundle: PathBundle, nodes):
     summed along each path with one sequential cumsum per sub-block of rows, so only
     a sub-block of full-length temporaries is ever held.
     """
-    sigma, w = vols.sigma_paths, bundle.w_paths
+    sigma, dw = vols.sigma_paths, bundle.w_increments
     n_paths = sigma.shape[0]
     end = max(nodes) + 1
     int_var = np.empty((len(nodes), n_paths))
@@ -142,10 +144,7 @@ def _left_vol_integrals(vols: VolPathSet, bundle: PathBundle, nodes):
         # left-endpoint volatilities per step: [sigma0, sigma_{t_1}, ..., sigma_{t_{end-2}}]
         cum_var[:, 0] = vols.params.sigma0
         cum_var[:, 1:] = sigma[lo:hi, : end - 1]
-        # Wiener increments from W_0 = 0
-        cum_sdw[:, 0] = w[lo:hi, 0]
-        np.subtract(w[lo:hi, 1:end], w[lo:hi, : end - 1], out=cum_sdw[:, 1:])
-        cum_sdw *= cum_var
+        np.multiply(dw[lo:hi, :end], cum_var, out=cum_sdw)
         np.square(cum_var, out=cum_var)
         cum_var *= dt
         np.cumsum(cum_var, axis=1, out=cum_var)
@@ -242,23 +241,36 @@ def _pool_estimates(parts) -> PriceEstimate:
                    path_count=total)
 
 
+def _block_estimates(bundle_of, n_blocks: int, params: ModelParams, env: MarketEnv,
+                     options, estimator: str = "conditional_mixed",
+                     threads: int = 1) -> list[PriceEstimate]:
+    """Price every option on path blocks 0..n_blocks-1 and pool the estimates.
+
+    ``bundle_of(b)`` returns block b's `PathBundle`. Each block is turned into
+    volatility paths and priced by `chain_estimates` on its own, ``threads`` blocks at
+    once; the per-block estimates are pooled in block order, so the result does not
+    depend on ``threads``.
+    """
+    def price_block(b: int) -> list[PriceEstimate]:
+        bundle = bundle_of(b)
+        vols = volatility_paths(bundle, params, bundle.grid)
+        return chain_estimates(bundle, vols, env, options, estimator=estimator)
+
+    per_block = parallel_map(price_block, range(n_blocks), threads)
+    return [_pool_estimates(parts) for parts in zip(*per_block)]
+
+
 def fresh_estimates(cov: JointCovariance, params: ModelParams, env: MarketEnv, options,
                     path_count: int, seed: int, estimator: str = "conditional_mixed",
                     threads: int = 1) -> list[PriceEstimate]:
     """Price every option on ``path_count`` fresh paths, one PATH_BLOCK at a time.
 
-    Each block is sampled (`sample_paths` with ``block=b``), turned into volatility
-    paths and priced by `chain_estimates` on its own; ``threads`` blocks run at once.
-    The per-block estimates are pooled in block order, so the result does not depend on
-    ``threads``, and memory holds one block per worker whatever ``path_count`` is.
+    Each block is sampled (`sample_paths` with ``block=b``) in `_block_estimates` and
+    dropped once priced, so memory holds one block per worker at any ``path_count``.
     """
-    def price_block(b: int) -> list[PriceEstimate]:
-        bundle = sample_paths(cov, path_count, seed, block=b)
-        vols = volatility_paths(bundle, params, cov.grid)
-        return chain_estimates(bundle, vols, env, options, estimator=estimator)
-
-    per_block = parallel_map(price_block, range(_block_count(path_count)), threads)
-    return [_pool_estimates(parts) for parts in zip(*per_block)]
+    return _block_estimates(lambda b: sample_paths(cov, path_count, seed, block=b),
+                            _block_count(path_count), params, env, options, estimator,
+                            threads)
 
 
 def price_chain(request: ChainPricingRequest, threads: int = 1) -> list[PriceEstimate]:

@@ -53,7 +53,7 @@ def test_02_sampled_paths_reproduce_covariance():
     grid = TimeGrid.regular(1.0, 16)
     cov = build_joint_covariance(grid, 0.3)
     bundle = sample_paths(cov, 200_000, seed=2024)
-    X = np.hstack([bundle.fbm_paths, bundle.w_paths])
+    X = np.hstack([bundle.fbm_paths, np.cumsum(bundle.w_increments, axis=1)])
     S = X.T @ X / X.shape[0]
     sigma = cov.sigma_matrix
     diag = np.diag(sigma)

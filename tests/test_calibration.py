@@ -3,6 +3,8 @@ analytic objectives, local refinement, model variants, and a small end-to-end fi
 import concurrent.futures
 import datetime as dt
 import sys
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,13 +19,13 @@ from roughvol.calibration import (
     calibrate,
     fit_metrics,
     format_pct,
-    global_search,
     local_refine,
 )
-from roughvol.fbm import build_joint_covariance, draw_normal_bundle, transform_normals
+from roughvol.fbm import (PATH_BLOCK, build_joint_covariance, draw_normal_bundle,
+                          transform_normals)
 from roughvol.market import OptionQuote, OptionStructure, compute_weights
 from roughvol.model import PARAM_NAMES, MarketEnv, ModelParams, volatility_paths
-from roughvol.pricing import chain_estimates
+from roughvol.pricing import _pool_estimates, chain_estimates
 from roughvol.synth import generate_chain
 
 THETA = ModelParams(sigma0=0.08, rho=-0.3, H=0.2, xi=1.0, alpha=1.0)
@@ -129,6 +131,52 @@ def test_frozen_pricer_matches_manual_assembly():
     assert_allclose(pricer.prices(THETA), manual, rtol=0.0, atol=0.0)
 
 
+def test_frozen_pricer_pools_path_blocks():
+    # three blocks, the last one short: each PATH_BLOCK row slice of the frozen draws is
+    # transformed and priced on its own, and the block estimates are pooled
+    s = small_structure()
+    config = fast_config(path_count=2 * PATH_BLOCK + 8)
+    pricer = FrozenPricer(s, config)
+    grid = pricer.grid
+    z, zt = draw_normal_bundle(grid.n, config.path_count, config.seed)
+    zt = zt * np.sqrt(grid.deltas)
+    cov = build_joint_covariance(grid, THETA.H)
+    per_block = []
+    for lo in range(0, config.path_count, PATH_BLOCK):
+        rows = slice(lo, lo + PATH_BLOCK)
+        bundle = transform_normals(z[rows], zt[rows], cov)
+        vols = volatility_paths(bundle, THETA, grid)
+        per_block.append(chain_estimates(bundle, vols, s.env, s.options))
+    assert len(per_block) == 3 and per_block[-1][0].path_count == 8
+    manual = [_pool_estimates(parts).price for parts in zip(*per_block)]
+    prices = pricer.prices(THETA)
+    assert list(prices) == manual
+
+    whole = transform_normals(z, zt, cov)
+    vols = volatility_paths(whole, THETA, grid)
+    reference = [e.price for e in chain_estimates(whole, vols, s.env, s.options)]
+    assert_allclose(prices, reference, rtol=1e-13, atol=0.0)
+
+
+def _cached_prices_peak(path_count: int) -> int:
+    pricer = FrozenPricer(small_structure(), fast_config(path_count=path_count,
+                                                         steps_per_year=48))
+    pricer.prices(THETA)  # builds and caches the paths at THETA.H
+    tracemalloc.start()
+    try:
+        pricer.prices(replace(THETA, sigma0=0.1))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_frozen_pricer_memory_does_not_grow_with_block_count():
+    # at a cached H only one block's volatility paths and integrals are alive
+    small = _cached_prices_peak(2 * PATH_BLOCK)
+    large = _cached_prices_peak(8 * PATH_BLOCK)
+    assert large <= 1.25 * small
+
+
 def test_objective_is_weighted_squared_error():
     s = small_structure()
     pricer = FrozenPricer(s, fast_config())
@@ -179,7 +227,7 @@ def quadratic_objective(target):
 def test_global_search_finds_quadratic_minimum():
     target = np.array([0.10, -0.50, 0.15, 1.50, 0.50])
     config = fast_config(ga_population=150, ga_generations=5, seed=2)
-    best = global_search(None, config, objective_fn=quadratic_objective(target))
+    best = ModelParams.from_array(_ga_minimize(config, quadratic_objective(target))[0])
     z = np.abs(best.as_array() - target) / ParamBounds.default().width
     assert np.all(z < 0.15)
 
@@ -187,16 +235,16 @@ def test_global_search_finds_quadratic_minimum():
 def test_global_search_deterministic_and_seed_sensitive():
     target = np.array([0.10, -0.50, 0.15, 1.50, 0.50])
     fn = quadratic_objective(target)
-    a = global_search(None, fast_config(seed=3), objective_fn=fn)
-    b = global_search(None, fast_config(seed=3), objective_fn=fn)
-    c = global_search(None, fast_config(seed=4), objective_fn=fn)
+    a = ModelParams.from_array(_ga_minimize(fast_config(seed=3), fn)[0])
+    b = ModelParams.from_array(_ga_minimize(fast_config(seed=3), fn)[0])
+    c = ModelParams.from_array(_ga_minimize(fast_config(seed=4), fn)[0])
     assert a == b
     assert a != c
 
 
 def test_global_search_tiny_population():
     config = fast_config(ga_population=1, ga_generations=0, seed=0)
-    best = global_search(None, config, objective_fn=lambda t: 0.0)
+    best = ModelParams.from_array(_ga_minimize(config, lambda t: 0.0)[0])
     bounds = ParamBounds.default()
     arr = best.as_array()
     assert np.all(arr >= bounds.lower) and np.all(arr <= bounds.upper)
@@ -205,7 +253,7 @@ def test_global_search_tiny_population():
 def test_global_search_respects_variant_collapse():
     config = fast_config(model_variant="rBergomi", ga_population=30,
                          ga_generations=1, seed=1)
-    best = global_search(None, config, objective_fn=lambda t: float(np.sum(t**2)))
+    best = ModelParams.from_array(_ga_minimize(config, lambda t: float(np.sum(t**2)))[0])
     assert best.alpha == 1.0
 
 

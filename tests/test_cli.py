@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from roughvol.cli import _Settings, main
+from roughvol.cli import _atomic_path, _Settings, main
 from roughvol.market import load_chain
 from roughvol.model import PARAM_NAMES
 
@@ -210,6 +210,26 @@ def test_bootstrap_rerun_is_byte_identical(pipeline, tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
     assert (a / "bootstrap.json").read_bytes() == (
         pipeline / "bootstrap.json").read_bytes()
+
+
+def test_artifact_writes_leave_no_tmp_files(pipeline, tmp_path):
+    run_cli(["price", "--chain", str(pipeline / "chain.csv"),
+             "--params", str(pipeline / "chain.truth.json"),
+             "--path-count", "300", "--steps-per-year", "12", "--seed", "1",
+             "--threads", "1", "--out", str(tmp_path)])
+    # the pipeline directory holds the synth-chain, calibrate and bootstrap artifacts
+    for out in (pipeline, tmp_path):
+        assert not list(out.glob("*.tmp"))
+    assert (pipeline / "scatter_matrix.txt").exists()
+
+
+def test_atomic_path_deletes_tmp_file_on_failure(tmp_path):
+    target = tmp_path / "out.txt"
+    with pytest.raises(RuntimeError):
+        with _atomic_path(target) as tmp:
+            tmp.write_text("partial")
+            raise RuntimeError("write failed")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_synth_chain_threads_byte_identical(tmp_path):

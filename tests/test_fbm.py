@@ -278,8 +278,8 @@ def test_cross_covariance_sampled_moment():
     grid = TimeGrid(times=np.array([1.0]), steps_per_year=1, horizon=1.0)
     cov = build_joint_covariance(grid, 0.1)
     bundle = sample_paths(cov, 400_000, seed=20240817)
-    est = float(np.mean(bundle.fbm_paths[:, 0] * bundle.w_paths[:, 0]))
-    se = float(np.std(bundle.fbm_paths[:, 0] * bundle.w_paths[:, 0], ddof=1)) / 632.45
+    est = float(np.mean(bundle.fbm_paths[:, 0] * bundle.w_increments[:, 0]))
+    se = float(np.std(bundle.fbm_paths[:, 0] * bundle.w_increments[:, 0], ddof=1)) / 632.45
     assert abs(est - 0.7876875024943019813881) < 3.0 * se
 
 
@@ -375,10 +375,10 @@ def test_brownian_case_is_exact_without_jitter():
     assert cov.jitter == 0.0
     assert np.array_equal(cov.fbm_factor[:, grid.n:], np.zeros((grid.n, grid.n)))
     sampled = sample_paths(cov, fbm.PATH_BLOCK + 10, seed=4, threads=2)
-    assert np.array_equal(sampled.fbm_paths, sampled.w_paths)
+    assert np.array_equal(sampled.fbm_paths, np.cumsum(sampled.w_increments, axis=1))
     z, z_tilde = draw_normal_bundle(grid.n, 500, seed=4)
     rebuilt = transform_normals(z, z_tilde * np.sqrt(grid.deltas), cov)
-    assert np.array_equal(rebuilt.fbm_paths, rebuilt.w_paths)
+    assert np.array_equal(rebuilt.fbm_paths, np.cumsum(rebuilt.w_increments, axis=1))
 
 
 UNION_GRID = TimeGrid.with_maturities([91 / 365, 182 / 365, 273 / 365, 1.0], 252)
@@ -449,7 +449,7 @@ def test_sample_shapes_and_grid():
     cov = build_joint_covariance(grid, 0.25)
     bundle = sample_paths(cov, 1000, seed=3)
     assert bundle.fbm_paths.shape == (1000, grid.n)
-    assert bundle.w_paths.shape == (1000, grid.n)
+    assert bundle.w_increments.shape == (1000, grid.n)
     assert bundle.w_tilde_increments.shape == (1000, grid.n)
     assert bundle.path_count == 1000
     assert bundle.grid is grid
@@ -460,7 +460,8 @@ def test_sampled_moments_match_covariance():
     cov = build_joint_covariance(grid, 0.3)
     n = grid.n
     bundle = sample_paths(cov, 200_000, seed=11)
-    joint = np.concatenate([bundle.fbm_paths, bundle.w_paths], axis=1)
+    joint = np.concatenate([bundle.fbm_paths, np.cumsum(bundle.w_increments, axis=1)],
+                           axis=1)
     sample_cov = np.cov(joint, rowvar=False)
     # SE of a Gaussian covariance entry ~ sqrt((S_ii S_jj + S_ij^2) / P)
     diag = np.diag(cov.sigma_matrix)
@@ -493,7 +494,7 @@ def test_thread_count_does_not_change_output():
     serial = sample_paths(cov, 10_000, seed=7, threads=1)
     parallel = sample_paths(cov, 10_000, seed=7, threads=4)
     assert np.array_equal(serial.fbm_paths, parallel.fbm_paths)
-    assert np.array_equal(serial.w_paths, parallel.w_paths)
+    assert np.array_equal(serial.w_increments, parallel.w_increments)
     assert np.array_equal(serial.w_tilde_increments, parallel.w_tilde_increments)
 
 
@@ -517,7 +518,7 @@ def test_single_block_equals_rows_of_full_draw():
         rows = slice(b * fbm.PATH_BLOCK, min((b + 1) * fbm.PATH_BLOCK, path_count))
         assert part.path_count == rows.stop - rows.start
         assert np.array_equal(part.fbm_paths, full.fbm_paths[rows])
-        assert np.array_equal(part.w_paths, full.w_paths[rows])
+        assert np.array_equal(part.w_increments, full.w_increments[rows])
         assert np.array_equal(part.w_tilde_increments, full.w_tilde_increments[rows])
     assert part.path_count == 10
 
@@ -537,7 +538,7 @@ def test_transform_normals_reproduces_sample_paths():
     direct = sample_paths(cov, 6000, seed=5)
     rebuilt = transform_normals(z, z_tilde * np.sqrt(grid.deltas), cov)
     assert np.array_equal(direct.fbm_paths, rebuilt.fbm_paths)
-    assert np.array_equal(direct.w_paths, rebuilt.w_paths)
+    assert np.array_equal(direct.w_increments, rebuilt.w_increments)
     assert np.array_equal(direct.w_tilde_increments, rebuilt.w_tilde_increments)
 
 

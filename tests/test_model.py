@@ -111,7 +111,7 @@ def test_single_step_closed_form():
     vols = volatility_paths(b, p, g)
     x = log_price_paths(b, vols, env, p)
     increment = ((0.02 - 0.5 * 0.3**2) * 0.25
-                 + 0.3 * (-0.6 * b.w_paths[:, 0]
+                 + 0.3 * (-0.6 * b.w_increments[:, 0]
                           + np.sqrt(1 - 0.6**2) * b.w_tilde_increments[:, 0]))
     assert np.array_equal(x[:, 0], np.log(50.0) + increment)
 
@@ -127,12 +127,11 @@ def test_scheme_matches_stepwise_recomputation(grid):
     # independent per-path loop over steps
     orth = np.sqrt(1.0 - p.rho**2)
     times = np.concatenate([[0.0], grid.times])
-    w = np.concatenate([np.zeros((500, 1)), b.w_paths], axis=1)
     expected = np.full(500, np.log(120.0))
     for k in range(grid.n):
         sig = vols.sigma_paths[:, k - 1] if k > 0 else np.full(500, p.sigma0)
         dt = times[k + 1] - times[k]
-        dw = w[:, k + 1] - w[:, k]
+        dw = b.w_increments[:, k]
         expected = expected + (env.rate - 0.5 * sig**2) * dt \
             + sig * (p.rho * dw + orth * b.w_tilde_increments[:, k])
         assert_allclose(x[:, k], expected, rtol=1e-13, atol=1e-13)

@@ -250,10 +250,11 @@ def test_chain_estimates_requires_known_estimator(rough_setup):
 
 def reference_conditional(vols, bundle, env, options):
     """The conditional estimator written out per option: concatenated left-point
-    volatilities, differenced W and one full Black-Scholes pass for every quote."""
+    volatilities, the Wiener increments and one full Black-Scholes pass for every
+    quote."""
     sigma = vols.sigma_paths
     n_paths, n = sigma.shape
-    dw = np.diff(bundle.w_paths, axis=1, prepend=0.0)
+    dw = bundle.w_increments
     sig_left = np.concatenate([np.full((n_paths, 1), vols.params.sigma0),
                                sigma[:, : n - 1]], axis=1)
     cum_var = np.cumsum(sig_left**2 * vols.grid.deltas, axis=1)
