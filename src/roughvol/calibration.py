@@ -4,10 +4,11 @@ The objective G(Theta) = sum_i w_i (C_i^Theta - C_i^mkt)^2 is a Monte-Carlo quan
 evaluated naively it is noisy and finite-difference Jacobians are meaningless. The
 calibrator therefore freezes the standard-normal draws once per run (common random
 numbers): each new Hurst index gets its joint covariance, its Cholesky factor and the
-frozen draws pushed through it, and the resulting paths are kept until the next new H,
-making Theta -> G a deterministic, smooth function of the parameters. Evaluations at
-an unchanged H reuse those paths, and no parameter vector is priced twice by the
-optimizers; every reuse is exact, so results are what full re-evaluation would give.
+frozen draws pushed through it, making Theta -> G a deterministic, smooth function of
+the parameters. The paths are kept one path block at a time, each until a call at
+another H rebuilds that block. Evaluations at an unchanged H reuse them, and no
+parameter vector is priced twice by the optimizers; every reuse is exact, so results
+are what full re-evaluation would give.
 
 The global stage is a small genetic algorithm over the bounded box (tournament
 selection of size 3, per-gene blend crossover, Gaussian mutation with sigma = 5% of the
@@ -24,8 +25,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import least_squares
 
-from .fbm import (PATH_BLOCK, PathBundle, TimeGrid, build_joint_covariance,
-                  draw_normal_bundle, parallel_map, transform_normals)
+from .fbm import (PATH_BLOCK, PathBundle, TimeGrid, _block_count,
+                  build_joint_covariance, draw_normal_bundle, parallel_map,
+                  transform_normals)
 from .market import OptionStructure
 from .model import PARAM_NAMES, ModelParams
 from .pricing import _block_estimates
@@ -117,6 +119,9 @@ class CalibrationConfig:
             raise ValueError("path_count and steps_per_year must be positive")
         if self.model_variant not in MODEL_VARIANTS:
             raise ValueError(f"unknown model variant {self.model_variant!r}")
+        # at most half the bound width, a step flipped at the upper bound stays in the box
+        if not 0.0 < self.fd_rel_step <= 0.5:
+            raise ValueError("fd_rel_step must lie in (0, 0.5]")
 
     def effective_bounds(self) -> ParamBounds:
         """Variant-specific bound collapse: one code path for all four model variants."""
@@ -184,11 +189,14 @@ class FrozenPricer:
 
     Construction draws the normals once (per config seed) on the union grid of the
     chain's maturities and scales the orthogonal draws by sqrt(dt) once, since they do
-    not depend on H. The paths of the last Hurst index are cached as one bundle per
-    PATH_BLOCK row slice: a call at a new H builds its covariance and transforms each
-    slice, a call at the same H reuses the bundles. Prices pool the per-block
-    estimates of the pricing block kernel, as fresh-draw pricing does, pricing one
-    block after another. Thread count affects wall time only.
+    not depend on H. Paths are cached per PATH_BLOCK row slice of the draws, each
+    slice as one (H, bundle) entry. A call passes the pricing block kernel a
+    ``bundle_of`` that returns block b's cached bundle when its H is the call's; else
+    it drops the entry, transforms the slice under the call's covariance (built once,
+    on the call's first miss) and stores the new bundle. So a call at a new H holds
+    one path set, and calls sharing the pricer across threads hold one block in
+    flight each. Every call prices only bundles of its own H, so a cached price equals
+    a fresh pricer's exactly. Thread count affects wall time only.
     """
 
     def __init__(self, structure: OptionStructure, config: CalibrationConfig):
@@ -202,24 +210,30 @@ class FrozenPricer:
         self._sqrt_w = np.sqrt(structure.weights)
         self._closes = structure.closes
         self._options = structure.options
-        self._path_cache: tuple[float, list[PathBundle]] | None = None
-
-    def _paths(self, H: float) -> list[PathBundle]:
-        cache = self._path_cache  # snapshot: parallel evaluations may swap the cache
-        if cache is not None and cache[0] == H:
-            return cache[1]
-        self._path_cache = None  # release the old paths before building new ones
-        cov = build_joint_covariance(self.grid, H)
-        bundles = [transform_normals(self._z[lo:lo + PATH_BLOCK],
-                                     self._w_tilde[lo:lo + PATH_BLOCK], cov)
-                   for lo in range(0, self.config.path_count, PATH_BLOCK)]
-        self._path_cache = (H, bundles)
-        return bundles
+        # (H, bundle) of each PATH_BLOCK row slice, as the last call that needed it left it
+        self._blocks: list[tuple[float, PathBundle] | None] = [None] * _block_count(
+            config.path_count)
 
     def prices(self, theta) -> np.ndarray:
         params = theta if isinstance(theta, ModelParams) else ModelParams.from_array(theta)
-        bundles = self._paths(params.H)
-        estimates = _block_estimates(bundles.__getitem__, len(bundles), params,
+        H = params.H
+        cov = None
+
+        def bundle_of(b: int) -> PathBundle:
+            nonlocal cov
+            entry = self._blocks[b]  # one read: other threads may replace the entry
+            if entry is not None and entry[0] == H:
+                return entry[1]
+            # drop the old block, and the local reference, before building its successor
+            self._blocks[b] = entry = None
+            if cov is None:
+                cov = build_joint_covariance(self.grid, H)
+            rows = slice(b * PATH_BLOCK, (b + 1) * PATH_BLOCK)
+            bundle = transform_normals(self._z[rows], self._w_tilde[rows], cov)
+            self._blocks[b] = (H, bundle)
+            return bundle
+
+        estimates = _block_estimates(bundle_of, len(self._blocks), params,
                                      self.structure.env, self._options)
         return np.array([e.price for e in estimates])
 

@@ -69,8 +69,9 @@ __all__ = [
     "derive_seed",
 ]
 
-#: fixed path-block size; the unit of RNG-stream derivation, parallel dispatch and
-#: pricing: every price pools per-block estimates, one block in memory per worker.
+#: fixed path-block size; the unit of RNG-stream derivation, parallel dispatch,
+#: pricing and the frozen pricer's path cache: every price pools per-block estimates,
+#: with one block in flight per worker.
 PATH_BLOCK = 4096
 
 #: escalating diagonal jitter schedule for nearly rank-deficient covariance matrices.

@@ -16,9 +16,10 @@ A whole option chain is priced on one simulation grid, the union of a regular gr
 every quoted maturity; each option reads the paths truncated to its own maturity node.
 Every Monte-Carlo price comes from one block kernel, `_block_estimates`: each
 PATH_BLOCK of paths is priced on its own and the per-block estimates are pooled in
-block order. Fresh-draw pricing samples each block in the kernel and drops it, so
-memory grows with the worker count, not the path count; calibration passes its cached
-frozen-noise blocks.
+block order. The kernel asks a ``bundle_of(b)`` for each block. Fresh-draw pricing
+samples the block there and drops it once priced, so memory grows with the worker
+count, not the path count; calibration's frozen-noise pricer returns its cached
+block, or transforms the block's frozen draws at a new H and caches the result.
 """
 from __future__ import annotations
 

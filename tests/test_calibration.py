@@ -14,6 +14,7 @@ from roughvol.calibration import (
     CalibrationConfig,
     FrozenPricer,
     ParamBounds,
+    _evaluate_all,
     _fd_jacobian,
     _ga_minimize,
     calibrate,
@@ -77,6 +78,8 @@ def test_bounds_validation():
 @pytest.mark.parametrize("kwargs", [
     dict(ga_population=0), dict(ga_generations=-1), dict(obj_tol=0.0),
     dict(path_count=0), dict(model_variant="heston"),
+    dict(fd_rel_step=0.0), dict(fd_rel_step=-1e-4), dict(fd_rel_step=float("nan")),
+    dict(fd_rel_step=0.6),
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
@@ -175,6 +178,42 @@ def test_frozen_pricer_memory_does_not_grow_with_block_count():
     small = _cached_prices_peak(2 * PATH_BLOCK)
     large = _cached_prices_peak(8 * PATH_BLOCK)
     assert large <= 1.25 * small
+
+
+def _block_pricer(n_blocks: int) -> FrozenPricer:
+    return FrozenPricer(small_structure(), fast_config(path_count=n_blocks * PATH_BLOCK,
+                                                       steps_per_year=48))
+
+
+def test_new_hurst_call_holds_one_path_set():
+    # a call at a new H replaces the paths block by block, never holding two path sets
+    pricer = _block_pricer(8)
+    tracemalloc.start()
+    try:
+        pricer.prices(THETA)
+        first = tracemalloc.get_traced_memory()[1]
+        pricer.prices(replace(THETA, H=0.12))
+        both = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert both <= 1.1 * first
+
+
+def _generation_peak(threads: int) -> int:
+    pricer = _block_pricer(16)
+    thetas = [replace(THETA, H=h).as_array() for h in (0.1, 0.15, 0.2, 0.25)]
+    tracemalloc.start()
+    try:
+        _evaluate_all(pricer.objective, thetas, threads)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ga_generation_memory_grows_by_blocks():
+    # threads sharing the pricer add one block in flight each, not a path set each:
+    # the ratio is 1.1-1.4 over thread schedules, and 1.6-2.2 with a path set per thread
+    assert _generation_peak(4) <= 1.5 * _generation_peak(1)
 
 
 def test_objective_is_weighted_squared_error():
@@ -381,9 +420,10 @@ def test_pricer_path_cache_is_exact():
         assert np.array_equal(cached.prices(theta), FrozenPricer(s, config).prices(theta))
 
 
-def test_pricer_path_cache_under_thread_contention():
+@pytest.mark.parametrize("path_count", [500, 2 * PATH_BLOCK + 8])
+def test_pricer_path_cache_under_thread_contention(path_count):
     s = small_structure()
-    config = fast_config(path_count=500)
+    config = fast_config(path_count=path_count)
     thetas = [ModelParams(sigma0=0.08, rho=-0.3, H=h, xi=1.0 + 0.1 * (i % 3), alpha=1.0)
               for i, h in enumerate([0.1, 0.2, 0.3] * 8)]
     expected = [FrozenPricer(s, config).prices(t) for t in thetas]
