@@ -95,7 +95,8 @@ def _run_one(structure: OptionStructure, plan: BootstrapPlan,
     resample_seed, calib_seed, reprice_seed = plan.seeds_for(j)
     sample = bootstrap_structure(structure, resample_seed)
     config_j = dc_replace(plan.config, seed=calib_seed, threads=1)
-    result = local_refine(overall_theta, sample.structure, config_j)
+    result = local_refine(overall_theta,
+                          FrozenPricer(sample.structure, config_j).residuals, config_j)
     reprice_config = dc_replace(plan.config, seed=reprice_seed, threads=1)
     prices = FrozenPricer(structure, reprice_config).prices(result.theta)
     return BootCalibration(theta=result.theta, prices=prices,

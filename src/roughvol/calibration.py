@@ -6,9 +6,10 @@ calibrator therefore freezes the standard-normal draws once per run (common rand
 numbers): each new Hurst index gets its joint covariance, its Cholesky factor and the
 frozen draws pushed through it, making Theta -> G a deterministic, smooth function of
 the parameters. The paths are kept one path block at a time, each until a call at
-another H rebuilds that block. Evaluations at an unchanged H reuse them, and no
-parameter vector is priced twice by the optimizers; every reuse is exact, so results
-are what full re-evaluation would give.
+another H rebuilds that block, and evaluations at an unchanged H reuse them. The
+pricer also remembers the prices of every parameter vector it has priced, so no
+vector is priced twice by the optimizers. Every reuse is exact, so results are what
+full re-evaluation would give.
 
 The global stage is a small genetic algorithm over the bounded box (tournament
 selection of size 3, per-gene blend crossover, Gaussian mutation with sigma = 5% of the
@@ -20,7 +21,7 @@ reinstated exactly on output.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -69,6 +70,12 @@ class ParamBounds:
             raise ValueError("bounds must cover the 5 model parameters")
         if np.any(lower > upper):
             raise ValueError("lower bounds must not exceed upper bounds")
+        # the box is a product of intervals: if both corners are valid, so is every point
+        for corner in (lower, upper):
+            try:
+                ModelParams.from_array(corner)
+            except ValueError as exc:
+                raise ValueError(f"bounds leave the model's domain: {exc}") from None
 
     @classmethod
     def default(cls) -> "ParamBounds":
@@ -197,6 +204,11 @@ class FrozenPricer:
     one path set, and calls sharing the pricer across threads hold one block in
     flight each. Every call prices only bundles of its own H, so a cached price equals
     a fresh pricer's exactly. Thread count affects wall time only.
+
+    ``prices`` always does the work. ``priced`` returns the prices of a parameter
+    vector from a memo keyed by its bytes, calling ``prices`` on the vector's first
+    use; ``residuals`` and ``objective`` read through it, so the optimizers price each
+    vector once.
     """
 
     def __init__(self, structure: OptionStructure, config: CalibrationConfig):
@@ -213,6 +225,7 @@ class FrozenPricer:
         # (H, bundle) of each PATH_BLOCK row slice, as the last call that needed it left it
         self._blocks: list[tuple[float, PathBundle] | None] = [None] * _block_count(
             config.path_count)
+        self._memo: dict[bytes, np.ndarray] = {}  # theta.tobytes() -> prices
 
     def prices(self, theta) -> np.ndarray:
         params = theta if isinstance(theta, ModelParams) else ModelParams.from_array(theta)
@@ -237,12 +250,19 @@ class FrozenPricer:
                                      self.structure.env, self._options)
         return np.array([e.price for e in estimates])
 
-    def weighted_errors(self, prices: np.ndarray) -> np.ndarray:
-        """The residual vector sqrt(w_i) (C_i - C_i^mkt) of given model prices."""
-        return self._sqrt_w * (prices - self._closes)
+    def priced(self, theta) -> np.ndarray:
+        """Memoised ``prices``: each parameter vector is priced once per pricer."""
+        if isinstance(theta, ModelParams):
+            theta = theta.as_array()
+        key = np.asarray(theta, dtype=float).tobytes()
+        # threads racing on one new vector may each price it, to the same bits
+        if key not in self._memo:
+            self._memo[key] = self.prices(theta)
+        return self._memo[key]
 
     def residuals(self, theta) -> np.ndarray:
-        return self.weighted_errors(self.prices(theta))
+        """The residual vector sqrt(w_i) (C_i - C_i^mkt) at ``theta``."""
+        return self._sqrt_w * (self.priced(theta) - self._closes)
 
     def objective(self, theta) -> float:
         r = self.residuals(theta)
@@ -293,14 +313,14 @@ def _ga_minimize(config: CalibrationConfig, objective_fn):
     return best_theta, history
 
 
-def _fd_jacobian(residual_fn, x, r0, steps, lower, upper, order=None):
+def _fd_jacobian(residual_fn, x, r0, steps, lower, upper, order):
     """One-sided finite differences, step flipped at the upper bound.
 
-    ``order`` is the order in which columns are evaluated (default: left to right);
-    each column depends on its own step only, so the matrix does not depend on it.
+    ``order`` is the order in which columns are evaluated; each column depends on its
+    own step only, so the matrix does not depend on it.
     """
     jac = np.empty((r0.size, x.size))
-    for k in range(x.size) if order is None else order:
+    for k in order:
         h = steps[k]
         if x[k] + h > upper[k]:
             h = -h
@@ -310,40 +330,18 @@ def _fd_jacobian(residual_fn, x, r0, steps, lower, upper, order=None):
     return jac
 
 
-def local_refine(start: ModelParams, structure: OptionStructure | None,
-                 config: CalibrationConfig, residual_fn=None,
-                 pricer: FrozenPricer | None = None,
-                 priced: dict | None = None) -> CalibrationResult:
-    """Bound-constrained least squares from ``start`` under frozen noise.
+def local_refine(start: ModelParams, residual_fn,
+                 config: CalibrationConfig) -> CalibrationResult:
+    """Bound-constrained least squares on ``residual_fn`` from ``start``.
 
-    Stops when the objective improvement falls below obj_tol or the step norm below
+    ``residual_fn`` maps a full parameter array to its residual vector and is called
+    again at points already seen (``FrozenPricer.residuals`` prices each once). Stops
+    when the objective improvement falls below obj_tol or the step norm below
     step_tol; the final objective never exceeds the starting one. Fixed (collapsed)
-    parameters are excluded from the optimization vector and reported unchanged.
-    Each parameter vector is evaluated once: the optimizer's first point, the base
-    point of every Jacobian and the final point reuse earlier evaluations, and the
-    fit metrics come from the final point's prices. ``priced`` maps
-    ``theta.tobytes()`` to prices the pricer has already computed.
+    parameters are excluded from the optimization vector and reported unchanged. The
+    result carries no fit metrics.
     """
     bounds = config.effective_bounds()
-    if residual_fn is None and pricer is None:
-        pricer = FrozenPricer(structure, config)
-    priced = {} if priced is None else priced
-    residuals: dict[bytes, np.ndarray] = {}
-
-    def prices_at(theta: np.ndarray) -> np.ndarray:
-        key = theta.tobytes()
-        if key not in priced:
-            priced[key] = pricer.prices(theta)
-        return priced[key]
-
-    def evaluate(theta: np.ndarray) -> np.ndarray:
-        if residual_fn is None:
-            return pricer.weighted_errors(prices_at(theta))
-        key = theta.tobytes()
-        if key not in residuals:
-            residuals[key] = np.asarray(residual_fn(theta), dtype=float)
-        return residuals[key]
-
     theta0 = bounds.clip(start.as_array())
     free = bounds.free
     fixed_template = theta0.copy()
@@ -354,15 +352,14 @@ def local_refine(start: ModelParams, structure: OptionStructure | None,
         return theta
 
     def res(x: np.ndarray) -> np.ndarray:
-        return evaluate(assemble(x))
+        return residual_fn(assemble(x))
 
     def result(theta: np.ndarray, objective: float, diagnostics: dict) -> CalibrationResult:
-        metrics = fit_metrics(prices_at(theta), structure) if pricer else None
         return CalibrationResult(theta=ModelParams.from_array(theta), objective=objective,
-                                 metrics=metrics, iterations={"local": diagnostics},
+                                 metrics=None, iterations={"local": diagnostics},
                                  seed=config.seed)
 
-    start_res = evaluate(theta0)
+    start_res = residual_fn(theta0)
     start_obj = float(start_res @ start_res)
     if not np.isfinite(start_obj):
         raise ValueError(f"objective is not finite at the starting point: {start_obj}")
@@ -385,7 +382,7 @@ def local_refine(start: ModelParams, structure: OptionStructure | None,
     ls = least_squares(res, x0, jac=jac, bounds=(lb, ub), method="trf",
                        ftol=config.obj_tol, xtol=config.step_tol, gtol=None)
     theta_arr = assemble(ls.x)
-    final_res = evaluate(theta_arr)
+    final_res = residual_fn(theta_arr)
     final_obj = float(final_res @ final_res)
     if final_obj > start_obj:  # keep the descent contract even if trf's last trial lost
         theta_arr, final_obj = theta0, start_obj
@@ -398,16 +395,10 @@ def local_refine(start: ModelParams, structure: OptionStructure | None,
 def calibrate(structure: OptionStructure, config: CalibrationConfig) -> CalibrationResult:
     """Global genetic search followed by local refinement, one frozen path bundle."""
     pricer = FrozenPricer(structure, config)
-    priced: dict[bytes, np.ndarray] = {}
-
-    def objective(theta: np.ndarray) -> float:
-        prices = priced[theta.tobytes()] = pricer.prices(theta)
-        r = pricer.weighted_errors(prices)
-        return float(r @ r)
-
-    best_theta, history = _ga_minimize(config, objective)
+    best_theta, history = _ga_minimize(config, pricer.objective)
     start = ModelParams.from_array(best_theta)
-    result = local_refine(start, structure, config, pricer=pricer, priced=priced)
+    result = local_refine(start, pricer.residuals, config)
+    result.metrics = fit_metrics(pricer.priced(result.theta), structure)
     result.iterations["ga_best_per_generation"] = history
     result.iterations["ga_start"] = {name: getattr(start, name) for name in PARAM_NAMES}
     return result

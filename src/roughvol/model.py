@@ -37,14 +37,14 @@ class ModelParams:
     alpha: float
 
     def __post_init__(self):
-        if self.sigma0 <= 0.0:
-            raise ValueError(f"sigma0 must be positive, got {self.sigma0}")
+        if not 0.0 < self.sigma0 < np.inf:
+            raise ValueError(f"sigma0 must be positive and finite, got {self.sigma0}")
         if not -1.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must lie in [-1, 1], got {self.rho}")
         if not 0.0 < self.H < 1.0:
             raise ValueError(f"H must lie in (0, 1), got {self.H}")
-        if self.xi <= 0.0:
-            raise ValueError(f"xi must be positive, got {self.xi}")
+        if not 0.0 < self.xi < np.inf:
+            raise ValueError(f"xi must be positive and finite, got {self.xi}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
 
@@ -64,10 +64,10 @@ class MarketEnv:
     rate: float = 0.0
 
     def __post_init__(self):
-        if self.spot <= 0.0:
-            raise ValueError(f"spot must be positive, got {self.spot}")
-        if self.rate < 0.0:
-            raise ValueError(f"rate must be nonnegative, got {self.rate}")
+        if not 0.0 < self.spot < np.inf:
+            raise ValueError(f"spot must be positive and finite, got {self.spot}")
+        if not 0.0 <= self.rate < np.inf:
+            raise ValueError(f"rate must be nonnegative and finite, got {self.rate}")
 
 
 @dataclass(eq=False)

@@ -8,9 +8,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from roughvol.calibration import (
+    MODEL_VARIANTS,
     CalibrationConfig,
     FrozenPricer,
     ParamBounds,
@@ -73,6 +76,17 @@ def test_bounds_validation():
         ParamBounds(lower=np.zeros(4), upper=np.ones(4))
     with pytest.raises(ValueError):
         ParamBounds(lower=np.ones(5), upper=np.zeros(5))
+    default = ParamBounds.default()
+    for i, value in [(0, np.nan), (3, np.inf), (2, 0.0), (0, -0.1)]:
+        lower = default.lower.copy()
+        lower[i] = value
+        with pytest.raises(ValueError):
+            ParamBounds(lower=lower, upper=default.upper)
+    for i, value in [(0, np.nan), (3, np.inf), (4, 1.5), (1, np.nan)]:
+        upper = default.upper.copy()
+        upper[i] = value
+        with pytest.raises(ValueError):
+            ParamBounds(lower=default.lower, upper=upper)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -310,8 +324,7 @@ def linear_residuals(target):
 def test_local_refine_converges_to_interior_minimum():
     target = np.array([0.10, -0.50, 0.15, 1.50, 0.50])
     start = ModelParams(sigma0=0.05, rho=-0.9, H=0.08, xi=2.5, alpha=0.9)
-    result = local_refine(start, None, fast_config(),
-                          residual_fn=linear_residuals(target))
+    result = local_refine(start, linear_residuals(target), fast_config())
     assert_allclose(result.theta.as_array(), target, atol=1e-6)
     assert result.objective < 1e-9
     assert result.metrics is None
@@ -320,8 +333,7 @@ def test_local_refine_converges_to_interior_minimum():
 def test_local_refine_from_bound_start():
     target = np.array([0.10, -0.50, 0.15, 1.50, 0.50])
     start = ModelParams(sigma0=0.20, rho=-0.05, H=0.25, xi=3.0, alpha=1.0)  # corner
-    result = local_refine(start, None, fast_config(),
-                          residual_fn=linear_residuals(target))
+    result = local_refine(start, linear_residuals(target), fast_config())
     assert_allclose(result.theta.as_array(), target, atol=1e-6)
 
 
@@ -329,16 +341,14 @@ def test_local_refine_minimum_on_bound():
     # unconstrained optimum has alpha = 1.4; the box clips it at 1.0
     target = np.array([0.10, -0.50, 0.15, 1.50, 1.4])
     start = ModelParams(sigma0=0.10, rho=-0.50, H=0.15, xi=1.50, alpha=0.1)
-    result = local_refine(start, None, fast_config(),
-                          residual_fn=linear_residuals(target))
+    result = local_refine(start, linear_residuals(target), fast_config())
     assert result.theta.alpha == pytest.approx(1.0, abs=1e-9)
 
 
 def test_local_refine_never_worsens_objective():
     target = np.array([0.10, -0.50, 0.15, 1.50, 0.50])
     start = ModelParams(sigma0=0.10, rho=-0.50, H=0.15, xi=1.50, alpha=0.50)
-    result = local_refine(start, None, fast_config(),
-                          residual_fn=linear_residuals(target))
+    result = local_refine(start, linear_residuals(target), fast_config())
     assert result.objective == pytest.approx(0.0, abs=1e-15)
     assert_allclose(result.theta.as_array(), target, atol=1e-9)
 
@@ -346,24 +356,43 @@ def test_local_refine_never_worsens_objective():
 def test_local_refine_keeps_variant_fixed_values():
     target = np.array([0.10, -0.50, 0.15, 1.50, 0.50])
     start = ModelParams(sigma0=0.12, rho=-0.40, H=0.20, xi=1.0, alpha=0.7)
-    result = local_refine(start, None, fast_config(model_variant="RFSV"),
-                          residual_fn=linear_residuals(target))
+    result = local_refine(start, linear_residuals(target),
+                          fast_config(model_variant="RFSV"))
     assert result.theta.alpha == 0.0  # pinned exactly, despite the pull toward 0.5
     assert abs(result.theta.sigma0 - 0.10) < 1e-6
 
 
 def test_local_refine_all_parameters_fixed():
     bounds = ParamBounds(lower=THETA.as_array(), upper=THETA.as_array())
-    result = local_refine(THETA, None, fast_config(bounds=bounds),
-                          residual_fn=lambda t: np.array([1.0]))
+    result = local_refine(THETA, lambda t: np.array([1.0]), fast_config(bounds=bounds))
     assert result.theta == THETA
     assert result.iterations["local"]["message"] == "all parameters fixed"
 
 
 def test_local_refine_rejects_non_finite_start():
     with pytest.raises(ValueError, match="not finite"):
-        local_refine(THETA, None, fast_config(),
-                     residual_fn=lambda t: np.array([np.nan]))
+        local_refine(THETA, lambda t: np.array([np.nan]), fast_config())
+
+
+BOX = ParamBounds.default()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(variant=st.sampled_from(MODEL_VARIANTS),
+       target=st.tuples(*(st.floats(lo - w, hi + w)
+                          for lo, hi, w in zip(BOX.lower, BOX.upper, BOX.width))),
+       start=st.tuples(*(st.floats(lo, hi) for lo, hi in zip(BOX.lower, BOX.upper))))
+def test_local_refine_stays_in_box_and_descends(variant, target, start):
+    config = fast_config(model_variant=variant)
+    bounds = config.effective_bounds()
+    fn = linear_residuals(np.array(target))
+    result = local_refine(ModelParams.from_array(start), fn, config)
+    theta = result.theta.as_array()
+    assert np.all(bounds.lower <= theta) and np.all(theta <= bounds.upper)
+    fixed = ~bounds.free
+    assert np.array_equal(theta[fixed], bounds.lower[fixed])
+    r0, r = fn(bounds.clip(np.array(start))), fn(theta)
+    assert result.objective == float(r @ r) <= float(r0 @ r0)
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +467,25 @@ def test_pricer_path_cache_under_thread_contention(path_count):
     assert all(np.array_equal(g, e) for g, e in zip(got, expected))
 
 
+def test_pricer_memo_under_thread_contention():
+    s = small_structure()
+    config = fast_config()
+    # 12 distinct vectors, each twice
+    thetas = [np.array([0.08, -0.3, h, 1.0 + 0.1 * (i % 4), 1.0])
+              for i, h in enumerate([0.1, 0.2, 0.3] * 8)]
+    expected = [FrozenPricer(s, config).residuals(t) for t in thetas]
+    shared = FrozenPricer(s, config)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(shared.residuals, thetas, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+    assert len(shared._memo) == len({t.tobytes() for t in thetas})
+
+
 def analytic_objective(calls):
     """Weighted squared distance to a fixed point, in plain float arithmetic."""
     target = [0.10, -0.50, 0.15, 1.50, 0.50]
@@ -463,16 +511,18 @@ def test_ga_prices_elites_once(threads):
                        0.03629673112551746, 0.02197607067743578]
 
 
-def test_local_refine_evaluates_each_point_once():
+def test_local_refine_evaluates_each_point_once(monkeypatch):
     seen = []
-    inner = linear_residuals(np.array([0.10, -0.50, 0.15, 1.50, 0.50]))
+    real_prices = FrozenPricer.prices
 
-    def counting(theta):
-        seen.append(np.array(theta))
-        return inner(theta)
+    def counting(self, theta):
+        seen.append(np.array(theta, dtype=float))
+        return real_prices(self, theta)
 
+    monkeypatch.setattr(FrozenPricer, "prices", counting)
     start = ModelParams(sigma0=0.05, rho=-0.9, H=0.08, xi=2.5, alpha=0.9)
-    result = local_refine(start, None, fast_config(), residual_fn=counting)
+    pricer = FrozenPricer(small_structure(), fast_config())
+    result = local_refine(start, pricer.residuals, fast_config())
     local = result.iterations["local"]
     assert all(not np.array_equal(a, b) for a, b in zip(seen, seen[1:]))
     assert len({t.tobytes() for t in seen}) == len(seen)
@@ -480,9 +530,11 @@ def test_local_refine_evaluates_each_point_once():
     assert len(seen) == local["nfev"] + 5 * local["njev"]
 
 
-def test_calibrate_prices_each_parameter_vector_once(monkeypatch):
+@pytest.mark.parametrize("threads", [1, 2])
+def test_calibrate_prices_each_parameter_vector_once(monkeypatch, threads):
     s = small_structure()
-    config = fast_config(model_variant="rBergomi", ga_population=6, ga_generations=2)
+    config = fast_config(model_variant="rBergomi", ga_population=6, ga_generations=2,
+                         threads=threads)
     seen = []
     real_prices = FrozenPricer.prices
 
@@ -506,7 +558,7 @@ def test_fd_jacobian_independent_of_column_order():
     steps = np.full(4, 1e-4)
     lower, upper = np.zeros(4) - 2.0, np.array([2.0, 2.0, 0.15, 2.0])  # x[2] on its bound
     r0 = residual_fn(x)
-    reference = _fd_jacobian(residual_fn, x, r0, steps, lower, upper)
+    reference = _fd_jacobian(residual_fn, x, r0, steps, lower, upper, range(4))
     for order in ([3, 2, 1, 0], [0, 1, 3, 2], [2, 0, 3, 1]):
         assert np.array_equal(_fd_jacobian(residual_fn, x, r0, steps, lower, upper, order),
                               reference)

@@ -212,6 +212,18 @@ def test_bootstrap_rerun_is_byte_identical(pipeline, tmp_path):
         pipeline / "bootstrap.json").read_bytes()
 
 
+def test_calibrate_threads_byte_identical(pipeline, tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out, threads in ((a, "1"), (b, "4")):
+        run_cli(["calibrate", "--chain", str(pipeline / "chain.csv"),
+                 "--variant", "rBergomi", "--ga-population", "8", "--ga-generations", "1",
+                 "--path-count", "800", "--steps-per-year", "12", "--seed", "3",
+                 "--threads", threads, "--out", str(out)])
+    for name in ("calibration.json", "calibration_row.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+        assert (a / name).read_bytes() == (pipeline / name).read_bytes()
+
+
 def test_artifact_writes_leave_no_tmp_files(pipeline, tmp_path):
     run_cli(["price", "--chain", str(pipeline / "chain.csv"),
              "--params", str(pipeline / "chain.truth.json"),
@@ -296,6 +308,20 @@ def test_missing_required_input_reports_json(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError"
     assert "chain" in err["message"]
+
+
+@pytest.mark.parametrize("flag,value", [("--sigma0", "nan"), ("--xi", "inf")])
+def test_non_finite_parameter_reports_json(pipeline, tmp_path, capsys, flag, value):
+    argv = list(TRUTH_FLAGS)
+    argv[argv.index(flag) + 1] = value
+    rc = main(["price", "--chain", str(pipeline / "chain.csv"), *argv,
+               "--path-count", "300", "--steps-per-year", "12", "--threads", "1",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert flag.lstrip("-") in err["message"]
+    assert not (tmp_path / "prices.csv").exists()
 
 
 def test_missing_chain_file_reports_json(tmp_path, capsys):

@@ -31,6 +31,9 @@ def test_params_round_trip():
     dict(sigma0=0.0), dict(sigma0=-0.1), dict(rho=-1.5), dict(rho=1.0001),
     dict(H=0.0), dict(H=1.0), dict(xi=0.0), dict(xi=-1.0),
     dict(alpha=-0.1), dict(alpha=1.1),
+    *({name: value} for name in ("sigma0", "rho", "H", "xi", "alpha")
+      for value in (float("nan"), float("inf"))),
+    dict(rho=float("-inf")),
 ])
 def test_params_validation(kwargs):
     base = dict(sigma0=0.1, rho=-0.3, H=0.2, xi=1.0, alpha=0.5)
@@ -45,6 +48,9 @@ def test_market_env_validation():
         MarketEnv(spot=0.0)
     with pytest.raises(ValueError):
         MarketEnv(spot=100.0, rate=-0.01)
+    for spot, rate in [(np.nan, 0.0), (np.inf, 0.0), (100.0, np.nan), (100.0, np.inf)]:
+        with pytest.raises(ValueError):
+            MarketEnv(spot=spot, rate=rate)
 
 
 # ---------------------------------------------------------------------------
