@@ -14,7 +14,7 @@ from .fbm import (FactorizationError, JointCovariance, PathBundle, TimeGrid,
 from .model import MarketEnv, ModelParams, PARAM_NAMES, VolPathSet, log_price_paths, \
     volatility_paths
 from .pricing import (ChainPricingRequest, PriceEstimate, black_scholes_call,
-                      chain_estimates, price_call_plain, price_chain)
+                      chain_estimates, price_chain)
 from .market import (ChainFormatError, OptionQuote, OptionStructure, compute_weights,
                      load_chain, write_chain)
 from .calibration import (CalibrationConfig, CalibrationResult, FitMetrics,
@@ -39,8 +39,8 @@ __all__ = [
     "ModelParams", "MarketEnv", "VolPathSet", "PARAM_NAMES", "volatility_paths",
     "log_price_paths",
     # pricing
-    "PriceEstimate", "ChainPricingRequest", "black_scholes_call", "price_call_plain",
-    "chain_estimates", "price_chain",
+    "PriceEstimate", "ChainPricingRequest", "black_scholes_call", "chain_estimates",
+    "price_chain",
     # market
     "OptionQuote", "OptionStructure", "ChainFormatError", "load_chain", "write_chain",
     "compute_weights",

@@ -20,6 +20,7 @@ from .calibration import CalibrationConfig, FrozenPricer, local_refine
 from .fbm import derive_seed, parallel_map
 from .market import OptionStructure
 from .model import PARAM_NAMES, ModelParams
+from .pricing import ChainPricingRequest, price_chain
 
 __all__ = [
     "BootstrapPlan",
@@ -97,9 +98,10 @@ def _run_one(structure: OptionStructure, plan: BootstrapPlan,
     config_j = dc_replace(plan.config, seed=calib_seed, threads=1)
     result = local_refine(overall_theta,
                           FrozenPricer(sample.structure, config_j).residuals, config_j)
-    reprice_config = dc_replace(plan.config, seed=reprice_seed, threads=1)
-    prices = FrozenPricer(structure, reprice_config).prices(result.theta)
-    return BootCalibration(theta=result.theta, prices=prices,
+    estimates = price_chain(ChainPricingRequest(
+        structure.options, structure.env, result.theta, plan.config.path_count,
+        plan.config.steps_per_year, seed=reprice_seed))
+    return BootCalibration(theta=result.theta, prices=np.array([e.price for e in estimates]),
                            indices=sample.indices, seed=calib_seed)
 
 

@@ -112,7 +112,6 @@ class CalibrationConfig:
     path_count: int = 20_000
     steps_per_year: int = 1008
     seed: int = 0
-    weight_rule: str = "inv_spread_sq"
     model_variant: str = "alphaRFSV"
     fd_rel_step: float = 1e-4
     threads: int = 1

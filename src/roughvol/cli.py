@@ -121,6 +121,10 @@ class _Settings:
         return max(1, os.cpu_count() or 1)
 
     @property
+    def weight_rule(self) -> str:
+        return self.get("weight_rule", "inv_spread_sq")
+
+    @property
     def outdir(self) -> Path:
         out = Path(self.get("out", "."))
         out.mkdir(parents=True, exist_ok=True)
@@ -154,12 +158,17 @@ def _resolve_bounds(settings: _Settings) -> ParamBounds:
     overrides = settings.config.get("bounds")
     if not overrides:
         return bounds
+    if not isinstance(overrides, dict):
+        raise ValueError(f"bounds config must map names in {PARAM_NAMES} to [lower, upper]")
     lower, upper = bounds.lower.copy(), bounds.upper.copy()
     for name, pair in overrides.items():
         if name not in PARAM_NAMES:
             raise ValueError(f"unknown parameter {name!r} in bounds config")
+        # type(), not isinstance: JSON true/false would pass as the int 1/0
+        if not (type(pair) is list and len(pair) == 2 and {type(x) for x in pair} <= {int, float}):
+            raise ValueError(f"bounds config for {name!r} must be [lower, upper], got {pair!r}")
         i = PARAM_NAMES.index(name)
-        lower[i], upper[i] = float(pair[0]), float(pair[1])
+        lower[i], upper[i] = pair
     return ParamBounds(lower=lower, upper=upper)
 
 
@@ -174,7 +183,6 @@ def _calibration_config(settings: _Settings) -> CalibrationConfig:
         path_count=int(settings.get("path_count", 20_000)),
         steps_per_year=int(settings.get("steps_per_year", 1008)),
         seed=settings.seed,
-        weight_rule=settings.get("weight_rule", "inv_spread_sq"),
         model_variant=variant,
         fd_rel_step=float(settings.get("fd_rel_step", 1e-4)),
         threads=settings.threads,
@@ -219,7 +227,7 @@ def cmd_synth_chain(args: argparse.Namespace) -> int:
         seed=settings.seed,
         rel_spread=float(settings.get("rel_spread", 0.01)),
         threads=settings.threads,
-        weight_rule=settings.get("weight_rule", "inv_spread_sq"),
+        weight_rule=settings.weight_rule,
         **kwargs,
     )
     outdir = settings.outdir
@@ -238,8 +246,7 @@ def cmd_synth_chain(args: argparse.Namespace) -> int:
 
 def cmd_price(args: argparse.Namespace) -> int:
     settings = _Settings(args)
-    structure = load_chain(settings.require("chain"),
-                           weight_rule=settings.get("weight_rule", "inv_spread_sq"))
+    structure = load_chain(settings.require("chain"), weight_rule=settings.weight_rule)
     theta = _resolve_theta(settings)
     request = ChainPricingRequest(
         options=structure.options, env=structure.env, params=theta,
@@ -263,7 +270,7 @@ _ROW_HEADER = ["day", "sigma0", "rho", "H", "xi", "alpha", "aare", "mare", "wrss
 def cmd_calibrate(args: argparse.Namespace) -> int:
     settings = _Settings(args)
     config = _calibration_config(settings)
-    structure = load_chain(settings.require("chain"), weight_rule=config.weight_rule)
+    structure = load_chain(settings.require("chain"), weight_rule=settings.weight_rule)
     result = calibrate(structure, config)
     outdir = settings.outdir
 
@@ -273,7 +280,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     payload["settings"] = {
         "ga_population": config.ga_population, "ga_generations": config.ga_generations,
         "path_count": config.path_count, "steps_per_year": config.steps_per_year,
-        "weight_rule": config.weight_rule, "seed": config.seed,
+        "weight_rule": settings.weight_rule, "seed": config.seed,
     }
     _atomic_json(outdir / "calibration.json", payload)
 
@@ -289,7 +296,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 def cmd_bootstrap(args: argparse.Namespace) -> int:
     settings = _Settings(args)
     config = _calibration_config(settings)
-    structure = load_chain(settings.require("chain"), weight_rule=config.weight_rule)
+    structure = load_chain(settings.require("chain"), weight_rule=settings.weight_rule)
 
     calibration_file = settings.get("calibration")
     if calibration_file:
@@ -347,8 +354,7 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
 
 def cmd_significance(args: argparse.Namespace) -> int:
     settings = _Settings(args)
-    structure = load_chain(settings.require("chain"),
-                           weight_rule=settings.get("weight_rule", "inv_spread_sq"))
+    structure = load_chain(settings.require("chain"), weight_rule=settings.weight_rule)
     theta_full = ModelParams(**_read_json(settings.require("full"))["theta"])
     theta_restricted = ModelParams(**_read_json(settings.require("restricted"))["theta"])
     result = significance_test(

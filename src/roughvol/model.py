@@ -98,28 +98,61 @@ def volatility_paths(bundle: PathBundle, params: ModelParams, grid: TimeGrid) ->
     return VolPathSet(sigma_paths=sigma, params=params, grid=grid)
 
 
-def log_price_paths(bundle: PathBundle, vols: VolPathSet, env: MarketEnv,
-                    params: ModelParams) -> np.ndarray:
-    """Euler scheme on X = ln S over the grid; returns X at every node (paths x n).
+#: entries per row sub-block of the left-point sums (2 MB of float64 per temporary),
+#: so the temporaries stay in cache at any grid size.
+_CHUNK_ENTRIES = 1 << 18
 
-    X_{k+1} = X_k + (r - sigma_k^2 / 2) dt + sigma_k (rho dW + sqrt(1-rho^2) dW_tilde),
-    with X(0) = ln(spot) handled analytically (the grid excludes t = 0) and the
-    volatility taken at the left endpoint of each step: sigma0 itself for the first
-    step, the path value at the previous node afterwards. The discounted price
-    process this induces is an exact discrete martingale because each Wiener
-    increment is independent of the volatility left of it.
+
+def _left_point_sums(bundle: PathBundle, vols: VolPathSet, nodes, integrand, *args):
+    """Left-endpoint sums over [0, t_k] at each grid node k in ``nodes``.
+
+    Each step uses the volatility at its left endpoint: sigma0 itself (the t = 0
+    value) for the first step, the path value at the previous node afterwards.
+    ``integrand(sig, dw, dw_tilde, dt, *args)`` maps a sub-block of rows of those
+    volatilities, the matching Wiener increments and the step sizes to a tuple of
+    per-step arrays, and may overwrite ``sig``. Each array is summed along each path
+    with one sequential cumsum; one (len(nodes) x paths) array per term is returned.
+    Only one sub-block of full-length temporaries is held at a time.
     """
     _check_grid(bundle, vols.grid)
     sigma = vols.sigma_paths
-    n_paths, n = sigma.shape
-    dt = vols.grid.deltas
-    dw = bundle.w_increments
-    dwt = bundle.w_tilde_increments
-    rho = params.rho
-    orth = np.sqrt(1.0 - rho**2)
-    # left-endpoint volatilities per step: [sigma0, sigma_{t_1}, ..., sigma_{t_{n-1}}]
-    sig_left = np.concatenate(
-        [np.full((n_paths, 1), params.sigma0), sigma[:, : n - 1]], axis=1
-    )
-    increments = (env.rate - 0.5 * sig_left**2) * dt + sig_left * (rho * dw + orth * dwt)
-    return np.log(env.spot) + np.cumsum(increments, axis=1)
+    n_paths = sigma.shape[0]
+    end = max(nodes) + 1
+    dt = vols.grid.deltas[:end]
+    chunk = max(1, _CHUNK_ENTRIES // end)
+    sums = None
+    for lo in range(0, n_paths, chunk):
+        rows = slice(lo, min(lo + chunk, n_paths))
+        sig = np.empty((rows.stop - lo, end))
+        sig[:, 0] = vols.params.sigma0
+        sig[:, 1:] = sigma[rows, : end - 1]
+        steps = integrand(sig, bundle.w_increments[rows, :end],
+                          bundle.w_tilde_increments[rows, :end], dt, *args)
+        if sums is None:
+            sums = [np.empty((len(nodes), n_paths)) for _ in steps]
+        for total, step in zip(sums, steps):
+            np.cumsum(step, axis=1, out=step)
+            total[:, rows] = step[:, nodes].T
+        # free this sub-block before the next one is allocated
+        del sig, steps, step
+    return sums
+
+
+def _log_euler_steps(sig, dw, dwt, dt, rate: float, rho: float):
+    """`_left_point_sums` integrand of the Euler scheme on X = ln S:
+    X_{k+1} - X_k = (r - sigma_k^2 / 2) dt + sigma_k (rho dW + sqrt(1-rho^2) dW_tilde)."""
+    return ((rate - 0.5 * sig**2) * dt + sig * (rho * dw + np.sqrt(1.0 - rho**2) * dwt),)
+
+
+def log_price_paths(bundle: PathBundle, vols: VolPathSet, env: MarketEnv) -> np.ndarray:
+    """Euler scheme on X = ln S over the grid; returns X at every node (paths x n).
+
+    The `_log_euler_steps` increments are summed by `_left_point_sums`, with
+    X(0) = ln(spot) handled analytically (the grid excludes t = 0) and the volatility
+    taken at the left endpoint of each step. The discounted price process this
+    induces is an exact discrete martingale because each Wiener increment is
+    independent of the volatility left of it.
+    """
+    (sums,) = _left_point_sums(bundle, vols, range(vols.grid.n), _log_euler_steps,
+                               env.rate, vols.params.rho)
+    return np.ascontiguousarray(sums.T) + np.log(env.spot)

@@ -7,10 +7,11 @@ path contributes the Black-Scholes value with effective spot
 
     S_eff = S0 * exp(rho * int sigma dW - 1/2 rho^2 int sigma^2 dt)
 
-and effective variance (1 - rho^2) * int sigma^2 dt. Both use the same left-endpoint
-rectangle quadrature as the path scheme, which makes the conditional estimator exactly
-unbiased for the discretized model the plain estimator prices — the two may be compared
-on shared samples at standard-error resolution.
+and effective variance (1 - rho^2) * int sigma^2 dt. Both estimators take their sums
+from the path scheme's left-point kernel, `model._left_point_sums`, on the same
+increments, which makes the conditional estimator exactly unbiased for the discretized
+model the plain estimator prices — the two may be compared on shared samples at
+standard-error resolution.
 
 A whole option chain is priced on one simulation grid, the union of a regular grid and
 every quoted maturity; each option reads the paths truncated to its own maturity node.
@@ -31,21 +32,17 @@ from scipy import special
 
 from .fbm import (JointCovariance, PathBundle, TimeGrid, _block_count,
                   build_joint_covariance, parallel_map, sample_paths)
-from .model import MarketEnv, ModelParams, VolPathSet, log_price_paths, volatility_paths
+from .model import (MarketEnv, ModelParams, VolPathSet, _left_point_sums, _log_euler_steps,
+                    volatility_paths)
 
 __all__ = [
     "PriceEstimate",
     "ChainPricingRequest",
     "black_scholes_call",
-    "price_call_plain",
     "chain_estimates",
     "fresh_estimates",
     "price_chain",
 ]
-
-#: entries per row sub-block of the left-point integrals (2 MB of float64 per
-#: temporary), so the temporaries stay in cache at any grid size.
-_CHUNK_ENTRIES = 1 << 18
 
 ESTIMATORS = ("plain", "conditional_mixed")
 
@@ -109,58 +106,12 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return mean, se
 
 
-def price_call_plain(log_paths: np.ndarray, grid: TimeGrid, strike: float,
-                     maturity: float, env: MarketEnv) -> PriceEstimate:
-    """Discounted average call payoff over simulated terminal prices.
-
-    The maturity must be an exact grid node (chain grids insert every quoted maturity).
-    """
-    idx = grid.index_of(maturity)
-    payoff = np.maximum(np.exp(log_paths[:, idx]) - strike, 0.0)
-    disc = np.exp(-env.rate * maturity)
-    mean, se = _mean_se(disc * payoff)
-    return PriceEstimate(price=mean, std_error=se, estimator="plain",
-                         path_count=log_paths.shape[0])
-
-
-def _left_vol_integrals(vols: VolPathSet, bundle: PathBundle, nodes):
-    """int sigma^2 dt and int sigma dW over [0, t_k] at each node k, left-endpoint rule.
-
-    Returns two (len(nodes) x paths) arrays. The first step uses sigma0 (the t = 0
-    value of the volatility), matching the path scheme exactly. The integrands are
-    summed along each path with one sequential cumsum per sub-block of rows, so only
-    a sub-block of full-length temporaries is ever held.
-    """
-    sigma, dw = vols.sigma_paths, bundle.w_increments
-    n_paths = sigma.shape[0]
-    end = max(nodes) + 1
-    int_var = np.empty((len(nodes), n_paths))
-    int_sdw = np.empty((len(nodes), n_paths))
-    dt = vols.grid.deltas[:end]
-    chunk = max(1, _CHUNK_ENTRIES // end)
-    for lo in range(0, n_paths, chunk):
-        hi = min(lo + chunk, n_paths)
-        cum_var = np.empty((hi - lo, end))
-        cum_sdw = np.empty((hi - lo, end))
-        # left-endpoint volatilities per step: [sigma0, sigma_{t_1}, ..., sigma_{t_{end-2}}]
-        cum_var[:, 0] = vols.params.sigma0
-        cum_var[:, 1:] = sigma[lo:hi, : end - 1]
-        np.multiply(dw[lo:hi, :end], cum_var, out=cum_sdw)
-        np.square(cum_var, out=cum_var)
-        cum_var *= dt
-        np.cumsum(cum_var, axis=1, out=cum_var)
-        np.cumsum(cum_sdw, axis=1, out=cum_sdw)
-        int_var[:, lo:hi] = cum_var[:, nodes].T
-        int_sdw[:, lo:hi] = cum_sdw[:, nodes].T
-    return int_var, int_sdw
-
-
-def _conditional_values(int_var, int_sdw, strikes, maturity: float, env: MarketEnv,
-                        rho: float) -> list[np.ndarray]:
-    """Per-path conditional call values at one maturity node, one array per strike."""
-    eff_spot = env.spot * np.exp(rho * int_sdw - 0.5 * rho**2 * int_var)
-    eff_totvar = (1.0 - rho**2) * int_var
-    return _bs_calls(eff_spot, eff_totvar, strikes, env.rate, maturity)
+def _conditional_steps(sig, dw, dwt, dt):
+    """`_left_point_sums` integrand of the conditional estimator: sigma^2 dt, sigma dW."""
+    sdw = np.multiply(dw, sig)
+    np.square(sig, out=sig)
+    sig *= dt
+    return sig, sdw
 
 
 @dataclass(frozen=True)
@@ -195,27 +146,36 @@ def chain_estimates(bundle: PathBundle, vols: VolPathSet, env: MarketEnv,
                     options, estimator: str = "conditional_mixed") -> list[PriceEstimate]:
     """Price every option from one already-simulated path set (truncated per maturity).
 
-    The default conditional (mixed) estimator averages per-path Black-Scholes values
-    given the W-path. It is unbiased for the same discretized model as the plain
-    estimator and typically far less variable, since only the rho-correlated part of
-    the randomness remains.
+    The left-point sums are formed once, at the maturity nodes only. The plain
+    estimator averages discounted payoffs of the Euler-scheme prices; the default
+    conditional (mixed) one averages per-path Black-Scholes values given the W-path.
+    It is unbiased for the same discretized model and typically far less variable,
+    since only the rho-correlated part of the randomness remains.
     """
-    if estimator == "plain":
-        log_paths = log_price_paths(bundle, vols, env, vols.params)
-        return [price_call_plain(log_paths, vols.grid, k, t, env) for k, t in options]
+    if estimator not in ESTIMATORS:
+        raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
     by_maturity: dict[float, list[int]] = {}
     for i, (_, t) in enumerate(options):
         by_maturity.setdefault(t, []).append(i)
     nodes = [vols.grid.index_of(t) for t in by_maturity]
-    int_var, int_sdw = _left_vol_integrals(vols, bundle, nodes)
+    rho = vols.params.rho
+    if estimator == "plain":
+        (log_sums,) = _left_point_sums(bundle, vols, nodes, _log_euler_steps, env.rate, rho)
+    else:
+        int_var, int_sdw = _left_point_sums(bundle, vols, nodes, _conditional_steps)
     out = [None] * len(options)
     for j, (t, members) in enumerate(by_maturity.items()):
         strikes = [options[i][0] for i in members]
-        per_strike = _conditional_values(int_var[j], int_sdw[j], strikes, t, env,
-                                         vols.params.rho)
+        if estimator == "plain":
+            terminal = np.exp(np.log(env.spot) + log_sums[j])
+            disc = np.exp(-env.rate * t)
+            per_strike = [disc * np.maximum(terminal - k, 0.0) for k in strikes]
+        else:
+            eff_spot = env.spot * np.exp(rho * int_sdw[j] - 0.5 * rho**2 * int_var[j])
+            per_strike = _bs_calls(eff_spot, (1.0 - rho**2) * int_var[j], strikes, env.rate, t)
         for i, values in zip(members, per_strike):
             mean, se = _mean_se(values)
-            out[i] = PriceEstimate(price=mean, std_error=se, estimator="conditional_mixed",
+            out[i] = PriceEstimate(price=mean, std_error=se, estimator=estimator,
                                    path_count=values.size)
     return out
 

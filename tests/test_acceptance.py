@@ -17,7 +17,7 @@ from roughvol.calibration import CalibrationConfig, calibrate
 from roughvol.cli import main as cli_main
 from roughvol.fbm import TimeGrid, build_joint_covariance, sample_paths
 from roughvol.model import MarketEnv, ModelParams, log_price_paths, volatility_paths
-from roughvol.pricing import chain_estimates, price_call_plain
+from roughvol.pricing import chain_estimates
 from roughvol.stats import (ks_two_sample, octile_grouping, sensitivity_analysis,
                             significance_test)
 from roughvol.synth import generate_chain
@@ -79,16 +79,14 @@ def test_03_constant_volatility_recovers_black_scholes():
     cond = chain_estimates(bundle, vols, env, [(100.0, 1.0)])[0]
     assert cond.std_error == 0.0  # every path carries the same conditional value
     assert cond.price == pytest.approx(target, abs=1e-9)
-    logs = log_price_paths(bundle, vols, env, flat)
-    plain = price_call_plain(logs, grid, 100.0, 1.0, env)
+    plain = chain_estimates(bundle, vols, env, [(100.0, 1.0)], estimator="plain")[0]
     assert abs(plain.price - target) <= 3.0 * plain.std_error
 
     # with correlation both estimators stay unbiased, the conditional one noisily so
     tilted = ModelParams(sigma0=0.2, rho=-0.3, H=0.5, xi=1e-300, alpha=0.0)
     vols = volatility_paths(bundle, tilted, grid)
     cond = chain_estimates(bundle, vols, env, [(100.0, 1.0)])[0]
-    logs = log_price_paths(bundle, vols, env, tilted)
-    plain = price_call_plain(logs, grid, 100.0, 1.0, env)
+    plain = chain_estimates(bundle, vols, env, [(100.0, 1.0)], estimator="plain")[0]
     assert abs(cond.price - target) <= 3.0 * cond.std_error
     assert abs(plain.price - target) <= 3.0 * plain.std_error
 
@@ -105,7 +103,7 @@ def test_04_discounted_price_is_martingale(ref_paths):
     grid, bundle = ref_paths
     env = MarketEnv(spot=100.0, rate=0.03)
     vols = volatility_paths(bundle, REF_RBERGOMI, grid)
-    logs = log_price_paths(bundle, vols, env, REF_RBERGOMI)
+    logs = log_price_paths(bundle, vols, env)
     for maturity in (0.25, 1.0):
         s_t = np.exp(logs[:, grid.index_of(maturity)])
         disc = np.exp(-env.rate * maturity) * s_t
@@ -119,9 +117,8 @@ def test_05_conditional_estimator_reduces_variance(ref_paths):
     grid, bundle = ref_paths
     env = MarketEnv(spot=100.0, rate=0.0)
     vols = volatility_paths(bundle, REF_RBERGOMI, grid)
-    logs = log_price_paths(bundle, vols, env, REF_RBERGOMI)
     for strike in (100.0, 120.0):  # at the money and 20% out of the money
-        plain = price_call_plain(logs, grid, strike, 1.0, env)
+        plain = chain_estimates(bundle, vols, env, [(strike, 1.0)], estimator="plain")[0]
         cond = chain_estimates(bundle, vols, env, [(strike, 1.0)])[0]
         ratio = cond.std_error / plain.std_error
         print(f"K={strike:.0f}: SE ratio {ratio:.3f} (informational target <= 0.5)")

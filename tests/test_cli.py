@@ -324,6 +324,34 @@ def test_non_finite_parameter_reports_json(pipeline, tmp_path, capsys, flag, val
     assert not (tmp_path / "prices.csv").exists()
 
 
+@pytest.mark.parametrize("bounds", [{"sigma0": [0.05]}, {"sigma0": [0.05, 0.1, 7]},
+                                    {"sigma0": 0.05}, {"sigma0": [0.05, "0.1"]},
+                                    [[0.05, 0.1]]],
+                         ids=["one", "three", "scalar", "string", "not-a-map"])
+def test_malformed_bounds_config_reports_json(pipeline, tmp_path, capsys, bounds):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"bounds": bounds}))
+    rc = main(["calibrate", "--chain", str(pipeline / "chain.csv"), "--config", str(cfg),
+               "--ga-population", "4", "--ga-generations", "1", "--path-count", "200",
+               "--steps-per-year", "12", "--threads", "1", "--out", str(tmp_path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert "sigma0" in err["message"] and "bounds" in err["message"]
+    assert not (tmp_path / "calibration.json").exists()
+
+
+def test_bounds_config_applies(pipeline, tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"bounds": {"sigma0": [0.05, 0.1], "H": [0.1, 0.2]}}))
+    run_cli(["calibrate", "--chain", str(pipeline / "chain.csv"), "--config", str(cfg),
+             "--ga-population", "4", "--ga-generations", "1", "--path-count", "200",
+             "--steps-per-year", "12", "--threads", "1", "--out", str(tmp_path)])
+    theta = json.loads((tmp_path / "calibration.json").read_text())["theta"]
+    assert 0.05 <= theta["sigma0"] <= 0.1
+    assert 0.1 <= theta["H"] <= 0.2
+
+
 def test_missing_chain_file_reports_json(tmp_path, capsys):
     rc = main(["calibrate", "--chain", str(tmp_path / "nope.csv"),
                "--threads", "1", "--out", str(tmp_path)])

@@ -115,7 +115,7 @@ def test_single_step_closed_form():
     p = ModelParams(sigma0=0.3, rho=-0.6, H=0.2, xi=1.0, alpha=0.0)
     env = MarketEnv(spot=50.0, rate=0.02)
     vols = volatility_paths(b, p, g)
-    x = log_price_paths(b, vols, env, p)
+    x = log_price_paths(b, vols, env)
     increment = ((0.02 - 0.5 * 0.3**2) * 0.25
                  + 0.3 * (-0.6 * b.w_increments[:, 0]
                           + np.sqrt(1 - 0.6**2) * b.w_tilde_increments[:, 0]))
@@ -128,7 +128,7 @@ def test_scheme_matches_stepwise_recomputation(grid):
     p = ModelParams(sigma0=0.12, rho=-0.35, H=0.3, xi=0.9, alpha=0.7)
     env = MarketEnv(spot=120.0, rate=0.01)
     vols = volatility_paths(b, p, grid)
-    x = log_price_paths(b, vols, env, p)
+    x = log_price_paths(b, vols, env)
 
     # independent per-path loop over steps
     orth = np.sqrt(1.0 - p.rho**2)
@@ -154,7 +154,7 @@ def test_discounted_price_is_martingale(H):
                 p = ModelParams(sigma0=0.15, rho=rho, H=H, xi=1.0, alpha=alpha)
                 env = MarketEnv(spot=100.0, rate=rate)
                 vols = volatility_paths(b, p, g)
-                x = log_price_paths(b, vols, env, p)
+                x = log_price_paths(b, vols, env)
                 discounted = np.exp(x[:, -1] - rate * g.horizon)
                 se = discounted.std(ddof=1) / np.sqrt(discounted.size)
                 assert abs(discounted.mean() - 100.0) < 4.0 * se, (H, alpha, rho, rate)
@@ -167,7 +167,7 @@ def test_martingale_holds_at_every_node():
     p = ModelParams(sigma0=0.2, rho=-0.5, H=0.25, xi=1.2, alpha=1.0)
     env = MarketEnv(spot=100.0, rate=0.02)
     vols = volatility_paths(b, p, g)
-    x = log_price_paths(b, vols, env, p)
+    x = log_price_paths(b, vols, env)
     discounted = np.exp(x - env.rate * g.times)
     means = discounted.mean(axis=0)
     ses = discounted.std(axis=0, ddof=1) / np.sqrt(discounted.shape[0])

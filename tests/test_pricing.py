@@ -1,5 +1,6 @@
 """Pricing tests: Black-Scholes reference values, estimator unbiasedness and variance
 reduction, and whole-chain consistency. BS references computed at 30-digit precision."""
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,14 +10,13 @@ from hypothesis import strategies as st
 from scipy import special
 
 from roughvol.fbm import PATH_BLOCK, TimeGrid, build_joint_covariance, sample_paths
-from roughvol.model import MarketEnv, ModelParams, log_price_paths, volatility_paths
+from roughvol.model import MarketEnv, ModelParams, volatility_paths
 from roughvol.pricing import (
     ESTIMATORS,
     ChainPricingRequest,
     PriceEstimate,
     black_scholes_call,
     chain_estimates,
-    price_call_plain,
     price_chain,
     _mean_se,
     _pool_estimates,
@@ -77,8 +77,7 @@ def test_plain_estimator_recovers_black_scholes(flat_setup):
     p = ModelParams(sigma0=0.2, rho=-0.5, H=0.3, xi=1e-300, alpha=0.0)
     env = MarketEnv(spot=100.0, rate=0.01)
     vols = volatility_paths(bundle, p, grid)
-    x = log_price_paths(bundle, vols, env, p)
-    est = price_call_plain(x, grid, 100.0, 1.0, env)
+    est = chain_estimates(bundle, vols, env, [(100.0, 1.0)], estimator="plain")[0]
     target = black_scholes_call(100.0, 100.0, 0.01, 0.2, 1.0)
     assert est.std_error > 0.0
     assert abs(est.price - target) < 3.0 * est.std_error
@@ -124,9 +123,8 @@ def rough_setup():
 
 def test_estimators_agree_on_shared_paths(rough_setup):
     grid, bundle, env, vols = rough_setup
-    x = log_price_paths(bundle, vols, env, FIT_PARAMS)
     for strike in (90.0, 100.0, 110.0):
-        plain = price_call_plain(x, grid, strike, 1.0, env)
+        plain = chain_estimates(bundle, vols, env, [(strike, 1.0)], estimator="plain")[0]
         cond = chain_estimates(bundle, vols, env, [(strike, 1.0)])[0]
         gap = abs(plain.price - cond.price)
         assert gap < 3.0 * np.hypot(plain.std_error, cond.std_error), strike
@@ -135,17 +133,15 @@ def test_estimators_agree_on_shared_paths(rough_setup):
 @pytest.mark.parametrize("strike", [100.0, 120.0])
 def test_conditional_estimator_reduces_variance(rough_setup, strike):
     grid, bundle, env, vols = rough_setup
-    x = log_price_paths(bundle, vols, env, FIT_PARAMS)
-    plain = price_call_plain(x, grid, strike, 1.0, env)
+    plain = chain_estimates(bundle, vols, env, [(strike, 1.0)], estimator="plain")[0]
     cond = chain_estimates(bundle, vols, env, [(strike, 1.0)])[0]
     assert cond.std_error < plain.std_error
 
 
 def test_offgrid_maturity_rejected(rough_setup):
     grid, bundle, env, vols = rough_setup
-    x = log_price_paths(bundle, vols, env, FIT_PARAMS)
     with pytest.raises(ValueError, match="not a grid node"):
-        price_call_plain(x, grid, 100.0, 0.513, env)
+        chain_estimates(bundle, vols, env, [(100.0, 0.513)], estimator="plain")[0]
     with pytest.raises(ValueError, match="not a grid node"):
         chain_estimates(bundle, vols, env, [(100.0, 0.513)])[0]
 
@@ -246,6 +242,8 @@ def test_chain_estimates_requires_known_estimator(rough_setup):
     grid, bundle, env, vols = rough_setup
     single = chain_estimates(bundle, vols, env, ((100.0, 1.0),), estimator="plain")
     assert single[0].estimator == "plain"
+    with pytest.raises(ValueError, match=re.escape(str(ESTIMATORS))):
+        chain_estimates(bundle, vols, env, ((100.0, 1.0),), estimator="plian")
 
 
 def reference_conditional(vols, bundle, env, options):
@@ -367,6 +365,29 @@ def test_price_chain_memory_does_not_grow_with_path_count():
     small = _traced_peak(2 * PATH_BLOCK)
     large = _traced_peak(8 * PATH_BLOCK)
     assert large <= 1.25 * small
+
+
+@pytest.fixture(scope="module")
+def production_block():
+    grid = TimeGrid.with_maturities([0.25, 1.0], 1008)
+    bundle = sample_paths(build_joint_covariance(grid, FIT_PARAMS.H), PATH_BLOCK, seed=6)
+    return bundle, volatility_paths(bundle, FIT_PARAMS, grid)
+
+
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_chain_estimates_memory_below_one_path_array(production_block, estimator):
+    # one path block at 1008 steps/yr: both estimators sum row sub-blocks, so
+    # neither holds a (paths x n) temporary
+    bundle, vols = production_block
+    options = ((95.0, 0.25), (100.0, 0.25), (105.0, 1.0))
+    env = MarketEnv(spot=100.0, rate=0.01)
+    tracemalloc.start()
+    try:
+        chain_estimates(bundle, vols, env, options, estimator=estimator)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < vols.sigma_paths.nbytes
 
 
 # ---------------------------------------------------------------------------
