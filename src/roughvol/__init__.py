@@ -11,8 +11,7 @@ sensitivity and significance tests.
 """
 from .fbm import (FactorizationError, JointCovariance, PathBundle, TimeGrid,
                   build_joint_covariance, derive_seed, sample_paths, transform_normals)
-from .model import MarketEnv, ModelParams, PARAM_NAMES, VolPathSet, log_price_paths, \
-    volatility_paths
+from .model import MarketEnv, ModelParams, PARAM_NAMES, log_price_paths, volatility_paths
 from .pricing import (ChainPricingRequest, PriceEstimate, black_scholes_call,
                       chain_estimates, price_chain)
 from .market import (ChainFormatError, OptionQuote, OptionStructure, compute_weights,
@@ -36,8 +35,7 @@ __all__ = [
     "TimeGrid", "JointCovariance", "PathBundle", "FactorizationError",
     "build_joint_covariance", "sample_paths", "transform_normals", "derive_seed",
     # model
-    "ModelParams", "MarketEnv", "VolPathSet", "PARAM_NAMES", "volatility_paths",
-    "log_price_paths",
+    "ModelParams", "MarketEnv", "PARAM_NAMES", "volatility_paths", "log_price_paths",
     # pricing
     "PriceEstimate", "ChainPricingRequest", "black_scholes_call", "chain_estimates",
     "price_chain",

@@ -173,20 +173,18 @@ def _resolve_bounds(settings: _Settings) -> ParamBounds:
 
 
 def _calibration_config(settings: _Settings) -> CalibrationConfig:
-    variant = settings.get("variant", settings.config.get("model_variant", "alphaRFSV"))
-    return CalibrationConfig(
-        bounds=_resolve_bounds(settings),
-        ga_population=int(settings.get("ga_population", 150)),
-        ga_generations=int(settings.get("ga_generations", 5)),
-        obj_tol=float(settings.get("obj_tol", 1e-6)),
-        step_tol=float(settings.get("step_tol", 1e-7)),
-        path_count=int(settings.get("path_count", 20_000)),
-        steps_per_year=int(settings.get("steps_per_year", 1008)),
-        seed=settings.seed,
-        model_variant=variant,
-        fd_rel_step=float(settings.get("fd_rel_step", 1e-4)),
-        threads=settings.threads,
-    )
+    """Each numeric setting defaults to `CalibrationConfig`'s own default, and is cast
+    to that default's type."""
+    bounds = _resolve_bounds(settings)
+    tuned = {}
+    for name in ("ga_population", "ga_generations", "obj_tol", "step_tol", "path_count",
+                 "steps_per_year", "fd_rel_step"):
+        default = getattr(CalibrationConfig, name)
+        tuned[name] = type(default)(settings.get(name, default))
+    variant = settings.get("variant", settings.config.get("model_variant",
+                                                          CalibrationConfig.model_variant))
+    return CalibrationConfig(bounds=bounds, seed=settings.seed,
+                             model_variant=variant, threads=settings.threads, **tuned)
 
 
 def _theta_dict(theta: ModelParams) -> dict:

@@ -167,13 +167,11 @@ class TimeGrid:
     """Strictly increasing grid of positive times; t = 0 is excluded by construction.
 
     All processes vanish at t = 0, so including it would only make the joint covariance
-    singular. ``horizon`` always equals the last grid time; quoted maturities merged via
+    singular. ``horizon`` is the last grid time; quoted maturities merged via
     `with_maturities` each appear exactly once.
     """
 
     times: np.ndarray
-    steps_per_year: int
-    horizon: float
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -183,10 +181,6 @@ class TimeGrid:
             raise ValueError("grid times must be strictly positive (t=0 is implicit)")
         if np.any(np.diff(self.times) <= 0.0):
             raise ValueError("grid times must be strictly increasing")
-        if abs(self.horizon - self.times[-1]) > GRID_ATOL:
-            raise ValueError("horizon must equal the last grid time")
-        if self.steps_per_year <= 0:
-            raise ValueError("steps_per_year must be positive")
 
     @classmethod
     def regular(cls, horizon: float, steps_per_year: int) -> "TimeGrid":
@@ -194,13 +188,15 @@ class TimeGrid:
         horizon = float(horizon)
         if horizon <= 0.0:
             raise ValueError("horizon must be positive")
+        if steps_per_year <= 0:
+            raise ValueError("steps_per_year must be positive")
         n = int(math.floor(horizon * steps_per_year + 1e-9))
         times = np.arange(1, n + 1, dtype=float) / steps_per_year if n > 0 else np.empty(0)
         if times.size == 0 or times[-1] < horizon - GRID_ATOL:
             times = np.append(times, horizon)
         else:
             times[-1] = horizon  # absorb representation error so horizon is exact
-        return cls(times=times, steps_per_year=steps_per_year, horizon=horizon)
+        return cls(times=times)
 
     @classmethod
     def with_maturities(cls, maturities, steps_per_year: int) -> "TimeGrid":
@@ -214,7 +210,11 @@ class TimeGrid:
             if not any(abs(x - m) <= GRID_ATOL for x in times):
                 times.append(m)
         times = np.array(sorted(times))
-        return cls(times=times, steps_per_year=steps_per_year, horizon=mats[-1])
+        return cls(times=times)
+
+    @property
+    def horizon(self) -> float:
+        return float(self.times[-1])
 
     @property
     def n(self) -> int:

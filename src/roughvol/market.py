@@ -57,17 +57,22 @@ class OptionQuote:
     volume: int | None = None
 
     def validate(self) -> str | None:
-        """Return a violation message, or None when the quote is well formed."""
-        if self.strike <= 0.0:
-            return f"strike must be positive, got {self.strike}"
-        if self.maturity <= 0.0:
-            return f"maturity must be positive, got {self.maturity}"
-        if self.bid < 0.0:
-            return f"bid must be nonnegative, got {self.bid}"
+        """Return a violation message, or None when the quote is well formed.
+
+        Every comparison is written so that it fails on NaN, which compares false.
+        """
+        if not 0.0 < self.strike < np.inf:
+            return f"strike must be positive and finite, got {self.strike}"
+        if not 0.0 < self.maturity < np.inf:
+            return f"maturity must be positive and finite, got {self.maturity}"
+        if not 0.0 <= self.bid < np.inf:
+            return f"bid must be nonnegative and finite, got {self.bid}"
+        if not self.ask < np.inf:
+            return f"ask must be finite, got {self.ask}"
         if self.bid > self.ask:
             return f"bid {self.bid} exceeds ask {self.ask}"
-        if self.close <= 0.0:
-            return f"close must be positive, got {self.close}"
+        if not 0.0 < self.close < np.inf:
+            return f"close must be positive and finite, got {self.close}"
         return None
 
 

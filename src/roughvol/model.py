@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fbm import PathBundle, TimeGrid
+from .fbm import PathBundle
 
-__all__ = ["PARAM_NAMES", "ModelParams", "MarketEnv", "VolPathSet", "volatility_paths",
+__all__ = ["PARAM_NAMES", "ModelParams", "MarketEnv", "volatility_paths",
            "log_price_paths"]
 
 #: canonical parameter order used by arrays, bounds and optimizers.
@@ -70,32 +70,21 @@ class MarketEnv:
             raise ValueError(f"rate must be nonnegative and finite, got {self.rate}")
 
 
-@dataclass(eq=False)
-class VolPathSet:
-    """Volatility paths (paths x grid nodes) together with their generating inputs."""
-
-    sigma_paths: np.ndarray
-    params: ModelParams
-    grid: TimeGrid
-
-
-def _check_grid(bundle: PathBundle, grid: TimeGrid) -> None:
-    if bundle.grid is not grid and not (
-        bundle.grid.n == grid.n and np.array_equal(bundle.grid.times, grid.times)
-    ):
-        raise ValueError("path bundle was sampled on a different grid")
-
-
-def volatility_paths(bundle: PathBundle, params: ModelParams, grid: TimeGrid) -> VolPathSet:
+def volatility_paths(fbm_paths: np.ndarray, params: ModelParams, times,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """sigma_t = sigma0 * exp(xi * B^H_t - 1/2 * alpha * xi^2 * t^{2H}), entrywise.
 
-    Strictly positive for any finite fBm sample, and monotone decreasing in alpha for a
-    fixed sample (the correction term only grows).
+    ``fbm_paths`` holds B^H at ``times`` along its last axis; ``out`` (which may be
+    ``fbm_paths`` itself) receives the result. Strictly positive for any finite fBm
+    sample, and monotone decreasing in alpha for a fixed sample (the correction term
+    only grows).
     """
-    _check_grid(bundle, grid)
-    correction = 0.5 * params.alpha * params.xi**2 * grid.times ** (2.0 * params.H)
-    sigma = params.sigma0 * np.exp(params.xi * bundle.fbm_paths - correction)
-    return VolPathSet(sigma_paths=sigma, params=params, grid=grid)
+    correction = 0.5 * params.alpha * params.xi**2 * np.asarray(times) ** (2.0 * params.H)
+    sigma = np.multiply(fbm_paths, params.xi, out=out)
+    sigma -= correction
+    np.exp(sigma, out=sigma)
+    sigma *= params.sigma0
+    return sigma
 
 
 #: entries per row sub-block of the left-point sums (2 MB of float64 per temporary),
@@ -103,29 +92,31 @@ def volatility_paths(bundle: PathBundle, params: ModelParams, grid: TimeGrid) ->
 _CHUNK_ENTRIES = 1 << 18
 
 
-def _left_point_sums(bundle: PathBundle, vols: VolPathSet, nodes, integrand, *args):
+def _left_point_sums(bundle: PathBundle, params: ModelParams, nodes, integrand, *args):
     """Left-endpoint sums over [0, t_k] at each grid node k in ``nodes``.
 
-    Each step uses the volatility at its left endpoint: sigma0 itself (the t = 0
-    value) for the first step, the path value at the previous node afterwards.
+    Each step uses the volatility at its left endpoint: at t = 0 for the first step,
+    at the previous node afterwards. The volatilities are formed per row sub-block,
+    from B^H = 0 at t = 0 (which gives sigma0 exactly) and the fBm at the earlier nodes.
     ``integrand(sig, dw, dw_tilde, dt, *args)`` maps a sub-block of rows of those
     volatilities, the matching Wiener increments and the step sizes to a tuple of
     per-step arrays, and may overwrite ``sig``. Each array is summed along each path
     with one sequential cumsum; one (len(nodes) x paths) array per term is returned.
     Only one sub-block of full-length temporaries is held at a time.
     """
-    _check_grid(bundle, vols.grid)
-    sigma = vols.sigma_paths
-    n_paths = sigma.shape[0]
+    fbm = bundle.fbm_paths
+    n_paths = fbm.shape[0]
     end = max(nodes) + 1
-    dt = vols.grid.deltas[:end]
+    dt = bundle.grid.deltas[:end]
+    times = np.concatenate(([0.0], bundle.grid.times[: end - 1]))
     chunk = max(1, _CHUNK_ENTRIES // end)
     sums = None
     for lo in range(0, n_paths, chunk):
         rows = slice(lo, min(lo + chunk, n_paths))
         sig = np.empty((rows.stop - lo, end))
-        sig[:, 0] = vols.params.sigma0
-        sig[:, 1:] = sigma[rows, : end - 1]
+        sig[:, 0] = 0.0
+        sig[:, 1:] = fbm[rows, : end - 1]
+        volatility_paths(sig, params, times, out=sig)
         steps = integrand(sig, bundle.w_increments[rows, :end],
                           bundle.w_tilde_increments[rows, :end], dt, *args)
         if sums is None:
@@ -144,7 +135,7 @@ def _log_euler_steps(sig, dw, dwt, dt, rate: float, rho: float):
     return ((rate - 0.5 * sig**2) * dt + sig * (rho * dw + np.sqrt(1.0 - rho**2) * dwt),)
 
 
-def log_price_paths(bundle: PathBundle, vols: VolPathSet, env: MarketEnv) -> np.ndarray:
+def log_price_paths(bundle: PathBundle, params: ModelParams, env: MarketEnv) -> np.ndarray:
     """Euler scheme on X = ln S over the grid; returns X at every node (paths x n).
 
     The `_log_euler_steps` increments are summed by `_left_point_sums`, with
@@ -153,6 +144,6 @@ def log_price_paths(bundle: PathBundle, vols: VolPathSet, env: MarketEnv) -> np.
     induces is an exact discrete martingale because each Wiener increment is
     independent of the volatility left of it.
     """
-    (sums,) = _left_point_sums(bundle, vols, range(vols.grid.n), _log_euler_steps,
-                               env.rate, vols.params.rho)
+    (sums,) = _left_point_sums(bundle, params, range(bundle.grid.n), _log_euler_steps,
+                               env.rate, params.rho)
     return np.ascontiguousarray(sums.T) + np.log(env.spot)

@@ -32,8 +32,7 @@ from scipy import special
 
 from .fbm import (JointCovariance, PathBundle, TimeGrid, _block_count,
                   build_joint_covariance, parallel_map, sample_paths)
-from .model import (MarketEnv, ModelParams, VolPathSet, _left_point_sums, _log_euler_steps,
-                    volatility_paths)
+from .model import MarketEnv, ModelParams, _left_point_sums, _log_euler_steps
 
 __all__ = [
     "PriceEstimate",
@@ -142,7 +141,7 @@ class ChainPricingRequest:
             raise ValueError("path_count must be >= 1")
 
 
-def chain_estimates(bundle: PathBundle, vols: VolPathSet, env: MarketEnv,
+def chain_estimates(bundle: PathBundle, params: ModelParams, env: MarketEnv,
                     options, estimator: str = "conditional_mixed") -> list[PriceEstimate]:
     """Price every option from one already-simulated path set (truncated per maturity).
 
@@ -157,12 +156,13 @@ def chain_estimates(bundle: PathBundle, vols: VolPathSet, env: MarketEnv,
     by_maturity: dict[float, list[int]] = {}
     for i, (_, t) in enumerate(options):
         by_maturity.setdefault(t, []).append(i)
-    nodes = [vols.grid.index_of(t) for t in by_maturity]
-    rho = vols.params.rho
+    nodes = [bundle.grid.index_of(t) for t in by_maturity]
+    rho = params.rho
     if estimator == "plain":
-        (log_sums,) = _left_point_sums(bundle, vols, nodes, _log_euler_steps, env.rate, rho)
+        (log_sums,) = _left_point_sums(bundle, params, nodes, _log_euler_steps, env.rate,
+                                       rho)
     else:
-        int_var, int_sdw = _left_point_sums(bundle, vols, nodes, _conditional_steps)
+        int_var, int_sdw = _left_point_sums(bundle, params, nodes, _conditional_steps)
     out = [None] * len(options)
     for j, (t, members) in enumerate(by_maturity.items()):
         strikes = [options[i][0] for i in members]
@@ -207,15 +207,12 @@ def _block_estimates(bundle_of, n_blocks: int, params: ModelParams, env: MarketE
                      threads: int = 1) -> list[PriceEstimate]:
     """Price every option on path blocks 0..n_blocks-1 and pool the estimates.
 
-    ``bundle_of(b)`` returns block b's `PathBundle`. Each block is turned into
-    volatility paths and priced by `chain_estimates` on its own, ``threads`` blocks at
-    once; the per-block estimates are pooled in block order, so the result does not
-    depend on ``threads``.
+    ``bundle_of(b)`` returns block b's `PathBundle`. Each block is priced by
+    `chain_estimates` on its own, ``threads`` blocks at once; the per-block estimates
+    are pooled in block order, so the result does not depend on ``threads``.
     """
     def price_block(b: int) -> list[PriceEstimate]:
-        bundle = bundle_of(b)
-        vols = volatility_paths(bundle, params, bundle.grid)
-        return chain_estimates(bundle, vols, env, options, estimator=estimator)
+        return chain_estimates(bundle_of(b), params, env, options, estimator=estimator)
 
     per_block = parallel_map(price_block, range(n_blocks), threads)
     return [_pool_estimates(parts) for parts in zip(*per_block)]

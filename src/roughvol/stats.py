@@ -34,7 +34,6 @@ __all__ = [
     "significance_test",
 ]
 
-_SERIES_TOL = 1e-12
 _STREAM_SIGNIFICANCE = 3
 
 
@@ -55,41 +54,14 @@ class TTestResult:
     mean_y: float
 
 
-def _kolmogorov_sf(lam: float) -> float:
-    """Survival function of the Kolmogorov distribution, Q(lam) = P(K > lam).
-
-    Two complementary series: the alternating form 2 sum (-1)^{k-1} exp(-2 k^2 lam^2)
-    converges fast for lam >= 1; its Jacobi-theta dual
-    1 - sqrt(2 pi)/lam * sum exp(-(2k-1)^2 pi^2 / (8 lam^2)) takes over below 1, where
-    the alternating form would need many terms and lose digits to cancellation.
-    """
-    if lam < 1e-12:
-        return 1.0
-    if lam >= 1.0:
-        total, sign = 0.0, 1.0
-        for k in range(1, 1001):
-            term = math.exp(-2.0 * k * k * lam * lam)
-            total += sign * term
-            if term < _SERIES_TOL:
-                break
-            sign = -sign
-        return min(1.0, max(0.0, 2.0 * total))
-    total = 0.0
-    for k in range(1, 1001):
-        term = math.exp(-((2 * k - 1) ** 2) * math.pi**2 / (8.0 * lam * lam))
-        total += term
-        if term < _SERIES_TOL:
-            break
-    return min(1.0, max(0.0, 1.0 - math.sqrt(2.0 * math.pi) / lam * total))
-
-
 def ks_two_sample(x, y) -> KsResult:
     """Exact two-sample KS statistic with the asymptotic p-value.
 
     D is the exact supremum of |F1 - F2|, evaluated at every pooled sample point via
-    the right-continuous empirical CDFs; the p-value uses the Kolmogorov limit law at
-    the effective sample size n1 n2 / (n1 + n2), which is conservative for the small
-    groups the sensitivity analysis produces.
+    the right-continuous empirical CDFs; the p-value is the survival function of the
+    Kolmogorov limit law (`scipy.special.kolmogorov`) at the effective sample size
+    n1 n2 / (n1 + n2), which is conservative for the small groups the sensitivity
+    analysis produces.
     """
     x = np.sort(np.asarray(x, dtype=float).ravel())
     y = np.sort(np.asarray(y, dtype=float).ravel())
@@ -101,7 +73,7 @@ def ks_two_sample(x, y) -> KsResult:
     cdf2 = np.searchsorted(y, pooled, side="right") / n2
     d = float(np.max(np.abs(cdf1 - cdf2)))
     lam = math.sqrt(n1 * n2 / (n1 + n2)) * d
-    return KsResult(statistic=d, p_value=_kolmogorov_sf(lam), n1=n1, n2=n2)
+    return KsResult(statistic=d, p_value=float(special.kolmogorov(lam)), n1=n1, n2=n2)
 
 
 def welch_t_test(x, y) -> TTestResult:

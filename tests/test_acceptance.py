@@ -16,7 +16,7 @@ from roughvol.bootstrap import BootstrapPlan, bootstrap_statistics, run_bootcali
 from roughvol.calibration import CalibrationConfig, calibrate
 from roughvol.cli import main as cli_main
 from roughvol.fbm import TimeGrid, build_joint_covariance, sample_paths
-from roughvol.model import MarketEnv, ModelParams, log_price_paths, volatility_paths
+from roughvol.model import MarketEnv, ModelParams, log_price_paths
 from roughvol.pricing import chain_estimates
 from roughvol.stats import (ks_two_sample, octile_grouping, sensitivity_analysis,
                             significance_test)
@@ -75,18 +75,16 @@ def test_03_constant_volatility_recovers_black_scholes():
 
     # xi below the subnormal floor: exp(xi * B) is exactly 1, volatility is flat
     flat = ModelParams(sigma0=0.2, rho=0.0, H=0.5, xi=1e-300, alpha=0.0)
-    vols = volatility_paths(bundle, flat, grid)
-    cond = chain_estimates(bundle, vols, env, [(100.0, 1.0)])[0]
+    cond = chain_estimates(bundle, flat, env, [(100.0, 1.0)])[0]
     assert cond.std_error == 0.0  # every path carries the same conditional value
     assert cond.price == pytest.approx(target, abs=1e-9)
-    plain = chain_estimates(bundle, vols, env, [(100.0, 1.0)], estimator="plain")[0]
+    plain = chain_estimates(bundle, flat, env, [(100.0, 1.0)], estimator="plain")[0]
     assert abs(plain.price - target) <= 3.0 * plain.std_error
 
     # with correlation both estimators stay unbiased, the conditional one noisily so
     tilted = ModelParams(sigma0=0.2, rho=-0.3, H=0.5, xi=1e-300, alpha=0.0)
-    vols = volatility_paths(bundle, tilted, grid)
-    cond = chain_estimates(bundle, vols, env, [(100.0, 1.0)])[0]
-    plain = chain_estimates(bundle, vols, env, [(100.0, 1.0)], estimator="plain")[0]
+    cond = chain_estimates(bundle, tilted, env, [(100.0, 1.0)])[0]
+    plain = chain_estimates(bundle, tilted, env, [(100.0, 1.0)], estimator="plain")[0]
     assert abs(cond.price - target) <= 3.0 * cond.std_error
     assert abs(plain.price - target) <= 3.0 * plain.std_error
 
@@ -102,8 +100,7 @@ def ref_paths():
 def test_04_discounted_price_is_martingale(ref_paths):
     grid, bundle = ref_paths
     env = MarketEnv(spot=100.0, rate=0.03)
-    vols = volatility_paths(bundle, REF_RBERGOMI, grid)
-    logs = log_price_paths(bundle, vols, env)
+    logs = log_price_paths(bundle, REF_RBERGOMI, env)
     for maturity in (0.25, 1.0):
         s_t = np.exp(logs[:, grid.index_of(maturity)])
         disc = np.exp(-env.rate * maturity) * s_t
@@ -116,10 +113,10 @@ def test_04_discounted_price_is_martingale(ref_paths):
 def test_05_conditional_estimator_reduces_variance(ref_paths):
     grid, bundle = ref_paths
     env = MarketEnv(spot=100.0, rate=0.0)
-    vols = volatility_paths(bundle, REF_RBERGOMI, grid)
     for strike in (100.0, 120.0):  # at the money and 20% out of the money
-        plain = chain_estimates(bundle, vols, env, [(strike, 1.0)], estimator="plain")[0]
-        cond = chain_estimates(bundle, vols, env, [(strike, 1.0)])[0]
+        plain = chain_estimates(bundle, REF_RBERGOMI, env, [(strike, 1.0)],
+                                estimator="plain")[0]
+        cond = chain_estimates(bundle, REF_RBERGOMI, env, [(strike, 1.0)])[0]
         ratio = cond.std_error / plain.std_error
         print(f"K={strike:.0f}: SE ratio {ratio:.3f} (informational target <= 0.5)")
         assert ratio < 1.0

@@ -28,7 +28,7 @@ from roughvol.calibration import (
 from roughvol.fbm import (PATH_BLOCK, build_joint_covariance, draw_normal_bundle,
                           transform_normals)
 from roughvol.market import OptionQuote, OptionStructure, compute_weights
-from roughvol.model import PARAM_NAMES, MarketEnv, ModelParams, volatility_paths
+from roughvol.model import PARAM_NAMES, MarketEnv, ModelParams
 from roughvol.pricing import _pool_estimates, chain_estimates
 from roughvol.synth import generate_chain
 
@@ -143,8 +143,7 @@ def test_frozen_pricer_matches_manual_assembly():
     z, zt = draw_normal_bundle(pricer.grid.n, config.path_count, config.seed)
     cov = build_joint_covariance(pricer.grid, THETA.H)
     bundle = transform_normals(z, zt * np.sqrt(pricer.grid.deltas), cov)
-    vols = volatility_paths(bundle, THETA, pricer.grid)
-    manual = [e.price for e in chain_estimates(bundle, vols, s.env, s.options)]
+    manual = [e.price for e in chain_estimates(bundle, THETA, s.env, s.options)]
     assert_allclose(pricer.prices(THETA), manual, rtol=0.0, atol=0.0)
 
 
@@ -162,16 +161,14 @@ def test_frozen_pricer_pools_path_blocks():
     for lo in range(0, config.path_count, PATH_BLOCK):
         rows = slice(lo, lo + PATH_BLOCK)
         bundle = transform_normals(z[rows], zt[rows], cov)
-        vols = volatility_paths(bundle, THETA, grid)
-        per_block.append(chain_estimates(bundle, vols, s.env, s.options))
+        per_block.append(chain_estimates(bundle, THETA, s.env, s.options))
     assert len(per_block) == 3 and per_block[-1][0].path_count == 8
     manual = [_pool_estimates(parts).price for parts in zip(*per_block)]
     prices = pricer.prices(THETA)
     assert list(prices) == manual
 
     whole = transform_normals(z, zt, cov)
-    vols = volatility_paths(whole, THETA, grid)
-    reference = [e.price for e in chain_estimates(whole, vols, s.env, s.options)]
+    reference = [e.price for e in chain_estimates(whole, THETA, s.env, s.options)]
     assert_allclose(prices, reference, rtol=1e-13, atol=0.0)
 
 

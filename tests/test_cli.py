@@ -324,6 +324,22 @@ def test_non_finite_parameter_reports_json(pipeline, tmp_path, capsys, flag, val
     assert not (tmp_path / "prices.csv").exists()
 
 
+def test_non_finite_quote_reports_json(tmp_path, capsys):
+    chain = tmp_path / "chain.csv"
+    chain.write_text("trade_date,expiry_date,strike,bid,ask,close,volume\n"
+                     "2026-01-02,2026-04-03,100,nan,5.1,nan,500\n"
+                     "2026-01-02,2026-04-03,inf,4.9,5.1,5.0,500\n")
+    (tmp_path / "chain.json").write_text(json.dumps({"spot": 100.0, "rate": 0.0}))
+    out = tmp_path / "out"
+    rc = main(["price", "--chain", str(chain), *TRUTH_FLAGS, "--path-count", "300",
+               "--steps-per-year", "12", "--threads", "1", "--out", str(out)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ChainFormatError"
+    assert "row 0: bid" in err["message"] and "row 1: strike" in err["message"]
+    assert not (out / "prices.csv").exists()
+
+
 @pytest.mark.parametrize("bounds", [{"sigma0": [0.05]}, {"sigma0": [0.05, 0.1, 7]},
                                     {"sigma0": 0.05}, {"sigma0": [0.05, "0.1"]},
                                     [[0.05, 0.1]]],

@@ -60,6 +60,8 @@ def test_quote_validate_passes_clean_quote():
     (dict(bid=-0.5), "bid must be nonnegative"),
     (dict(bid=5.2), "exceeds ask"),
     (dict(close=0.0), "close"),
+    *(({name: value}, name) for name in ("strike", "maturity", "bid", "ask", "close")
+      for value in (float("nan"), float("inf"))),
 ])
 def test_quote_validate_flags_violations(kwargs, fragment):
     assert fragment in make_quote(**kwargs).validate()
@@ -197,6 +199,21 @@ def test_load_collects_all_bad_rows(tmp_path):
     err = exc_info.value
     assert [i for i, _ in err.rows] == [1, 2, 3]
     assert "exceeds ask" in str(err)
+
+
+def test_load_names_each_non_finite_row(tmp_path):
+    rows = [
+        GOOD_ROW,
+        ["2026-01-02", "2026-02-01", "inf", "4.9", "5.1", "5.0", ""],
+        ["2026-01-02", "2026-02-01", "100", "nan", "5.1", "5.0", ""],
+        ["2026-01-02", "2026-02-01", "100", "4.9", "inf", "5.0", ""],
+        ["2026-01-02", "2026-02-01", "100", "4.9", "5.1", "nan", ""],
+    ]
+    csv_path = write_fixture(tmp_path, rows)
+    with pytest.raises(ChainFormatError) as exc_info:
+        load_chain(csv_path)
+    assert [(i, m.split()[0]) for i, m in exc_info.value.rows] == [
+        (1, "strike"), (2, "bid"), (3, "ask"), (4, "close")]
 
 
 def test_load_rejects_mixed_trade_dates(tmp_path):

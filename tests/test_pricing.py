@@ -76,8 +76,7 @@ def test_plain_estimator_recovers_black_scholes(flat_setup):
     grid, bundle = flat_setup
     p = ModelParams(sigma0=0.2, rho=-0.5, H=0.3, xi=1e-300, alpha=0.0)
     env = MarketEnv(spot=100.0, rate=0.01)
-    vols = volatility_paths(bundle, p, grid)
-    est = chain_estimates(bundle, vols, env, [(100.0, 1.0)], estimator="plain")[0]
+    est = chain_estimates(bundle, p, env, [(100.0, 1.0)], estimator="plain")[0]
     target = black_scholes_call(100.0, 100.0, 0.01, 0.2, 1.0)
     assert est.std_error > 0.0
     assert abs(est.price - target) < 3.0 * est.std_error
@@ -88,8 +87,7 @@ def test_conditional_estimator_is_exact_when_uncorrelated(flat_setup):
     grid, bundle = flat_setup
     p = ModelParams(sigma0=0.2, rho=0.0, H=0.3, xi=1e-300, alpha=0.0)
     env = MarketEnv(spot=100.0, rate=0.01)
-    vols = volatility_paths(bundle, p, grid)
-    est = chain_estimates(bundle, vols, env, [(100.0, 1.0)])[0]
+    est = chain_estimates(bundle, p, env, [(100.0, 1.0)])[0]
     # identical per-path values collapse to a zero standard error exactly
     assert est.std_error == 0.0
     assert est.price == pytest.approx(
@@ -100,8 +98,7 @@ def test_conditional_estimator_unbiased_with_correlation(flat_setup):
     grid, bundle = flat_setup
     p = ModelParams(sigma0=0.2, rho=-0.5, H=0.3, xi=1e-300, alpha=0.0)
     env = MarketEnv(spot=100.0, rate=0.0)
-    vols = volatility_paths(bundle, p, grid)
-    est = chain_estimates(bundle, vols, env, [(100.0, 1.0)])[0]
+    est = chain_estimates(bundle, p, env, [(100.0, 1.0)])[0]
     target = black_scholes_call(100.0, 100.0, 0.0, 0.2, 1.0)
     assert est.std_error > 0.0
     assert abs(est.price - target) < 3.0 * est.std_error
@@ -117,33 +114,34 @@ def rough_setup():
     cov = build_joint_covariance(grid, FIT_PARAMS.H)
     bundle = sample_paths(cov, 60_000, seed=123)
     env = MarketEnv(spot=100.0, rate=0.0)
-    vols = volatility_paths(bundle, FIT_PARAMS, grid)
-    return grid, bundle, env, vols
+    return grid, bundle, env
 
 
 def test_estimators_agree_on_shared_paths(rough_setup):
-    grid, bundle, env, vols = rough_setup
+    grid, bundle, env = rough_setup
     for strike in (90.0, 100.0, 110.0):
-        plain = chain_estimates(bundle, vols, env, [(strike, 1.0)], estimator="plain")[0]
-        cond = chain_estimates(bundle, vols, env, [(strike, 1.0)])[0]
+        plain = chain_estimates(bundle, FIT_PARAMS, env, [(strike, 1.0)],
+                                estimator="plain")[0]
+        cond = chain_estimates(bundle, FIT_PARAMS, env, [(strike, 1.0)])[0]
         gap = abs(plain.price - cond.price)
         assert gap < 3.0 * np.hypot(plain.std_error, cond.std_error), strike
 
 
 @pytest.mark.parametrize("strike", [100.0, 120.0])
 def test_conditional_estimator_reduces_variance(rough_setup, strike):
-    grid, bundle, env, vols = rough_setup
-    plain = chain_estimates(bundle, vols, env, [(strike, 1.0)], estimator="plain")[0]
-    cond = chain_estimates(bundle, vols, env, [(strike, 1.0)])[0]
+    grid, bundle, env = rough_setup
+    plain = chain_estimates(bundle, FIT_PARAMS, env, [(strike, 1.0)],
+                            estimator="plain")[0]
+    cond = chain_estimates(bundle, FIT_PARAMS, env, [(strike, 1.0)])[0]
     assert cond.std_error < plain.std_error
 
 
 def test_offgrid_maturity_rejected(rough_setup):
-    grid, bundle, env, vols = rough_setup
+    grid, bundle, env = rough_setup
     with pytest.raises(ValueError, match="not a grid node"):
-        chain_estimates(bundle, vols, env, [(100.0, 0.513)], estimator="plain")[0]
+        chain_estimates(bundle, FIT_PARAMS, env, [(100.0, 0.513)], estimator="plain")[0]
     with pytest.raises(ValueError, match="not a grid node"):
-        chain_estimates(bundle, vols, env, [(100.0, 0.513)])[0]
+        chain_estimates(bundle, FIT_PARAMS, env, [(100.0, 0.513)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +178,7 @@ def test_price_chain_matches_manual_assembly():
     per_block = []
     for b in range(2):
         part = sample_paths(cov, 8000, seed=31, block=b)
-        vols = volatility_paths(part, FIT_PARAMS, grid)
-        per_block.append([chain_estimates(part, vols, env, [(k, t)])[0]
+        per_block.append([chain_estimates(part, FIT_PARAMS, env, [(k, t)])[0]
                           for k, t in options])
     for est, parts in zip(chain, zip(*per_block)):
         manual = _pool_estimates(parts)
@@ -190,9 +187,8 @@ def test_price_chain_matches_manual_assembly():
         assert est.path_count == 8000
     # and agrees with one whole-bundle assembly up to the rounding of the pooled sums
     bundle = sample_paths(cov, 8000, seed=31)
-    vols = volatility_paths(bundle, FIT_PARAMS, grid)
     for (strike, maturity), est in zip(options, chain):
-        whole = chain_estimates(bundle, vols, env, [(strike, maturity)])[0]
+        whole = chain_estimates(bundle, FIT_PARAMS, env, [(strike, maturity)])[0]
         assert est.price == pytest.approx(whole.price, rel=1e-13)
         assert est.std_error == pytest.approx(whole.std_error, rel=1e-10)
 
@@ -239,28 +235,29 @@ def test_price_chain_deterministic_across_threads():
 
 
 def test_chain_estimates_requires_known_estimator(rough_setup):
-    grid, bundle, env, vols = rough_setup
-    single = chain_estimates(bundle, vols, env, ((100.0, 1.0),), estimator="plain")
+    grid, bundle, env = rough_setup
+    single = chain_estimates(bundle, FIT_PARAMS, env, ((100.0, 1.0),), estimator="plain")
     assert single[0].estimator == "plain"
     with pytest.raises(ValueError, match=re.escape(str(ESTIMATORS))):
-        chain_estimates(bundle, vols, env, ((100.0, 1.0),), estimator="plian")
+        chain_estimates(bundle, FIT_PARAMS, env, ((100.0, 1.0),), estimator="plian")
 
 
-def reference_conditional(vols, bundle, env, options):
-    """The conditional estimator written out per option: concatenated left-point
-    volatilities, the Wiener increments and one full Black-Scholes pass for every
-    quote."""
-    sigma = vols.sigma_paths
+def reference_conditional(params, bundle, env, options):
+    """The conditional estimator written out per option: whole-path volatilities,
+    concatenated left-point volatilities, the Wiener increments and one full
+    Black-Scholes pass for every quote."""
+    grid = bundle.grid
+    sigma = volatility_paths(bundle.fbm_paths, params, grid.times)
     n_paths, n = sigma.shape
     dw = bundle.w_increments
-    sig_left = np.concatenate([np.full((n_paths, 1), vols.params.sigma0),
+    sig_left = np.concatenate([np.full((n_paths, 1), params.sigma0),
                                sigma[:, : n - 1]], axis=1)
-    cum_var = np.cumsum(sig_left**2 * vols.grid.deltas, axis=1)
+    cum_var = np.cumsum(sig_left**2 * grid.deltas, axis=1)
     cum_sdw = np.cumsum(sig_left * dw, axis=1)
-    rho = vols.params.rho
+    rho = params.rho
     out = []
     for strike, t in options:
-        idx = vols.grid.index_of(t)
+        idx = grid.index_of(t)
         spot = env.spot * np.exp(rho * cum_sdw[:, idx] - 0.5 * rho**2 * cum_var[:, idx])
         totvar = (1.0 - rho**2) * cum_var[:, idx]
         disc_k = strike * np.exp(-env.rate * t)
@@ -280,9 +277,9 @@ def test_chain_estimates_equal_per_option_reference():
                (120.0, 1.0))
     grid = TimeGrid.with_maturities([0.25, 0.5, 1.0], 12)
     bundle = sample_paths(build_joint_covariance(grid, FIT_PARAMS.H), 3000, seed=12)
-    vols = volatility_paths(bundle, FIT_PARAMS, grid)
-    got = [(e.price, e.std_error) for e in chain_estimates(bundle, vols, env, options)]
-    assert got == reference_conditional(vols, bundle, env, options)
+    got = [(e.price, e.std_error)
+           for e in chain_estimates(bundle, FIT_PARAMS, env, options)]
+    assert got == reference_conditional(FIT_PARAMS, bundle, env, options)
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +334,7 @@ def test_price_chain_matches_single_bundle(estimator, path_count):
                                   estimator=estimator)
     grid = TimeGrid.with_maturities([0.25, 1.0], 12)
     bundle = sample_paths(build_joint_covariance(grid, FIT_PARAMS.H), path_count, seed=5)
-    vols = volatility_paths(bundle, FIT_PARAMS, grid)
-    whole = chain_estimates(bundle, vols, env, options, estimator=estimator)
+    whole = chain_estimates(bundle, FIT_PARAMS, env, options, estimator=estimator)
     runs = [price_chain(request, threads=t) for t in (1, 2, 4)]
     for est, ref in zip(runs[0], whole):
         assert est.price == pytest.approx(ref.price, rel=1e-13)
@@ -370,24 +366,23 @@ def test_price_chain_memory_does_not_grow_with_path_count():
 @pytest.fixture(scope="module")
 def production_block():
     grid = TimeGrid.with_maturities([0.25, 1.0], 1008)
-    bundle = sample_paths(build_joint_covariance(grid, FIT_PARAMS.H), PATH_BLOCK, seed=6)
-    return bundle, volatility_paths(bundle, FIT_PARAMS, grid)
+    return sample_paths(build_joint_covariance(grid, FIT_PARAMS.H), PATH_BLOCK, seed=6)
 
 
 @pytest.mark.parametrize("estimator", ESTIMATORS)
 def test_chain_estimates_memory_below_one_path_array(production_block, estimator):
-    # one path block at 1008 steps/yr: both estimators sum row sub-blocks, so
-    # neither holds a (paths x n) temporary
-    bundle, vols = production_block
+    # one path block at 1008 steps/yr: both estimators form the volatilities and sum
+    # them in row sub-blocks, so neither holds a (paths x n) array, sigma included
+    bundle = production_block
     options = ((95.0, 0.25), (100.0, 0.25), (105.0, 1.0))
     env = MarketEnv(spot=100.0, rate=0.01)
     tracemalloc.start()
     try:
-        chain_estimates(bundle, vols, env, options, estimator=estimator)
+        chain_estimates(bundle, FIT_PARAMS, env, options, estimator=estimator)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < vols.sigma_paths.nbytes
+    assert peak < bundle.fbm_paths.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +406,8 @@ property_env = st.builds(MarketEnv, spot=st.just(100.0), rate=st.floats(0.0, 0.0
        count=st.integers(3, 7), estimator=st.sampled_from(ESTIMATORS))
 def test_chain_prices_monotone_and_convex_in_strike(params, env, maturity, low, step,
                                                     count, estimator):
-    vols = volatility_paths(PROPERTY_BUNDLE, params, PROPERTY_GRID)
     options = [(low + i * step, maturity) for i in range(count)]
-    prices = np.array([e.price for e in chain_estimates(PROPERTY_BUNDLE, vols, env,
+    prices = np.array([e.price for e in chain_estimates(PROPERTY_BUNDLE, params, env,
                                                         options, estimator)])
     # every path's value is non-increasing and convex in the strike, so the averages
     # over the same paths are too; a stretch where every path ends in the money is
@@ -427,9 +421,8 @@ def test_chain_prices_monotone_and_convex_in_strike(params, env, maturity, low, 
        strikes=st.lists(st.floats(20.0, 250.0), min_size=1, max_size=6),
        maturity=st.sampled_from([0.25, 0.5, 1.0]), estimator=st.sampled_from(ESTIMATORS))
 def test_chain_prices_within_static_bounds(params, env, strikes, maturity, estimator):
-    vols = volatility_paths(PROPERTY_BUNDLE, params, PROPERTY_GRID)
     options = [(k, maturity) for k in strikes]
-    for (k, t), est in zip(options, chain_estimates(PROPERTY_BUNDLE, vols, env, options,
+    for (k, t), est in zip(options, chain_estimates(PROPERTY_BUNDLE, params, env, options,
                                                     estimator)):
         lower = max(env.spot - k * np.exp(-env.rate * t), 0.0)
         # deep in the money at rho = 0 every path is worth the intrinsic value, and

@@ -13,7 +13,6 @@ from roughvol.stats import (
     significance_test,
     welch_t_test,
 )
-from roughvol.stats import _kolmogorov_sf
 from roughvol.synth import generate_chain
 
 # ---------------------------------------------------------------------------
@@ -87,22 +86,6 @@ def test_ks_invariant_under_increasing_transform():
 def test_ks_rejects_empty_sample():
     with pytest.raises(ValueError, match="non-empty"):
         ks_two_sample(np.array([]), np.array([1.0]))
-
-
-def test_kolmogorov_sf_branches_agree_at_one():
-    # frozen against a 40-digit evaluation of the alternating series
-    assert _kolmogorov_sf(0.999999) == pytest.approx(0.27000074362745641, abs=1e-10)
-    assert _kolmogorov_sf(1.000001) == pytest.approx(0.2699985997303397, abs=1e-10)
-    assert abs(_kolmogorov_sf(0.999999) - _kolmogorov_sf(1.000001)) < 1e-5
-
-
-def test_kolmogorov_sf_limits_and_monotonicity():
-    assert _kolmogorov_sf(0.0) == 1.0
-    assert _kolmogorov_sf(1e-13) == 1.0
-    grid = np.linspace(0.05, 3.0, 60)
-    values = [_kolmogorov_sf(float(l)) for l in grid]
-    assert all(a >= b for a, b in zip(values, values[1:]))
-    assert values[-1] < 1e-7
 
 
 # ---------------------------------------------------------------------------
