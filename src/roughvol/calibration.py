@@ -193,16 +193,17 @@ class CalibrationResult:
 class FrozenPricer:
     """Deterministic Theta -> model-price map over frozen normal draws.
 
-    Construction draws the normals once (per config seed) on the union grid of the
-    chain's maturities and scales the orthogonal draws by sqrt(dt) once, since they do
-    not depend on H. Paths are cached per PATH_BLOCK row slice of the draws, each
-    slice as one (H, bundle) entry. A call passes the pricing block kernel a
-    ``bundle_of`` that returns block b's cached bundle when its H is the call's; else
-    it drops the entry, transforms the slice under the call's covariance (built once,
-    on the call's first miss) and stores the new bundle. So a call at a new H holds
-    one path set, and calls sharing the pricer across threads hold one block in
-    flight each. Every call prices only bundles of its own H, so a cached price equals
-    a fresh pricer's exactly. Thread count affects wall time only.
+    Construction draws once (per config seed) on the union grid of the chain's
+    maturities: [dW | Z_B] and dW~, which do not depend on H. Paths are cached per
+    PATH_BLOCK row slice of the draws, each slice as one (H, bundle) entry whose
+    increments are views of the draws, so an entry adds only its fBm paths. A call
+    passes the pricing block kernel a ``bundle_of`` that returns block b's cached
+    bundle when its H is the call's; else it drops the entry, transforms the slice
+    under the call's covariance (built once, on the call's first miss) and stores the
+    new bundle. So the pricer holds the draws plus one fBm path set, and calls sharing
+    it across threads hold one block in flight each. Every call prices only bundles of
+    its own H, so a cached price equals a fresh pricer's exactly. Thread count affects
+    wall time only.
 
     ``prices`` always does the work. ``priced`` returns the prices of a parameter
     vector from a memo keyed by its bytes, calling ``prices`` on the vector's first
@@ -216,8 +217,7 @@ class FrozenPricer:
         self.grid = TimeGrid.with_maturities(sorted(set(structure.maturities)),
                                              config.steps_per_year)
         self._z, self._w_tilde = draw_normal_bundle(
-            self.grid.n, config.path_count, config.seed, threads=config.threads)
-        self._w_tilde *= np.sqrt(self.grid.deltas)
+            self.grid, config.path_count, config.seed, threads=config.threads)
         self._sqrt_w = np.sqrt(structure.weights)
         self._closes = structure.closes
         self._options = structure.options

@@ -83,6 +83,23 @@ def _read_json(path) -> dict:
     return data
 
 
+def _read_theta(path) -> ModelParams:
+    """The model parameters of a calibration file's ``theta`` block.
+
+    A missing block, or a block without a number for each parameter, raises
+    ValueError naming the file and what is missing.
+    """
+    theta = _read_json(path).get("theta")
+    if not isinstance(theta, dict):
+        raise ValueError(f"{path}: no 'theta' block")
+    for name in PARAM_NAMES:
+        value = theta.get(name)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{path}: 'theta' block needs a number for {name!r}, "
+                             f"got {value!r}")
+    return ModelParams(**{name: theta[name] for name in PARAM_NAMES})
+
+
 class _Settings:
     """Flag/config merge: a CLI flag that was actually given beats the config key."""
 
@@ -298,7 +315,7 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
 
     calibration_file = settings.get("calibration")
     if calibration_file:
-        overall = ModelParams(**_read_json(calibration_file)["theta"])
+        overall = _read_theta(calibration_file)
     else:
         log.info("no --calibration given; running a full calibration first")
         overall = calibrate(structure, config).theta
@@ -353,8 +370,8 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
 def cmd_significance(args: argparse.Namespace) -> int:
     settings = _Settings(args)
     structure = load_chain(settings.require("chain"), weight_rule=settings.weight_rule)
-    theta_full = ModelParams(**_read_json(settings.require("full"))["theta"])
-    theta_restricted = ModelParams(**_read_json(settings.require("restricted"))["theta"])
+    theta_full = _read_theta(settings.require("full"))
+    theta_restricted = _read_theta(settings.require("restricted"))
     result = significance_test(
         structure, theta_full, theta_restricted,
         repetitions=int(settings.get("repetitions", 100)),

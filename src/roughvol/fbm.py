@@ -19,17 +19,19 @@ increment set. Sampling is blocked with per-block RNG streams so results are bit
 at any degree of parallelism.
 
 The factorization puts W first. With Z = (Z_W, Z_B) standard normal, the Wiener
-increments are dW_j = sqrt(dt_j) Z_W[j], which do not depend on H. Paths carry dW, the
-form that the left-point integrals and the asset scheme consume; W itself, their
-cumulative sum, is never formed. The fBm is B^H = K Z_W + L_S Z_B, where the step kernel
+increments are dW_j = sqrt(dt_j) Z_W[j], which do not depend on H. The draws are
+scaled where they are drawn (`_block_normals`), so every draw already holds the
+increments [dW | Z_B] and the orthogonal increments dW~; W itself, the cumulative sum
+of dW, is never formed. The fBm is B^H = K~ dW + L_S Z_B, where the step-average kernel
 
-    K[i, j] = E[B^H_{t_i} dW_j] / sqrt(dt_j) = int_{t_{j-1}}^{t_j} K_H(t_i, u) du / sqrt(dt_j)
+    K~[i, j] = E[B^H_{t_i} dW_j] / dt_j = int_{t_{j-1}}^{t_j} K_H(t_i, u) du / dt_j
 
-is the Volterra kernel integrated over step j (lower-triangular, since K_H(t, u) = 0
-for u > t), and L_S is the Cholesky factor of the n x n conditional covariance
-S = r - K K^T of B^H given the Wiener increments. Only the n x 2n block [K | L_S] is
-stored and multiplied. At H = 1/2 the kernel is identically 1, B^H = W and S = 0, so
-no Cholesky is taken and the fBm paths are the cumulative sum of dW.
+is the Volterra kernel averaged over step j (lower-triangular, since K_H(t, u) = 0 for
+u > t), and L_S is the Cholesky factor of the n x n conditional covariance
+S = r - K K^T of B^H given the Wiener increments, with K = K~ sqrt(dt) the kernel in
+Z-space. Only the n x 2n block [K~ | L_S] is stored, and B^H is the one product
+[dW | Z_B] @ [K~ | L_S]^T. At H = 1/2 the kernel is identically 1, B^H = W and S = 0,
+so no Cholesky is taken and the fBm paths are the cumulative sum of dW.
 
 The inner integral of the kernel reduces to an incomplete-Beta-type "tail" integral
 
@@ -61,7 +63,6 @@ __all__ = [
     "PathBundle",
     "FactorizationError",
     "molchan_constant",
-    "cross_covariance_matrix",
     "build_joint_covariance",
     "draw_normal_bundle",
     "sample_paths",
@@ -124,26 +125,11 @@ def _cross_covariance(t, w, H: float):
     return c / b * (t**b * binc - (H - 0.5) * w**b * _kernel_tail(x, H))
 
 
-def cross_covariance_matrix(times: np.ndarray, H: float) -> np.ndarray:
-    """Matrix of E[B^H_{t_i} W_{t_j}] over a grid, via the closed incomplete-Beta form.
-
-    Entry (i, j) equals int_0^{min(t_i, t_j)} K_H(t_i, u) du.
-    """
-    H = _validate_hurst(H)
-    tcol = np.asarray(times, dtype=float)[:, None]
-    return _cross_covariance(tcol, np.minimum(tcol, tcol.T), H)
-
-
 def _fbm_autocovariance(times: np.ndarray, H: float) -> np.ndarray:
     """Matrix of r(t_i, t_j) = 1/2 (t_i^{2H} + t_j^{2H} - |t_i - t_j|^{2H})."""
     t2h = times ** (2.0 * H)
     gaps = np.abs(times[:, None] - times[None, :])
     return 0.5 * (t2h[:, None] + t2h[None, :] - gaps ** (2.0 * H))
-
-
-def _wiener_factor(grid: TimeGrid) -> np.ndarray:
-    """tril(ones) * sqrt(deltas): the factor that maps Z_W to W at the grid times."""
-    return np.tril(np.ones((grid.n, grid.n))) * np.sqrt(grid.deltas)
 
 
 def _step_kernel(grid: TimeGrid, H: float) -> np.ndarray:
@@ -241,16 +227,14 @@ class TimeGrid:
 class JointCovariance:
     """Factorized joint covariance of (B^H at grid times, W at grid times).
 
-    Stores only the n x 2n fBm factor ``fbm_factor = [K | L_S]``: B^H = Z @ fbm_factor.T
-    for standard normals Z whose first n columns (Z_W) drive the Wiener increments
-    dW = sqrt(deltas) * Z_W, and whose last n columns (Z_B) drive the part of B^H that
-    is independent of W. ``jitter`` records the diagonal shift added to the
-    conditional covariance S before its Cholesky (0.0 when plain factorization
-    succeeded, and always at H = 1/2, where S = 0).
-
-    ``sigma_matrix`` and ``cholesky_factor`` are the 2n x 2n matrices in the fBm-first
-    layout (index i < n is B^H_{t_i}, index n + j is W_{t_j}); they are built on each
-    access and not kept.
+    Stores only the n x 2n fBm factor ``fbm_factor = [K~ | L_S]``: B^H = Z @ fbm_factor.T
+    for the draws Z = [dW | Z_B] of `draw_normal_bundle`, whose first n columns are the
+    Wiener increments and whose last n are the standard normals that drive the part of
+    B^H independent of W. K~ is the step-average kernel (see the module docstring); in
+    Z-space the kernel is K = K~ sqrt(deltas). ``jitter`` records the diagonal shift
+    added to the conditional covariance S = r - K K^T before its Cholesky (0.0 when
+    plain factorization succeeded, and always at H = 1/2, where S = 0 and K~ is
+    tril(ones)).
     """
 
     grid: TimeGrid
@@ -258,41 +242,23 @@ class JointCovariance:
     fbm_factor: np.ndarray
     jitter: float = 0.0
 
-    @property
-    def sigma_matrix(self) -> np.ndarray:
-        """The exact joint covariance, fBm block r(t,s), Wiener block min(t,s)."""
-        times = self.grid.times
-        cross = cross_covariance_matrix(times, self.H)
-        return np.block([[_fbm_autocovariance(times, self.H), cross],
-                         [cross.T, np.minimum(times[:, None], times[None, :])]])
-
-    @property
-    def cholesky_factor(self) -> np.ndarray:
-        """L with L L^T = sigma_matrix + jitter on the fBm diagonal; columns follow Z.
-
-        The B^H rows are [K | L_S] and the W rows are [tril(ones) * sqrt(deltas) | 0],
-        so L is lower-triangular once W is ordered first.
-        """
-        n = self.grid.n
-        return np.vstack([self.fbm_factor,
-                          np.hstack([_wiener_factor(self.grid), np.zeros((n, n))])])
-
 
 def build_joint_covariance(grid: TimeGrid, H: float) -> JointCovariance:
     """Factorize the joint (B^H, W) covariance on a grid, W first.
 
-    Forms the step kernel K from the closed-form cross covariance and factorizes only
-    the n x n conditional covariance S = r - K K^T. Factorization first attempts a
-    plain Cholesky; on failure an escalating diagonal jitter (1e-14 .. 1e-10, five
-    steps) is applied, since fine grids make S numerically rank-deficient. Exhausting
-    the ladder raises FactorizationError naming the smallest eigenvalue of S. At
-    H = 1/2, where B^H = W, K is the Wiener factor and L_S = 0 with no jitter.
+    Forms the Z-space step kernel K from the closed-form cross covariance and
+    factorizes only the n x n conditional covariance S = r - K K^T. Factorization first
+    attempts a plain Cholesky; on failure an escalating diagonal jitter (1e-14 .. 1e-10,
+    five steps) is applied, since fine grids make S numerically rank-deficient.
+    Exhausting the ladder raises FactorizationError naming the smallest eigenvalue of
+    S. The stored kernel block is then K~ = K / sqrt(deltas), which multiplies dW. At
+    H = 1/2, where B^H = W, K~ is tril(ones) and L_S = 0 with no jitter.
     """
     H = _validate_hurst(H)
     n = grid.n
     factor = np.zeros((n, 2 * n))
     if H == 0.5:
-        factor[:, :n] = _wiener_factor(grid)
+        factor[np.tril_indices(n)] = 1.0
         return JointCovariance(grid=grid, H=H, fbm_factor=factor)
     kernel = factor[:, :n]
     kernel[:] = _step_kernel(grid, H)
@@ -314,6 +280,7 @@ def build_joint_covariance(grid: TimeGrid, H: float) -> JointCovariance:
             f"covariance factorization failed at maximum jitter {JITTER_LADDER[-1]:.0e}; "
             f"smallest eigenvalue estimate {min_eig:.3e} of the conditional fBm covariance"
         )
+    kernel /= np.sqrt(grid.deltas)
     return JointCovariance(grid=grid, H=H, fbm_factor=factor, jitter=jit)
 
 
@@ -322,11 +289,11 @@ class PathBundle:
     """Sampled joint paths: B^H at grid times, the Wiener increments that drive it, and
     independent scaled increments.
 
-    ``w_increments[:, k]`` is dW_k = W_{t_k} - W_{t_{k-1}} = sqrt(deltas[k]) Z_W[k],
-    exactly as drawn; W itself is never formed. ``w_tilde_increments[:, k]`` is an
-    N(0, deltas[k]) draw independent of everything else — the orthogonal Brownian
-    component consumed by the asset scheme. Identical (seed, grid, path_count)
-    reproduce bit-identical bundles at any thread count.
+    ``w_increments[:, k]`` is dW_k = W_{t_k} - W_{t_{k-1}} = sqrt(deltas[k]) Z_W[k], a
+    view of the draws [dW | Z_B]; W itself is never formed. ``w_tilde_increments[:, k]``
+    is an N(0, deltas[k]) draw independent of everything else — the orthogonal
+    Brownian component consumed by the asset scheme. Identical (seed, grid,
+    path_count) reproduce bit-identical bundles at any thread count.
     """
 
     fbm_paths: np.ndarray
@@ -355,11 +322,17 @@ def _block_count(path_count: int) -> int:
     return -(-path_count // PATH_BLOCK)
 
 
-def _block_normals(seed: int, b: int, path_count: int, n: int):
-    """Block b's draws from its own stream, Z (rows x 2n) first, then Z_tilde (rows x n)."""
+def _block_normals(seed: int, b: int, path_count: int, grid: TimeGrid):
+    """Block b's draws from its own stream, Z (rows x 2n) first, then Z_tilde (rows x n),
+    returned as [dW | Z_B] and dW~: the one place where normals are scaled by sqrt(dt)."""
+    n = grid.n
     rows = min(PATH_BLOCK, path_count - b * PATH_BLOCK)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), _STREAM_PATHS, b]))
-    return rng.standard_normal((rows, 2 * n)), rng.standard_normal((rows, n))
+    z, z_tilde = rng.standard_normal((rows, 2 * n)), rng.standard_normal((rows, n))
+    scale = np.sqrt(grid.deltas)
+    z[:, :n] *= scale
+    z_tilde *= scale
+    return z, z_tilde
 
 
 def parallel_map(fn, items, threads: int) -> list:
@@ -376,22 +349,24 @@ def parallel_map(fn, items, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
-def draw_normal_bundle(n: int, path_count: int, seed: int, threads: int = 1):
-    """Draw the frozen standard-normal inputs: Z (path_count x 2n), Z_tilde (path_count x n).
+def draw_normal_bundle(grid: TimeGrid, path_count: int, seed: int, threads: int = 1):
+    """Draw the frozen inputs: [dW | Z_B] (path_count x 2n) and dW~ (path_count x n).
 
-    Z's first n columns drive dW and its last n the part of B^H independent of W (see
-    `JointCovariance`). Block b draws from the same per-block stream as
-    `sample_paths` with ``block=b``, Z first then Z_tilde, so transforming any
-    PATH_BLOCK row slice of these draws reproduces that block bit for bit. This is the
-    object a common-random-numbers calibration freezes.
+    dW and dW~ are the Wiener and orthogonal increments on ``grid``, Z_B the normals
+    that drive the part of B^H independent of W (see `JointCovariance`); none depends
+    on H. Block b draws from the same per-block stream as `sample_paths` with
+    ``block=b``, so transforming any PATH_BLOCK row slice of these draws reproduces
+    that block bit for bit. This is the object a common-random-numbers calibration
+    freezes.
     """
     if path_count < 1:
         raise ValueError("path_count must be >= 1")
+    n = grid.n
     z = np.empty((path_count, 2 * n))
     z_tilde = np.empty((path_count, n))
 
     def worker(b: int) -> None:
-        z_b, zt_b = _block_normals(seed, b, path_count, n)
+        z_b, zt_b = _block_normals(seed, b, path_count, grid)
         rows = slice(b * PATH_BLOCK, b * PATH_BLOCK + zt_b.shape[0])
         z[rows] = z_b
         z_tilde[rows] = zt_b
@@ -404,10 +379,10 @@ def _joint_paths(z: np.ndarray, w_tilde_increments: np.ndarray,
                  cov: JointCovariance) -> PathBundle:
     """The path kernel of `sample_paths` and `transform_normals`.
 
-    dW = sqrt(deltas) * Z_W and B^H = Z @ [K | L_S]^T; at H = 1/2, B^H = cumsum(dW)
-    with no product.
+    dW is a view of the draws [dW | Z_B], and B^H = [dW | Z_B] @ [K~ | L_S]^T; at
+    H = 1/2, B^H = cumsum(dW) with no product.
     """
-    dw = z[:, : cov.grid.n] * np.sqrt(cov.grid.deltas)
+    dw = z[:, : cov.grid.n]
     fbm = np.cumsum(dw, axis=1) if cov.H == 0.5 else z @ cov.fbm_factor.T
     return PathBundle(fbm_paths=fbm, w_increments=dw,
                       w_tilde_increments=w_tilde_increments, path_count=z.shape[0],
@@ -419,41 +394,37 @@ def sample_paths(cov: JointCovariance, path_count: int, seed: int,
     """Draw exact joint paths: B^H, the Wiener increments dW and independent
     orthogonal increments.
 
-    Standard normals are drawn block-by-block, Z (first n columns for dW, last n for
-    the conditional fBm part) then Z_tilde, and mapped to paths by the W-first
-    factor; each block owns an RNG stream derived from (seed, block index), so the
-    output is deterministic for fixed inputs regardless of ``threads``. With
+    The draws [dW | Z_B] and dW~ are made block by block and mapped to paths by the
+    W-first factor; each block owns an RNG stream derived from (seed, block index), so
+    the output is deterministic for fixed inputs regardless of ``threads``. With
     ``block=b`` only path block b of the ``path_count``-path draw is sampled, rows
     b * PATH_BLOCK onwards, bit for bit as in the whole draw; ``threads`` is then
     unused. Either draw goes through the one path kernel, as `transform_normals` does.
     """
     if path_count < 1:
         raise ValueError("path_count must be >= 1")
-    n = cov.grid.n
     if block is None:
-        z, z_tilde = draw_normal_bundle(n, path_count, seed, threads)
+        z, w_tilde = draw_normal_bundle(cov.grid, path_count, seed, threads)
     else:
         n_blocks = _block_count(path_count)
         if not 0 <= block < n_blocks:
             raise ValueError(f"block {block} outside 0..{n_blocks - 1} for "
                              f"{path_count} paths")
-        z, z_tilde = _block_normals(seed, block, path_count, n)
-    z_tilde *= np.sqrt(cov.grid.deltas)
-    return _joint_paths(z, z_tilde, cov)
+        z, w_tilde = _block_normals(seed, block, path_count, cov.grid)
+    return _joint_paths(z, w_tilde, cov)
 
 
 def transform_normals(z: np.ndarray, w_tilde_increments: np.ndarray,
                       cov: JointCovariance) -> PathBundle:
-    """Turn frozen normal draws into a PathBundle under a (possibly new) covariance.
+    """Form the paths of frozen draws under a (possibly new) covariance.
 
-    Z's first n columns give the Wiener increments dW = sqrt(deltas) * Z_W, which do
-    not depend on H; the fBm paths are Z @ [K | L_S]^T under ``cov`` (see
-    `JointCovariance`). W is never formed. ``w_tilde_increments`` is the Z_tilde draw
-    already scaled by sqrt(deltas); it does not depend on H, so a caller that
-    transforms the same draws under many covariances scales it once and the bundle
-    shares that array instead of copying it. Used by the calibrator, one PATH_BLOCK
-    row slice at a time: the draws stay fixed while the covariance (hence the Hurst
-    index) changes, making the parameter-to-paths map deterministic and smooth.
+    ``z`` and ``w_tilde_increments`` are (row slices of) the two arrays of
+    `draw_normal_bundle`: [dW | Z_B] and dW~, neither of which depends on H. The fBm
+    paths are z @ [K~ | L_S]^T under ``cov`` (see `JointCovariance`); the bundle's
+    increments are views of the inputs, so only the fBm is allocated. Used by the
+    calibrator, one PATH_BLOCK row slice at a time: the draws stay fixed while the
+    covariance (hence the Hurst index) changes, making the parameter-to-paths map
+    deterministic and smooth.
     """
     n = cov.grid.n
     if z.shape[1] != 2 * n or w_tilde_increments.shape[1] != n:

@@ -162,6 +162,18 @@ def _parse_row(row: dict, line: int) -> tuple[OptionQuote, dt.date] | str:
     return quote, trade
 
 
+def _sidecar_number(meta: dict, key: str, sidecar: Path) -> float:
+    """``meta[key]`` as a float; a missing key or a value that is not a JSON number
+    raises ChainFormatError naming the key and the sidecar file."""
+    if key not in meta:
+        raise ChainFormatError(f"sidecar {sidecar} has no {key!r}")
+    value = meta[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ChainFormatError(f"sidecar {sidecar}: {key!r} must be a number, "
+                               f"got {value!r}")
+    return float(value)
+
+
 def load_chain(path, sidecar=None, weight_rule: str = "inv_spread_sq") -> OptionStructure:
     """Load and validate a chain CSV plus its JSON sidecar (spot, rate, day_count).
 
@@ -175,10 +187,13 @@ def load_chain(path, sidecar=None, weight_rule: str = "inv_spread_sq") -> Option
     if not sidecar.exists():
         raise FileNotFoundError(sidecar)
     meta = json.loads(sidecar.read_text())
+    if not isinstance(meta, dict):
+        raise ChainFormatError(f"sidecar {sidecar} must hold a JSON object")
     day_count = str(meta.get("day_count", "ACT/365")).upper()
     if day_count != "ACT/365":
         raise ChainFormatError(f"unsupported day_count {day_count!r} (only ACT/365)")
-    env = MarketEnv(spot=float(meta["spot"]), rate=float(meta["rate"]))
+    env = MarketEnv(spot=_sidecar_number(meta, "spot", sidecar),
+                    rate=_sidecar_number(meta, "rate", sidecar))
 
     with path.open(newline="") as fh:
         reader = csv.DictReader(fh)

@@ -21,6 +21,7 @@ from roughvol.pricing import chain_estimates
 from roughvol.stats import (ks_two_sample, octile_grouping, sensitivity_analysis,
                             significance_test)
 from roughvol.synth import generate_chain
+from test_fbm import cholesky_factor, sigma_matrix
 
 # reference rBergomi fit used for the pricing and calibration gates
 REF_RBERGOMI = ModelParams(sigma0=0.0782, rho=-0.1792, H=0.2324, xi=0.9875, alpha=1.0)
@@ -36,7 +37,7 @@ def test_01_covariance_matrix_is_exact():
     t = grid.times
     for H in (0.1, 0.3, 0.5):
         cov = build_joint_covariance(grid, H)
-        sigma = cov.sigma_matrix
+        sigma = sigma_matrix(cov)
         fbm_expected = 0.5 * (t[:, None] ** (2 * H) + t[None, :] ** (2 * H)
                               - np.abs(t[:, None] - t[None, :]) ** (2 * H))
         assert np.max(np.abs(sigma[:16, :16] - fbm_expected)) <= 1e-12
@@ -44,7 +45,7 @@ def test_01_covariance_matrix_is_exact():
             mins = np.minimum(t[:, None], t[None, :])
             for block in (sigma[:16, :16], sigma[:16, 16:], sigma[16:, 16:]):
                 assert np.max(np.abs(block - mins)) <= 1e-12
-        L = cov.cholesky_factor
+        L = cholesky_factor(cov)
         resid = np.linalg.norm(L @ L.T - sigma) / np.linalg.norm(sigma)
         assert resid <= 1e-10
 
@@ -55,7 +56,7 @@ def test_02_sampled_paths_reproduce_covariance():
     bundle = sample_paths(cov, 200_000, seed=2024)
     X = np.hstack([bundle.fbm_paths, np.cumsum(bundle.w_increments, axis=1)])
     S = X.T @ X / X.shape[0]
-    sigma = cov.sigma_matrix
+    sigma = sigma_matrix(cov)
     diag = np.diag(sigma)
     se = np.sqrt((np.outer(diag, diag) + sigma**2) / X.shape[0])
     flagged = np.abs(S - sigma) > 3.0 * se

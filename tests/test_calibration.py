@@ -31,6 +31,7 @@ from roughvol.market import OptionQuote, OptionStructure, compute_weights
 from roughvol.model import PARAM_NAMES, MarketEnv, ModelParams
 from roughvol.pricing import _pool_estimates, chain_estimates
 from roughvol.synth import generate_chain
+from test_fbm import block_stream_normals
 
 THETA = ModelParams(sigma0=0.08, rho=-0.3, H=0.2, xi=1.0, alpha=1.0)
 
@@ -140,9 +141,9 @@ def test_frozen_pricer_matches_manual_assembly():
     s = small_structure()
     config = fast_config()
     pricer = FrozenPricer(s, config)
-    z, zt = draw_normal_bundle(pricer.grid.n, config.path_count, config.seed)
+    z, w_tilde = draw_normal_bundle(pricer.grid, config.path_count, config.seed)
     cov = build_joint_covariance(pricer.grid, THETA.H)
-    bundle = transform_normals(z, zt * np.sqrt(pricer.grid.deltas), cov)
+    bundle = transform_normals(z, w_tilde, cov)
     manual = [e.price for e in chain_estimates(bundle, THETA, s.env, s.options)]
     assert_allclose(pricer.prices(THETA), manual, rtol=0.0, atol=0.0)
 
@@ -154,20 +155,19 @@ def test_frozen_pricer_pools_path_blocks():
     config = fast_config(path_count=2 * PATH_BLOCK + 8)
     pricer = FrozenPricer(s, config)
     grid = pricer.grid
-    z, zt = draw_normal_bundle(grid.n, config.path_count, config.seed)
-    zt = zt * np.sqrt(grid.deltas)
+    z, w_tilde = draw_normal_bundle(grid, config.path_count, config.seed)
     cov = build_joint_covariance(grid, THETA.H)
     per_block = []
     for lo in range(0, config.path_count, PATH_BLOCK):
         rows = slice(lo, lo + PATH_BLOCK)
-        bundle = transform_normals(z[rows], zt[rows], cov)
+        bundle = transform_normals(z[rows], w_tilde[rows], cov)
         per_block.append(chain_estimates(bundle, THETA, s.env, s.options))
     assert len(per_block) == 3 and per_block[-1][0].path_count == 8
     manual = [_pool_estimates(parts).price for parts in zip(*per_block)]
     prices = pricer.prices(THETA)
     assert list(prices) == manual
 
-    whole = transform_normals(z, zt, cov)
+    whole = transform_normals(z, w_tilde, cov)
     reference = [e.price for e in chain_estimates(whole, THETA, s.env, s.options)]
     assert_allclose(prices, reference, rtol=1e-13, atol=0.0)
 
@@ -208,6 +208,39 @@ def test_new_hurst_call_holds_one_path_set():
     finally:
         tracemalloc.stop()
     assert both <= 1.1 * first
+
+
+def test_frozen_pricer_increments_are_views_of_the_draws():
+    # a cached block at any H holds its fBm paths and views of the frozen draws, whose
+    # dW is bit for bit sqrt(deltas) * Z_W from the block's own stream
+    config = fast_config(path_count=2 * PATH_BLOCK + 8)
+    pricer = FrozenPricer(small_structure(), config)
+    n, scale = pricer.grid.n, np.sqrt(pricer.grid.deltas)
+    for H in (THETA.H, 0.12):
+        pricer.prices(replace(THETA, H=H))
+        for b, (h, bundle) in enumerate(pricer._blocks):
+            assert h == H
+            assert np.shares_memory(bundle.w_increments, pricer._z)
+            assert np.shares_memory(bundle.w_tilde_increments, pricer._w_tilde)
+            stream_z, stream_zt = block_stream_normals(config.seed, b, bundle.path_count, n)
+            assert np.array_equal(bundle.w_increments, stream_z[:, :n] * scale)
+            assert np.array_equal(bundle.w_tilde_increments, stream_zt * scale)
+
+
+def test_pricer_calls_add_one_fbm_path_set():
+    # after construction, a first call and a call at a new H leave only the fBm paths
+    # behind: the increments are views of the frozen draws, not copies
+    config = fast_config(path_count=3 * PATH_BLOCK + 100, steps_per_year=252)
+    pricer = FrozenPricer(small_structure(), config)
+    path_set = config.path_count * pricer.grid.n * 8
+    tracemalloc.start()
+    try:
+        pricer.prices(THETA)
+        pricer.prices(replace(THETA, H=0.12))
+        added = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert added <= 1.1 * path_set
 
 
 def _generation_peak(threads: int) -> int:

@@ -340,6 +340,55 @@ def test_non_finite_quote_reports_json(tmp_path, capsys):
     assert not (out / "prices.csv").exists()
 
 
+@pytest.mark.parametrize("meta,named", [({"rate": 0.0}, "'spot'"),
+                                        ({"spot": 100.0}, "'rate'"),
+                                        ({"spot": "abc", "rate": 0.0}, "'spot'"),
+                                        ([100.0, 0.0], "JSON object")],
+                         ids=["no-spot", "no-rate", "string-spot", "not-an-object"])
+def test_malformed_sidecar_reports_json(tmp_path, capsys, meta, named):
+    chain = tmp_path / "chain.csv"
+    chain.write_text("trade_date,expiry_date,strike,bid,ask,close,volume\n"
+                     "2026-01-02,2026-04-03,100,4.9,5.1,5.0,500\n")
+    sidecar = tmp_path / "chain.json"
+    sidecar.write_text(json.dumps(meta))
+    out = tmp_path / "out"
+    rc = main(["price", "--chain", str(chain), *TRUTH_FLAGS, "--path-count", "300",
+               "--steps-per-year", "12", "--threads", "1", "--out", str(out)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ChainFormatError"
+    assert named in err["message"] and str(sidecar) in err["message"]
+    assert not (out / "prices.csv").exists()
+
+
+def test_bootstrap_calibration_without_theta_reports_json(pipeline, tmp_path, capsys):
+    calibration = tmp_path / "calibration.json"
+    calibration.write_text(json.dumps({"objective": 0.1}))
+    rc = main(["bootstrap", "--chain", str(pipeline / "chain.csv"),
+               "--calibration", str(calibration), "--samples", "2", "--path-count", "200",
+               "--steps-per-year", "12", "--threads", "1", "--out", str(tmp_path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert "'theta'" in err["message"] and str(calibration) in err["message"]
+    assert not (tmp_path / "bootstrap.json").exists()
+
+
+def test_significance_theta_without_parameter_reports_json(pipeline, tmp_path, capsys):
+    restricted = tmp_path / "restricted.json"
+    restricted.write_text(json.dumps({"theta": {"sigma0": 0.14, "rho": -0.3, "xi": 1.0,
+                                                "alpha": 1.0}}))
+    rc = main(["significance", "--chain", str(pipeline / "chain.csv"),
+               "--full", str(pipeline / "full.json"), "--restricted", str(restricted),
+               "--repetitions", "2", "--path-count", "200", "--steps-per-year", "12",
+               "--threads", "1", "--out", str(tmp_path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert "'H'" in err["message"] and str(restricted) in err["message"]
+    assert not (tmp_path / "significance.json").exists()
+
+
 @pytest.mark.parametrize("bounds", [{"sigma0": [0.05]}, {"sigma0": [0.05, 0.1, 7]},
                                     {"sigma0": 0.05}, {"sigma0": [0.05, "0.1"]},
                                     [[0.05, 0.1]]],

@@ -7,17 +7,21 @@ to ~1e-21), and the constants from the Gamma-function definition.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate, special
 
 from roughvol import fbm
 from roughvol.fbm import (
+    JITTER_LADDER,
     FactorizationError,
     TimeGrid,
+    _cross_covariance,
+    _fbm_autocovariance,
     _kernel_tail,
     _validate_hurst,
     build_joint_covariance,
-    cross_covariance_matrix,
     derive_seed,
     draw_normal_bundle,
     molchan_constant,
@@ -127,6 +131,52 @@ def fbm_wiener_cross_covariance(t: float, s: float, H: float, tol: float = 1e-10
             f"cross-covariance quadrature achieved +/-{achieved:.3e}, requested {tol:.3e}"
         )
     return val1 + val2
+
+
+# ---------------------------------------------------------------------------
+# matrix oracles: the 2n x 2n joint covariance and its W-first factor in Z-space
+
+
+def cross_covariance_matrix(times: np.ndarray, H: float) -> np.ndarray:
+    """Matrix of E[B^H_{t_i} W_{t_j}] over a grid, via the closed incomplete-Beta form.
+
+    Entry (i, j) equals int_0^{min(t_i, t_j)} K_H(t_i, u) du.
+    """
+    H = _validate_hurst(H)
+    tcol = np.asarray(times, dtype=float)[:, None]
+    return _cross_covariance(tcol, np.minimum(tcol, tcol.T), H)
+
+
+def sigma_matrix(cov) -> np.ndarray:
+    """The exact joint covariance in the fBm-first layout: index i < n is B^H_{t_i},
+    index n + j is W_{t_j}; fBm block r(t,s), Wiener block min(t,s)."""
+    times = cov.grid.times
+    cross = cross_covariance_matrix(times, cov.H)
+    return np.block([[_fbm_autocovariance(times, cov.H), cross],
+                     [cross.T, np.minimum(times[:, None], times[None, :])]])
+
+
+def cholesky_factor(cov) -> np.ndarray:
+    """L with L L^T = sigma_matrix + jitter on the fBm diagonal; columns follow the
+    standard normals Z = (Z_W, Z_B).
+
+    The B^H rows are [K~ sqrt(deltas) | L_S] and the W rows are
+    [tril(ones) sqrt(deltas) | 0], so L is lower-triangular once W is ordered first.
+    """
+    n = cov.grid.n
+    scale = np.sqrt(cov.grid.deltas)
+    fbm_rows = cov.fbm_factor.copy()
+    fbm_rows[:, :n] *= scale
+    wiener_rows = np.zeros((n, 2 * n))
+    wiener_rows[:, :n] = np.tril(np.ones((n, n))) * scale
+    return np.vstack([fbm_rows, wiener_rows])
+
+
+def block_stream_normals(seed: int, b: int, rows: int, n: int):
+    """Path block b's unscaled draws Z (rows x 2n) and Z_tilde (rows x n), read straight
+    from the block's RNG stream."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, fbm._STREAM_PATHS, b]))
+    return rng.standard_normal((rows, 2 * n)), rng.standard_normal((rows, n))
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +399,7 @@ def test_joint_covariance_blocks():
     grid = TimeGrid.regular(1.0, 8)
     cov = build_joint_covariance(grid, 0.3)
     n = grid.n
-    sigma = cov.sigma_matrix
+    sigma = sigma_matrix(cov)
     assert sigma.shape == (2 * n, 2 * n)
     assert_allclose(sigma, sigma.T, atol=1e-15)
     for i, t in enumerate(grid.times):
@@ -363,9 +413,9 @@ def test_joint_covariance_blocks():
 def test_factor_reproduces_matrix():
     grid = TimeGrid.regular(1.0, 16)
     cov = build_joint_covariance(grid, 0.2)
-    reconstructed = cov.cholesky_factor @ cov.cholesky_factor.T
+    reconstructed = cholesky_factor(cov) @ cholesky_factor(cov).T
     assert_allclose(reconstructed,
-                    cov.sigma_matrix + cov.jitter * np.eye(2 * grid.n), atol=1e-12)
+                    sigma_matrix(cov) + cov.jitter * np.eye(2 * grid.n), atol=1e-12)
 
 
 def test_brownian_case_is_exact_without_jitter():
@@ -373,11 +423,12 @@ def test_brownian_case_is_exact_without_jitter():
     grid = TimeGrid.regular(1.0, 64)
     cov = build_joint_covariance(grid, 0.5)
     assert cov.jitter == 0.0
+    assert np.array_equal(cov.fbm_factor[:, :grid.n], np.tril(np.ones((grid.n, grid.n))))
     assert np.array_equal(cov.fbm_factor[:, grid.n:], np.zeros((grid.n, grid.n)))
     sampled = sample_paths(cov, fbm.PATH_BLOCK + 10, seed=4, threads=2)
     assert np.array_equal(sampled.fbm_paths, np.cumsum(sampled.w_increments, axis=1))
-    z, z_tilde = draw_normal_bundle(grid.n, 500, seed=4)
-    rebuilt = transform_normals(z, z_tilde * np.sqrt(grid.deltas), cov)
+    z, w_tilde = draw_normal_bundle(grid, 500, seed=4)
+    rebuilt = transform_normals(z, w_tilde, cov)
     assert np.array_equal(rebuilt.fbm_paths, np.cumsum(rebuilt.w_increments, axis=1))
 
 
@@ -395,7 +446,7 @@ def test_step_kernel_is_lower_triangular(H):
 def test_wiener_rows_of_factor_are_exact(H):
     cov = build_joint_covariance(UNION_GRID, H)
     n = UNION_GRID.n
-    factor = cov.cholesky_factor
+    factor = cholesky_factor(cov)
     assert np.array_equal(factor[n:, :n], np.tril(np.ones((n, n))) * np.sqrt(UNION_GRID.deltas))
     assert np.array_equal(factor[n:, n:], np.zeros((n, n)))
 
@@ -403,21 +454,38 @@ def test_wiener_rows_of_factor_are_exact(H):
 @pytest.mark.parametrize("H", [0.05, 0.2, 0.45, 0.7])
 def test_w_first_factor_reproduces_matrix(H):
     cov = build_joint_covariance(UNION_GRID, H)
-    factor = cov.cholesky_factor
+    factor = cholesky_factor(cov)
     shift = np.zeros(2 * UNION_GRID.n)
     shift[:UNION_GRID.n] = cov.jitter  # jitter goes to the conditional fBm block only
-    assert_allclose(factor @ factor.T, cov.sigma_matrix + np.diag(shift), rtol=0, atol=1e-12)
+    assert_allclose(factor @ factor.T, sigma_matrix(cov) + np.diag(shift), rtol=0, atol=1e-12)
 
 
 def test_covariance_stores_one_n_by_2n_factor():
-    # the 2n x 2n matrices are built on access only
+    # the 2n x 2n matrices are built by the test oracles only
     cov = build_joint_covariance(UNION_GRID, 0.2)
     n = UNION_GRID.n
     stored = [v for obj in (cov, cov.grid) for v in vars(obj).values()
               if isinstance(v, np.ndarray)]
     assert sum(a.size for a in stored) <= 2 * n * n + 4 * n
     assert cov.fbm_factor.shape == (n, 2 * n)
-    assert cov.sigma_matrix.shape == cov.cholesky_factor.shape == (2 * n, 2 * n)
+    assert sigma_matrix(cov).shape == cholesky_factor(cov).shape == (2 * n, 2 * n)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(H=st.one_of(st.floats(0.02, 0.98), st.floats(0.5 - 1e-6, 0.5 + 1e-6),
+                   st.just(0.5)),
+       steps_per_year=st.integers(2, 40),
+       maturities=st.lists(st.floats(0.01, 1.5), min_size=1, max_size=4))
+def test_factor_reproduces_matrix_on_any_grid(H, steps_per_year, maturities):
+    # the stored [K~ | L_S], taken back to Z-space, reproduces the exact joint covariance
+    # plus the jitter on the conditional fBm block, and the jitter is a ladder value
+    grid = TimeGrid.with_maturities(maturities, steps_per_year)
+    cov = build_joint_covariance(grid, H)
+    assert cov.jitter in (0.0,) + JITTER_LADDER
+    shift = np.zeros(2 * grid.n)
+    shift[:grid.n] = cov.jitter
+    factor = cholesky_factor(cov)
+    assert_allclose(factor @ factor.T, sigma_matrix(cov) + np.diag(shift), rtol=0, atol=1e-12)
 
 
 def test_factorization_failure_names_conditional_covariance(monkeypatch):
@@ -464,9 +532,10 @@ def test_sampled_moments_match_covariance():
                            axis=1)
     sample_cov = np.cov(joint, rowvar=False)
     # SE of a Gaussian covariance entry ~ sqrt((S_ii S_jj + S_ij^2) / P)
-    diag = np.diag(cov.sigma_matrix)
-    se = np.sqrt((np.outer(diag, diag) + cov.sigma_matrix**2) / 200_000)
-    assert np.all(np.abs(sample_cov - cov.sigma_matrix) < 5.0 * se)
+    sigma = sigma_matrix(cov)
+    diag = np.diag(sigma)
+    se = np.sqrt((np.outer(diag, diag) + sigma**2) / 200_000)
+    assert np.all(np.abs(sample_cov - sigma) < 5.0 * se)
 
     tilde = bundle.w_tilde_increments
     assert_allclose(tilde.var(axis=0, ddof=1), grid.deltas, rtol=0.05)
@@ -523,6 +592,40 @@ def test_single_block_equals_rows_of_full_draw():
     assert part.path_count == 10
 
 
+def _spy(monkeypatch, name: str) -> list:
+    """Record the return values of ``fbm.<name>`` for the rest of the test."""
+    calls, real = [], getattr(fbm, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(real(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(fbm, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("block", [None, 0, 1])
+def test_increments_are_views_of_the_scaled_draws(monkeypatch, block):
+    # the draws are scaled as drawn, so the bundle's dW is a view of them, bit for bit
+    # sqrt(deltas) * Z_W from the block's own stream; dW~ is the second draw itself
+    grid = TimeGrid.with_maturities([0.21, 0.5], 24)
+    cov = build_joint_covariance(grid, 0.15)
+    n, path_count, seed = grid.n, fbm.PATH_BLOCK + 10, 21
+    drawn = _spy(monkeypatch, "draw_normal_bundle" if block is None else "_block_normals")
+    bundle = sample_paths(cov, path_count, seed=seed, block=block)
+    (z, w_tilde), = drawn
+    assert np.shares_memory(bundle.w_increments, z)
+    assert bundle.w_tilde_increments is w_tilde
+    scale = np.sqrt(grid.deltas)
+    for b in range(2) if block is None else [block]:
+        lo = b * fbm.PATH_BLOCK if block is None else 0
+        rows = slice(lo, lo + min(fbm.PATH_BLOCK, path_count - b * fbm.PATH_BLOCK))
+        stream_z, stream_zt = block_stream_normals(seed, b, rows.stop - rows.start, n)
+        assert np.array_equal(bundle.w_increments[rows], stream_z[:, :n] * scale)
+        assert np.array_equal(z[rows, n:], stream_z[:, n:])
+        assert np.array_equal(bundle.w_tilde_increments[rows], stream_zt * scale)
+
+
 @pytest.mark.parametrize("block", [-1, 3])
 def test_block_out_of_range(block):
     grid = TimeGrid.regular(1.0, 4)
@@ -534,9 +637,9 @@ def test_block_out_of_range(block):
 def test_transform_normals_reproduces_sample_paths():
     grid = TimeGrid.regular(1.0, 8)
     cov = build_joint_covariance(grid, 0.22)
-    z, z_tilde = draw_normal_bundle(grid.n, 6000, seed=5)
+    z, w_tilde = draw_normal_bundle(grid, 6000, seed=5)
     direct = sample_paths(cov, 6000, seed=5)
-    rebuilt = transform_normals(z, z_tilde * np.sqrt(grid.deltas), cov)
+    rebuilt = transform_normals(z, w_tilde, cov)
     assert np.array_equal(direct.fbm_paths, rebuilt.fbm_paths)
     assert np.array_equal(direct.w_increments, rebuilt.w_increments)
     assert np.array_equal(direct.w_tilde_increments, rebuilt.w_tilde_increments)
@@ -555,7 +658,7 @@ def test_invalid_path_count():
     with pytest.raises(ValueError):
         sample_paths(cov, 0, seed=1)
     with pytest.raises(ValueError):
-        draw_normal_bundle(4, 0, seed=1)
+        draw_normal_bundle(grid, 0, seed=1)
 
 
 def test_derive_seed_is_deterministic_and_distinct():

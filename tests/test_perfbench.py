@@ -42,3 +42,12 @@ def test_tracer_installs_and_every_span_fires(tmp_path):
     proc = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)], cwd=ROOT,
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_smoke_run_passes():
+    # every workload at toy scale, traced and untraced: output checks and metric
+    # emission; it writes only under the work directory .perfbench/
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--smoke"], cwd=ROOT,
+                          env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
