@@ -230,10 +230,20 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _bins(column: np.ndarray) -> str:
+    """Freedman-Diaconis, unless its width (2 IQR M^(-1/3)) would ask for more bins
+    than the M samples, as when fits pile up on one value: then Sturges'."""
+    width = 2.0 * _iqr(column) * column.size ** (-1.0 / 3.0)
+    # numpy makes ceil(range / width) FD bins, or one at zero width; a Python float
+    # quotient turns to inf, not a warning, when the width is tiny
+    fits = width == 0.0 or float(np.ptp(column)) / width <= column.size
+    return "fd" if fits else "sturges"
+
+
 def export_scatter_matrix(theta_samples: np.ndarray, theta_hat: np.ndarray,
                           overall_theta: np.ndarray, path) -> None:
-    """Write scatter-matrix data: per-parameter histograms (Freedman-Diaconis bins) on
-    the diagonal, paired samples off-diagonal, plus bootstrap-mean/overall markers.
+    """Write scatter-matrix data: per-parameter histograms (`_bins`) on the diagonal,
+    paired samples off-diagonal, plus bootstrap-mean/overall markers.
 
     Plain sectioned text consumable by any plotting tool; byte-stable for fixed input.
     """
@@ -245,7 +255,8 @@ def export_scatter_matrix(theta_samples: np.ndarray, theta_hat: np.ndarray,
         f"p{k}" for k in range(d))
     lines = ["# scatter-matrix data v1", f"# parameters: {','.join(names)}"]
     for k, name in enumerate(names):
-        counts, edges = np.histogram(theta_samples[:, k], bins="fd")
+        column = theta_samples[:, k]
+        counts, edges = np.histogram(column, bins=_bins(column))
         lines.append(f"[histogram {name}]")
         lines.append("bin_left,bin_right,count")
         for i, c in enumerate(counts):

@@ -21,10 +21,9 @@ reinstated exactly on output.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .fbm import (PATH_BLOCK, PathBundle, TimeGrid, _block_count,
                   build_joint_covariance, draw_normal_bundle, parallel_map,
@@ -177,18 +176,6 @@ class CalibrationResult:
     iterations: dict
     seed: int
 
-    def to_dict(self) -> dict:
-        out = {
-            "theta": {name: getattr(self.theta, name) for name in PARAM_NAMES},
-            "objective": self.objective,
-            "seed": self.seed,
-            "iterations": self.iterations,
-        }
-        if self.metrics is not None:
-            out["metrics"] = {"aare": self.metrics.aare, "mare": self.metrics.mare,
-                              "arfv": self.metrics.arfv, "mrfv": self.metrics.mrfv}
-        return out
-
 
 class FrozenPricer:
     """Deterministic Theta -> model-price map over frozen normal draws.
@@ -340,6 +327,10 @@ def local_refine(start: ModelParams, residual_fn,
     parameters are excluded from the optimization vector and reported unchanged. The
     result carries no fit metrics.
     """
+    # imported here, not with the module: it is most of scipy's import time, and only
+    # the least-squares stage needs it
+    from scipy.optimize import least_squares
+
     bounds = config.effective_bounds()
     theta0 = bounds.clip(start.as_array())
     free = bounds.free
@@ -399,5 +390,5 @@ def calibrate(structure: OptionStructure, config: CalibrationConfig) -> Calibrat
     result = local_refine(start, pricer.residuals, config)
     result.metrics = fit_metrics(pricer.priced(result.theta), structure)
     result.iterations["ga_best_per_generation"] = history
-    result.iterations["ga_start"] = {name: getattr(start, name) for name in PARAM_NAMES}
+    result.iterations["ga_start"] = asdict(start)
     return result

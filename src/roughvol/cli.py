@@ -21,12 +21,13 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .bootstrap import (BootstrapPlan, bootstrap_statistics, export_scatter_matrix,
-                        run_bootcalibrations)
+from .bootstrap import (BootstrapPlan, BootstrapReport, bootstrap_statistics,
+                        export_scatter_matrix, run_bootcalibrations)
 from .calibration import (CalibrationConfig, ParamBounds, calibrate, format_pct)
 from .market import load_chain, write_chain
 from .model import PARAM_NAMES, MarketEnv, ModelParams
@@ -83,21 +84,37 @@ def _read_json(path) -> dict:
     return data
 
 
-def _read_theta(path) -> ModelParams:
-    """The model parameters of a calibration file's ``theta`` block.
+def _theta_block(block, source, partial: bool = False) -> dict:
+    """The parameters of a JSON parameter block, checked.
 
-    A missing block, or a block without a number for each parameter, raises
-    ValueError naming the file and what is missing.
+    ``block`` must be a JSON object with a number (not a bool, not a string) for each
+    parameter it names, and, unless ``partial``, for every one. Otherwise raises
+    ValueError naming ``source`` and the parameter.
     """
-    theta = _read_json(path).get("theta")
-    if not isinstance(theta, dict):
-        raise ValueError(f"{path}: no 'theta' block")
-    for name in PARAM_NAMES:
-        value = theta.get(name)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"{path}: 'theta' block needs a number for {name!r}, "
-                             f"got {value!r}")
-    return ModelParams(**{name: theta[name] for name in PARAM_NAMES})
+    if not isinstance(block, dict):
+        raise ValueError(f"{source}: needs a 'theta' block that is a JSON object, "
+                         f"got {block!r}")
+    names = [name for name in PARAM_NAMES if name in block or not partial]
+    for name in names:
+        # type(), not isinstance: JSON true/false would pass as the int 1/0
+        if type(block.get(name)) not in (int, float):
+            raise ValueError(f"{source}: 'theta' block needs a number for {name!r}, "
+                             f"got {block.get(name)!r}")
+    return {name: block[name] for name in names}
+
+
+def _read_theta(path) -> ModelParams:
+    """The model parameters of a calibration file's ``theta`` block."""
+    return ModelParams(**_theta_block(_read_json(path).get("theta"), path))
+
+
+@contextlib.contextmanager
+def _keys_of(path):
+    """Report a key missing from the JSON file ``path`` as a ValueError naming both."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{path}: no {exc} key") from None
 
 
 class _Settings:
@@ -149,23 +166,23 @@ class _Settings:
 
 
 def _resolve_theta(settings: _Settings) -> ModelParams:
-    """Model parameters from --params JSON, config 'theta' block, and/or flags."""
+    """Model parameters from the --params file (its 'theta' block, else the whole
+    object), then the config 'theta' block, then the flags, each overriding the last."""
+    params_file, config_file = settings.get("params"), settings.args.config
+    data = _read_json(params_file) if params_file else {}
+    flags = {name: getattr(settings.args, name) for name in PARAM_NAMES
+             if getattr(settings.args, name) is not None}
     values: dict = {}
-    params_file = settings.get("params")
-    if params_file:
-        data = _read_json(params_file)
-        theta = data.get("theta", data)
-        values.update({k: float(theta[k]) for k in PARAM_NAMES if k in theta})
-    cfg_theta = settings.config.get("theta", {})
-    values.update({k: float(cfg_theta[k]) for k in PARAM_NAMES if k in cfg_theta})
-    for name in PARAM_NAMES:
-        cli = getattr(settings.args, name, None)
-        if cli is not None:
-            values[name] = float(cli)
+    for block, source in ((data.get("theta", data), params_file),
+                          (settings.config.get("theta", {}), config_file),
+                          (flags, "flags")):
+        values.update(_theta_block(block, source, partial=True))
     missing = [n for n in PARAM_NAMES if n not in values]
     if missing:
+        read = ", ".join(str(f) for f in (params_file, config_file) if f)
         raise ValueError(
-            f"model parameters missing: {', '.join(missing)}; pass --sigma0/--rho/"
+            f"model parameters missing: {', '.join(missing)}"
+            + (f" (not in {read})" if read else "") + "; pass --sigma0/--rho/"
             "--hurst/--xi/--alpha, a config 'theta' block, or --params <file.json>")
     return ModelParams(**values)
 
@@ -202,10 +219,6 @@ def _calibration_config(settings: _Settings) -> CalibrationConfig:
                                                           CalibrationConfig.model_variant))
     return CalibrationConfig(bounds=bounds, seed=settings.seed,
                              model_variant=variant, threads=settings.threads, **tuned)
-
-
-def _theta_dict(theta: ModelParams) -> dict:
-    return {name: getattr(theta, name) for name in PARAM_NAMES}
 
 
 def _comma_floats(text: str) -> list[float]:
@@ -252,7 +265,7 @@ def cmd_synth_chain(args: argparse.Namespace) -> int:
           _atomic_path(outdir / f"{name}.json") as tmp_sidecar):
         write_chain(structure, tmp_csv, sidecar=tmp_sidecar)
     _atomic_json(outdir / f"{name}.truth.json", {
-        "theta": _theta_dict(theta), "spot": env.spot, "rate": env.rate,
+        "theta": asdict(theta), "spot": env.spot, "rate": env.rate,
         "seed": settings.seed, "rel_spread": float(settings.get("rel_spread", 0.01)),
         "quote_count": structure.n,
     })
@@ -289,7 +302,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     result = calibrate(structure, config)
     outdir = settings.outdir
 
-    payload = result.to_dict()
+    payload = asdict(result)
     payload["variant"] = config.model_variant
     payload["trade_date"] = structure.trade_date.isoformat()
     payload["settings"] = {
@@ -301,7 +314,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
     m = result.metrics
     row = [structure.trade_date.isoformat()]
-    row += [repr(getattr(result.theta, name)) for name in PARAM_NAMES]
+    row += [repr(v) for v in asdict(result.theta).values()]
     row += [format_pct(m.aare), format_pct(m.mare), repr(result.objective),
             format_pct(m.arfv)]
     _atomic_write(outdir / "calibration_row.csv", _csv_text(_ROW_HEADER, [row]))
@@ -329,7 +342,7 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
     outdir = settings.outdir
 
     payload = report.to_dict()
-    payload["overall_theta"] = _theta_dict(overall)
+    payload["overall_theta"] = asdict(overall)
     payload["sample_count"] = plan.sample_count
     payload["base_seed"] = plan.base_seed
     payload["failures"] = [[j, msg] for j, msg in failures]
@@ -352,10 +365,13 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
 
 def cmd_sensitivity(args: argparse.Namespace) -> int:
     settings = _Settings(args)
-    data = _read_json(settings.require("bootstrap"))
+    bootstrap_file = settings.require("bootstrap")
+    data = _read_json(bootstrap_file)
     alpha = float(settings.get("alpha", 0.05))
-    results = sensitivity_analysis(np.asarray(data["theta_samples"], dtype=float),
-                                   np.asarray(data["arfv_samples"], dtype=float),
+    with _keys_of(bootstrap_file):
+        theta_samples, arfv_samples = data["theta_samples"], data["arfv_samples"]
+    results = sensitivity_analysis(np.asarray(theta_samples, dtype=float),
+                                   np.asarray(arfv_samples, dtype=float),
                                    alpha_level=alpha)
     outdir = settings.outdir
     _atomic_json(outdir / "sensitivity.json",
@@ -380,8 +396,8 @@ def cmd_significance(args: argparse.Namespace) -> int:
         base_seed=settings.seed, threads=settings.threads,
     )
     payload = result.to_dict()
-    payload["theta_full"] = _theta_dict(theta_full)
-    payload["theta_restricted"] = _theta_dict(theta_restricted)
+    payload["theta_full"] = asdict(theta_full)
+    payload["theta_restricted"] = asdict(theta_restricted)
     _atomic_json(settings.outdir / "significance.json", payload)
     return 0
 
@@ -395,16 +411,20 @@ def _md_table(header: list[str], rows: list[list[str]]) -> list[str]:
 
 def cmd_report(args: argparse.Namespace) -> int:
     settings = _Settings(args)
-    boot = _read_json(settings.require("bootstrap"))
+    bootstrap_file = settings.require("bootstrap")
+    data = _read_json(bootstrap_file)
+    with _keys_of(bootstrap_file):
+        boot = BootstrapReport.from_dict(data)
     lines = ["# Rough volatility calibration report", ""]
 
     calibration_file = settings.get("calibration")
     if calibration_file:
+        theta = _read_theta(calibration_file)
         calib = _read_json(calibration_file)
         lines += [f"## Calibration ({calib.get('trade_date', 'n/a')}, "
                   f"variant {calib.get('variant', 'n/a')})", ""]
         lines += _md_table(["parameter", "value"],
-                           [[n, f"{calib['theta'][n]:.6g}"] for n in PARAM_NAMES])
+                           [[n, f"{v:.6g}"] for n, v in asdict(theta).items()])
         lines.append("")
         m = calib.get("metrics")
         if m:
@@ -414,26 +434,24 @@ def cmd_report(args: argparse.Namespace) -> int:
                   format_pct(m["mrfv"]), f"{calib['objective']:.6g}"]])
             lines.append("")
 
-    m_count = len(boot["aare_samples"])
-    failures = int(boot.get("failure_count", 0))
-    lines += [f"## Bootstrap robustness ({m_count} samples"
+    failures = boot.failure_count
+    lines += [f"## Bootstrap robustness ({len(boot.aare_samples)} samples"
               + (f", {failures} failed" if failures else "") + ")", ""]
-    ba = boot["boot_are"]
     lines += _md_table(
         ["Range", "IQR", "Std", "Rel IQR Avg", "Rel IQR Max"],
-        [[format_pct(ba["range"]), format_pct(ba["iqr"]), format_pct(ba["std"]),
-          format_pct(boot["rel_iqr_avg"]), format_pct(boot["rel_iqr_max"])]])
+        [[format_pct(boot.boot_are_range), format_pct(boot.boot_are_iqr),
+          format_pct(boot.boot_are_std), format_pct(boot.rel_iqr_avg),
+          format_pct(boot.rel_iqr_max)]])
     lines.append("")
     lines.append("Boot-ARE columns summarize the spread of the per-sample average "
                  "relative errors; Rel IQR columns summarize the coefficient "
                  "interquartile ranges normalized by their averages.")
     lines.append("")
     lines += _md_table(["parameter", "bootstrap mean", "Rel IQR"],
-                       [[n, f"{boot['theta_hat'][n]:.6g}",
-                         format_pct(boot["rel_iqr"][n])] for n in PARAM_NAMES])
+                       [[n, f"{mean:.6g}", format_pct(rel)] for n, mean, rel
+                        in zip(PARAM_NAMES, boot.theta_hat, boot.rel_iqr)])
     lines.append("")
-    bre = np.asarray(boot["bre"], dtype=float)
-    v = np.asarray(boot["v"], dtype=float)
+    bre, v = boot.bre, boot.v
     lines += _md_table(["mean BRE", "max BRE", "mean V", "max V"],
                        [[format_pct(bre.mean()), format_pct(bre.max()),
                          f"{v.mean():.3g}", f"{v.max():.3g}"]])

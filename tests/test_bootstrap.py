@@ -320,3 +320,30 @@ def test_scatter_matrix_rejects_single_sample(tmp_path):
     with pytest.raises(ValueError, match="M >= 2"):
         export_scatter_matrix(SCATTER_SAMPLES[:1], SCATTER_SAMPLES[0],
                               SCATTER_OVERALL, tmp_path / "x.txt")
+
+
+def test_scatter_matrix_piled_up_column_caps_the_bins(tmp_path):
+    # seven fits on alpha = 1 to within 2.2e-16 and one outlier: Freedman-Diaconis
+    # would ask for about 4e14 bins of width 2.2e-16
+    samples = np.tile(SCATTER_SAMPLES[0], (8, 1))
+    samples[:, 4] = [1 - 1e-16, 1 - 2.2e-16, 1, 1 - 1e-16, 1, 1 - 2.2e-16, 1, 0.907]
+    out = tmp_path / "scatter.txt"
+    export_scatter_matrix(samples, samples.mean(axis=0), SCATTER_OVERALL, out)
+    block = out.read_text().split("[histogram alpha]")[1].split("[")[0]
+    rows = block.strip().splitlines()[1:]
+    assert 1 <= len(rows) <= 8
+    assert sum(int(r.split(",")[2]) for r in rows) == 8
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_scatter_matrix_keeps_fd_bins_when_they_fit(tmp_path, seed):
+    samples = np.random.default_rng(seed).normal(size=(50, 5))
+    out = tmp_path / "scatter.txt"
+    export_scatter_matrix(samples, samples.mean(axis=0), SCATTER_OVERALL, out)
+    text = out.read_text()
+    for k, name in enumerate(("sigma0", "rho", "H", "xi", "alpha")):
+        counts, edges = np.histogram(samples[:, k], bins="fd")
+        block = text.split(f"[histogram {name}]\n")[1].split("[")[0]
+        expected = "".join(f"{float(edges[i])!r},{float(edges[i + 1])!r},{c}\n"
+                           for i, c in enumerate(counts))
+        assert block == "bin_left,bin_right,count\n" + expected

@@ -389,6 +389,97 @@ def test_significance_theta_without_parameter_reports_json(pipeline, tmp_path, c
     assert not (tmp_path / "significance.json").exists()
 
 
+TRUTH_THETA = dict(zip(PARAM_NAMES, [0.08, -0.3, 0.2, 1.0, 1.0]))
+
+
+def _run_theta_source(source, block, pipeline, tmp_path):
+    """Run the command that reads ``block`` as a theta block from ``source``; return
+    (exit code, the file holding the block, the artifact the command would write)."""
+    chain, out = str(pipeline / "chain.csv"), tmp_path / "out"
+    small = ["--path-count", "200", "--steps-per-year", "12", "--threads", "1",
+             "--out", str(out)]
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps({"theta": block}))
+    if source in ("price --params", "config theta"):
+        flag = "--params" if source == "price --params" else "--config"
+        argv, artifact = ["price", "--chain", chain, flag, str(path), *small], "prices.csv"
+    elif source == "bootstrap --calibration":
+        argv = ["bootstrap", "--chain", chain, "--calibration", str(path), "--samples", "2",
+                *small]
+        artifact = "bootstrap.json"
+    else:
+        argv = ["report", "--bootstrap", str(pipeline / "bootstrap.json"),
+                "--calibration", str(path), "--out", str(out)]
+        artifact = "report.md"
+    return main(argv), path, out / artifact
+
+
+THETA_SOURCES = ["price --params", "config theta", "bootstrap --calibration",
+                 "report --calibration"]
+
+
+@pytest.mark.parametrize("source", THETA_SOURCES)
+@pytest.mark.parametrize("block,named", [
+    ({**TRUTH_THETA, "H": "abc"}, "'H'"),
+    ({**TRUTH_THETA, "H": "0.2"}, "'H'"),
+    ({**TRUTH_THETA, "H": True}, "'H'"),
+    (5, "'theta'"),
+    ({n: v for n, v in TRUTH_THETA.items() if n != "H"}, "H"),
+], ids=["string", "numeric-string", "bool", "not-an-object", "missing"])
+def test_bad_theta_block_reports_json(pipeline, tmp_path, capsys, source, block, named):
+    rc, path, artifact = _run_theta_source(source, block, pipeline, tmp_path)
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert str(path) in err["message"]
+    assert named in err["message"].replace(str(path), "")
+    assert not artifact.exists()
+
+
+@pytest.mark.parametrize("source", THETA_SOURCES)
+def test_integer_theta_block_is_accepted(pipeline, tmp_path, source):
+    block = {**TRUTH_THETA, "xi": 1, "alpha": 1}
+    rc, _, artifact = _run_theta_source(source, block, pipeline, tmp_path)
+    assert rc == 0 and artifact.exists()
+
+
+def test_params_file_takes_a_bare_parameter_object(pipeline, tmp_path):
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(TRUTH_THETA))
+    for params, out in ((pipeline / "chain.truth.json", tmp_path / "a"),
+                        (bare, tmp_path / "b")):
+        run_cli(["price", "--chain", str(pipeline / "chain.csv"), "--params", str(params),
+                 "--path-count", "300", "--steps-per-year", "12", "--seed", "1",
+                 "--threads", "1", "--out", str(out)])
+    assert (tmp_path / "a" / "prices.csv").read_bytes() == (
+        tmp_path / "b" / "prices.csv").read_bytes()
+
+
+def test_report_calibration_without_theta_reports_json(pipeline, tmp_path, capsys):
+    calibration = tmp_path / "calibration.json"
+    calibration.write_text(json.dumps({"objective": 0.1}))
+    rc = main(["report", "--bootstrap", str(pipeline / "bootstrap.json"),
+               "--calibration", str(calibration), "--out", str(tmp_path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert "'theta'" in err["message"] and str(calibration) in err["message"]
+    assert not (tmp_path / "report.md").exists()
+
+
+@pytest.mark.parametrize("command,artifact", [("sensitivity", "sensitivity.json"),
+                                              ("report", "report.md")])
+def test_bootstrap_input_of_the_wrong_kind_reports_json(pipeline, tmp_path, capsys,
+                                                        command, artifact):
+    wrong = pipeline / "calibration.json"
+    rc = main([command, "--bootstrap", str(wrong), "--out", str(tmp_path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert "'theta_samples'" in err["message"] and str(wrong) in err["message"]
+    assert not (tmp_path / artifact).exists()
+
+
 @pytest.mark.parametrize("bounds", [{"sigma0": [0.05]}, {"sigma0": [0.05, 0.1, 7]},
                                     {"sigma0": 0.05}, {"sigma0": [0.05, "0.1"]},
                                     [[0.05, 0.1]]],
@@ -447,12 +538,13 @@ def test_console_script_entry_point():
 
 
 def test_cli_import_leaves_out_scipy_stats_and_integrate():
-    # importing them roughly doubles the start-up time of every command
+    # importing them roughly doubles the start-up time of every command; scipy.optimize
+    # is imported by the least-squares stage when it runs
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, roughvol.cli; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.integrate', 'scipy.optimize') "
             "if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True)
