@@ -29,7 +29,7 @@ import numpy as np
 from .bootstrap import (BootstrapPlan, BootstrapReport, bootstrap_statistics,
                         export_scatter_matrix, run_bootcalibrations)
 from .calibration import (CalibrationConfig, ParamBounds, calibrate, format_pct)
-from .market import load_chain, write_chain
+from .market import is_json_number, load_chain, read_json_object, write_chain
 from .model import PARAM_NAMES, MarketEnv, ModelParams
 from .pricing import ESTIMATORS, ChainPricingRequest, price_chain
 from .stats import sensitivity_analysis, significance_test
@@ -77,13 +77,6 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _read_json(path) -> dict:
-    data = json.loads(Path(path).read_text())
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    return data
-
-
 def _theta_block(block, source, partial: bool = False) -> dict:
     """The parameters of a JSON parameter block, checked.
 
@@ -96,8 +89,7 @@ def _theta_block(block, source, partial: bool = False) -> dict:
                          f"got {block!r}")
     names = [name for name in PARAM_NAMES if name in block or not partial]
     for name in names:
-        # type(), not isinstance: JSON true/false would pass as the int 1/0
-        if type(block.get(name)) not in (int, float):
+        if not is_json_number(block.get(name)):
             raise ValueError(f"{source}: 'theta' block needs a number for {name!r}, "
                              f"got {block.get(name)!r}")
     return {name: block[name] for name in names}
@@ -105,7 +97,7 @@ def _theta_block(block, source, partial: bool = False) -> dict:
 
 def _read_theta(path) -> ModelParams:
     """The model parameters of a calibration file's ``theta`` block."""
-    return ModelParams(**_theta_block(_read_json(path).get("theta"), path))
+    return ModelParams(**_theta_block(read_json_object(path).get("theta"), path))
 
 
 @contextlib.contextmanager
@@ -117,42 +109,81 @@ def _keys_of(path):
         raise ValueError(f"{path}: no {exc} key") from None
 
 
+def _typed(value, kind: type, source: str):
+    """``value`` as a ``kind`` when it has that JSON kind: a string for str, a number
+    for float, an integral number (``3e2`` too) for int; a bool or a numeric string
+    has none of them. Otherwise raises ValueError naming ``source``."""
+    if kind is str:
+        ok = isinstance(value, str)
+    else:
+        ok = is_json_number(value) and (kind is float or type(value) is int
+                                        or value.is_integer())
+    if not ok:
+        raise ValueError(f"{source} must be {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
+def _number_or_text(text: str):
+    """The float that ``text`` spells, else ``text`` itself, which `_typed` rejects."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 class _Settings:
-    """Flag/config merge: a CLI flag that was actually given beats the config key."""
+    """Flag/config merge, and the one place where a setting gets its type.
+
+    A CLI flag that was given beats the config key. The value must have the setting's
+    kind (`_typed`), as a flag does from argparse: the default's type, the ``kind`` of
+    a required read, or str (a path, a name, a date) for a read with neither.
+    """
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.config: dict = {}
         if getattr(args, "config", None):
-            self.config = _read_json(args.config)
+            self.config = read_json_object(args.config)
+
+    def _lookup(self, name: str):
+        """(value, source): the flag if given, else the config value (None if absent)."""
+        flag = getattr(self.args, name, None)
+        if flag is not None:
+            return flag, "flag --" + name.replace("_", "-")
+        return self.config.get(name), f"{self.args.config}: {name!r}"
 
     def get(self, name: str, default=None):
-        cli = getattr(self.args, name, None)
-        if cli is not None:
-            return cli
-        return self.config.get(name, default)
+        value, source = self._lookup(name)
+        if value is None:
+            return default
+        return _typed(value, str if default is None else type(default), source)
 
-    def require(self, name: str):
-        value = self.get(name)
+    def require(self, name: str, kind: type = str):
+        value, source = self._lookup(name)
         if value is None:
             flag = "--" + name.replace("_", "-")
             raise ValueError(f"missing required input {name!r} (flag {flag} or config key)")
-        return value
+        return _typed(value, kind, source)
+
+    def numbers(self, name: str, kind: type) -> list:
+        """The required comma-list setting ``name``, each entry a ``kind``: a flag or
+        config comma string, or a config list."""
+        value, source = self._lookup(name)
+        if not isinstance(value, list):
+            value = [_number_or_text(x) for x in self.require(name).split(",") if x.strip()]
+        return [_typed(x, kind, f"{source} entry") for x in value]
 
     @property
     def seed(self) -> int:
-        return int(self.get("seed", 0))
+        return self.get("seed", 0)
 
     @property
     def threads(self) -> int:
-        if self.args.threads is not None:
-            return max(1, self.args.threads)
+        """The flag, then ROUGHVOL_THREADS, then the config, then all cores."""
         env = os.environ.get("ROUGHVOL_THREADS")
-        if env:
-            return max(1, int(env))
-        if "threads" in self.config:
-            return max(1, int(self.config["threads"]))
-        return max(1, os.cpu_count() or 1)
+        if self.args.threads is None and env:
+            return max(1, _typed(_number_or_text(env), int, "ROUGHVOL_THREADS"))
+        return max(1, self.get("threads", os.cpu_count() or 1))
 
     @property
     def weight_rule(self) -> str:
@@ -169,7 +200,7 @@ def _resolve_theta(settings: _Settings) -> ModelParams:
     """Model parameters from the --params file (its 'theta' block, else the whole
     object), then the config 'theta' block, then the flags, each overriding the last."""
     params_file, config_file = settings.get("params"), settings.args.config
-    data = _read_json(params_file) if params_file else {}
+    data = read_json_object(params_file) if params_file else {}
     flags = {name: getattr(settings.args, name) for name in PARAM_NAMES
              if getattr(settings.args, name) is not None}
     values: dict = {}
@@ -198,8 +229,7 @@ def _resolve_bounds(settings: _Settings) -> ParamBounds:
     for name, pair in overrides.items():
         if name not in PARAM_NAMES:
             raise ValueError(f"unknown parameter {name!r} in bounds config")
-        # type(), not isinstance: JSON true/false would pass as the int 1/0
-        if not (type(pair) is list and len(pair) == 2 and {type(x) for x in pair} <= {int, float}):
+        if not (type(pair) is list and len(pair) == 2 and all(map(is_json_number, pair))):
             raise ValueError(f"bounds config for {name!r} must be [lower, upper], got {pair!r}")
         i = PARAM_NAMES.index(name)
         lower[i], upper[i] = pair
@@ -207,26 +237,15 @@ def _resolve_bounds(settings: _Settings) -> ParamBounds:
 
 
 def _calibration_config(settings: _Settings) -> CalibrationConfig:
-    """Each numeric setting defaults to `CalibrationConfig`'s own default, and is cast
-    to that default's type."""
+    """Each setting defaults to, and takes the kind of, `CalibrationConfig`'s own."""
     bounds = _resolve_bounds(settings)
-    tuned = {}
-    for name in ("ga_population", "ga_generations", "obj_tol", "step_tol", "path_count",
-                 "steps_per_year", "fd_rel_step"):
-        default = getattr(CalibrationConfig, name)
-        tuned[name] = type(default)(settings.get(name, default))
-    variant = settings.get("variant", settings.config.get("model_variant",
-                                                          CalibrationConfig.model_variant))
+    tuned = {name: settings.get(name, getattr(CalibrationConfig, name))
+             for name in ("ga_population", "ga_generations", "obj_tol", "step_tol",
+                          "path_count", "steps_per_year", "fd_rel_step")}
+    variant = settings.get("variant", settings.get("model_variant",
+                                                   CalibrationConfig.model_variant))
     return CalibrationConfig(bounds=bounds, seed=settings.seed,
                              model_variant=variant, threads=settings.threads, **tuned)
-
-
-def _comma_floats(text: str) -> list[float]:
-    return [float(x) for x in str(text).split(",") if str(x).strip()]
-
-
-def _comma_ints(text: str) -> list[int]:
-    return [int(x) for x in str(text).split(",") if str(x).strip()]
 
 
 # ---------------------------------------------------------------------------
@@ -236,37 +255,33 @@ def _comma_ints(text: str) -> list[int]:
 def cmd_synth_chain(args: argparse.Namespace) -> int:
     settings = _Settings(args)
     theta = _resolve_theta(settings)
-    env = MarketEnv(spot=float(settings.require("spot")),
-                    rate=float(settings.get("rate", 0.0)))
-    strikes = settings.require("strikes")
-    days = settings.require("maturity_days")
-    if isinstance(strikes, str):
-        strikes = _comma_floats(strikes)
-    if isinstance(days, str):
-        days = _comma_ints(days)
+    env = MarketEnv(spot=settings.require("spot", float), rate=settings.get("rate", 0.0))
+    strikes = settings.numbers("strikes", float)
+    days = settings.numbers("maturity_days", int)
     trade_date = settings.get("trade_date")
     kwargs = {}
     if trade_date:
-        kwargs["trade_date"] = dt.date.fromisoformat(str(trade_date))
+        kwargs["trade_date"] = dt.date.fromisoformat(trade_date)
+    rel_spread = settings.get("rel_spread", 0.01)
     structure = generate_chain(
         theta, env, strikes, days,
-        steps_per_year=int(settings.get("steps_per_year", 252)),
-        path_count=int(settings.get("path_count", 100_000)),
+        steps_per_year=settings.get("steps_per_year", 252),
+        path_count=settings.get("path_count", 100_000),
         seed=settings.seed,
-        rel_spread=float(settings.get("rel_spread", 0.01)),
+        rel_spread=rel_spread,
         threads=settings.threads,
         weight_rule=settings.weight_rule,
         **kwargs,
     )
     outdir = settings.outdir
-    name = str(settings.get("name", "chain"))
+    name = settings.get("name", "chain")
     # the sidecar lands first: `load_chain` cannot read the CSV without it
     with (_atomic_path(outdir / f"{name}.csv") as tmp_csv,
           _atomic_path(outdir / f"{name}.json") as tmp_sidecar):
         write_chain(structure, tmp_csv, sidecar=tmp_sidecar)
     _atomic_json(outdir / f"{name}.truth.json", {
         "theta": asdict(theta), "spot": env.spot, "rate": env.rate,
-        "seed": settings.seed, "rel_spread": float(settings.get("rel_spread", 0.01)),
+        "seed": settings.seed, "rel_spread": rel_spread,
         "quote_count": structure.n,
     })
     return 0
@@ -278,8 +293,8 @@ def cmd_price(args: argparse.Namespace) -> int:
     theta = _resolve_theta(settings)
     request = ChainPricingRequest(
         options=structure.options, env=structure.env, params=theta,
-        path_count=int(settings.get("path_count", 100_000)),
-        steps_per_year=int(settings.get("steps_per_year", 252)),
+        path_count=settings.get("path_count", 100_000),
+        steps_per_year=settings.get("steps_per_year", 252),
         seed=settings.seed,
         estimator=settings.get("estimator", "conditional_mixed"),
     )
@@ -333,7 +348,7 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
         log.info("no --calibration given; running a full calibration first")
         overall = calibrate(structure, config).theta
 
-    plan = BootstrapPlan(config=config, sample_count=int(settings.get("samples", 200)),
+    plan = BootstrapPlan(config=config, sample_count=settings.get("samples", 200),
                          base_seed=settings.seed)
     results, failures = run_bootcalibrations(structure, plan, overall,
                                              threads=settings.threads)
@@ -366,8 +381,8 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
 def cmd_sensitivity(args: argparse.Namespace) -> int:
     settings = _Settings(args)
     bootstrap_file = settings.require("bootstrap")
-    data = _read_json(bootstrap_file)
-    alpha = float(settings.get("alpha", 0.05))
+    data = read_json_object(bootstrap_file)
+    alpha = settings.get("alpha", 0.05)
     with _keys_of(bootstrap_file):
         theta_samples, arfv_samples = data["theta_samples"], data["arfv_samples"]
     results = sensitivity_analysis(np.asarray(theta_samples, dtype=float),
@@ -390,9 +405,9 @@ def cmd_significance(args: argparse.Namespace) -> int:
     theta_restricted = _read_theta(settings.require("restricted"))
     result = significance_test(
         structure, theta_full, theta_restricted,
-        repetitions=int(settings.get("repetitions", 100)),
-        path_count=int(settings.get("path_count", 20_000)),
-        steps_per_year=int(settings.get("steps_per_year", 252)),
+        repetitions=settings.get("repetitions", 100),
+        path_count=settings.get("path_count", 20_000),
+        steps_per_year=settings.get("steps_per_year", 252),
         base_seed=settings.seed, threads=settings.threads,
     )
     payload = result.to_dict()
@@ -412,15 +427,15 @@ def _md_table(header: list[str], rows: list[list[str]]) -> list[str]:
 def cmd_report(args: argparse.Namespace) -> int:
     settings = _Settings(args)
     bootstrap_file = settings.require("bootstrap")
-    data = _read_json(bootstrap_file)
+    data = read_json_object(bootstrap_file)
     with _keys_of(bootstrap_file):
         boot = BootstrapReport.from_dict(data)
     lines = ["# Rough volatility calibration report", ""]
 
     calibration_file = settings.get("calibration")
     if calibration_file:
-        theta = _read_theta(calibration_file)
-        calib = _read_json(calibration_file)
+        calib = read_json_object(calibration_file)
+        theta = ModelParams(**_theta_block(calib.get("theta"), calibration_file))
         lines += [f"## Calibration ({calib.get('trade_date', 'n/a')}, "
                   f"variant {calib.get('variant', 'n/a')})", ""]
         lines += _md_table(["parameter", "value"],
@@ -428,10 +443,11 @@ def cmd_report(args: argparse.Namespace) -> int:
         lines.append("")
         m = calib.get("metrics")
         if m:
-            lines += _md_table(
-                ["AARE", "MARE", "ARFV", "MRFV", "WRSS"],
-                [[format_pct(m["aare"]), format_pct(m["mare"]), format_pct(m["arfv"]),
-                  format_pct(m["mrfv"]), f"{calib['objective']:.6g}"]])
+            with _keys_of(calibration_file):
+                lines += _md_table(
+                    ["AARE", "MARE", "ARFV", "MRFV", "WRSS"],
+                    [[format_pct(m["aare"]), format_pct(m["mare"]), format_pct(m["arfv"]),
+                      format_pct(m["mrfv"]), f"{calib['objective']:.6g}"]])
             lines.append("")
 
     failures = boot.failure_count
@@ -459,22 +475,25 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     sensitivity_file = settings.get("sensitivity")
     if sensitivity_file:
-        sens = _read_json(sensitivity_file)
-        lines += [f"## Parameter sensitivity (alpha = {sens['alpha_level']:g})", ""]
-        lines += _md_table(
-            ["parameter", "D", "p-value", "reject"],
-            [[r["parameter"], f"{r['statistic']:.4f}", f"{r['p_value']:.4g}",
-              "yes" if r["reject"] else "no"] for r in sens["results"]])
+        sens = read_json_object(sensitivity_file)
+        with _keys_of(sensitivity_file):
+            lines += [f"## Parameter sensitivity (alpha = {sens['alpha_level']:g})", ""]
+            lines += _md_table(
+                ["parameter", "D", "p-value", "reject"],
+                [[r["parameter"], f"{r['statistic']:.4f}", f"{r['p_value']:.4g}",
+                  "yes" if r["reject"] else "no"] for r in sens["results"]])
         lines.append("")
 
     significance_file = settings.get("significance")
     if significance_file:
-        sig = _read_json(significance_file)
+        sig = read_json_object(significance_file)
         lines += ["## Model significance", ""]
-        lines += _md_table(
-            ["t", "dof", "p-value", "mean ARFV (full)", "mean ARFV (restricted)"],
-            [[f"{sig['statistic']:.4f}", f"{sig['dof']:.2f}", f"{sig['p_value']:.4g}",
-              format_pct(sig["mean_arfv_full"]), format_pct(sig["mean_arfv_restricted"])]])
+        with _keys_of(significance_file):
+            lines += _md_table(
+                ["t", "dof", "p-value", "mean ARFV (full)", "mean ARFV (restricted)"],
+                [[f"{sig['statistic']:.4f}", f"{sig['dof']:.2f}", f"{sig['p_value']:.4g}",
+                  format_pct(sig["mean_arfv_full"]),
+                  format_pct(sig["mean_arfv_restricted"])]])
         lines.append("")
 
     _atomic_write(settings.outdir / "report.md", "\n".join(lines).rstrip() + "\n")
@@ -504,13 +523,17 @@ def _add_theta_flags(parser: argparse.ArgumentParser) -> None:
                         help="JSON file with a 'theta' block (e.g. a calibration output)")
 
 
+def _add_path_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--path-count", type=int, default=None, dest="path_count")
+    parser.add_argument("--steps-per-year", type=int, default=None, dest="steps_per_year")
+
+
 def _add_calibration_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--variant", default=None,
                         choices=["alphaRFSV", "RFSV", "rBergomi", "fixed_H"])
     parser.add_argument("--ga-population", type=int, default=None, dest="ga_population")
     parser.add_argument("--ga-generations", type=int, default=None, dest="ga_generations")
-    parser.add_argument("--path-count", type=int, default=None, dest="path_count")
-    parser.add_argument("--steps-per-year", type=int, default=None, dest="steps_per_year")
+    _add_path_flags(parser)
     parser.add_argument("--weight-rule", default=None, dest="weight_rule")
 
 
@@ -530,8 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--maturity-days", default=None, dest="maturity_days",
                    help="comma-separated integer day offsets")
     p.add_argument("--rel-spread", type=float, default=None, dest="rel_spread")
-    p.add_argument("--steps-per-year", type=int, default=None, dest="steps_per_year")
-    p.add_argument("--path-count", type=int, default=None, dest="path_count")
+    _add_path_flags(p)
     p.add_argument("--trade-date", default=None, dest="trade_date")
     p.add_argument("--name", default=None, help="output basename (default: chain)")
     p.set_defaults(handler=cmd_synth_chain)
@@ -541,8 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_theta_flags(p)
     p.add_argument("--chain", default=None, help="chain CSV (sidecar JSON alongside)")
     p.add_argument("--estimator", default=None, choices=list(ESTIMATORS))
-    p.add_argument("--path-count", type=int, default=None, dest="path_count")
-    p.add_argument("--steps-per-year", type=int, default=None, dest="steps_per_year")
+    _add_path_flags(p)
     p.set_defaults(handler=cmd_price)
 
     p = sub.add_parser("calibrate", help="fit model parameters to a chain")
@@ -575,8 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restricted", default=None,
                    help="calibration.json of the restricted model")
     p.add_argument("--repetitions", type=int, default=None)
-    p.add_argument("--path-count", type=int, default=None, dest="path_count")
-    p.add_argument("--steps-per-year", type=int, default=None, dest="steps_per_year")
+    _add_path_flags(p)
     p.add_argument("--weight-rule", default=None, dest="weight_rule")
     p.set_defaults(handler=cmd_significance)
 

@@ -26,6 +26,8 @@ __all__ = [
     "load_chain",
     "write_chain",
     "compute_weights",
+    "is_json_number",
+    "read_json_object",
 ]
 
 CSV_HEADER = ["trade_date", "expiry_date", "strike", "bid", "ask", "close", "volume"]
@@ -162,13 +164,31 @@ def _parse_row(row: dict, line: int) -> tuple[OptionQuote, dt.date] | str:
     return quote, trade
 
 
+def is_json_number(value) -> bool:
+    """Whether ``value`` is a JSON number as `json` loads it: an int or a float."""
+    # type(), not isinstance: JSON true/false load as bool, a subclass of int
+    return type(value) in (int, float)
+
+
+def read_json_object(path, error: type[ValueError] = ValueError) -> dict:
+    """The JSON object in the file ``path``; a file that holds no JSON, or JSON that is
+    not an object, raises ``error`` naming the file."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise error(f"{path}: not a JSON file ({exc})") from None
+    if not isinstance(data, dict):
+        raise error(f"{path}: expected a JSON object")
+    return data
+
+
 def _sidecar_number(meta: dict, key: str, sidecar: Path) -> float:
     """``meta[key]`` as a float; a missing key or a value that is not a JSON number
     raises ChainFormatError naming the key and the sidecar file."""
     if key not in meta:
         raise ChainFormatError(f"sidecar {sidecar} has no {key!r}")
     value = meta[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not is_json_number(value):
         raise ChainFormatError(f"sidecar {sidecar}: {key!r} must be a number, "
                                f"got {value!r}")
     return float(value)
@@ -186,9 +206,7 @@ def load_chain(path, sidecar=None, weight_rule: str = "inv_spread_sq") -> Option
         raise FileNotFoundError(path)
     if not sidecar.exists():
         raise FileNotFoundError(sidecar)
-    meta = json.loads(sidecar.read_text())
-    if not isinstance(meta, dict):
-        raise ChainFormatError(f"sidecar {sidecar} must hold a JSON object")
+    meta = read_json_object(sidecar, error=ChainFormatError)
     day_count = str(meta.get("day_count", "ACT/365")).upper()
     if day_count != "ACT/365":
         raise ChainFormatError(f"unsupported day_count {day_count!r} (only ACT/365)")

@@ -278,9 +278,9 @@ def test_flag_beats_config(tmp_path):
     cfg.write_text(json.dumps({"path_count": 999}))
     ns = argparse.Namespace(config=str(cfg), path_count=None, seed=None, threads=None)
     s = _Settings(ns)
-    assert s.get("path_count") == 999
+    assert s.get("path_count", 100_000) == 999
     ns.path_count = 500
-    assert _Settings(ns).get("path_count") == 500
+    assert _Settings(ns).get("path_count", 100_000) == 500
 
 
 def test_missing_input_names_the_flag(tmp_path):
@@ -478,6 +478,146 @@ def test_bootstrap_input_of_the_wrong_kind_reports_json(pipeline, tmp_path, caps
     assert err["error"] == "ValueError"
     assert "'theta_samples'" in err["message"] and str(wrong) in err["message"]
     assert not (tmp_path / artifact).exists()
+
+
+def _run_small(command, pipeline, out, config=None, flags=None):
+    """Run ``command`` at a tiny size on the pipeline's artifacts, with ``config`` (if
+    any) as its --config file, whose keys drop the flags of the same name, and ``flags``
+    overriding the rest. Returns (exit code, the config path, the artifact written)."""
+    argv = {"--path-count": "200", "--steps-per-year": "12", "--seed": "1",
+            "--threads": "1", "--out": str(out)}
+    if command == "synth-chain":
+        argv |= dict(zip(TRUTH_FLAGS[::2], TRUTH_FLAGS[1::2]))
+        argv |= {"--spot": "100", "--strikes": "95", "--maturity-days": "91"}
+    else:
+        argv["--chain"] = str(pipeline / "chain.csv")
+    if command == "price":
+        argv["--params"] = str(pipeline / "chain.truth.json")
+    if command in ("calibrate", "bootstrap"):
+        argv |= {"--ga-population": "4", "--ga-generations": "1"}
+    if command == "bootstrap":
+        argv |= {"--calibration": str(pipeline / "calibration.json"), "--samples": "2"}
+    path = out.parent / "config.json"
+    if config is not None:
+        path.write_text(json.dumps(config))
+        argv["--config"] = str(path)
+        for key in config:
+            argv.pop("--" + key.replace("_", "-"), None)
+    argv |= flags or {}
+    artifact = {"synth-chain": "chain.csv", "price": "prices.csv",
+                "calibrate": "calibration.json", "bootstrap": "bootstrap.json"}[command]
+    return main([command, *(x for pair in argv.items() for x in pair)]), path, out / artifact
+
+
+@pytest.mark.parametrize("command,config,flags,named", [
+    ("calibrate", {"ga_population": 2.9}, None, "'ga_population'"),
+    ("price", {"path_count": True}, None, "'path_count'"),
+    ("price", {"path_count": "abc"}, None, "'path_count'"),
+    ("bootstrap", {"samples": 2.9}, None, "'samples'"),
+    ("synth-chain", {"maturity_days": [91.7]}, None, "'maturity_days'"),
+    ("synth-chain", {"spot": "100"}, None, "'spot'"),
+    ("synth-chain", None, {"--strikes": "96,abc"}, "--strikes"),
+    ("price", {"seed": 2.5}, None, "'seed'"),
+    ("price", {"threads": "two"}, None, "'threads'"),
+], ids=["fractional-ga-population", "bool-path-count", "string-path-count",
+        "fractional-samples", "fractional-maturity-day", "string-spot",
+        "string-strike-flag", "fractional-seed", "string-threads"])
+def test_bad_setting_reports_json(pipeline, tmp_path, capsys, monkeypatch, command, config,
+                                  flags, named):
+    monkeypatch.delenv("ROUGHVOL_THREADS", raising=False)  # it would beat the config
+    rc, path, artifact = _run_small(command, pipeline, tmp_path / "out", config, flags)
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert named in err["message"]
+    if config is not None:
+        assert str(path) in err["message"]
+    assert not artifact.exists()
+
+
+def test_valid_json_kinds_are_accepted(tmp_path):
+    # JSON integers where the setting is a float, and an integral 3e2 where it is an
+    # integer, read as the values they equal
+    theta = json.dumps(TRUTH_THETA)
+    texts = ['"spot": 100, "rel_spread": 0, "path_count": 3e2',
+             '"spot": 100.0, "rel_spread": 0.0, "path_count": 300']
+    outs = []
+    for k, text in enumerate(texts):
+        cfg = tmp_path / f"config{k}.json"
+        cfg.write_text('{"theta": %s, "strikes": [95, 105], "maturity_days": "30", '
+                       '"steps_per_year": 12, "threads": 1, %s}' % (theta, text))
+        outs.append(tmp_path / f"out{k}")
+        with pytest.warns(UserWarning, match="all spreads are zero"):
+            run_cli(["synth-chain", "--config", str(cfg), "--out", str(outs[-1])])
+    for name in ("chain.csv", "chain.json", "chain.truth.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    truth = json.loads((outs[0] / "chain.truth.json").read_text())
+    assert truth["spot"] == 100.0 and truth["rel_spread"] == 0.0
+
+
+@pytest.mark.parametrize("command,flag", [("synth-chain", "--config"),
+                                          ("price", "--params"),
+                                          ("bootstrap", "--calibration"),
+                                          ("sensitivity", "--bootstrap")])
+def test_input_that_is_not_json_reports_json(pipeline, tmp_path, capsys, command, flag):
+    argv = [command, flag, os.devnull, "--out", str(tmp_path)]
+    if command in ("price", "bootstrap"):
+        argv += ["--chain", str(pipeline / "chain.csv"), "--threads", "1"]
+    rc = main(argv)
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith(f"{os.devnull}: not a JSON file")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_truncated_sidecar_reports_json(pipeline, tmp_path, capsys):
+    chain = tmp_path / "chain.csv"
+    chain.write_bytes((pipeline / "chain.csv").read_bytes())
+    sidecar = tmp_path / "chain.json"
+    sidecar.write_text('{"spot": 100,')
+    out = tmp_path / "out"
+    rc = main(["price", "--chain", str(chain), *TRUTH_FLAGS, "--path-count", "200",
+               "--steps-per-year", "12", "--threads", "1", "--out", str(out)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ChainFormatError"
+    assert err["message"].startswith(f"{sidecar}: not a JSON file")
+    assert not (out / "prices.csv").exists()
+
+
+@pytest.mark.parametrize("flag,key", [("--sensitivity", "'alpha_level'"),
+                                      ("--significance", "'statistic'"),
+                                      ("--calibration", "'mare'")],
+                         ids=["sensitivity", "significance", "calibration-metrics"])
+def test_report_input_without_a_key_reports_json(pipeline, tmp_path, capsys, flag, key):
+    calibration = json.loads((pipeline / "calibration.json").read_text())
+    del calibration["metrics"]["mare"]
+    wrong = tmp_path / "wrong.json"
+    if flag == "--calibration":
+        wrong.write_text(json.dumps(calibration))
+    else:
+        wrong.write_bytes((pipeline / "bootstrap.json").read_bytes())
+    out = tmp_path / "out"
+    rc = main(["report", "--bootstrap", str(pipeline / "bootstrap.json"), flag, str(wrong),
+               "--out", str(out)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert err["message"] == f"{wrong}: no {key} key"
+    assert not (out / "report.md").exists()
+
+
+def test_threads_environment_variable_must_be_an_integer(pipeline, tmp_path, capsys,
+                                                         monkeypatch):
+    monkeypatch.setenv("ROUGHVOL_THREADS", "abc")
+    rc = main(["price", "--chain", str(pipeline / "chain.csv"), *TRUTH_FLAGS,
+               "--path-count", "200", "--steps-per-year", "12", "--out", str(tmp_path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert "ROUGHVOL_THREADS" in err["message"] and "'abc'" in err["message"]
+    assert not (tmp_path / "prices.csv").exists()
 
 
 @pytest.mark.parametrize("bounds", [{"sigma0": [0.05]}, {"sigma0": [0.05, 0.1, 7]},
