@@ -162,25 +162,6 @@ class BootstrapReport:
             "failure_count": self.failure_count,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "BootstrapReport":
-        return cls(
-            theta_samples=np.asarray(d["theta_samples"], dtype=float),
-            theta_hat=np.array([d["theta_hat"][n] for n in PARAM_NAMES]),
-            price_hat=np.asarray(d["price_hat"], dtype=float),
-            bre=np.asarray(d["bre"], dtype=float),
-            v=np.asarray(d["v"], dtype=float),
-            rel_iqr=np.array([d["rel_iqr"][n] for n in PARAM_NAMES]),
-            rel_iqr_avg=float(d["rel_iqr_avg"]),
-            rel_iqr_max=float(d["rel_iqr_max"]),
-            boot_are_range=float(d["boot_are"]["range"]),
-            boot_are_iqr=float(d["boot_are"]["iqr"]),
-            boot_are_std=float(d["boot_are"]["std"]),
-            aare_samples=np.asarray(d["aare_samples"], dtype=float),
-            arfv_samples=np.asarray(d["arfv_samples"], dtype=float),
-            failure_count=int(d.get("failure_count", 0)),
-        )
-
 
 def _iqr(values: np.ndarray) -> float:
     q25, q75 = np.percentile(values, [25.0, 75.0])  # linear interpolation
@@ -202,10 +183,9 @@ def bootstrap_statistics(results, structure: OptionStructure) -> BootstrapReport
     bre = np.abs(price_hat - closes) / closes
     v = norm_err.var(axis=0, ddof=1)
 
-    means = theta_samples.mean(axis=0)
     rel_iqr = np.array([_iqr(theta_samples[:, k]) for k in range(theta_samples.shape[1])])
     with np.errstate(divide="ignore", invalid="ignore"):
-        rel_iqr = np.where(rel_iqr == 0.0, 0.0, rel_iqr / means)
+        rel_iqr = np.where(rel_iqr == 0.0, 0.0, rel_iqr / theta_hat)
 
     aare = norm_err.mean(axis=1)                            # per-bootcalibration AARE
     arfv = (np.abs(price_table - closes) / spot).mean(axis=1)

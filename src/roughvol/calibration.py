@@ -201,8 +201,7 @@ class FrozenPricer:
     def __init__(self, structure: OptionStructure, config: CalibrationConfig):
         self.structure = structure
         self.config = config
-        self.grid = TimeGrid.with_maturities(sorted(set(structure.maturities)),
-                                             config.steps_per_year)
+        self.grid = TimeGrid.with_maturities(structure.maturities, config.steps_per_year)
         self._z, self._w_tilde = draw_normal_bundle(
             self.grid, config.path_count, config.seed, threads=config.threads)
         self._sqrt_w = np.sqrt(structure.weights)

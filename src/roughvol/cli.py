@@ -26,10 +26,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .bootstrap import (BootstrapPlan, BootstrapReport, bootstrap_statistics,
-                        export_scatter_matrix, run_bootcalibrations)
+from .bootstrap import (BootstrapPlan, bootstrap_statistics, export_scatter_matrix,
+                        run_bootcalibrations)
 from .calibration import (CalibrationConfig, ParamBounds, calibrate, format_pct)
-from .market import is_json_number, load_chain, read_json_object, write_chain
+from .market import (is_json_number, json_field, json_kind, load_chain, read_json_object,
+                     write_chain)
 from .model import PARAM_NAMES, MarketEnv, ModelParams
 from .pricing import ESTIMATORS, ChainPricingRequest, price_chain
 from .stats import sensitivity_analysis, significance_test
@@ -80,19 +81,21 @@ def _csv_text(header, rows) -> str:
 def _theta_block(block, source, partial: bool = False) -> dict:
     """The parameters of a JSON parameter block, checked.
 
-    ``block`` must be a JSON object with a number (not a bool, not a string) for each
-    parameter it names, and, unless ``partial``, for every one. Otherwise raises
-    ValueError naming ``source`` and the parameter.
+    ``block`` must be a JSON object with a number for each parameter it names, and,
+    unless ``partial``, for every one (`json_field`). The values come back as written,
+    so an integer stays one.
     """
-    if not isinstance(block, dict):
-        raise ValueError(f"{source}: needs a 'theta' block that is a JSON object, "
-                         f"got {block!r}")
+    source = f"{source}: 'theta' block"
+    block = json_kind(block, dict, source)
     names = [name for name in PARAM_NAMES if name in block or not partial]
     for name in names:
-        if not is_json_number(block.get(name)):
-            raise ValueError(f"{source}: 'theta' block needs a number for {name!r}, "
-                             f"got {block.get(name)!r}")
+        json_field(block, name, float, source)
     return {name: block[name] for name in names}
+
+
+def _fields(obj: dict, keys, kind: type, source) -> list:
+    """The values of ``keys`` in the JSON object ``obj``, each a ``kind`` (`json_field`)."""
+    return [json_field(obj, key, kind, source) for key in keys]
 
 
 def _read_theta(path) -> ModelParams:
@@ -100,31 +103,8 @@ def _read_theta(path) -> ModelParams:
     return ModelParams(**_theta_block(read_json_object(path).get("theta"), path))
 
 
-@contextlib.contextmanager
-def _keys_of(path):
-    """Report a key missing from the JSON file ``path`` as a ValueError naming both."""
-    try:
-        yield
-    except KeyError as exc:
-        raise ValueError(f"{path}: no {exc} key") from None
-
-
-def _typed(value, kind: type, source: str):
-    """``value`` as a ``kind`` when it has that JSON kind: a string for str, a number
-    for float, an integral number (``3e2`` too) for int; a bool or a numeric string
-    has none of them. Otherwise raises ValueError naming ``source``."""
-    if kind is str:
-        ok = isinstance(value, str)
-    else:
-        ok = is_json_number(value) and (kind is float or type(value) is int
-                                        or value.is_integer())
-    if not ok:
-        raise ValueError(f"{source} must be {kind.__name__}, got {value!r}")
-    return kind(value)
-
-
 def _number_or_text(text: str):
-    """The float that ``text`` spells, else ``text`` itself, which `_typed` rejects."""
+    """The float that ``text`` spells, else ``text`` itself, which `json_kind` rejects."""
     try:
         return float(text)
     except ValueError:
@@ -135,7 +115,7 @@ class _Settings:
     """Flag/config merge, and the one place where a setting gets its type.
 
     A CLI flag that was given beats the config key. The value must have the setting's
-    kind (`_typed`), as a flag does from argparse: the default's type, the ``kind`` of
+    kind (`json_kind`), as a flag does from argparse: the default's type, the ``kind`` of
     a required read, or str (a path, a name, a date) for a read with neither.
     """
 
@@ -156,14 +136,14 @@ class _Settings:
         value, source = self._lookup(name)
         if value is None:
             return default
-        return _typed(value, str if default is None else type(default), source)
+        return json_kind(value, str if default is None else type(default), source)
 
     def require(self, name: str, kind: type = str):
         value, source = self._lookup(name)
         if value is None:
             flag = "--" + name.replace("_", "-")
             raise ValueError(f"missing required input {name!r} (flag {flag} or config key)")
-        return _typed(value, kind, source)
+        return json_kind(value, kind, source)
 
     def numbers(self, name: str, kind: type) -> list:
         """The required comma-list setting ``name``, each entry a ``kind``: a flag or
@@ -171,7 +151,7 @@ class _Settings:
         value, source = self._lookup(name)
         if not isinstance(value, list):
             value = [_number_or_text(x) for x in self.require(name).split(",") if x.strip()]
-        return [_typed(x, kind, f"{source} entry") for x in value]
+        return [json_kind(x, kind, f"{source} entry") for x in value]
 
     @property
     def seed(self) -> int:
@@ -182,7 +162,7 @@ class _Settings:
         """The flag, then ROUGHVOL_THREADS, then the config, then all cores."""
         env = os.environ.get("ROUGHVOL_THREADS")
         if self.args.threads is None and env:
-            return max(1, _typed(_number_or_text(env), int, "ROUGHVOL_THREADS"))
+            return max(1, json_kind(_number_or_text(env), int, "ROUGHVOL_THREADS"))
         return max(1, self.get("threads", os.cpu_count() or 1))
 
     @property
@@ -383,11 +363,9 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
     bootstrap_file = settings.require("bootstrap")
     data = read_json_object(bootstrap_file)
     alpha = settings.get("alpha", 0.05)
-    with _keys_of(bootstrap_file):
-        theta_samples, arfv_samples = data["theta_samples"], data["arfv_samples"]
-    results = sensitivity_analysis(np.asarray(theta_samples, dtype=float),
-                                   np.asarray(arfv_samples, dtype=float),
-                                   alpha_level=alpha)
+    theta_samples, arfv_samples = _fields(data, ("theta_samples", "arfv_samples"),
+                                          np.ndarray, bootstrap_file)
+    results = sensitivity_analysis(theta_samples, arfv_samples, alpha_level=alpha)
     outdir = settings.outdir
     _atomic_json(outdir / "sensitivity.json",
                  {"alpha_level": alpha, "results": [r.to_dict() for r in results]})
@@ -427,47 +405,50 @@ def _md_table(header: list[str], rows: list[list[str]]) -> list[str]:
 def cmd_report(args: argparse.Namespace) -> int:
     settings = _Settings(args)
     bootstrap_file = settings.require("bootstrap")
-    data = read_json_object(bootstrap_file)
-    with _keys_of(bootstrap_file):
-        boot = BootstrapReport.from_dict(data)
+    boot = read_json_object(bootstrap_file)
     lines = ["# Rough volatility calibration report", ""]
 
     calibration_file = settings.get("calibration")
     if calibration_file:
         calib = read_json_object(calibration_file)
         theta = ModelParams(**_theta_block(calib.get("theta"), calibration_file))
-        lines += [f"## Calibration ({calib.get('trade_date', 'n/a')}, "
-                  f"variant {calib.get('variant', 'n/a')})", ""]
+        trade_date, variant = (json_kind(calib.get(key, "n/a"), str,
+                                         f"{calibration_file}: {key!r}")
+                               for key in ("trade_date", "variant"))
+        lines += [f"## Calibration ({trade_date}, variant {variant})", ""]
         lines += _md_table(["parameter", "value"],
                            [[n, f"{v:.6g}"] for n, v in asdict(theta).items()])
         lines.append("")
-        m = calib.get("metrics")
-        if m:
-            with _keys_of(calibration_file):
-                lines += _md_table(
-                    ["AARE", "MARE", "ARFV", "MRFV", "WRSS"],
-                    [[format_pct(m["aare"]), format_pct(m["mare"]), format_pct(m["arfv"]),
-                      format_pct(m["mrfv"]), f"{calib['objective']:.6g}"]])
+        if calib.get("metrics"):
+            m = json_field(calib, "metrics", dict, calibration_file)
+            fit = _fields(m, ("aare", "mare", "arfv", "mrfv"), float, calibration_file)
+            objective = json_field(calib, "objective", float, calibration_file)
+            lines += _md_table(["AARE", "MARE", "ARFV", "MRFV", "WRSS"],
+                               [[*map(format_pct, fit), f"{objective:.6g}"]])
             lines.append("")
 
-    failures = boot.failure_count
-    lines += [f"## Bootstrap robustness ({len(boot.aare_samples)} samples"
+    samples = json_field(boot, "aare_samples", np.ndarray, bootstrap_file)
+    failures = json_kind(boot.get("failure_count", 0), int,
+                         f"{bootstrap_file}: 'failure_count'")
+    spread = _fields(json_field(boot, "boot_are", dict, bootstrap_file),
+                     ("range", "iqr", "std"), float, bootstrap_file)
+    spread += _fields(boot, ("rel_iqr_avg", "rel_iqr_max"), float, bootstrap_file)
+    lines += [f"## Bootstrap robustness ({len(samples)} samples"
               + (f", {failures} failed" if failures else "") + ")", ""]
-    lines += _md_table(
-        ["Range", "IQR", "Std", "Rel IQR Avg", "Rel IQR Max"],
-        [[format_pct(boot.boot_are_range), format_pct(boot.boot_are_iqr),
-          format_pct(boot.boot_are_std), format_pct(boot.rel_iqr_avg),
-          format_pct(boot.rel_iqr_max)]])
+    lines += _md_table(["Range", "IQR", "Std", "Rel IQR Avg", "Rel IQR Max"],
+                       [list(map(format_pct, spread))])
     lines.append("")
     lines.append("Boot-ARE columns summarize the spread of the per-sample average "
                  "relative errors; Rel IQR columns summarize the coefficient "
                  "interquartile ranges normalized by their averages.")
     lines.append("")
+    means, rel_iqr = (_fields(json_field(boot, key, dict, bootstrap_file), PARAM_NAMES,
+                              float, bootstrap_file) for key in ("theta_hat", "rel_iqr"))
     lines += _md_table(["parameter", "bootstrap mean", "Rel IQR"],
                        [[n, f"{mean:.6g}", format_pct(rel)] for n, mean, rel
-                        in zip(PARAM_NAMES, boot.theta_hat, boot.rel_iqr)])
+                        in zip(PARAM_NAMES, means, rel_iqr)])
     lines.append("")
-    bre, v = boot.bre, boot.v
+    bre, v = _fields(boot, ("bre", "v"), np.ndarray, bootstrap_file)
     lines += _md_table(["mean BRE", "max BRE", "mean V", "max V"],
                        [[format_pct(bre.mean()), format_pct(bre.max()),
                          f"{v.mean():.3g}", f"{v.max():.3g}"]])
@@ -476,24 +457,30 @@ def cmd_report(args: argparse.Namespace) -> int:
     sensitivity_file = settings.get("sensitivity")
     if sensitivity_file:
         sens = read_json_object(sensitivity_file)
-        with _keys_of(sensitivity_file):
-            lines += [f"## Parameter sensitivity (alpha = {sens['alpha_level']:g})", ""]
-            lines += _md_table(
-                ["parameter", "D", "p-value", "reject"],
-                [[r["parameter"], f"{r['statistic']:.4f}", f"{r['p_value']:.4g}",
-                  "yes" if r["reject"] else "no"] for r in sens["results"]])
+        alpha = json_field(sens, "alpha_level", float, sensitivity_file)
+        rows = []
+        for r in json_field(sens, "results", list, sensitivity_file):
+            r = json_kind(r, dict, f"{sensitivity_file}: 'results' entry")
+            name = json_field(r, "parameter", str, sensitivity_file)
+            statistic, p_value = _fields(r, ("statistic", "p_value"), float,
+                                         sensitivity_file)
+            reject = json_field(r, "reject", bool, sensitivity_file)
+            rows.append([name, f"{statistic:.4f}", f"{p_value:.4g}",
+                         "yes" if reject else "no"])
+        lines += [f"## Parameter sensitivity (alpha = {alpha:g})", ""]
+        lines += _md_table(["parameter", "D", "p-value", "reject"], rows)
         lines.append("")
 
     significance_file = settings.get("significance")
     if significance_file:
-        sig = read_json_object(significance_file)
+        t, dof, p_value, *arfv = _fields(
+            read_json_object(significance_file),
+            ("statistic", "dof", "p_value", "mean_arfv_full", "mean_arfv_restricted"),
+            float, significance_file)
         lines += ["## Model significance", ""]
-        with _keys_of(significance_file):
-            lines += _md_table(
-                ["t", "dof", "p-value", "mean ARFV (full)", "mean ARFV (restricted)"],
-                [[f"{sig['statistic']:.4f}", f"{sig['dof']:.2f}", f"{sig['p_value']:.4g}",
-                  format_pct(sig["mean_arfv_full"]),
-                  format_pct(sig["mean_arfv_restricted"])]])
+        lines += _md_table(
+            ["t", "dof", "p-value", "mean ARFV (full)", "mean ARFV (restricted)"],
+            [[f"{t:.4f}", f"{dof:.2f}", f"{p_value:.4g}", *map(format_pct, arfv)]])
         lines.append("")
 
     _atomic_write(settings.outdir / "report.md", "\n".join(lines).rstrip() + "\n")

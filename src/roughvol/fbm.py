@@ -368,6 +368,10 @@ def draw_normal_bundle(grid: TimeGrid, path_count: int, seed: int, threads: int 
     def worker(b: int) -> None:
         z_b, zt_b = _block_normals(seed, b, path_count, grid)
         rows = slice(b * PATH_BLOCK, b * PATH_BLOCK + zt_b.shape[0])
+        # Keep this copy and the free of the block buffer after it: freeing a block's
+        # draws (an mmap) raises glibc's dynamic mmap threshold above the pricing
+        # loop's per-block temporaries, so those come from the heap. Drawing in place
+        # or keeping per-block draws made a desk calibration fault in ~15x the pages.
         z[rows] = z_b
         z_tilde[rows] = zt_b
 

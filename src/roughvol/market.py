@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import json
+import reprlib
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,6 +28,8 @@ __all__ = [
     "write_chain",
     "compute_weights",
     "is_json_number",
+    "json_kind",
+    "json_field",
     "read_json_object",
 ]
 
@@ -182,16 +185,38 @@ def read_json_object(path, error: type[ValueError] = ValueError) -> dict:
     return data
 
 
-def _sidecar_number(meta: dict, key: str, sidecar: Path) -> float:
-    """``meta[key]`` as a float; a missing key or a value that is not a JSON number
-    raises ChainFormatError naming the key and the sidecar file."""
-    if key not in meta:
-        raise ChainFormatError(f"sidecar {sidecar} has no {key!r}")
-    value = meta[key]
-    if not is_json_number(value):
-        raise ChainFormatError(f"sidecar {sidecar}: {key!r} must be a number, "
-                               f"got {value!r}")
-    return float(value)
+def json_kind(value, kind: type, source, error: type[ValueError] = ValueError):
+    """``value`` as a ``kind`` when it has that JSON kind; otherwise raises ``error``
+    naming ``source``.
+
+    The kinds: str (a string), float (a number, returned as a float), int (an integral
+    number, ``3e2`` too, returned as an int), bool, dict (an object), list (an array),
+    and np.ndarray (an array of numbers, or an array of equally long arrays of
+    numbers, returned as a float array). A bool or a numeric string is no number.
+    """
+    if kind is np.ndarray:
+        nested = type(value) is list and all(type(row) is list for row in value)
+        rows = value if nested else [value]
+        ok = (all(type(row) is list and all(map(is_json_number, row)) for row in rows)
+              and len({len(row) for row in rows}) <= 1)
+    elif kind in (int, float):
+        ok = is_json_number(value) and (kind is float or type(value) is int
+                                        or value.is_integer())
+    else:
+        ok = type(value) is kind
+    if not ok:
+        name = "an array of numbers" if kind is np.ndarray else kind.__name__
+        raise error(f"{source} must be {name}, got {reprlib.repr(value)}")
+    return np.array(value, dtype=float) if kind is np.ndarray else kind(value)
+
+
+def json_field(obj: dict, key: str, kind: type, source,
+               error: type[ValueError] = ValueError):
+    """``obj[key]`` as a ``kind`` (`json_kind`), where ``obj`` is a JSON object read
+    from ``source``; a missing key raises ``error`` ``"{source}: no 'key' key"``."""
+    if key not in obj:
+        raise error(f"{source}: no {key!r} key")
+    return json_kind(obj[key], kind, f"{source}: {key!r}", error)
 
 
 def load_chain(path, sidecar=None, weight_rule: str = "inv_spread_sq") -> OptionStructure:
@@ -207,11 +232,12 @@ def load_chain(path, sidecar=None, weight_rule: str = "inv_spread_sq") -> Option
     if not sidecar.exists():
         raise FileNotFoundError(sidecar)
     meta = read_json_object(sidecar, error=ChainFormatError)
-    day_count = str(meta.get("day_count", "ACT/365")).upper()
+    day_count = json_kind(meta.get("day_count", "ACT/365"), str,
+                          f"{sidecar}: 'day_count'", ChainFormatError).upper()
     if day_count != "ACT/365":
         raise ChainFormatError(f"unsupported day_count {day_count!r} (only ACT/365)")
-    env = MarketEnv(spot=_sidecar_number(meta, "spot", sidecar),
-                    rate=_sidecar_number(meta, "rate", sidecar))
+    env = MarketEnv(spot=json_field(meta, "spot", float, sidecar, ChainFormatError),
+                    rate=json_field(meta, "rate", float, sidecar, ChainFormatError))
 
     with path.open(newline="") as fh:
         reader = csv.DictReader(fh)

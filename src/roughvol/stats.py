@@ -204,7 +204,7 @@ def significance_test(structure: OptionStructure, theta_full: ModelParams,
     """
     if repetitions < 2:
         raise ValueError("significance test needs at least 2 repetitions per model")
-    grid = TimeGrid.with_maturities(sorted(set(structure.maturities)), steps_per_year)
+    grid = TimeGrid.with_maturities(structure.maturities, steps_per_year)
     cov_full = build_joint_covariance(grid, theta_full.H)
     cov_restricted = (cov_full if theta_restricted.H == theta_full.H
                       else build_joint_covariance(grid, theta_restricted.H))

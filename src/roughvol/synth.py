@@ -27,13 +27,18 @@ def generate_chain(truth: ModelParams, env: MarketEnv, strikes, maturity_days,
                    ) -> OptionStructure:
     """Price the strike x maturity cross product at ``truth`` and wrap it as a chain.
 
-    ``maturity_days`` are integer calendar-day offsets from the trade date. Every
-    close must come out strictly positive (guaranteed for calls on a positive spot,
-    barring a strike so deep out of the money that all sampled paths miss it — widen
-    ``path_count`` or move the strike in that case).
+    ``maturity_days`` are integer calendar-day offsets from the trade date: ``91.0``
+    counts as 91, and ``91.7`` raises ValueError. Every close must come out strictly
+    positive (guaranteed for calls on a positive spot, barring a strike so deep out of
+    the money that all sampled paths miss it — widen ``path_count`` or move the strike
+    in that case).
     """
     strikes = [float(k) for k in strikes]
-    days = [int(d) for d in maturity_days]
+    days = []
+    for d in maturity_days:
+        if int(d) != d:
+            raise ValueError(f"maturity_days must be whole days, got {d!r}")
+        days.append(int(d))
     if not strikes or not days:
         raise ValueError("need at least one strike and one maturity")
     if any(d <= 0 for d in days):

@@ -153,15 +153,6 @@ def test_statistics_require_two_samples():
         bootstrap_statistics(hand_results()[:1], four_option_structure())
 
 
-def test_report_dict_round_trip():
-    report = bootstrap_statistics(hand_results(), four_option_structure())
-    clone = type(report).from_dict(report.to_dict())
-    assert_allclose(clone.theta_samples, report.theta_samples, rtol=0, atol=0)
-    assert_allclose(clone.rel_iqr, report.rel_iqr, rtol=0, atol=0)
-    assert clone.boot_are_std == report.boot_are_std
-    assert clone.failure_count == report.failure_count
-
-
 # ---------------------------------------------------------------------------
 # resampling and the run loop
 

@@ -471,12 +471,14 @@ def test_report_calibration_without_theta_reports_json(pipeline, tmp_path, capsy
                                               ("report", "report.md")])
 def test_bootstrap_input_of_the_wrong_kind_reports_json(pipeline, tmp_path, capsys,
                                                         command, artifact):
+    # each command names the first bootstrap key it reads
+    key = "'theta_samples'" if command == "sensitivity" else "'aare_samples'"
     wrong = pipeline / "calibration.json"
     rc = main([command, "--bootstrap", str(wrong), "--out", str(tmp_path)])
     assert rc == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError"
-    assert "'theta_samples'" in err["message"] and str(wrong) in err["message"]
+    assert key in err["message"] and str(wrong) in err["message"]
     assert not (tmp_path / artifact).exists()
 
 
@@ -606,6 +608,52 @@ def test_report_input_without_a_key_reports_json(pipeline, tmp_path, capsys, fla
     assert err["error"] == "ValueError"
     assert err["message"] == f"{wrong}: no {key} key"
     assert not (out / "report.md").exists()
+
+
+def _mistyped(pipeline, name, path, value):
+    """The pipeline's ``name`` artifact with the value at ``path`` (keys and indices)
+    replaced by ``value``."""
+    data = json.loads((pipeline / name).read_text())
+    *parents, last = path
+    inner = data
+    for key in parents:
+        inner = inner[key]
+    inner[last] = value
+    return data
+
+
+@pytest.mark.parametrize("flag,name,path,value,key", [
+    ("--sensitivity", "sensitivity.json", ["alpha_level"], "0.05", "'alpha_level'"),
+    ("--sensitivity", "sensitivity.json", ["results"], 5, "'results'"),
+    ("--significance", "significance.json", ["statistic"], "1.0", "'statistic'"),
+    ("--calibration", "calibration.json", ["metrics", "aare"], "0.1", "'aare'"),
+    ("--bootstrap", "bootstrap.json", ["bre", 1], "0.01", "'bre'"),
+    ("--bootstrap", "bootstrap.json", ["failure_count"], True, "'failure_count'"),
+    ("sensitivity", None, None, None, "'theta_samples'"),
+], ids=["sensitivity-string-alpha", "sensitivity-number-results",
+        "significance-string-statistic", "calibration-string-aare",
+        "bootstrap-string-bre", "bootstrap-bool-failure-count",
+        "sensitivity-command-string-samples"])
+def test_report_input_of_the_wrong_kind_reports_json(pipeline, tmp_path, capsys, flag,
+                                                     name, path, value, key):
+    wrong, out = tmp_path / "wrong.json", tmp_path / "out"
+    if flag == "sensitivity":
+        samples = np.full((12, 5), "0.5").tolist()
+        wrong.write_text(json.dumps({"theta_samples": samples,
+                                     "arfv_samples": [0.01] * 12}))
+        argv, artifact = ["sensitivity", "--bootstrap", str(wrong)], "sensitivity.json"
+    else:
+        wrong.write_text(json.dumps(_mistyped(pipeline, name, path, value)))
+        # a second --bootstrap overrides the first
+        argv = ["report", "--bootstrap", str(pipeline / "bootstrap.json"), flag, str(wrong)]
+        artifact = "report.md"
+    rc = main([*argv, "--out", str(out)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert str(wrong) in err["message"]
+    assert key in err["message"].replace(str(wrong), "")
+    assert not (out / artifact).exists()
 
 
 def test_threads_environment_variable_must_be_an_integer(pipeline, tmp_path, capsys,

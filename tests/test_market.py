@@ -12,6 +12,8 @@ from roughvol.market import (
     OptionQuote,
     OptionStructure,
     compute_weights,
+    json_field,
+    json_kind,
     load_chain,
     write_chain,
 )
@@ -245,3 +247,47 @@ def test_load_applies_requested_weight_rule(tmp_path):
     spread = 5.1 - 4.9
     assert sq.weights[0] == pytest.approx(1 / spread**2)
     assert ab.weights[0] == pytest.approx(1 / spread)
+
+
+@pytest.mark.parametrize("value,kind,expected", [
+    ("ACT/365", str, "ACT/365"),
+    (100, float, 100.0),
+    (0.5, float, 0.5),
+    (3e2, int, 300),
+    (7, int, 7),
+    (False, bool, False),
+    ({"a": 1}, dict, {"a": 1}),
+    ([1, "x"], list, [1, "x"]),
+    ([], np.ndarray, np.empty(0)),
+    ([1, 2.5], np.ndarray, np.array([1.0, 2.5])),
+    ([[1, 2], [3, 4.5]], np.ndarray, np.array([[1.0, 2.0], [3.0, 4.5]])),
+])
+def test_json_kind_accepts_its_kind(value, kind, expected):
+    got = json_kind(value, kind, "f.json: 'k'")
+    assert type(got) is kind
+    if kind is np.ndarray:
+        assert got.dtype == float and np.array_equal(got, expected)
+        assert got.shape == expected.shape
+    else:
+        assert got == expected
+
+
+@pytest.mark.parametrize("value,kind", [
+    (5, str), ("0.1", float), (True, float), (None, float), (2.9, int), (True, int),
+    (1, bool), ([], dict), ({}, list), ("1,2", np.ndarray), ([1, "2"], np.ndarray),
+    ([1, True], np.ndarray), ([[1, 2], [3]], np.ndarray), ([1, [2]], np.ndarray),
+    ([["0.5"]], np.ndarray),
+])
+def test_json_kind_rejects_other_kinds_naming_the_source(value, kind):
+    with pytest.raises(ValueError, match=r"^f\.json: 'k' must be "):
+        json_kind(value, kind, "f.json: 'k'")
+    with pytest.raises(ChainFormatError):
+        json_kind(value, kind, "f.json: 'k'", ChainFormatError)
+
+
+def test_json_field_names_the_source_and_the_key():
+    assert json_field({"spot": 100}, "spot", float, "s.json") == 100.0
+    with pytest.raises(ValueError, match=r"^s\.json: no 'rate' key$"):
+        json_field({"spot": 100}, "rate", float, "s.json")
+    with pytest.raises(ChainFormatError, match=r"^s\.json: 'spot' must be float"):
+        json_field({"spot": "100"}, "spot", float, "s.json", ChainFormatError)

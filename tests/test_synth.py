@@ -77,6 +77,19 @@ def test_input_validation(kwargs, msg):
         make(**kwargs)
 
 
+def test_fractional_maturity_day_raises():
+    with pytest.raises(ValueError, match="91.7"):
+        make(maturity_days=[30, 91.7])
+
+
+def test_integral_maturity_days_of_any_type_give_one_chain():
+    chains = [make(maturity_days=days)
+              for days in ([91, 30], [91.0, 30.0], list(np.array([91, 30])))]
+    for chain in chains[1:]:
+        assert chain.options == chains[0].options
+        assert [q.close for q in chain.quotes] == [q.close for q in chains[0].quotes]
+
+
 def test_hopeless_strike_raises():
     # so far out of the money every path's value underflows to zero
     with pytest.raises(ValueError, match="non-positive synthetic price"):
