@@ -181,8 +181,9 @@ class FrozenPricer:
     """Deterministic Theta -> model-price map over frozen normal draws.
 
     Construction draws once (per config seed) on the union grid of the chain's
-    maturities: [dW | Z_B] and dW~, which do not depend on H. Paths are cached per
-    PATH_BLOCK row slice of the draws, each slice as one (H, bundle) entry whose
+    maturities: [dW | Z_B], which does not depend on H. The conditional estimator
+    integrates out the orthogonal increments, so they are not drawn. Paths are cached
+    per PATH_BLOCK row slice of the draws, each slice as one (H, bundle) entry whose
     increments are views of the draws, so an entry adds only its fBm paths. A call
     passes the pricing block kernel a ``bundle_of`` that returns block b's cached
     bundle when its H is the call's; else it drops the entry, transforms the slice
@@ -202,8 +203,8 @@ class FrozenPricer:
         self.structure = structure
         self.config = config
         self.grid = TimeGrid.with_maturities(structure.maturities, config.steps_per_year)
-        self._z, self._w_tilde = draw_normal_bundle(
-            self.grid, config.path_count, config.seed, threads=config.threads)
+        self._z, _ = draw_normal_bundle(self.grid, config.path_count, config.seed,
+                                        threads=config.threads, orthogonal=False)
         self._sqrt_w = np.sqrt(structure.weights)
         self._closes = structure.closes
         self._options = structure.options
@@ -227,7 +228,7 @@ class FrozenPricer:
             if cov is None:
                 cov = build_joint_covariance(self.grid, H)
             rows = slice(b * PATH_BLOCK, (b + 1) * PATH_BLOCK)
-            bundle = transform_normals(self._z[rows], self._w_tilde[rows], cov)
+            bundle = transform_normals(self._z[rows], None, cov)
             self._blocks[b] = (H, bundle)
             return bundle
 

@@ -292,13 +292,14 @@ class PathBundle:
     ``w_increments[:, k]`` is dW_k = W_{t_k} - W_{t_{k-1}} = sqrt(deltas[k]) Z_W[k], a
     view of the draws [dW | Z_B]; W itself is never formed. ``w_tilde_increments[:, k]``
     is an N(0, deltas[k]) draw independent of everything else — the orthogonal
-    Brownian component consumed by the asset scheme. Identical (seed, grid,
-    path_count) reproduce bit-identical bundles at any thread count.
+    Brownian component consumed by the asset scheme — or None when it was not drawn.
+    Identical (seed, grid, path_count) reproduce bit-identical bundles at any thread
+    count.
     """
 
     fbm_paths: np.ndarray
     w_increments: np.ndarray
-    w_tilde_increments: np.ndarray
+    w_tilde_increments: np.ndarray | None
     path_count: int
     grid: TimeGrid = field(repr=False, default=None)
 
@@ -322,15 +323,22 @@ def _block_count(path_count: int) -> int:
     return -(-path_count // PATH_BLOCK)
 
 
-def _block_normals(seed: int, b: int, path_count: int, grid: TimeGrid):
+def _block_normals(seed: int, b: int, path_count: int, grid: TimeGrid,
+                   orthogonal: bool = True):
     """Block b's draws from its own stream, Z (rows x 2n) first, then Z_tilde (rows x n),
-    returned as [dW | Z_B] and dW~: the one place where normals are scaled by sqrt(dt)."""
+    returned as [dW | Z_B] and dW~: the one place where normals are scaled by sqrt(dt).
+
+    Without ``orthogonal`` Z_tilde is not drawn and dW~ is None; Z keeps its bits,
+    since it comes first in the stream."""
     n = grid.n
     rows = min(PATH_BLOCK, path_count - b * PATH_BLOCK)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), _STREAM_PATHS, b]))
-    z, z_tilde = rng.standard_normal((rows, 2 * n)), rng.standard_normal((rows, n))
+    z = rng.standard_normal((rows, 2 * n))
     scale = np.sqrt(grid.deltas)
     z[:, :n] *= scale
+    if not orthogonal:
+        return z, None
+    z_tilde = rng.standard_normal((rows, n))
     z_tilde *= scale
     return z, z_tilde
 
@@ -349,37 +357,39 @@ def parallel_map(fn, items, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
-def draw_normal_bundle(grid: TimeGrid, path_count: int, seed: int, threads: int = 1):
+def draw_normal_bundle(grid: TimeGrid, path_count: int, seed: int, threads: int = 1,
+                       *, orthogonal: bool = True):
     """Draw the frozen inputs: [dW | Z_B] (path_count x 2n) and dW~ (path_count x n).
 
     dW and dW~ are the Wiener and orthogonal increments on ``grid``, Z_B the normals
     that drive the part of B^H independent of W (see `JointCovariance`); none depends
-    on H. Block b draws from the same per-block stream as `sample_paths` with
-    ``block=b``, so transforming any PATH_BLOCK row slice of these draws reproduces
-    that block bit for bit. This is the object a common-random-numbers calibration
-    freezes.
+    on H. Without ``orthogonal`` dW~ is neither drawn nor stored, and is None. Block b
+    draws from the same per-block stream as `sample_paths` with ``block=b``, so
+    transforming any PATH_BLOCK row slice of these draws reproduces that block bit for
+    bit. This is the object a common-random-numbers calibration freezes.
     """
     if path_count < 1:
         raise ValueError("path_count must be >= 1")
     n = grid.n
     z = np.empty((path_count, 2 * n))
-    z_tilde = np.empty((path_count, n))
+    z_tilde = np.empty((path_count, n)) if orthogonal else None
 
     def worker(b: int) -> None:
-        z_b, zt_b = _block_normals(seed, b, path_count, grid)
-        rows = slice(b * PATH_BLOCK, b * PATH_BLOCK + zt_b.shape[0])
+        z_b, zt_b = _block_normals(seed, b, path_count, grid, orthogonal)
+        rows = slice(b * PATH_BLOCK, b * PATH_BLOCK + z_b.shape[0])
         # Keep this copy and the free of the block buffer after it: freeing a block's
         # draws (an mmap) raises glibc's dynamic mmap threshold above the pricing
         # loop's per-block temporaries, so those come from the heap. Drawing in place
         # or keeping per-block draws made a desk calibration fault in ~15x the pages.
         z[rows] = z_b
-        z_tilde[rows] = zt_b
+        if orthogonal:
+            z_tilde[rows] = zt_b
 
     parallel_map(worker, range(_block_count(path_count)), threads)
     return z, z_tilde
 
 
-def _joint_paths(z: np.ndarray, w_tilde_increments: np.ndarray,
+def _joint_paths(z: np.ndarray, w_tilde_increments: np.ndarray | None,
                  cov: JointCovariance) -> PathBundle:
     """The path kernel of `sample_paths` and `transform_normals`.
 
@@ -394,7 +404,8 @@ def _joint_paths(z: np.ndarray, w_tilde_increments: np.ndarray,
 
 
 def sample_paths(cov: JointCovariance, path_count: int, seed: int,
-                 threads: int = 1, *, block: int | None = None) -> PathBundle:
+                 threads: int = 1, *, block: int | None = None,
+                 orthogonal: bool = True) -> PathBundle:
     """Draw exact joint paths: B^H, the Wiener increments dW and independent
     orthogonal increments.
 
@@ -403,34 +414,38 @@ def sample_paths(cov: JointCovariance, path_count: int, seed: int,
     the output is deterministic for fixed inputs regardless of ``threads``. With
     ``block=b`` only path block b of the ``path_count``-path draw is sampled, rows
     b * PATH_BLOCK onwards, bit for bit as in the whole draw; ``threads`` is then
-    unused. Either draw goes through the one path kernel, as `transform_normals` does.
+    unused. Without ``orthogonal`` dW~ is not drawn (the conditional estimator never
+    reads it) and the bundle's ``w_tilde_increments`` is None; B^H and dW keep their
+    bits. Either draw goes through the one path kernel, as `transform_normals` does.
     """
     if path_count < 1:
         raise ValueError("path_count must be >= 1")
     if block is None:
-        z, w_tilde = draw_normal_bundle(cov.grid, path_count, seed, threads)
+        z, w_tilde = draw_normal_bundle(cov.grid, path_count, seed, threads,
+                                        orthogonal=orthogonal)
     else:
         n_blocks = _block_count(path_count)
         if not 0 <= block < n_blocks:
             raise ValueError(f"block {block} outside 0..{n_blocks - 1} for "
                              f"{path_count} paths")
-        z, w_tilde = _block_normals(seed, block, path_count, cov.grid)
+        z, w_tilde = _block_normals(seed, block, path_count, cov.grid, orthogonal)
     return _joint_paths(z, w_tilde, cov)
 
 
-def transform_normals(z: np.ndarray, w_tilde_increments: np.ndarray,
+def transform_normals(z: np.ndarray, w_tilde_increments: np.ndarray | None,
                       cov: JointCovariance) -> PathBundle:
     """Form the paths of frozen draws under a (possibly new) covariance.
 
     ``z`` and ``w_tilde_increments`` are (row slices of) the two arrays of
-    `draw_normal_bundle`: [dW | Z_B] and dW~, neither of which depends on H. The fBm
-    paths are z @ [K~ | L_S]^T under ``cov`` (see `JointCovariance`); the bundle's
-    increments are views of the inputs, so only the fBm is allocated. Used by the
-    calibrator, one PATH_BLOCK row slice at a time: the draws stay fixed while the
+    `draw_normal_bundle`: [dW | Z_B] and dW~ (or None), neither of which depends on H.
+    The fBm paths are z @ [K~ | L_S]^T under ``cov`` (see `JointCovariance`); the
+    bundle's increments are views of the inputs, so only the fBm is allocated. Used by
+    the calibrator, one PATH_BLOCK row slice at a time: the draws stay fixed while the
     covariance (hence the Hurst index) changes, making the parameter-to-paths map
     deterministic and smooth.
     """
     n = cov.grid.n
-    if z.shape[1] != 2 * n or w_tilde_increments.shape[1] != n:
+    if z.shape[1] != 2 * n or (w_tilde_increments is not None
+                               and w_tilde_increments.shape[1] != n):
         raise ValueError("normal draw shapes do not match the covariance grid")
     return _joint_paths(z, w_tilde_increments, cov)

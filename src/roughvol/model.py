@@ -99,12 +99,13 @@ def _left_point_sums(bundle: PathBundle, params: ModelParams, nodes, integrand, 
     at the previous node afterwards. The volatilities are formed per row sub-block,
     from B^H = 0 at t = 0 (which gives sigma0 exactly) and the fBm at the earlier nodes.
     ``integrand(sig, dw, dw_tilde, dt, *args)`` maps a sub-block of rows of those
-    volatilities, the matching Wiener increments and the step sizes to a tuple of
+    volatilities, the matching Wiener and orthogonal increments (None when the bundle
+    has none) and the step sizes to a tuple of
     per-step arrays, and may overwrite ``sig``. Each array is summed along each path
     with one sequential cumsum; one (len(nodes) x paths) array per term is returned.
     Only one sub-block of full-length temporaries is held at a time.
     """
-    fbm = bundle.fbm_paths
+    fbm, dw_tilde = bundle.fbm_paths, bundle.w_tilde_increments
     n_paths = fbm.shape[0]
     end = max(nodes) + 1
     dt = bundle.grid.deltas[:end]
@@ -118,7 +119,7 @@ def _left_point_sums(bundle: PathBundle, params: ModelParams, nodes, integrand, 
         sig[:, 1:] = fbm[rows, : end - 1]
         volatility_paths(sig, params, times, out=sig)
         steps = integrand(sig, bundle.w_increments[rows, :end],
-                          bundle.w_tilde_increments[rows, :end], dt, *args)
+                          None if dw_tilde is None else dw_tilde[rows, :end], dt, *args)
         if sums is None:
             sums = [np.empty((len(nodes), n_paths)) for _ in steps]
         for total, step in zip(sums, steps):
@@ -135,6 +136,12 @@ def _log_euler_steps(sig, dw, dwt, dt, rate: float, rho: float):
     return ((rate - 0.5 * sig**2) * dt + sig * (rho * dw + np.sqrt(1.0 - rho**2) * dwt),)
 
 
+def _require_orthogonal(bundle: PathBundle) -> None:
+    if bundle.w_tilde_increments is None:
+        raise ValueError("the asset scheme needs the orthogonal increments dW~; "
+                         "sample the paths with orthogonal=True")
+
+
 def log_price_paths(bundle: PathBundle, params: ModelParams, env: MarketEnv) -> np.ndarray:
     """Euler scheme on X = ln S over the grid; returns X at every node (paths x n).
 
@@ -142,8 +149,10 @@ def log_price_paths(bundle: PathBundle, params: ModelParams, env: MarketEnv) -> 
     X(0) = ln(spot) handled analytically (the grid excludes t = 0) and the volatility
     taken at the left endpoint of each step. The discounted price process this
     induces is an exact discrete martingale because each Wiener increment is
-    independent of the volatility left of it.
+    independent of the volatility left of it. Raises ValueError on a bundle drawn
+    without its orthogonal increments.
     """
+    _require_orthogonal(bundle)
     (sums,) = _left_point_sums(bundle, params, range(bundle.grid.n), _log_euler_steps,
                                env.rate, params.rho)
     return np.ascontiguousarray(sums.T) + np.log(env.spot)

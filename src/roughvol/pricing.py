@@ -32,7 +32,8 @@ from scipy import special
 
 from .fbm import (JointCovariance, PathBundle, TimeGrid, _block_count,
                   build_joint_covariance, parallel_map, sample_paths)
-from .model import MarketEnv, ModelParams, _left_point_sums, _log_euler_steps
+from .model import (MarketEnv, ModelParams, _left_point_sums, _log_euler_steps,
+                    _require_orthogonal)
 
 __all__ = [
     "PriceEstimate",
@@ -149,7 +150,8 @@ def chain_estimates(bundle: PathBundle, params: ModelParams, env: MarketEnv,
     estimator averages discounted payoffs of the Euler-scheme prices; the default
     conditional (mixed) one averages per-path Black-Scholes values given the W-path.
     It is unbiased for the same discretized model and typically far less variable,
-    since only the rho-correlated part of the randomness remains.
+    since only the rho-correlated part of the randomness remains, and it never reads
+    the orthogonal increments, which the plain estimator requires (ValueError).
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
@@ -159,6 +161,7 @@ def chain_estimates(bundle: PathBundle, params: ModelParams, env: MarketEnv,
     nodes = [bundle.grid.index_of(t) for t in by_maturity]
     rho = params.rho
     if estimator == "plain":
+        _require_orthogonal(bundle)
         (log_sums,) = _left_point_sums(bundle, params, nodes, _log_euler_steps, env.rate,
                                        rho)
     else:
@@ -225,10 +228,15 @@ def fresh_estimates(cov: JointCovariance, params: ModelParams, env: MarketEnv, o
 
     Each block is sampled (`sample_paths` with ``block=b``) in `_block_estimates` and
     dropped once priced, so memory holds one block per worker at any ``path_count``.
+    Only the plain estimator draws the orthogonal increments, which the conditional
+    one integrates out.
     """
-    return _block_estimates(lambda b: sample_paths(cov, path_count, seed, block=b),
-                            _block_count(path_count), params, env, options, estimator,
-                            threads)
+    def bundle_of(b: int) -> PathBundle:
+        return sample_paths(cov, path_count, seed, block=b,
+                            orthogonal=estimator == "plain")
+
+    return _block_estimates(bundle_of, _block_count(path_count), params, env, options,
+                            estimator, threads)
 
 
 def price_chain(request: ChainPricingRequest, threads: int = 1) -> list[PriceEstimate]:

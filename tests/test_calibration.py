@@ -212,7 +212,8 @@ def test_new_hurst_call_holds_one_path_set():
 
 def test_frozen_pricer_increments_are_views_of_the_draws():
     # a cached block at any H holds its fBm paths and views of the frozen draws, whose
-    # dW is bit for bit sqrt(deltas) * Z_W from the block's own stream
+    # dW is bit for bit sqrt(deltas) * Z_W from the block's own stream; the orthogonal
+    # increments, which the conditional estimator never reads, are not drawn
     config = fast_config(path_count=2 * PATH_BLOCK + 8)
     pricer = FrozenPricer(small_structure(), config)
     n, scale = pricer.grid.n, np.sqrt(pricer.grid.deltas)
@@ -221,10 +222,9 @@ def test_frozen_pricer_increments_are_views_of_the_draws():
         for b, (h, bundle) in enumerate(pricer._blocks):
             assert h == H
             assert np.shares_memory(bundle.w_increments, pricer._z)
-            assert np.shares_memory(bundle.w_tilde_increments, pricer._w_tilde)
-            stream_z, stream_zt = block_stream_normals(config.seed, b, bundle.path_count, n)
+            assert bundle.w_tilde_increments is None
+            stream_z, _ = block_stream_normals(config.seed, b, bundle.path_count, n)
             assert np.array_equal(bundle.w_increments, stream_z[:, :n] * scale)
-            assert np.array_equal(bundle.w_tilde_increments, stream_zt * scale)
 
 
 def test_pricer_calls_add_one_fbm_path_set():

@@ -626,6 +626,23 @@ def test_increments_are_views_of_the_scaled_draws(monkeypatch, block):
         assert np.array_equal(bundle.w_tilde_increments[rows], stream_zt * scale)
 
 
+@pytest.mark.parametrize("block", [None, 0, 1])
+def test_skipping_the_orthogonal_draw_keeps_the_other_bits(block):
+    # Z comes first in each block stream, so leaving out Z_tilde changes nothing else
+    grid = TimeGrid.with_maturities([0.21, 0.5], 24)
+    cov = build_joint_covariance(grid, 0.15)
+    path_count = fbm.PATH_BLOCK + 10
+    full = sample_paths(cov, path_count, seed=21, block=block)
+    lean = sample_paths(cov, path_count, seed=21, block=block, orthogonal=False)
+    assert lean.w_tilde_increments is None
+    assert np.array_equal(lean.fbm_paths, full.fbm_paths)
+    assert np.array_equal(lean.w_increments, full.w_increments)
+    z, w_tilde = draw_normal_bundle(grid, path_count, seed=21, orthogonal=False)
+    assert w_tilde is None
+    assert np.array_equal(transform_normals(z, None, cov).fbm_paths,
+                          sample_paths(cov, path_count, seed=21).fbm_paths)
+
+
 @pytest.mark.parametrize("block", [-1, 3])
 def test_block_out_of_range(block):
     grid = TimeGrid.regular(1.0, 4)

@@ -133,6 +133,14 @@ def test_scheme_matches_stepwise_recomputation(grid):
         assert_allclose(x[:, k], expected, rtol=1e-13, atol=1e-13)
 
 
+def test_asset_scheme_needs_the_orthogonal_increments():
+    g = TimeGrid.regular(1.0, 4)
+    b = sample_paths(build_joint_covariance(g, 0.3), 50, seed=2, orthogonal=False)
+    p = ModelParams(sigma0=0.12, rho=-0.35, H=0.3, xi=0.9, alpha=0.7)
+    with pytest.raises(ValueError, match="orthogonal"):
+        log_price_paths(b, p, MarketEnv(spot=100.0))
+
+
 @pytest.mark.parametrize("H", [0.1, 0.3, 0.45])
 def test_discounted_price_is_martingale(H):
     g = TimeGrid.regular(1.0, 16)

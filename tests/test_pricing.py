@@ -242,6 +242,16 @@ def test_chain_estimates_requires_known_estimator(rough_setup):
         chain_estimates(bundle, FIT_PARAMS, env, ((100.0, 1.0),), estimator="plian")
 
 
+def test_plain_estimator_needs_the_orthogonal_increments():
+    grid = TimeGrid.regular(1.0, 4)
+    bundle = sample_paths(build_joint_covariance(grid, FIT_PARAMS.H), 50, seed=2,
+                          orthogonal=False)
+    env = MarketEnv(spot=100.0)
+    with pytest.raises(ValueError, match="orthogonal"):
+        chain_estimates(bundle, FIT_PARAMS, env, ((100.0, 1.0),), estimator="plain")
+    assert chain_estimates(bundle, FIT_PARAMS, env, ((100.0, 1.0),))[0].price > 0.0
+
+
 def reference_conditional(params, bundle, env, options):
     """The conditional estimator written out per option: whole-path volatilities,
     concatenated left-point volatilities, the Wiener increments and one full
