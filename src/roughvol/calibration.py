@@ -30,7 +30,7 @@ from .fbm import (PATH_BLOCK, PathBundle, TimeGrid, _block_count,
                   transform_normals)
 from .market import OptionStructure
 from .model import PARAM_NAMES, ModelParams
-from .pricing import _block_estimates
+from .pricing import _base_draws, _block_estimates
 
 __all__ = [
     "ParamBounds",
@@ -181,17 +181,18 @@ class FrozenPricer:
     """Deterministic Theta -> model-price map over frozen normal draws.
 
     Construction draws once (per config seed) on the union grid of the chain's
-    maturities: [dW | Z_B], which does not depend on H. The conditional estimator
-    integrates out the orthogonal increments, so they are not drawn. Paths are cached
-    per PATH_BLOCK row slice of the draws, each slice as one (H, bundle) entry whose
-    increments are views of the draws, so an entry adds only its fBm paths. A call
-    passes the pricing block kernel a ``bundle_of`` that returns block b's cached
-    bundle when its H is the call's; else it drops the entry, transforms the slice
-    under the call's covariance (built once, on the call's first miss) and stores the
-    new bundle. So the pricer holds the draws plus one fBm path set, and calls sharing
-    it across threads hold one block in flight each. Every call prices only bundles of
-    its own H, so a cached price equals a fresh pricer's exactly. Thread count affects
-    wall time only.
+    maturities: [dW | Z_B] for ceil(path_count / 2) base paths, which does not depend
+    on H. The conditional estimator prices each base path with its antithetic mirror
+    and integrates out the orthogonal increments, so neither the mirrors nor dW~ are
+    drawn or stored. Paths are cached per PATH_BLOCK row slice of the draws, each
+    slice as one (H, bundle) entry whose increments are views of the draws, so an
+    entry adds only its fBm paths. A call passes the pricing block kernel a
+    ``bundle_of`` that returns block b's cached bundle when its H is the call's; else
+    it drops the entry, transforms the slice under the call's covariance (built once,
+    on the call's first miss) and stores the new bundle. So the pricer holds the draws
+    plus one fBm path set of base paths, and calls sharing it across threads hold one
+    block in flight each. Every call prices only bundles of its own H, so a cached
+    price equals a fresh pricer's exactly. Thread count affects wall time only.
 
     ``prices`` always does the work. ``priced`` returns the prices of a parameter
     vector from a memo keyed by its bytes, calling ``prices`` on the vector's first
@@ -203,14 +204,14 @@ class FrozenPricer:
         self.structure = structure
         self.config = config
         self.grid = TimeGrid.with_maturities(structure.maturities, config.steps_per_year)
-        self._z, _ = draw_normal_bundle(self.grid, config.path_count, config.seed,
+        draws = _base_draws(config.path_count, "conditional_mixed")
+        self._z, _ = draw_normal_bundle(self.grid, draws, config.seed,
                                         threads=config.threads, orthogonal=False)
         self._sqrt_w = np.sqrt(structure.weights)
         self._closes = structure.closes
         self._options = structure.options
         # (H, bundle) of each PATH_BLOCK row slice, as the last call that needed it left it
-        self._blocks: list[tuple[float, PathBundle] | None] = [None] * _block_count(
-            config.path_count)
+        self._blocks: list[tuple[float, PathBundle] | None] = [None] * _block_count(draws)
         self._memo: dict[bytes, np.ndarray] = {}  # theta.tobytes() -> prices
 
     def prices(self, theta) -> np.ndarray:

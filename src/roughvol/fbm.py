@@ -14,9 +14,13 @@ against a standard Wiener process W, with the finite-interval (Molchan-Golosov) 
 
 This module factorizes the exact joint covariance of (B^H, W) on a time grid — fBm
 block r(t,s), Wiener block min(t,s), cross block E[B^H_t W_s] = int_0^{min(t,s)}
-K_H(t,u) du — and draws exact joint Gaussian paths plus an independent orthogonal
-increment set. Sampling is blocked with per-block RNG streams so results are bit-identical
-at any degree of parallelism.
+K_H(t,u) du — and draws exact joint Gaussian paths plus, on request, an independent
+orthogonal increment set (the asset scheme and the plain estimator read it; the
+conditional estimator integrates it out, so it is not drawn there). Sampling is blocked
+with per-block RNG streams so results are bit-identical at any degree of parallelism.
+The law is symmetric: the negated draws -Z give the antithetic mirror of a path, with
+fBm -B^H and increments -dW, which the conditional estimator prices from the sampled
+path itself, with no second draw and no second product.
 
 The factorization puts W first. With Z = (Z_W, Z_B) standard normal, the Wiener
 increments are dW_j = sqrt(dt_j) Z_W[j], which do not depend on H. The draws are
@@ -70,9 +74,10 @@ __all__ = [
     "derive_seed",
 ]
 
-#: fixed path-block size; the unit of RNG-stream derivation, parallel dispatch,
-#: pricing and the frozen pricer's path cache: every price pools per-block estimates,
-#: with one block in flight per worker.
+#: fixed path-block size in sampled paths (the conditional estimator prices each with
+#: its mirror); the unit of RNG-stream derivation, parallel dispatch, pricing and the
+#: frozen pricer's path cache: every price pools per-block estimates, with one block
+#: in flight per worker.
 PATH_BLOCK = 4096
 
 #: escalating diagonal jitter schedule for nearly rank-deficient covariance matrices.

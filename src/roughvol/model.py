@@ -92,7 +92,8 @@ def volatility_paths(fbm_paths: np.ndarray, params: ModelParams, times,
 _CHUNK_ENTRIES = 1 << 18
 
 
-def _left_point_sums(bundle: PathBundle, params: ModelParams, nodes, integrand, *args):
+def _left_point_sums(bundle: PathBundle, params: ModelParams, nodes, integrand, *args,
+                     mirror: bool = False):
     """Left-endpoint sums over [0, t_k] at each grid node k in ``nodes``.
 
     Each step uses the volatility at its left endpoint: at t = 0 for the first step,
@@ -100,10 +101,18 @@ def _left_point_sums(bundle: PathBundle, params: ModelParams, nodes, integrand, 
     from B^H = 0 at t = 0 (which gives sigma0 exactly) and the fBm at the earlier nodes.
     ``integrand(sig, dw, dw_tilde, dt, *args)`` maps a sub-block of rows of those
     volatilities, the matching Wiener and orthogonal increments (None when the bundle
-    has none) and the step sizes to a tuple of
-    per-step arrays, and may overwrite ``sig``. Each array is summed along each path
-    with one sequential cumsum; one (len(nodes) x paths) array per term is returned.
-    Only one sub-block of full-length temporaries is held at a time.
+    has none) and the step sizes to a tuple of per-step arrays, and may overwrite
+    ``sig``. Each array is summed along each path with one sequential cumsum; one
+    (len(nodes) x paths) array per term is returned. Only one sub-block of full-length
+    temporaries is held at a time.
+
+    With ``mirror`` every path is summed a second time as its antithetic mirror, whose
+    fBm is -B^H and whose increments are -dW and -dW~. The mirror's volatilities are
+    formed from -B^H in the same sub-block, so no negated copy of the paths is stored;
+    its sums follow the sampled paths' along the paths axis (len(nodes) x 2 paths).
+    An integrand reads sigma only through sigma^2 and sigma times an increment, so
+    the mirror's sigma against -dW is handed over as -sigma against +dW: the same
+    terms bit for bit, without a negated copy of the increments.
     """
     fbm, dw_tilde = bundle.fbm_paths, bundle.w_tilde_increments
     n_paths = fbm.shape[0]
@@ -111,22 +120,27 @@ def _left_point_sums(bundle: PathBundle, params: ModelParams, nodes, integrand, 
     dt = bundle.grid.deltas[:end]
     times = np.concatenate(([0.0], bundle.grid.times[: end - 1]))
     chunk = max(1, _CHUNK_ENTRIES // end)
+    signs = (1.0, -1.0) if mirror else (1.0,)
     sums = None
     for lo in range(0, n_paths, chunk):
         rows = slice(lo, min(lo + chunk, n_paths))
-        sig = np.empty((rows.stop - lo, end))
-        sig[:, 0] = 0.0
-        sig[:, 1:] = fbm[rows, : end - 1]
-        volatility_paths(sig, params, times, out=sig)
-        steps = integrand(sig, bundle.w_increments[rows, :end],
-                          None if dw_tilde is None else dw_tilde[rows, :end], dt, *args)
-        if sums is None:
-            sums = [np.empty((len(nodes), n_paths)) for _ in steps]
-        for total, step in zip(sums, steps):
-            np.cumsum(step, axis=1, out=step)
-            total[:, rows] = step[:, nodes].T
-        # free this sub-block before the next one is allocated
-        del sig, steps, step
+        dw = bundle.w_increments[rows, :end]
+        dwt = None if dw_tilde is None else dw_tilde[rows, :end]
+        for m, sign in enumerate(signs):
+            sig = np.empty((rows.stop - lo, end))
+            sig[:, 0] = 0.0
+            np.multiply(fbm[rows, : end - 1], sign, out=sig[:, 1:])  # B^H, then -B^H
+            volatility_paths(sig, params, times, out=sig)
+            if sign < 0.0:
+                np.negative(sig, out=sig)  # the mirror: -sigma against +dW, see above
+            steps = integrand(sig, dw, dwt, dt, *args)
+            if sums is None:
+                sums = [np.empty((len(nodes), len(signs) * n_paths)) for _ in steps]
+            for total, step in zip(sums, steps):
+                np.cumsum(step, axis=1, out=step)
+                total[:, m * n_paths + lo: m * n_paths + rows.stop] = step[:, nodes].T
+            # free this sub-block before the next one is allocated
+            del sig, steps, step
     return sums
 
 

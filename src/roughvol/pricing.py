@@ -13,11 +13,20 @@ increments, which makes the conditional estimator exactly unbiased for the discr
 model the plain estimator prices — the two may be compared on shared samples at
 standard-error resolution.
 
+The conditional estimator also prices every sampled path's antithetic mirror: the
+path of the negated draws, whose fBm is -B^H and whose Wiener increments are -dW. It
+has the same law, so the estimator stays exactly unbiased, and it costs no second draw
+and no second product: the kernel forms its volatilities from -B^H. The two values of
+a pair are averaged, and the price and its standard error are the mean and SE of the
+pair means, the independent samples. A request for N priced paths draws ceil(N / 2)
+base paths, so an odd N prices N + 1. The plain estimator stays i.i.d.: it is the
+reference the conditional one is checked against.
+
 A whole option chain is priced on one simulation grid, the union of a regular grid and
 every quoted maturity; each option reads the paths truncated to its own maturity node.
 Every Monte-Carlo price comes from one block kernel, `_block_estimates`: each
-PATH_BLOCK of paths is priced on its own and the per-block estimates are pooled in
-block order. The kernel asks a ``bundle_of(b)`` for each block. Fresh-draw pricing
+PATH_BLOCK of sampled paths is priced on its own and the per-block estimates are
+pooled in block order, weighted by their independent samples. The kernel asks a ``bundle_of(b)`` for each block. Fresh-draw pricing
 samples the block there and drops it once priced, so memory grows with the worker
 count, not the path count; calibration's frozen-noise pricer returns its cached
 block, or transforms the block's frozen draws at a new H and caches the result.
@@ -46,9 +55,15 @@ __all__ = [
 
 ESTIMATORS = ("plain", "conditional_mixed")
 
+#: priced paths per independent sample: the plain estimator's paths are i.i.d., the
+#: conditional one prices each base draw and its antithetic mirror as one pair.
+_PATHS_PER_SAMPLE = {"plain": 1, "conditional_mixed": 2}
+
 
 @dataclass(frozen=True)
 class PriceEstimate:
+    """A Monte-Carlo price; ``path_count`` counts priced paths (mirrors included)."""
+
     price: float
     std_error: float
     estimator: str
@@ -56,8 +71,8 @@ class PriceEstimate:
 
 
 def _bs_calls(spot: np.ndarray, totvar: np.ndarray, strikes, rate: float,
-              maturity: float) -> list[np.ndarray]:
-    """Black-Scholes calls at each strike on per-path (spot, total variance) arrays.
+              maturity: float) -> np.ndarray:
+    """Black-Scholes calls on per-path (spot, total variance) arrays, one row per strike.
 
     ``totvar`` is sigma^2 * T; zero total variance degenerates to the discounted
     intrinsic value max(spot - strike * exp(-rT), 0). The positivity mask and
@@ -69,14 +84,13 @@ def _bs_calls(spot: np.ndarray, totvar: np.ndarray, strikes, rate: float,
     s = spot[pos]
     half_sq = 0.5 * sq
     drift = rate * maturity
-    out = []
-    for strike in strikes:
+    values = np.empty((len(strikes), *spot.shape))
+    for row, strike in zip(values, strikes):
         disc_k = strike * np.exp(-rate * maturity)
-        values = np.maximum(spot - disc_k, 0.0)
+        np.maximum(spot - disc_k, 0.0, out=row)
         d1 = (np.log(s / strike) + drift) / sq + half_sq
-        values[pos] = s * special.ndtr(d1) - disc_k * special.ndtr(d1 - sq)
-        out.append(values)
-    return out
+        row[pos] = s * special.ndtr(d1) - disc_k * special.ndtr(d1 - sq)
+    return values
 
 
 def black_scholes_call(spot: float, strike: float, rate: float, vol: float,
@@ -90,20 +104,23 @@ def black_scholes_call(spot: float, strike: float, rate: float, vol: float,
         raise ValueError(f"spot and strike must be positive, got {spot}, {strike}")
     if vol < 0.0 or maturity < 0.0:
         raise ValueError("vol and maturity must be nonnegative")
-    (value,) = _bs_calls(np.array([spot], dtype=float), np.array([vol**2 * maturity]),
-                         (strike,), rate, maturity)
-    return float(value[0])
+    values = _bs_calls(np.array([spot], dtype=float), np.array([vol**2 * maturity]),
+                       (strike,), rate, maturity)
+    return float(values[0, 0])
 
 
-def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    n = values.size
-    if n > 1 and np.ptp(values) == 0.0:
-        # a constant sample has mean values[0] and standard error 0 exactly;
-        # summation round-off would otherwise report a spurious ~1e-17 SE
-        return float(values[0]), 0.0
-    mean = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return mean, se
+def _mean_se(values: np.ndarray):
+    """Mean and standard error of each row of ``values``, samples along the last axis.
+
+    A constant row has mean values[..., 0] and standard error 0 exactly; summation
+    round-off would otherwise report a spurious ~1e-17 SE. A 1-d sample gives scalars.
+    """
+    n = values.shape[-1]
+    constant = np.ptp(values, axis=-1) == 0.0
+    mean = np.where(constant, values[..., 0], values.mean(axis=-1))
+    se = np.zeros_like(mean) if n == 1 else np.where(
+        constant, 0.0, values.std(axis=-1, ddof=1) / np.sqrt(n))
+    return mean[()], se[()]
 
 
 def _conditional_steps(sig, dw, dwt, dt):
@@ -147,11 +164,16 @@ def chain_estimates(bundle: PathBundle, params: ModelParams, env: MarketEnv,
     """Price every option from one already-simulated path set (truncated per maturity).
 
     The left-point sums are formed once, at the maturity nodes only. The plain
-    estimator averages discounted payoffs of the Euler-scheme prices; the default
-    conditional (mixed) one averages per-path Black-Scholes values given the W-path.
-    It is unbiased for the same discretized model and typically far less variable,
-    since only the rho-correlated part of the randomness remains, and it never reads
-    the orthogonal increments, which the plain estimator requires (ValueError).
+    estimator averages discounted payoffs of the Euler-scheme prices over the i.i.d.
+    paths, and needs their orthogonal increments (ValueError without them). The
+    default conditional (mixed) one prices per-path Black-Scholes values given the
+    W-path, for every path of the bundle and for its antithetic mirror (fBm -B^H,
+    increments -dW); it never reads the orthogonal increments. Each pair's two values
+    are averaged, and the price and standard error are the mean and SE of the pair
+    means, so ``path_count`` is twice the bundle's. The estimator is exactly unbiased
+    for the same discretized model and far less variable: only the rho-correlated part
+    of the randomness remains, and the mirror cancels its odd part. Each maturity's
+    strikes are reduced in one (strikes x samples) step.
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
@@ -160,49 +182,64 @@ def chain_estimates(bundle: PathBundle, params: ModelParams, env: MarketEnv,
         by_maturity.setdefault(t, []).append(i)
     nodes = [bundle.grid.index_of(t) for t in by_maturity]
     rho = params.rho
+    n_paths = bundle.fbm_paths.shape[0]
     if estimator == "plain":
         _require_orthogonal(bundle)
         (log_sums,) = _left_point_sums(bundle, params, nodes, _log_euler_steps, env.rate,
                                        rho)
     else:
-        int_var, int_sdw = _left_point_sums(bundle, params, nodes, _conditional_steps)
+        int_var, int_sdw = _left_point_sums(bundle, params, nodes, _conditional_steps,
+                                            mirror=True)
     out = [None] * len(options)
     for j, (t, members) in enumerate(by_maturity.items()):
-        strikes = [options[i][0] for i in members]
+        strikes = np.array([options[i][0] for i in members])
         if estimator == "plain":
             terminal = np.exp(np.log(env.spot) + log_sums[j])
-            disc = np.exp(-env.rate * t)
-            per_strike = [disc * np.maximum(terminal - k, 0.0) for k in strikes]
+            values = np.exp(-env.rate * t) * np.maximum(terminal - strikes[:, None], 0.0)
         else:
             eff_spot = env.spot * np.exp(rho * int_sdw[j] - 0.5 * rho**2 * int_var[j])
-            per_strike = _bs_calls(eff_spot, (1.0 - rho**2) * int_var[j], strikes, env.rate, t)
-        for i, values in zip(members, per_strike):
-            mean, se = _mean_se(values)
-            out[i] = PriceEstimate(price=mean, std_error=se, estimator=estimator,
-                                   path_count=values.size)
+            both = _bs_calls(eff_spot, (1.0 - rho**2) * int_var[j], strikes, env.rate, t)
+            values = np.add(both[:, :n_paths], both[:, n_paths:], out=both[:, :n_paths])
+            values *= 0.5  # the pair means
+        means, ses = _mean_se(values)
+        for i, mean, se in zip(members, means, ses):
+            out[i] = PriceEstimate(price=float(mean), std_error=float(se),
+                                   estimator=estimator,
+                                   path_count=n_paths * _PATHS_PER_SAMPLE[estimator])
     return out
+
+
+def _base_draws(path_count: int, estimator: str) -> int:
+    """Sampled paths that price ``path_count`` paths: all of them for the plain
+    estimator, ceil(path_count / 2) base paths of mirrored pairs for the conditional
+    one."""
+    return -(-path_count // _PATHS_PER_SAMPLE[estimator])
 
 
 def _pool_estimates(parts) -> PriceEstimate:
     """One estimate from estimates on disjoint path sets, as if on their union.
 
-    The pooled mean weights each part's mean by its path count. The pooled sample
-    variance adds the within-part sums of squares, (n_b - 1) n_b se_b^2, to the
-    between-part ones, n_b (mean_b - mean)^2. Both sums are exactly rounded, so the
-    result does not depend on the order of the parts. Parts that are all constant at
-    one value pool to that value with standard error 0 exactly, as `_mean_se` gives.
+    Each part counts its independent samples: paths for the plain estimator, pairs
+    (half its priced paths) for the conditional one. The pooled mean weights each
+    part's mean by its sample count n_b. The pooled sample variance adds the
+    within-part sums of squares, (n_b - 1) n_b se_b^2, to the between-part ones,
+    n_b (mean_b - mean)^2. Both sums are exactly rounded, so the result does not
+    depend on the order of the parts. Parts that are all constant at one value pool to
+    that value with standard error 0 exactly, as `_mean_se` gives.
     """
     first = parts[0]
     if len(parts) == 1:
         return first
-    total = sum(e.path_count for e in parts)
+    paths = sum(e.path_count for e in parts)
     if all(e.std_error == 0.0 and e.price == first.price for e in parts):
-        return replace(first, path_count=total)
-    mean = math.fsum(e.path_count * e.price for e in parts) / total
-    squares = math.fsum((e.path_count - 1) * e.path_count * e.std_error**2
-                        + e.path_count * (e.price - mean) ** 2 for e in parts)
+        return replace(first, path_count=paths)
+    counts = [e.path_count // _PATHS_PER_SAMPLE[e.estimator] for e in parts]
+    total = sum(counts)
+    mean = math.fsum(n * e.price for n, e in zip(counts, parts)) / total
+    squares = math.fsum((n - 1) * n * e.std_error**2 + n * (e.price - mean) ** 2
+                        for n, e in zip(counts, parts))
     return replace(first, price=mean, std_error=math.sqrt(squares / (total - 1) / total),
-                   path_count=total)
+                   path_count=paths)
 
 
 def _block_estimates(bundle_of, n_blocks: int, params: ModelParams, env: MarketEnv,
@@ -224,18 +261,21 @@ def _block_estimates(bundle_of, n_blocks: int, params: ModelParams, env: MarketE
 def fresh_estimates(cov: JointCovariance, params: ModelParams, env: MarketEnv, options,
                     path_count: int, seed: int, estimator: str = "conditional_mixed",
                     threads: int = 1) -> list[PriceEstimate]:
-    """Price every option on ``path_count`` fresh paths, one PATH_BLOCK at a time.
+    """Price every option on ``path_count`` fresh paths, one PATH_BLOCK of draws at a
+    time.
 
-    Each block is sampled (`sample_paths` with ``block=b``) in `_block_estimates` and
-    dropped once priced, so memory holds one block per worker at any ``path_count``.
-    Only the plain estimator draws the orthogonal increments, which the conditional
-    one integrates out.
+    The plain estimator draws ``path_count`` i.i.d. paths. The conditional one draws
+    ceil(path_count / 2) base paths and prices each with its mirror, so an odd count
+    prices path_count + 1 paths; it draws no orthogonal increments. Each block is
+    sampled (`sample_paths` with ``block=b``) in `_block_estimates` and dropped once
+    priced, so memory holds one block per worker at any ``path_count``.
     """
-    def bundle_of(b: int) -> PathBundle:
-        return sample_paths(cov, path_count, seed, block=b,
-                            orthogonal=estimator == "plain")
+    draws = _base_draws(path_count, estimator)
 
-    return _block_estimates(bundle_of, _block_count(path_count), params, env, options,
+    def bundle_of(b: int) -> PathBundle:
+        return sample_paths(cov, draws, seed, block=b, orthogonal=estimator == "plain")
+
+    return _block_estimates(bundle_of, _block_count(draws), params, env, options,
                             estimator, threads)
 
 

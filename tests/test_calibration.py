@@ -138,10 +138,11 @@ def test_format_pct():
 
 
 def test_frozen_pricer_matches_manual_assembly():
+    # 2000 priced paths are 1000 base draws, each priced with its mirror
     s = small_structure()
     config = fast_config()
     pricer = FrozenPricer(s, config)
-    z, w_tilde = draw_normal_bundle(pricer.grid, config.path_count, config.seed)
+    z, w_tilde = draw_normal_bundle(pricer.grid, config.path_count // 2, config.seed)
     cov = build_joint_covariance(pricer.grid, THETA.H)
     bundle = transform_normals(z, w_tilde, cov)
     manual = [e.price for e in chain_estimates(bundle, THETA, s.env, s.options)]
@@ -149,20 +150,22 @@ def test_frozen_pricer_matches_manual_assembly():
 
 
 def test_frozen_pricer_pools_path_blocks():
-    # three blocks, the last one short: each PATH_BLOCK row slice of the frozen draws is
-    # transformed and priced on its own, and the block estimates are pooled
+    # three blocks of base draws, the last one short: each PATH_BLOCK row slice of the
+    # frozen draws is transformed and priced with its mirrors on its own, and the
+    # block estimates are pooled
     s = small_structure()
-    config = fast_config(path_count=2 * PATH_BLOCK + 8)
+    draws = 2 * PATH_BLOCK + 8
+    config = fast_config(path_count=2 * draws)
     pricer = FrozenPricer(s, config)
     grid = pricer.grid
-    z, w_tilde = draw_normal_bundle(grid, config.path_count, config.seed)
+    z, w_tilde = draw_normal_bundle(grid, draws, config.seed)
     cov = build_joint_covariance(grid, THETA.H)
     per_block = []
-    for lo in range(0, config.path_count, PATH_BLOCK):
+    for lo in range(0, draws, PATH_BLOCK):
         rows = slice(lo, lo + PATH_BLOCK)
         bundle = transform_normals(z[rows], w_tilde[rows], cov)
         per_block.append(chain_estimates(bundle, THETA, s.env, s.options))
-    assert len(per_block) == 3 and per_block[-1][0].path_count == 8
+    assert len(per_block) == 3 and per_block[-1][0].path_count == 16
     manual = [_pool_estimates(parts).price for parts in zip(*per_block)]
     prices = pricer.prices(THETA)
     assert list(prices) == manual
@@ -192,8 +195,9 @@ def test_frozen_pricer_memory_does_not_grow_with_block_count():
 
 
 def _block_pricer(n_blocks: int) -> FrozenPricer:
-    return FrozenPricer(small_structure(), fast_config(path_count=n_blocks * PATH_BLOCK,
-                                                       steps_per_year=48))
+    """A pricer on ``n_blocks`` blocks of base draws, each priced with its mirrors."""
+    return FrozenPricer(small_structure(),
+                        fast_config(path_count=2 * n_blocks * PATH_BLOCK, steps_per_year=48))
 
 
 def test_new_hurst_call_holds_one_path_set():
@@ -229,10 +233,11 @@ def test_frozen_pricer_increments_are_views_of_the_draws():
 
 def test_pricer_calls_add_one_fbm_path_set():
     # after construction, a first call and a call at a new H leave only the fBm paths
-    # behind: the increments are views of the frozen draws, not copies
+    # of the base draws behind: the increments are views of the frozen draws, not
+    # copies, and no mirror is stored
     config = fast_config(path_count=3 * PATH_BLOCK + 100, steps_per_year=252)
     pricer = FrozenPricer(small_structure(), config)
-    path_set = config.path_count * pricer.grid.n * 8
+    path_set = config.path_count // 2 * pricer.grid.n * 8
     tracemalloc.start()
     try:
         pricer.prices(THETA)
@@ -244,7 +249,7 @@ def test_pricer_calls_add_one_fbm_path_set():
 
 
 def _generation_peak(threads: int) -> int:
-    pricer = _block_pricer(16)
+    pricer = _block_pricer(24)
     thetas = [replace(THETA, H=h).as_array() for h in (0.1, 0.15, 0.2, 0.25)]
     tracemalloc.start()
     try:
@@ -255,8 +260,9 @@ def _generation_peak(threads: int) -> int:
 
 
 def test_ga_generation_memory_grows_by_blocks():
-    # threads sharing the pricer add one block in flight each, not a path set each:
-    # the ratio is 1.1-1.4 over thread schedules, and 1.6-2.2 with a path set per thread
+    # threads sharing the pricer add one block in flight each, not a path set each: at
+    # 24 blocks of base draws the ratio is 1.24-1.31 over thread schedules, and a path
+    # set per thread would add 19 MB (a ratio near 4) per thread
     assert _generation_peak(4) <= 1.5 * _generation_peak(1)
 
 

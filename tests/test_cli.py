@@ -224,6 +224,32 @@ def test_calibrate_threads_byte_identical(pipeline, tmp_path):
         assert (a / name).read_bytes() == (pipeline / name).read_bytes()
 
 
+def test_conditional_artifacts_byte_identical_across_threads(pipeline, tmp_path):
+    # an odd count of 2 * PATH_BLOCK + 1 pairs: three blocks of base draws, the last
+    # one a single pair, so the threads price blocks in different orders
+    chain, truth = str(pipeline / "chain.csv"), str(pipeline / "chain.truth.json")
+    common = ["--path-count", str(4 * 4096 + 1), "--steps-per-year", "12", "--seed", "4"]
+    commands = [
+        (["price", "--chain", chain, "--params", truth], ("prices.csv",)),
+        (["calibrate", "--chain", chain, "--variant", "rBergomi", "--ga-population", "4",
+          "--ga-generations", "1"], ("calibration.json", "calibration_row.csv")),
+        (["bootstrap", "--chain", chain, "--calibration", truth, "--variant", "rBergomi",
+          "--samples", "2"], ("bootstrap.json", "bootstrap_options.csv",
+                              "bootstrap_theta.csv", "scatter_matrix.txt")),
+    ]
+    runs = {}
+    for label, threads in (("a", "1"), ("b", "1"), ("c", "2"), ("d", "4")):
+        for argv, names in commands:
+            out = tmp_path / label / argv[0]
+            run_cli([*argv, *common, "--threads", threads, "--out", str(out)])
+            for name in names:
+                runs.setdefault(name, []).append((out / name).read_bytes())
+    _, rows = read_csv(tmp_path / "a" / "price" / "prices.csv")
+    assert {row[4] for row in rows} == {str(4 * 4096 + 2)}
+    for name, contents in runs.items():
+        assert len(set(contents)) == 1, name
+
+
 def test_artifact_writes_leave_no_tmp_files(pipeline, tmp_path):
     run_cli(["price", "--chain", str(pipeline / "chain.csv"),
              "--params", str(pipeline / "chain.truth.json"),

@@ -3,8 +3,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from roughvol.fbm import TimeGrid, build_joint_covariance, sample_paths
-from roughvol.model import MarketEnv, ModelParams, log_price_paths, volatility_paths
+from roughvol.fbm import PathBundle, TimeGrid, build_joint_covariance, sample_paths
+from roughvol.model import (MarketEnv, ModelParams, _left_point_sums, _log_euler_steps,
+                            log_price_paths, volatility_paths)
+from roughvol.pricing import _conditional_steps
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +133,28 @@ def test_scheme_matches_stepwise_recomputation(grid):
         expected = expected + (env.rate - 0.5 * sig**2) * dt \
             + sig * (p.rho * dw + orth * b.w_tilde_increments[:, k])
         assert_allclose(x[:, k], expected, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("integrand,args", [(_conditional_steps, ()),
+                                            (_log_euler_steps, (0.02, -0.6))])
+def test_mirror_sums_are_those_of_the_negated_paths(integrand, args):
+    # the mirror of a path has fBm -B^H and increments -dW, -dW~: its sums are, bit
+    # for bit, those of a bundle holding the negated arrays, and they follow the
+    # sampled paths' sums, which the mirror leaves as they are
+    g = TimeGrid.with_maturities([0.25, 1.0], 12)
+    b = sample_paths(build_joint_covariance(g, 0.15), 5000, seed=3)
+    mirror = PathBundle(fbm_paths=-b.fbm_paths, w_increments=-b.w_increments,
+                        w_tilde_increments=-b.w_tilde_increments, path_count=5000, grid=g)
+    p = ModelParams(sigma0=0.12, rho=-0.6, H=0.15, xi=1.4, alpha=0.5)
+    nodes = [g.index_of(0.25), g.n - 1]
+    pairs = _left_point_sums(b, p, nodes, integrand, *args, mirror=True)
+    sampled = _left_point_sums(b, p, nodes, integrand, *args)
+    mirrored = _left_point_sums(mirror, p, nodes, integrand, *args)
+    for both, base, neg in zip(pairs, sampled, mirrored):
+        assert both.shape == (2, 10_000)
+        assert np.array_equal(both[:, :5000], base)
+        assert np.array_equal(both[:, 5000:], neg)
+        assert not np.array_equal(base, neg)
 
 
 def test_asset_scheme_needs_the_orthogonal_increments():

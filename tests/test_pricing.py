@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from roughvol.calibration import ParamBounds
 from roughvol.fbm import PATH_BLOCK, TimeGrid, build_joint_covariance, sample_paths
 from roughvol.model import MarketEnv, ModelParams, volatility_paths
 from roughvol.pricing import (
@@ -166,10 +167,11 @@ def test_chain_request_validation():
 
 
 def test_price_chain_matches_manual_assembly():
+    # 16 000 priced paths are 8000 base draws with their mirrors, in two blocks
     env = MarketEnv(spot=100.0, rate=0.0)
     options = ((90.0, 0.5), (100.0, 0.5), (100.0, 1.0), (110.0, 1.0))
     request = ChainPricingRequest(options=options, env=env, params=FIT_PARAMS,
-                                  path_count=8000, steps_per_year=12, seed=31)
+                                  path_count=16_000, steps_per_year=12, seed=31)
     chain = price_chain(request)
 
     grid = TimeGrid.with_maturities([0.5, 1.0], 12)
@@ -184,7 +186,7 @@ def test_price_chain_matches_manual_assembly():
         manual = _pool_estimates(parts)
         assert est.price == manual.price
         assert est.std_error == manual.std_error
-        assert est.path_count == 8000
+        assert est.path_count == 16_000
     # and agrees with one whole-bundle assembly up to the rounding of the pooled sums
     bundle = sample_paths(cov, 8000, seed=31)
     for (strike, maturity), est in zip(options, chain):
@@ -255,30 +257,34 @@ def test_plain_estimator_needs_the_orthogonal_increments():
 def reference_conditional(params, bundle, env, options):
     """The conditional estimator written out per option: whole-path volatilities,
     concatenated left-point volatilities, the Wiener increments and one full
-    Black-Scholes pass for every quote."""
+    Black-Scholes pass for every quote, on the bundle and on its mirror (-B^H, -dW);
+    the estimate is the mean and SE of the pair means."""
     grid = bundle.grid
-    sigma = volatility_paths(bundle.fbm_paths, params, grid.times)
-    n_paths, n = sigma.shape
-    dw = bundle.w_increments
-    sig_left = np.concatenate([np.full((n_paths, 1), params.sigma0),
-                               sigma[:, : n - 1]], axis=1)
-    cum_var = np.cumsum(sig_left**2 * grid.deltas, axis=1)
-    cum_sdw = np.cumsum(sig_left * dw, axis=1)
     rho = params.rho
-    out = []
-    for strike, t in options:
-        idx = grid.index_of(t)
-        spot = env.spot * np.exp(rho * cum_sdw[:, idx] - 0.5 * rho**2 * cum_var[:, idx])
-        totvar = (1.0 - rho**2) * cum_var[:, idx]
-        disc_k = strike * np.exp(-env.rate * t)
-        values = np.maximum(spot - disc_k, 0.0)
-        pos = (totvar > 0.0) & (spot > 0.0)
-        sq = np.sqrt(totvar[pos])
-        s = spot[pos]
-        d1 = (np.log(s / strike) + env.rate * t) / sq + 0.5 * sq
-        values[pos] = s * special.ndtr(d1) - disc_k * special.ndtr(d1 - sq)
-        out.append(_mean_se(values))
-    return out
+    per_path = [[] for _ in options]
+    for fbm_paths, dw in ((bundle.fbm_paths, bundle.w_increments),
+                          (-bundle.fbm_paths, -bundle.w_increments)):
+        sigma = volatility_paths(fbm_paths, params, grid.times)
+        n_paths, n = sigma.shape
+        sig_left = np.concatenate([np.full((n_paths, 1), params.sigma0),
+                                   sigma[:, : n - 1]], axis=1)
+        cum_var = np.cumsum(sig_left**2 * grid.deltas, axis=1)
+        cum_sdw = np.cumsum(sig_left * dw, axis=1)
+        for values_of, (strike, t) in zip(per_path, options):
+            idx = grid.index_of(t)
+            spot = env.spot * np.exp(rho * cum_sdw[:, idx]
+                                     - 0.5 * rho**2 * cum_var[:, idx])
+            totvar = (1.0 - rho**2) * cum_var[:, idx]
+            disc_k = strike * np.exp(-env.rate * t)
+            values = np.maximum(spot - disc_k, 0.0)
+            pos = (totvar > 0.0) & (spot > 0.0)
+            sq = np.sqrt(totvar[pos])
+            s = spot[pos]
+            d1 = (np.log(s / strike) + env.rate * t) / sq + 0.5 * sq
+            values[pos] = s * special.ndtr(d1) - disc_k * special.ndtr(d1 - sq)
+            values_of.append(values)
+    return [tuple(map(float, _mean_se(0.5 * (base + mirror))))
+            for base, mirror in per_path]
 
 
 def test_chain_estimates_equal_per_option_reference():
@@ -335,23 +341,47 @@ def test_pooled_last_block_of_one_path():
 
 
 @pytest.mark.parametrize("estimator", ["conditional_mixed", "plain"])
-@pytest.mark.parametrize("path_count", [PATH_BLOCK, PATH_BLOCK + 1, 2 * PATH_BLOCK + 10])
+@pytest.mark.parametrize("path_count", [PATH_BLOCK, PATH_BLOCK + 1, 2 * PATH_BLOCK + 10,
+                                        4 * PATH_BLOCK + 21])
 def test_price_chain_matches_single_bundle(estimator, path_count):
+    # the block-pooled estimates are those of one chain_estimates over the union of
+    # the same draws: paths for the plain estimator, ceil(N / 2) mirrored pairs for
+    # the conditional one, which so prices N + 1 paths at an odd N
     env = MarketEnv(spot=100.0, rate=0.01)
     options = ((95.0, 0.25), (105.0, 0.25), (100.0, 1.0))
     request = ChainPricingRequest(options=options, env=env, params=FIT_PARAMS,
                                   path_count=path_count, steps_per_year=12, seed=5,
                                   estimator=estimator)
+    per_draw = 1 if estimator == "plain" else 2
+    draws = -(-path_count // per_draw)
     grid = TimeGrid.with_maturities([0.25, 1.0], 12)
-    bundle = sample_paths(build_joint_covariance(grid, FIT_PARAMS.H), path_count, seed=5)
+    bundle = sample_paths(build_joint_covariance(grid, FIT_PARAMS.H), draws, seed=5)
     whole = chain_estimates(bundle, FIT_PARAMS, env, options, estimator=estimator)
     runs = [price_chain(request, threads=t) for t in (1, 2, 4)]
     for est, ref in zip(runs[0], whole):
         assert est.price == pytest.approx(ref.price, rel=1e-13)
         assert est.std_error == pytest.approx(ref.std_error, rel=1e-10)
-        assert est.path_count == path_count
+        assert est.path_count == ref.path_count == per_draw * draws
     for other in runs[1:]:
         assert other == runs[0]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_odd_path_count_rounds_up_to_whole_pairs(threads):
+    # ceil(N / 2) pairs: an odd N prices exactly what N + 1 does; plain prices N paths
+    env = MarketEnv(spot=100.0, rate=0.01)
+
+    def priced(path_count, estimator="conditional_mixed"):
+        return price_chain(ChainPricingRequest(
+            options=((95.0, 0.25), (105.0, 1.0)), env=env, params=FIT_PARAMS,
+            path_count=path_count, steps_per_year=12, seed=8, estimator=estimator),
+            threads=threads)
+
+    for odd in (1, 2 * PATH_BLOCK + 1):
+        rounded = priced(odd)
+        assert rounded == priced(odd + 1)
+        assert {e.path_count for e in rounded} == {odd + 1}
+        assert {e.path_count for e in priced(odd, "plain")} == {odd}
 
 
 def _traced_peak(path_count: int) -> int:
@@ -439,6 +469,33 @@ def test_chain_prices_within_static_bounds(params, env, strikes, maturity, estim
         # price and SE are rounding noise around it
         slack = 4.0 * est.std_error + 1e-12 * env.spot
         assert lower - slack <= est.price <= env.spot + slack
+
+
+#: the calibrator's default parameter box
+BOX = ParamBounds.default()
+box_params = st.builds(ModelParams, *(st.floats(lo, hi) for lo, hi in zip(BOX.lower,
+                                                                          BOX.upper)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(params=box_params)
+def test_antithetic_conditional_agrees_with_plain_over_the_default_box(params):
+    # on shared draws: the mirrored conditional price is unbiased for the model the
+    # plain estimator prices, and both respect the no-arbitrage bounds, each up to
+    # 4 (combined) standard errors
+    bundle = sample_paths(build_joint_covariance(PROPERTY_GRID, params.H), 2000, seed=99)
+    env = MarketEnv(spot=100.0, rate=0.01)
+    options = [(k, t) for t in (0.25, 1.0) for k in (80.0, 100.0, 120.0)]
+    plain = chain_estimates(bundle, params, env, options, estimator="plain")
+    cond = chain_estimates(bundle, params, env, options)
+    for (k, t), p, c in zip(options, plain, cond):
+        assert c.path_count == 2 * p.path_count
+        floor = 1e-12 * env.spot  # a deep in-the-money price is exact up to rounding
+        assert abs(p.price - c.price) <= 4.0 * np.hypot(p.std_error, c.std_error) + floor
+        lower = max(env.spot - k * np.exp(-env.rate * t), 0.0)
+        for est in (p, c):
+            slack = 4.0 * est.std_error + floor
+            assert lower - slack <= est.price <= env.spot + slack
 
 
 PERMUTED_OPTIONS = ((90.0, 0.25), (100.0, 0.25), (100.0, 0.5), (95.0, 1.0),
