@@ -26,10 +26,11 @@ A whole option chain is priced on one simulation grid, the union of a regular gr
 every quoted maturity; each option reads the paths truncated to its own maturity node.
 Every Monte-Carlo price comes from one block kernel, `_block_estimates`: each
 PATH_BLOCK of sampled paths is priced on its own and the per-block estimates are
-pooled in block order, weighted by their independent samples. The kernel asks a ``bundle_of(b)`` for each block. Fresh-draw pricing
-samples the block there and drops it once priced, so memory grows with the worker
-count, not the path count; calibration's frozen-noise pricer returns its cached
-block, or transforms the block's frozen draws at a new H and caches the result.
+pooled in block order, weighted by their independent samples. The kernel asks a
+``bundle_of(b)`` for each block. Fresh-draw pricing samples the block there and drops
+it once priced, so memory grows with the worker count, not the path count;
+calibration's frozen-noise pricer returns its cached block, or transforms the block's
+frozen draws at a new H and caches the result.
 """
 from __future__ import annotations
 
@@ -172,8 +173,8 @@ def chain_estimates(bundle: PathBundle, params: ModelParams, env: MarketEnv,
     are averaged, and the price and standard error are the mean and SE of the pair
     means, so ``path_count`` is twice the bundle's. The estimator is exactly unbiased
     for the same discretized model and far less variable: only the rho-correlated part
-    of the randomness remains, and the mirror cancels its odd part. Each maturity's
-    strikes are reduced in one (strikes x samples) step.
+    of the randomness remains, and a pair cancels the part that is odd in the draws.
+    Each maturity's strikes are reduced in one (strikes x samples) step.
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")

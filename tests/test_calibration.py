@@ -196,8 +196,8 @@ def test_frozen_pricer_memory_does_not_grow_with_block_count():
 
 def _block_pricer(n_blocks: int) -> FrozenPricer:
     """A pricer on ``n_blocks`` blocks of base draws, each priced with its mirrors."""
-    return FrozenPricer(small_structure(),
-                        fast_config(path_count=2 * n_blocks * PATH_BLOCK, steps_per_year=48))
+    config = fast_config(path_count=2 * n_blocks * PATH_BLOCK, steps_per_year=48)
+    return FrozenPricer(small_structure(), config)
 
 
 def test_new_hurst_call_holds_one_path_set():
