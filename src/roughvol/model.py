@@ -146,14 +146,12 @@ def _left_point_sums(bundle: PathBundle, params: ModelParams, nodes, integrand, 
 
 def _log_euler_steps(sig, dw, dwt, dt, rate: float, rho: float):
     """`_left_point_sums` integrand of the Euler scheme on X = ln S:
-    X_{k+1} - X_k = (r - sigma_k^2 / 2) dt + sigma_k (rho dW + sqrt(1-rho^2) dW_tilde)."""
-    return ((rate - 0.5 * sig**2) * dt + sig * (rho * dw + np.sqrt(1.0 - rho**2) * dwt),)
-
-
-def _require_orthogonal(bundle: PathBundle) -> None:
-    if bundle.w_tilde_increments is None:
+    X_{k+1} - X_k = (r - sigma_k^2 / 2) dt + sigma_k (rho dW + sqrt(1-rho^2) dW_tilde).
+    Raises ValueError without dW_tilde (paths drawn without orthogonal increments)."""
+    if dwt is None:
         raise ValueError("the asset scheme needs the orthogonal increments dW~; "
                          "sample the paths with orthogonal=True")
+    return ((rate - 0.5 * sig**2) * dt + sig * (rho * dw + np.sqrt(1.0 - rho**2) * dwt),)
 
 
 def log_price_paths(bundle: PathBundle, params: ModelParams, env: MarketEnv) -> np.ndarray:
@@ -166,7 +164,6 @@ def log_price_paths(bundle: PathBundle, params: ModelParams, env: MarketEnv) -> 
     independent of the volatility left of it. Raises ValueError on a bundle drawn
     without its orthogonal increments.
     """
-    _require_orthogonal(bundle)
     (sums,) = _left_point_sums(bundle, params, range(bundle.grid.n), _log_euler_steps,
                                env.rate, params.rho)
     return np.ascontiguousarray(sums.T) + np.log(env.spot)

@@ -42,8 +42,7 @@ from scipy import special
 
 from .fbm import (JointCovariance, PathBundle, TimeGrid, _block_count,
                   build_joint_covariance, parallel_map, sample_paths)
-from .model import (MarketEnv, ModelParams, _left_point_sums, _log_euler_steps,
-                    _require_orthogonal)
+from .model import MarketEnv, ModelParams, _left_point_sums, _log_euler_steps
 
 __all__ = [
     "PriceEstimate",
@@ -185,7 +184,6 @@ def chain_estimates(bundle: PathBundle, params: ModelParams, env: MarketEnv,
     rho = params.rho
     n_paths = bundle.fbm_paths.shape[0]
     if estimator == "plain":
-        _require_orthogonal(bundle)
         (log_sums,) = _left_point_sums(bundle, params, nodes, _log_euler_steps, env.rate,
                                        rho)
     else:
