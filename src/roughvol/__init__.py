@@ -12,8 +12,7 @@ sensitivity and significance tests.
 from .fbm import (FactorizationError, JointCovariance, PathBundle, TimeGrid,
                   build_joint_covariance, derive_seed, sample_paths, transform_normals)
 from .model import MarketEnv, ModelParams, PARAM_NAMES, log_price_paths, volatility_paths
-from .pricing import (ChainPricingRequest, PriceEstimate, black_scholes_call,
-                      chain_estimates, price_chain)
+from .pricing import PriceEstimate, black_scholes_call, chain_estimates, price_chain
 from .market import (ChainFormatError, OptionQuote, OptionStructure, compute_weights,
                      load_chain, write_chain)
 from .calibration import (CalibrationConfig, CalibrationResult, FitMetrics,
@@ -37,8 +36,7 @@ __all__ = [
     # model
     "ModelParams", "MarketEnv", "PARAM_NAMES", "volatility_paths", "log_price_paths",
     # pricing
-    "PriceEstimate", "ChainPricingRequest", "black_scholes_call", "chain_estimates",
-    "price_chain",
+    "PriceEstimate", "black_scholes_call", "chain_estimates", "price_chain",
     # market
     "OptionQuote", "OptionStructure", "ChainFormatError", "load_chain", "write_chain",
     "compute_weights",

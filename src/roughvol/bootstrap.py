@@ -17,10 +17,10 @@ from dataclasses import dataclass, replace as dc_replace
 import numpy as np
 
 from .calibration import CalibrationConfig, FrozenPricer, local_refine
-from .fbm import derive_seed, parallel_map
+from .fbm import FactorizationError, derive_seed, parallel_map
 from .market import OptionStructure
 from .model import PARAM_NAMES, ModelParams
-from .pricing import ChainPricingRequest, price_chain
+from .pricing import price_chain
 
 __all__ = [
     "BootstrapPlan",
@@ -95,12 +95,12 @@ def _run_one(structure: OptionStructure, plan: BootstrapPlan,
              overall_theta: ModelParams, j: int) -> BootCalibration:
     resample_seed, calib_seed, reprice_seed = plan.seeds_for(j)
     sample = bootstrap_structure(structure, resample_seed)
-    config_j = dc_replace(plan.config, seed=calib_seed, threads=1)
+    config_j = dc_replace(plan.config, seed=calib_seed)
     result = local_refine(overall_theta,
                           FrozenPricer(sample.structure, config_j).residuals, config_j)
-    estimates = price_chain(ChainPricingRequest(
-        structure.options, structure.env, result.theta, plan.config.path_count,
-        plan.config.steps_per_year, seed=reprice_seed))
+    estimates = price_chain(structure.options, structure.env, result.theta,
+                            plan.config.path_count, plan.config.steps_per_year,
+                            reprice_seed)
     return BootCalibration(theta=result.theta, prices=np.array([e.price for e in estimates]),
                            indices=sample.indices, seed=calib_seed)
 
@@ -110,16 +110,16 @@ def run_bootcalibrations(structure: OptionStructure, plan: BootstrapPlan,
     """Calibrate each resample and reprice the original chain at its parameters.
 
     Returns (results, failures); failed samples are recorded as (index, message) and
-    skipped. Running out of memory is not a property of a sample: MemoryError
-    propagates. Workers are self-contained (own seeds, own frozen draws), so the
-    result list is deterministic at any thread count.
+    skipped. A failure is recorded only when a sample's data can cause it: a
+    ValueError (LinAlgError and ChainFormatError included) or a FactorizationError.
+    Anything else, such as a MemoryError or a programming error, propagates. Workers
+    are self-contained (own seeds, own frozen draws), so the result list is
+    deterministic at any thread count.
     """
     def run(j: int):
         try:
             return _run_one(structure, plan, overall_theta, j)
-        except MemoryError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - per-sample failures are data
+        except (ValueError, FactorizationError) as exc:  # per-sample failures are data
             return (j, f"{type(exc).__name__}: {exc}")
 
     raw = parallel_map(run, range(plan.sample_count), threads)

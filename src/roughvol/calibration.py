@@ -118,8 +118,8 @@ class CalibrationConfig:
     def __post_init__(self):
         if self.ga_population < 1 or self.ga_generations < 0:
             raise ValueError("GA needs population >= 1 and generations >= 0")
-        if self.obj_tol <= 0.0 or self.step_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.obj_tol < np.inf and 0.0 < self.step_tol < np.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.path_count < 1 or self.steps_per_year < 1:
             raise ValueError("path_count and steps_per_year must be positive")
         if self.model_variant not in MODEL_VARIANTS:
@@ -182,17 +182,18 @@ class FrozenPricer:
 
     Construction draws once (per config seed) on the union grid of the chain's
     maturities: [dW | Z_B] for ceil(path_count / 2) base paths, which does not depend
-    on H. The conditional estimator prices each base path with its antithetic mirror
-    and integrates out the orthogonal increments, so neither the mirrors nor dW~ are
-    drawn or stored. Paths are cached per PATH_BLOCK row slice of the draws, each
-    slice as one (H, bundle) entry whose increments are views of the draws, so an
-    entry adds only its fBm paths. A call passes the pricing block kernel a
-    ``bundle_of`` that returns block b's cached bundle when its H is the call's; else
-    it drops the entry, transforms the slice under the call's covariance (built once,
-    on the call's first miss) and stores the new bundle. So the pricer holds the draws
-    plus one fBm path set of base paths, and calls sharing it across threads hold one
-    block in flight each. Every call prices only bundles of its own H, so a cached
-    price equals a fresh pricer's exactly. Thread count affects wall time only.
+    on H, drawn block by block on the calling thread (``config.threads`` is read by
+    the genetic stage only). The conditional estimator prices each base path with its
+    antithetic mirror and integrates out the orthogonal increments, so neither the
+    mirrors nor dW~ are drawn or stored. Paths are cached per PATH_BLOCK row slice of
+    the draws, each slice as one (H, bundle) entry whose increments are views of the
+    draws, so an entry adds only its fBm paths. A call passes the pricing block kernel
+    a ``bundle_of`` that returns block b's cached bundle when its H is the call's;
+    else it drops the entry, transforms the slice under the call's covariance (built
+    once, on the call's first miss) and stores the new bundle. So the pricer holds the
+    draws plus one fBm path set of base paths, and calls sharing it across threads
+    hold one block in flight each. Every call prices only bundles of its own H, so a
+    cached price equals a fresh pricer's exactly. Thread count affects wall time only.
 
     ``prices`` always does the work. ``priced`` returns the prices of a parameter
     vector from a memo keyed by its bytes, calling ``prices`` on the vector's first
@@ -205,8 +206,7 @@ class FrozenPricer:
         self.config = config
         self.grid = TimeGrid.with_maturities(structure.maturities, config.steps_per_year)
         draws = _base_draws(config.path_count, "conditional_mixed")
-        self._z, _ = draw_normal_bundle(self.grid, draws, config.seed,
-                                        threads=config.threads, orthogonal=False)
+        self._z, _ = draw_normal_bundle(self.grid, draws, config.seed, orthogonal=False)
         self._sqrt_w = np.sqrt(structure.weights)
         self._closes = structure.closes
         self._options = structure.options

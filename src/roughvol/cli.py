@@ -28,11 +28,11 @@ import numpy as np
 
 from .bootstrap import (BootstrapPlan, bootstrap_statistics, export_scatter_matrix,
                         run_bootcalibrations)
-from .calibration import (CalibrationConfig, ParamBounds, calibrate, format_pct)
-from .market import (is_json_number, json_field, json_kind, load_chain, read_json_object,
-                     write_chain)
+from .calibration import (MODEL_VARIANTS, CalibrationConfig, ParamBounds, calibrate,
+                          format_pct)
+from .market import json_field, json_kind, load_chain, read_json_object, write_chain
 from .model import PARAM_NAMES, MarketEnv, ModelParams
-from .pricing import ESTIMATORS, ChainPricingRequest, price_chain
+from .pricing import ESTIMATORS, price_chain
 from .stats import sensitivity_analysis, significance_test
 from .synth import generate_chain
 
@@ -199,18 +199,22 @@ def _resolve_theta(settings: _Settings) -> ModelParams:
 
 
 def _resolve_bounds(settings: _Settings) -> ParamBounds:
+    """The default bounds, each parameter named in the config's ``bounds`` object
+    replaced by its [lower, upper] entry; an absent or null ``bounds`` keeps them all."""
     bounds = ParamBounds.default()
     overrides = settings.config.get("bounds")
-    if not overrides:
+    if overrides is None:
         return bounds
-    if not isinstance(overrides, dict):
-        raise ValueError(f"bounds config must map names in {PARAM_NAMES} to [lower, upper]")
+    source = f"{settings.args.config}: 'bounds'"
+    overrides = json_kind(overrides, dict,
+                          f"{source} (maps {', '.join(PARAM_NAMES)} to [lower, upper])")
     lower, upper = bounds.lower.copy(), bounds.upper.copy()
     for name, pair in overrides.items():
         if name not in PARAM_NAMES:
-            raise ValueError(f"unknown parameter {name!r} in bounds config")
-        if not (type(pair) is list and len(pair) == 2 and all(map(is_json_number, pair))):
-            raise ValueError(f"bounds config for {name!r} must be [lower, upper], got {pair!r}")
+            raise ValueError(f"{source}: unknown parameter {name!r}")
+        entry = f"{source} entry {name!r}"
+        if json_kind(pair, np.ndarray, entry).shape != (2,):
+            raise ValueError(f"{entry} must be [lower, upper], got {pair!r}")
         i = PARAM_NAMES.index(name)
         lower[i], upper[i] = pair
     return ParamBounds(lower=lower, upper=upper)
@@ -222,8 +226,7 @@ def _calibration_config(settings: _Settings) -> CalibrationConfig:
     tuned = {name: settings.get(name, getattr(CalibrationConfig, name))
              for name in ("ga_population", "ga_generations", "obj_tol", "step_tol",
                           "path_count", "steps_per_year", "fd_rel_step")}
-    variant = settings.get("variant", settings.get("model_variant",
-                                                   CalibrationConfig.model_variant))
+    variant = settings.get("variant", CalibrationConfig.model_variant)
     return CalibrationConfig(bounds=bounds, seed=settings.seed,
                              model_variant=variant, threads=settings.threads, **tuned)
 
@@ -271,23 +274,23 @@ def cmd_price(args: argparse.Namespace) -> int:
     settings = _Settings(args)
     structure = load_chain(settings.require("chain"), weight_rule=settings.weight_rule)
     theta = _resolve_theta(settings)
-    request = ChainPricingRequest(
-        options=structure.options, env=structure.env, params=theta,
+    estimates = price_chain(
+        structure.options, structure.env, theta,
         path_count=settings.get("path_count", 100_000),
         steps_per_year=settings.get("steps_per_year", 252),
         seed=settings.seed,
         estimator=settings.get("estimator", "conditional_mixed"),
+        threads=settings.threads,
     )
-    estimates = price_chain(request, threads=settings.threads)
     rows = [[repr(k), repr(t), repr(e.price), repr(e.std_error), str(e.path_count),
              e.estimator]
-            for (k, t), e in zip(request.options, estimates)]
+            for (k, t), e in zip(structure.options, estimates)]
     _atomic_write(settings.outdir / "prices.csv", _csv_text(
         ["strike", "maturity", "price", "std_error", "path_count", "estimator"], rows))
     return 0
 
 
-_ROW_HEADER = ["day", "sigma0", "rho", "H", "xi", "alpha", "aare", "mare", "wrss", "arfv"]
+_ROW_HEADER = ["day", *PARAM_NAMES, "aare", "mare", "wrss", "arfv"]
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
@@ -516,8 +519,7 @@ def _add_path_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_calibration_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--variant", default=None,
-                        choices=["alphaRFSV", "RFSV", "rBergomi", "fixed_H"])
+    parser.add_argument("--variant", default=None, choices=list(MODEL_VARIANTS))
     parser.add_argument("--ga-population", type=int, default=None, dest="ga_population")
     parser.add_argument("--ga-generations", type=int, default=None, dest="ga_generations")
     _add_path_flags(parser)

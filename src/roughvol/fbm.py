@@ -291,22 +291,21 @@ def build_joint_covariance(grid: TimeGrid, H: float) -> JointCovariance:
 
 @dataclass(eq=False)
 class PathBundle:
-    """Sampled joint paths: B^H at grid times, the Wiener increments that drive it, and
-    independent scaled increments.
+    """Sampled joint paths on ``grid``: B^H at grid times, the Wiener increments that
+    drive it, and independent scaled increments, one row per path.
 
     ``w_increments[:, k]`` is dW_k = W_{t_k} - W_{t_{k-1}} = sqrt(deltas[k]) Z_W[k], a
     view of the draws [dW | Z_B]; W itself is never formed. ``w_tilde_increments[:, k]``
     is an N(0, deltas[k]) draw independent of everything else — the orthogonal
     Brownian component consumed by the asset scheme — or None when it was not drawn.
-    Identical (seed, grid, path_count) reproduce bit-identical bundles at any thread
-    count.
+    The path count is ``fbm_paths.shape[0]``. Identical (seed, grid, path count)
+    reproduce bit-identical bundles.
     """
 
     fbm_paths: np.ndarray
     w_increments: np.ndarray
     w_tilde_increments: np.ndarray | None
-    path_count: int
-    grid: TimeGrid = field(repr=False, default=None)
+    grid: TimeGrid = field(repr=False)
 
 
 #: sub-stream namespace tag for path-block draws; other consumers of the same base
@@ -362,8 +361,8 @@ def parallel_map(fn, items, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
-def draw_normal_bundle(grid: TimeGrid, path_count: int, seed: int, threads: int = 1,
-                       *, orthogonal: bool = True):
+def draw_normal_bundle(grid: TimeGrid, path_count: int, seed: int, *,
+                       orthogonal: bool = True):
     """Draw the frozen inputs: [dW | Z_B] (path_count x 2n) and dW~ (path_count x n).
 
     dW and dW~ are the Wiener and orthogonal increments on ``grid``, Z_B the normals
@@ -371,15 +370,15 @@ def draw_normal_bundle(grid: TimeGrid, path_count: int, seed: int, threads: int 
     on H. Without ``orthogonal`` dW~ is neither drawn nor stored, and is None. Block b
     draws from the same per-block stream as `sample_paths` with ``block=b``, so
     transforming any PATH_BLOCK row slice of these draws reproduces that block bit for
-    bit. This is the object a common-random-numbers calibration freezes.
+    bit. The blocks are drawn in order on the calling thread. This is the object a
+    common-random-numbers calibration freezes.
     """
     if path_count < 1:
         raise ValueError("path_count must be >= 1")
     n = grid.n
     z = np.empty((path_count, 2 * n))
     z_tilde = np.empty((path_count, n)) if orthogonal else None
-
-    def worker(b: int) -> None:
+    for b in range(_block_count(path_count)):
         z_b, zt_b = _block_normals(seed, b, path_count, grid, orthogonal)
         rows = slice(b * PATH_BLOCK, b * PATH_BLOCK + z_b.shape[0])
         # Keep this copy and the free of the block buffer after it: freeing a block's
@@ -389,8 +388,7 @@ def draw_normal_bundle(grid: TimeGrid, path_count: int, seed: int, threads: int 
         z[rows] = z_b
         if orthogonal:
             z_tilde[rows] = zt_b
-
-    parallel_map(worker, range(_block_count(path_count)), threads)
+        del z_b, zt_b
     return z, z_tilde
 
 
@@ -404,30 +402,28 @@ def _joint_paths(z: np.ndarray, w_tilde_increments: np.ndarray | None,
     dw = z[:, : cov.grid.n]
     fbm = np.cumsum(dw, axis=1) if cov.H == 0.5 else z @ cov.fbm_factor.T
     return PathBundle(fbm_paths=fbm, w_increments=dw,
-                      w_tilde_increments=w_tilde_increments, path_count=z.shape[0],
-                      grid=cov.grid)
+                      w_tilde_increments=w_tilde_increments, grid=cov.grid)
 
 
-def sample_paths(cov: JointCovariance, path_count: int, seed: int,
-                 threads: int = 1, *, block: int | None = None,
-                 orthogonal: bool = True) -> PathBundle:
+def sample_paths(cov: JointCovariance, path_count: int, seed: int, *,
+                 block: int | None = None, orthogonal: bool = True) -> PathBundle:
     """Draw exact joint paths: B^H, the Wiener increments dW and independent
     orthogonal increments.
 
-    The draws [dW | Z_B] and dW~ are made block by block and mapped to paths by the
-    W-first factor; each block owns an RNG stream derived from (seed, block index), so
-    the output is deterministic for fixed inputs regardless of ``threads``. With
-    ``block=b`` only path block b of the ``path_count``-path draw is sampled, rows
-    b * PATH_BLOCK onwards, bit for bit as in the whole draw; ``threads`` is then
-    unused. Without ``orthogonal`` dW~ is not drawn (the conditional estimator never
-    reads it) and the bundle's ``w_tilde_increments`` is None; B^H and dW keep their
-    bits. Either draw goes through the one path kernel, as `transform_normals` does.
+    The draws [dW | Z_B] and dW~ are made block by block on the calling thread
+    (`draw_normal_bundle`) and mapped to paths by the W-first factor; each block owns
+    an RNG stream derived from (seed, block index), so the output is deterministic for
+    fixed inputs. With ``block=b`` only path block b of the ``path_count``-path draw is
+    sampled, rows b * PATH_BLOCK onwards, bit for bit as in the whole draw; callers
+    that want parallelism dispatch blocks this way. Without ``orthogonal`` dW~ is not
+    drawn (the conditional estimator never reads it) and the bundle's
+    ``w_tilde_increments`` is None; B^H and dW keep their bits. Either draw goes
+    through the one path kernel, as `transform_normals` does.
     """
     if path_count < 1:
         raise ValueError("path_count must be >= 1")
     if block is None:
-        z, w_tilde = draw_normal_bundle(cov.grid, path_count, seed, threads,
-                                        orthogonal=orthogonal)
+        z, w_tilde = draw_normal_bundle(cov.grid, path_count, seed, orthogonal=orthogonal)
     else:
         n_blocks = _block_count(path_count)
         if not 0 <= block < n_blocks:

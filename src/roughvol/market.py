@@ -27,7 +27,6 @@ __all__ = [
     "load_chain",
     "write_chain",
     "compute_weights",
-    "is_json_number",
     "json_kind",
     "json_field",
     "read_json_object",
@@ -167,7 +166,7 @@ def _parse_row(row: dict, line: int) -> tuple[OptionQuote, dt.date] | str:
     return quote, trade
 
 
-def is_json_number(value) -> bool:
+def _is_json_number(value) -> bool:
     """Whether ``value`` is a JSON number as `json` loads it: an int or a float."""
     # type(), not isinstance: JSON true/false load as bool, a subclass of int
     return type(value) in (int, float)
@@ -197,10 +196,10 @@ def json_kind(value, kind: type, source, error: type[ValueError] = ValueError):
     if kind is np.ndarray:
         nested = type(value) is list and all(type(row) is list for row in value)
         rows = value if nested else [value]
-        ok = (all(type(row) is list and all(map(is_json_number, row)) for row in rows)
+        ok = (all(type(row) is list and all(map(_is_json_number, row)) for row in rows)
               and len({len(row) for row in rows}) <= 1)
     elif kind in (int, float):
-        ok = is_json_number(value) and (kind is float or type(value) is int
+        ok = _is_json_number(value) and (kind is float or type(value) is int
                                         or value.is_integer())
     else:
         ok = type(value) is kind
@@ -219,14 +218,15 @@ def json_field(obj: dict, key: str, kind: type, source,
     return json_kind(obj[key], kind, f"{source}: {key!r}", error)
 
 
-def load_chain(path, sidecar=None, weight_rule: str = "inv_spread_sq") -> OptionStructure:
+def load_chain(path, weight_rule: str = "inv_spread_sq") -> OptionStructure:
     """Load and validate a chain CSV plus its JSON sidecar (spot, rate, day_count).
 
-    The sidecar defaults to the chain path with a ``.json`` suffix. All offending rows
-    are reported together in one ChainFormatError; row order is preserved on success.
+    The sidecar is the chain path with a ``.json`` suffix: ``chain.csv`` reads
+    ``chain.json``. All offending rows are reported together in one ChainFormatError;
+    row order is preserved on success.
     """
     path = Path(path)
-    sidecar = Path(sidecar) if sidecar else path.with_suffix(".json")
+    sidecar = path.with_suffix(".json")
     if not path.exists():
         raise FileNotFoundError(path)
     if not sidecar.exists():
@@ -267,11 +267,13 @@ def load_chain(path, sidecar=None, weight_rule: str = "inv_spread_sq") -> Option
                            weights=weights)
 
 
-def write_chain(structure: OptionStructure, path, sidecar=None) -> None:
-    """Write a structure back to the CSV schema (full float precision, repr-formatted).
+def write_chain(structure: OptionStructure, path, sidecar) -> None:
+    """Write a structure back to the CSV schema (full float precision, repr-formatted)
+    at ``path`` and its spot, rate and day count to the JSON ``sidecar``.
 
     Expiry dates are reconstructed from the ACT/365 year fractions, which is exact for
-    chains whose maturities are integer day counts over 365.
+    chains whose maturities are integer day counts over 365. `load_chain` reads the
+    sidecar next to the CSV, with its ``.json`` suffix.
     """
     path = Path(path)
     rows = []
@@ -286,7 +288,6 @@ def write_chain(structure: OptionStructure, path, sidecar=None) -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         writer.writerows(rows)
-    if sidecar:
-        Path(sidecar).write_text(json.dumps(
-            {"spot": structure.env.spot, "rate": structure.env.rate,
-             "day_count": "ACT/365"}, indent=2, sort_keys=True) + "\n")
+    Path(sidecar).write_text(json.dumps(
+        {"spot": structure.env.spot, "rate": structure.env.rate,
+         "day_count": "ACT/365"}, indent=2, sort_keys=True) + "\n")

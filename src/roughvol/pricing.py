@@ -46,7 +46,6 @@ from .model import MarketEnv, ModelParams, _left_point_sums, _log_euler_steps
 
 __all__ = [
     "PriceEstimate",
-    "ChainPricingRequest",
     "black_scholes_call",
     "chain_estimates",
     "fresh_estimates",
@@ -129,34 +128,6 @@ def _conditional_steps(sig, dw, dwt, dt):
     np.square(sig, out=sig)
     sig *= dt
     return sig, sdw
-
-
-@dataclass(frozen=True)
-class ChainPricingRequest:
-    """Everything needed to price a list of (strike, maturity) options in one pass."""
-
-    options: tuple
-    env: MarketEnv
-    params: ModelParams
-    path_count: int
-    steps_per_year: int
-    seed: int
-    estimator: str = "conditional_mixed"
-
-    def __post_init__(self):
-        if not self.options:
-            raise ValueError("option list is empty")
-        object.__setattr__(self, "options",
-                           tuple((float(k), float(t)) for k, t in self.options))
-        for k, t in self.options:
-            if k <= 0.0:
-                raise ValueError(f"strikes must be positive, got {k}")
-            if t <= 0.0:
-                raise ValueError(f"maturities must be positive, got {t}")
-        if self.estimator not in ESTIMATORS:
-            raise ValueError(f"estimator must be one of {ESTIMATORS}")
-        if self.path_count < 1:
-            raise ValueError("path_count must be >= 1")
 
 
 def chain_estimates(bundle: PathBundle, params: ModelParams, env: MarketEnv,
@@ -257,18 +228,40 @@ def _block_estimates(bundle_of, n_blocks: int, params: ModelParams, env: MarketE
     return [_pool_estimates(parts) for parts in zip(*per_block)]
 
 
+def _checked_options(options, path_count: int, estimator: str) -> tuple:
+    """``options`` as a tuple of float (strike, maturity) pairs, once the inputs of a
+    fresh-draw price are checked: a nonempty option list, strikes and maturities
+    positive and finite (NaN fails every comparison), a known estimator and at least
+    one path. Raises ValueError otherwise."""
+    options = tuple((float(k), float(t)) for k, t in options)
+    if not options:
+        raise ValueError("option list is empty")
+    for k, t in options:
+        if not 0.0 < k < math.inf:
+            raise ValueError(f"strikes must be positive and finite, got {k}")
+        if not 0.0 < t < math.inf:
+            raise ValueError(f"maturities must be positive and finite, got {t}")
+    if estimator not in ESTIMATORS:
+        raise ValueError(f"estimator must be one of {ESTIMATORS}")
+    if path_count < 1:
+        raise ValueError("path_count must be >= 1")
+    return options
+
+
 def fresh_estimates(cov: JointCovariance, params: ModelParams, env: MarketEnv, options,
                     path_count: int, seed: int, estimator: str = "conditional_mixed",
                     threads: int = 1) -> list[PriceEstimate]:
     """Price every option on ``path_count`` fresh paths, one PATH_BLOCK of draws at a
     time.
 
-    The plain estimator draws ``path_count`` i.i.d. paths. The conditional one draws
-    ceil(path_count / 2) base paths and prices each with its mirror, so an odd count
-    prices path_count + 1 paths; it draws no orthogonal increments. Each block is
-    sampled (`sample_paths` with ``block=b``) in `_block_estimates` and dropped once
-    priced, so memory holds one block per worker at any ``path_count``.
+    The inputs are checked as `price_chain` checks them. The plain estimator draws
+    ``path_count`` i.i.d. paths. The conditional one draws ceil(path_count / 2) base
+    paths and prices each with its mirror, so an odd count prices path_count + 1
+    paths; it draws no orthogonal increments. Each block is sampled (`sample_paths`
+    with ``block=b``) in `_block_estimates`, ``threads`` blocks at once, and dropped
+    once priced, so memory holds one block per worker at any ``path_count``.
     """
+    options = _checked_options(options, path_count, estimator)
     draws = _base_draws(path_count, estimator)
 
     def bundle_of(b: int) -> PathBundle:
@@ -278,17 +271,21 @@ def fresh_estimates(cov: JointCovariance, params: ModelParams, env: MarketEnv, o
                             estimator, threads)
 
 
-def price_chain(request: ChainPricingRequest, threads: int = 1) -> list[PriceEstimate]:
-    """Price the request's options on fresh paths over the union grid (regular +
-    quoted maturities).
+def price_chain(options, env: MarketEnv, params: ModelParams, path_count: int,
+                steps_per_year: int, seed: int, estimator: str = "conditional_mixed",
+                threads: int = 1) -> list[PriceEstimate]:
+    """Price the (strike, maturity) ``options`` on ``path_count`` fresh paths over the
+    union grid (regular at ``steps_per_year`` + quoted maturities), in option order.
 
+    The inputs are checked first (ValueError on an empty list, a strike or maturity
+    that is not positive and finite, an unknown ``estimator`` or ``path_count < 1``).
     One covariance is built and factorized; the paths are then streamed block by block
     through `fresh_estimates`, with ``threads`` blocks at once. Estimates are
     byte-identical at any ``threads`` and equal a single-bundle `chain_estimates` of
     the same draw up to the rounding of the pooled sums.
     """
-    maturities = [t for _, t in request.options]
-    grid = TimeGrid.with_maturities(maturities, request.steps_per_year)
-    cov = build_joint_covariance(grid, request.params.H)
-    return fresh_estimates(cov, request.params, request.env, request.options,
-                           request.path_count, request.seed, request.estimator, threads)
+    options = _checked_options(options, path_count, estimator)
+    grid = TimeGrid.with_maturities([t for _, t in options], steps_per_year)
+    cov = build_joint_covariance(grid, params.H)
+    return fresh_estimates(cov, params, env, options, path_count, seed, estimator,
+                           threads)

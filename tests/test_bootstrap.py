@@ -18,6 +18,7 @@ from roughvol.bootstrap import (
     run_bootcalibrations,
 )
 from roughvol.calibration import CalibrationConfig
+from roughvol.fbm import FactorizationError
 from roughvol.market import OptionQuote, OptionStructure
 from roughvol.model import MarketEnv, ModelParams
 from roughvol.synth import generate_chain
@@ -255,6 +256,43 @@ def test_run_bootcalibrations_propagates_memory_error(tiny_chain, monkeypatch, t
     results, failures = run_bootcalibrations(tiny_chain, plan, overall, threads=threads)
     assert [r.seed for r in results] == [0, 2]
     assert failures == [(1, "ValueError: boom")]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("exc", [TypeError("bad call"), KeyError("sigma0")],
+                         ids=["TypeError", "KeyError"])
+def test_run_bootcalibrations_propagates_programming_errors(tiny_chain, monkeypatch,
+                                                            threads, exc):
+    # only errors a sample's data can raise are recorded; a bug is not a failed sample
+    overall = ModelParams(sigma0=0.08, rho=-0.3, H=0.2, xi=1.0, alpha=1.0)
+
+    def run_one(structure, plan, overall_theta, j):
+        if j == 1:
+            raise exc
+        return BootCalibration(theta=overall_theta, prices=np.zeros(structure.n),
+                               indices=np.arange(structure.n), seed=j)
+
+    monkeypatch.setattr(boot_mod, "_run_one", run_one)
+    with pytest.raises(type(exc)):
+        run_bootcalibrations(tiny_chain, tiny_plan(), overall, threads=threads)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_bootcalibrations_records_factorization_errors(tiny_chain, monkeypatch,
+                                                           threads):
+    overall = ModelParams(sigma0=0.08, rho=-0.3, H=0.2, xi=1.0, alpha=1.0)
+
+    def run_one(structure, plan, overall_theta, j):
+        if j == 0:
+            raise FactorizationError("singular")
+        return BootCalibration(theta=overall_theta, prices=np.zeros(structure.n),
+                               indices=np.arange(structure.n), seed=j)
+
+    monkeypatch.setattr(boot_mod, "_run_one", run_one)
+    results, failures = run_bootcalibrations(tiny_chain, tiny_plan(), overall,
+                                             threads=threads)
+    assert [r.seed for r in results] == [1, 2]
+    assert failures == [(0, "FactorizationError: singular")]
 
 
 # ---------------------------------------------------------------------------

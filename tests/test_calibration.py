@@ -101,6 +101,15 @@ def test_config_validation(kwargs):
         fast_config(**kwargs)
 
 
+@pytest.mark.parametrize("name", ["obj_tol", "step_tol"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-6],
+                         ids=["nan", "inf", "negative"])
+def test_config_rejects_tolerances_that_never_fire(name, value):
+    # json reads NaN, and a NaN tolerance compares false against every improvement
+    with pytest.raises(ValueError, match="tolerances must be positive and finite"):
+        fast_config(**{name: value})
+
+
 @pytest.mark.parametrize("variant,index,value", [
     ("RFSV", 4, 0.0), ("rBergomi", 4, 1.0), ("fixed_H", 2, 0.5),
 ])
@@ -227,7 +236,8 @@ def test_frozen_pricer_increments_are_views_of_the_draws():
             assert h == H
             assert np.shares_memory(bundle.w_increments, pricer._z)
             assert bundle.w_tilde_increments is None
-            stream_z, _ = block_stream_normals(config.seed, b, bundle.path_count, n)
+            rows = bundle.fbm_paths.shape[0]
+            stream_z, _ = block_stream_normals(config.seed, b, rows, n)
             assert np.array_equal(bundle.w_increments, stream_z[:, :n] * scale)
 
 

@@ -696,8 +696,9 @@ def test_threads_environment_variable_must_be_an_integer(pipeline, tmp_path, cap
 
 @pytest.mark.parametrize("bounds", [{"sigma0": [0.05]}, {"sigma0": [0.05, 0.1, 7]},
                                     {"sigma0": 0.05}, {"sigma0": [0.05, "0.1"]},
-                                    [[0.05, 0.1]]],
-                         ids=["one", "three", "scalar", "string", "not-a-map"])
+                                    [[0.05, 0.1]], [], False, 0],
+                         ids=["one", "three", "scalar", "string", "not-a-map",
+                              "empty-list", "false", "zero"])
 def test_malformed_bounds_config_reports_json(pipeline, tmp_path, capsys, bounds):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"bounds": bounds}))
@@ -709,6 +710,21 @@ def test_malformed_bounds_config_reports_json(pipeline, tmp_path, capsys, bounds
     assert err["error"] == "ValueError"
     assert "sigma0" in err["message"] and "bounds" in err["message"]
     assert not (tmp_path / "calibration.json").exists()
+
+
+def test_null_bounds_config_keeps_the_defaults(pipeline, tmp_path):
+    # an absent or null setting means its default, for bounds as for every setting
+    outs = []
+    for k, config in enumerate(({"bounds": None}, {})):
+        cfg = tmp_path / f"config{k}.json"
+        cfg.write_text(json.dumps(config))
+        outs.append(tmp_path / f"out{k}")
+        run_cli(["calibrate", "--chain", str(pipeline / "chain.csv"),
+                 "--config", str(cfg), "--ga-population", "4", "--ga-generations", "1",
+                 "--path-count", "200", "--steps-per-year", "12", "--threads", "1",
+                 "--out", str(outs[-1])])
+    assert ((outs[0] / "calibration.json").read_bytes()
+            == (outs[1] / "calibration.json").read_bytes())
 
 
 def test_bounds_config_applies(pipeline, tmp_path):
@@ -764,3 +780,36 @@ def test_cli_import_leaves_out_scipy_stats_and_integrate():
                           text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("flags,msg", [
+    (["--strikes", "nan,100"], "strikes must be positive and finite, got nan"),
+    (["--strikes", "100", "--rel-spread", "3"], "rel_spread must be non-negative"),
+    (["--strikes", "100", "--rel-spread", "nan"], "rel_spread must be non-negative"),
+], ids=["nan-strike", "spread-above-2", "nan-spread"])
+def test_synth_chain_refuses_a_chain_price_would_refuse(tmp_path, capsys, flags, msg):
+    out = tmp_path / "out"
+    rc = main(["synth-chain", *TRUTH_FLAGS, "--spot", "100", "--maturity-days", "30",
+               *flags, "--path-count", "200", "--steps-per-year", "12", "--threads", "1",
+               "--out", str(out)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and msg in err["message"]
+    assert not any(out.glob("*"))
+
+
+def test_zero_path_count_is_one_error_for_price_and_significance(pipeline, tmp_path,
+                                                                 capsys):
+    chain = str(pipeline / "chain.csv")
+    errors = []
+    for command in (["price", "--params", str(pipeline / "chain.truth.json")],
+                    ["significance", "--full", str(pipeline / "full.json"),
+                     "--restricted", str(pipeline / "restricted.json"),
+                     "--repetitions", "2"]):
+        rc = main([*command, "--chain", chain, "--path-count", "0",
+                   "--steps-per-year", "12", "--threads", "1", "--out", str(tmp_path)])
+        assert rc == 1
+        errors.append(json.loads(capsys.readouterr().err))
+    assert errors[0] == errors[1] == {"error": "ValueError",
+                                      "message": "path_count must be >= 1"}
+    assert list(tmp_path.iterdir()) == []

@@ -5,6 +5,9 @@ by direct quadrature of the defining z-integral, the cross covariances both by t
 incomplete-Beta closed form and by stabilized quadrature of the kernel (the two agree
 to ~1e-21), and the constants from the Gamma-function definition.
 """
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -425,7 +428,7 @@ def test_brownian_case_is_exact_without_jitter():
     assert cov.jitter == 0.0
     assert np.array_equal(cov.fbm_factor[:, :grid.n], np.tril(np.ones((grid.n, grid.n))))
     assert np.array_equal(cov.fbm_factor[:, grid.n:], np.zeros((grid.n, grid.n)))
-    sampled = sample_paths(cov, fbm.PATH_BLOCK + 10, seed=4, threads=2)
+    sampled = sample_paths(cov, fbm.PATH_BLOCK + 10, seed=4)
     assert np.array_equal(sampled.fbm_paths, np.cumsum(sampled.w_increments, axis=1))
     z, w_tilde = draw_normal_bundle(grid, 500, seed=4)
     rebuilt = transform_normals(z, w_tilde, cov)
@@ -519,7 +522,6 @@ def test_sample_shapes_and_grid():
     assert bundle.fbm_paths.shape == (1000, grid.n)
     assert bundle.w_increments.shape == (1000, grid.n)
     assert bundle.w_tilde_increments.shape == (1000, grid.n)
-    assert bundle.path_count == 1000
     assert bundle.grid is grid
 
 
@@ -557,16 +559,6 @@ def test_sampling_determinism_and_seed_sensitivity():
     assert not np.array_equal(a.fbm_paths, c.fbm_paths)
 
 
-def test_thread_count_does_not_change_output():
-    grid = TimeGrid.regular(1.0, 6)
-    cov = build_joint_covariance(grid, 0.15)
-    serial = sample_paths(cov, 10_000, seed=7, threads=1)
-    parallel = sample_paths(cov, 10_000, seed=7, threads=4)
-    assert np.array_equal(serial.fbm_paths, parallel.fbm_paths)
-    assert np.array_equal(serial.w_increments, parallel.w_increments)
-    assert np.array_equal(serial.w_tilde_increments, parallel.w_tilde_increments)
-
-
 def test_block_boundary_paths_are_stable():
     # growing the path count must not change the paths already drawn (block streams)
     grid = TimeGrid.regular(1.0, 4)
@@ -585,11 +577,11 @@ def test_single_block_equals_rows_of_full_draw():
     for b in range(3):
         part = sample_paths(cov, path_count, seed=13, block=b)
         rows = slice(b * fbm.PATH_BLOCK, min((b + 1) * fbm.PATH_BLOCK, path_count))
-        assert part.path_count == rows.stop - rows.start
+        assert part.fbm_paths.shape[0] == rows.stop - rows.start
         assert np.array_equal(part.fbm_paths, full.fbm_paths[rows])
         assert np.array_equal(part.w_increments, full.w_increments[rows])
         assert np.array_equal(part.w_tilde_increments, full.w_tilde_increments[rows])
-    assert part.path_count == 10
+    assert part.fbm_paths.shape[0] == 10
 
 
 def _spy(monkeypatch, name: str) -> list:
@@ -683,3 +675,55 @@ def test_derive_seed_is_deterministic_and_distinct():
     seen = {derive_seed(0, i, j) for i in range(10) for j in range(3)}
     assert len(seen) == 30
     assert all(0 <= s < 2**64 for s in seen)
+
+
+# ---------------------------------------------------------------------------
+# parallel dispatch
+
+
+def _staggered(fn, items):
+    """``fn`` that first sleeps longer for earlier items, so a pool of workers finishes
+    them in reverse; returns it and the list of items in the order they finished."""
+    finished, lock = [], threading.Lock()
+
+    def run(k):
+        time.sleep(0.05 * (len(items) - k))
+        try:
+            return fn(k)
+        finally:
+            with lock:
+                finished.append(k)
+
+    return run, finished
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_parallel_map_keeps_item_order(threads):
+    items = list(range(4))
+    run, finished = _staggered(lambda k: k * k, items)
+    assert fbm.parallel_map(run, items, threads) == [0, 1, 4, 9]
+    assert finished == (items[::-1] if threads > 1 else items)
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_parallel_map_raises_the_first_failing_item(threads):
+    # item 3 fails first in time, item 1 first in item order
+    def fn(k):
+        if k in (1, 3):
+            raise ValueError(f"item {k}")
+        return k
+
+    items = list(range(4))
+    run, finished = _staggered(fn, items)
+    with pytest.raises(ValueError, match="item 1"):
+        fbm.parallel_map(run, items, threads)
+    if threads > 1:
+        assert finished[0] == 3
+
+
+@pytest.mark.parametrize("threads,items", [(0, [1, 2, 3]), (1, [1, 2, 3]), (4, [1])],
+                         ids=["zero-threads", "one-thread", "one-item"])
+def test_parallel_map_runs_serially_on_the_calling_thread(threads, items):
+    caller = threading.get_ident()
+    seen = fbm.parallel_map(lambda k: (k, threading.get_ident()), items, threads)
+    assert seen == [(k, caller) for k in items]

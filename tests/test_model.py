@@ -144,8 +144,7 @@ def test_mirror_sums_are_those_of_the_negated_paths(integrand, args):
     g = TimeGrid.with_maturities([0.25, 1.0], 12)
     b = sample_paths(build_joint_covariance(g, 0.15), 5000, seed=3)
     mirror = PathBundle(fbm_paths=-b.fbm_paths, w_increments=-b.w_increments,
-                        w_tilde_increments=-b.w_tilde_increments, path_count=5000,
-                        grid=g)
+                        w_tilde_increments=-b.w_tilde_increments, grid=g)
     p = ModelParams(sigma0=0.12, rho=-0.6, H=0.15, xi=1.4, alpha=0.5)
     nodes = [g.index_of(0.25), g.n - 1]
     pairs = _left_point_sums(b, p, nodes, integrand, *args, mirror=True)

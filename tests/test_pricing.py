@@ -14,10 +14,10 @@ from roughvol.fbm import PATH_BLOCK, TimeGrid, build_joint_covariance, sample_pa
 from roughvol.model import MarketEnv, ModelParams, volatility_paths
 from roughvol.pricing import (
     ESTIMATORS,
-    ChainPricingRequest,
     PriceEstimate,
     black_scholes_call,
     chain_estimates,
+    fresh_estimates,
     price_chain,
     _mean_se,
     _pool_estimates,
@@ -152,27 +152,58 @@ def test_offgrid_maturity_rejected(rough_setup):
 def test_chain_request_validation():
     env = MarketEnv(spot=100.0)
     with pytest.raises(ValueError):
-        ChainPricingRequest(options=(), env=env, params=FIT_PARAMS,
-                            path_count=100, steps_per_year=12, seed=0)
+        price_chain((), env, FIT_PARAMS, path_count=100, steps_per_year=12, seed=0)
     with pytest.raises(ValueError):
-        ChainPricingRequest(options=((0.0, 1.0),), env=env, params=FIT_PARAMS,
-                            path_count=100, steps_per_year=12, seed=0)
+        price_chain(((0.0, 1.0),), env, FIT_PARAMS, path_count=100, steps_per_year=12,
+                    seed=0)
     with pytest.raises(ValueError):
-        ChainPricingRequest(options=((100.0, -1.0),), env=env, params=FIT_PARAMS,
-                            path_count=100, steps_per_year=12, seed=0)
+        price_chain(((100.0, -1.0),), env, FIT_PARAMS, path_count=100,
+                    steps_per_year=12, seed=0)
     with pytest.raises(ValueError):
-        ChainPricingRequest(options=((100.0, 1.0),), env=env, params=FIT_PARAMS,
-                            path_count=100, steps_per_year=12, seed=0,
-                            estimator="antithetic")
+        price_chain(((100.0, 1.0),), env, FIT_PARAMS, path_count=100, steps_per_year=12,
+                    seed=0, estimator="antithetic")
+
+
+BAD_CHAIN_INPUTS = [
+    (dict(options=((float("nan"), 1.0),)), "strikes must be positive and finite"),
+    (dict(options=((float("inf"), 1.0),)), "strikes must be positive and finite"),
+    (dict(options=((-5.0, 1.0),)), "strikes must be positive and finite"),
+    (dict(options=((100.0, float("nan")),)), "maturities must be positive and finite"),
+    (dict(options=((100.0, float("inf")),)), "maturities must be positive and finite"),
+    (dict(options=((100.0, 0.0),)), "maturities must be positive and finite"),
+    (dict(path_count=0), "path_count must be >= 1"),
+    (dict(path_count=-3), "path_count must be >= 1"),
+    (dict(estimator="antithetic"), "estimator must be one of"),
+]
+BAD_CHAIN_IDS = ["nan-strike", "inf-strike", "negative-strike", "nan-maturity",
+                 "inf-maturity", "zero-maturity", "zero-paths", "negative-paths",
+                 "unknown-estimator"]
+
+
+@pytest.mark.parametrize("bad,msg", BAD_CHAIN_INPUTS, ids=BAD_CHAIN_IDS)
+def test_price_chain_rejects_bad_inputs(bad, msg):
+    # a NaN compares false against every bound, so it must fail the check, not pass it
+    kwargs = dict(options=((100.0, 0.5),), env=MarketEnv(spot=100.0), params=FIT_PARAMS,
+                  path_count=100, steps_per_year=12, seed=0) | bad
+    with pytest.raises(ValueError, match=msg):
+        price_chain(**kwargs)
+
+
+@pytest.mark.parametrize("bad,msg", BAD_CHAIN_INPUTS, ids=BAD_CHAIN_IDS)
+def test_fresh_estimates_rejects_bad_inputs(bad, msg):
+    # the same check runs where significance prices, so 0 paths no longer returns []
+    cov = build_joint_covariance(TimeGrid.with_maturities([0.5], 12), FIT_PARAMS.H)
+    kwargs = dict(options=((100.0, 0.5),), path_count=100, seed=0) | bad
+    with pytest.raises(ValueError, match=msg):
+        fresh_estimates(cov, FIT_PARAMS, MarketEnv(spot=100.0), **kwargs)
 
 
 def test_price_chain_matches_manual_assembly():
     # 16 000 priced paths are 8000 base draws with their mirrors, in two blocks
     env = MarketEnv(spot=100.0, rate=0.0)
     options = ((90.0, 0.5), (100.0, 0.5), (100.0, 1.0), (110.0, 1.0))
-    request = ChainPricingRequest(options=options, env=env, params=FIT_PARAMS,
-                                  path_count=16_000, steps_per_year=12, seed=31)
-    chain = price_chain(request)
+    chain = price_chain(options, env, FIT_PARAMS, path_count=16_000, steps_per_year=12,
+                        seed=31)
 
     grid = TimeGrid.with_maturities([0.5, 1.0], 12)
     cov = build_joint_covariance(grid, FIT_PARAMS.H)
@@ -197,10 +228,8 @@ def test_price_chain_matches_manual_assembly():
 
 def test_price_chain_plain_estimator():
     env = MarketEnv(spot=100.0, rate=0.0)
-    request = ChainPricingRequest(options=((100.0, 1.0),), env=env, params=FIT_PARAMS,
-                                  path_count=8000, steps_per_year=12, seed=31,
-                                  estimator="plain")
-    (est,) = price_chain(request)
+    (est,) = price_chain(((100.0, 1.0),), env, FIT_PARAMS, path_count=8000,
+                         steps_per_year=12, seed=31, estimator="plain")
     assert est.estimator == "plain"
     assert est.path_count == 8000
 
@@ -208,30 +237,27 @@ def test_price_chain_plain_estimator():
 def test_chain_prices_decrease_in_strike():
     env = MarketEnv(spot=100.0, rate=0.0)
     strikes = (70.0, 85.0, 100.0, 115.0, 130.0)
-    request = ChainPricingRequest(options=tuple((k, 1.0) for k in strikes), env=env,
-                                  params=FIT_PARAMS, path_count=4000,
-                                  steps_per_year=12, seed=8)
-    prices = [e.price for e in price_chain(request)]
+    prices = [e.price for e in price_chain([(k, 1.0) for k in strikes], env, FIT_PARAMS,
+                                           path_count=4000, steps_per_year=12, seed=8)]
     assert np.all(np.diff(prices) < 0.0)
 
 
 def test_chain_prices_respect_static_bounds():
     env = MarketEnv(spot=100.0, rate=0.02)
     options = tuple((k, t) for k in (80.0, 100.0, 120.0) for t in (0.25, 1.0))
-    request = ChainPricingRequest(options=options, env=env, params=FIT_PARAMS,
-                                  path_count=20_000, steps_per_year=24, seed=4)
-    for (k, t), est in zip(options, price_chain(request)):
+    for (k, t), est in zip(options, price_chain(options, env, FIT_PARAMS,
+                                                path_count=20_000, steps_per_year=24,
+                                                seed=4)):
         lower = max(0.0, 100.0 - k * np.exp(-0.02 * t))
         assert lower - 3 * est.std_error <= est.price <= 100.0
 
 
 def test_price_chain_deterministic_across_threads():
     env = MarketEnv(spot=100.0, rate=0.0)
-    request = ChainPricingRequest(options=((100.0, 0.5), (110.0, 1.0)), env=env,
-                                  params=FIT_PARAMS, path_count=6000,
-                                  steps_per_year=12, seed=99)
-    one = price_chain(request, threads=1)
-    four = price_chain(request, threads=4)
+    kwargs = dict(options=((100.0, 0.5), (110.0, 1.0)), env=env, params=FIT_PARAMS,
+                  path_count=6000, steps_per_year=12, seed=99)
+    one = price_chain(**kwargs, threads=1)
+    four = price_chain(**kwargs, threads=4)
     assert [e.price for e in one] == [e.price for e in four]
     assert [e.std_error for e in one] == [e.std_error for e in four]
 
@@ -349,15 +375,13 @@ def test_price_chain_matches_single_bundle(estimator, path_count):
     # the conditional one, which so prices N + 1 paths at an odd N
     env = MarketEnv(spot=100.0, rate=0.01)
     options = ((95.0, 0.25), (105.0, 0.25), (100.0, 1.0))
-    request = ChainPricingRequest(options=options, env=env, params=FIT_PARAMS,
-                                  path_count=path_count, steps_per_year=12, seed=5,
-                                  estimator=estimator)
     per_draw = 1 if estimator == "plain" else 2
     draws = -(-path_count // per_draw)
     grid = TimeGrid.with_maturities([0.25, 1.0], 12)
     bundle = sample_paths(build_joint_covariance(grid, FIT_PARAMS.H), draws, seed=5)
     whole = chain_estimates(bundle, FIT_PARAMS, env, options, estimator=estimator)
-    runs = [price_chain(request, threads=t) for t in (1, 2, 4)]
+    runs = [price_chain(options, env, FIT_PARAMS, path_count, steps_per_year=12, seed=5,
+                        estimator=estimator, threads=t) for t in (1, 2, 4)]
     for est, ref in zip(runs[0], whole):
         assert est.price == pytest.approx(ref.price, rel=1e-13)
         assert est.std_error == pytest.approx(ref.std_error, rel=1e-10)
@@ -372,10 +396,9 @@ def test_odd_path_count_rounds_up_to_whole_pairs(threads):
     env = MarketEnv(spot=100.0, rate=0.01)
 
     def priced(path_count, estimator="conditional_mixed"):
-        return price_chain(ChainPricingRequest(
-            options=((95.0, 0.25), (105.0, 1.0)), env=env, params=FIT_PARAMS,
-            path_count=path_count, steps_per_year=12, seed=8, estimator=estimator),
-            threads=threads)
+        return price_chain(((95.0, 0.25), (105.0, 1.0)), env, FIT_PARAMS, path_count,
+                           steps_per_year=12, seed=8, estimator=estimator,
+                           threads=threads)
 
     for odd in (1, 2 * PATH_BLOCK + 1):
         rounded = priced(odd)
@@ -385,12 +408,10 @@ def test_odd_path_count_rounds_up_to_whole_pairs(threads):
 
 
 def _traced_peak(path_count: int) -> int:
-    request = ChainPricingRequest(options=((95.0, 0.5), (105.0, 1.0)),
-                                  env=MarketEnv(spot=100.0), params=FIT_PARAMS,
-                                  path_count=path_count, steps_per_year=24, seed=3)
     tracemalloc.start()
     try:
-        price_chain(request, threads=1)
+        price_chain(((95.0, 0.5), (105.0, 1.0)), MarketEnv(spot=100.0), FIT_PARAMS,
+                    path_count, steps_per_year=24, seed=3, threads=1)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -509,9 +530,8 @@ def test_price_chain_is_invariant_to_quote_order(order, estimator):
     env = MarketEnv(spot=100.0, rate=0.01)
 
     def priced(options):
-        return price_chain(ChainPricingRequest(
-            options=options, env=env, params=FIT_PARAMS, path_count=300,
-            steps_per_year=12, seed=17, estimator=estimator))
+        return price_chain(options, env, FIT_PARAMS, path_count=300, steps_per_year=12,
+                           seed=17, estimator=estimator)
 
     base = priced(PERMUTED_OPTIONS)
     permuted = priced(tuple(PERMUTED_OPTIONS[i] for i in order))

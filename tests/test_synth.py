@@ -6,7 +6,8 @@ import pytest
 
 from roughvol.market import compute_weights
 from roughvol.model import MarketEnv, ModelParams
-from roughvol.pricing import ChainPricingRequest, price_chain
+from roughvol import synth
+from roughvol.pricing import PriceEstimate, price_chain
 from roughvol.synth import generate_chain
 
 TRUTH = ModelParams(sigma0=0.08, rho=-0.3, H=0.2, xi=1.0, alpha=1.0)
@@ -33,9 +34,8 @@ def test_cross_product_layout_and_day_count():
 
 def test_quotes_match_direct_pricing():
     chain = make()
-    request = ChainPricingRequest(options=chain.options, env=ENV, params=TRUTH,
-                                  path_count=1500, steps_per_year=12, seed=7)
-    direct = [e.price for e in price_chain(request)]
+    direct = [e.price for e in price_chain(chain.options, ENV, TRUTH, path_count=1500,
+                                           steps_per_year=12, seed=7)]
     assert [q.close for q in chain.quotes] == direct
 
 
@@ -75,6 +75,37 @@ def test_custom_trade_date():
 def test_input_validation(kwargs, msg):
     with pytest.raises(ValueError, match=msg):
         make(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs,msg", [
+    (dict(strikes=[float("nan"), 100.0]), "strikes must be positive and finite"),
+    (dict(strikes=[float("inf")]), "strikes must be positive and finite"),
+    (dict(strikes=[0.0, 100.0]), "strikes must be positive and finite"),
+    (dict(rel_spread=float("nan")), "rel_spread must be non-negative and at most 2"),
+    (dict(rel_spread=float("inf")), "rel_spread must be non-negative and at most 2"),
+    (dict(rel_spread=3.0), "rel_spread must be non-negative and at most 2"),
+], ids=["nan-strike", "inf-strike", "zero-strike", "nan-spread", "inf-spread",
+        "spread-above-2"])
+def test_inputs_that_would_write_an_unreadable_chain_raise(kwargs, msg):
+    with pytest.raises(ValueError, match=msg):
+        make(**kwargs)
+
+
+def test_widest_spread_gives_a_zero_bid():
+    chain = make(rel_spread=2.0)
+    assert all(q.bid == 0.0 and q.validate() is None for q in chain.quotes)
+
+
+def test_quotes_pass_the_load_chain_rule(monkeypatch):
+    # a close that is not finite makes a quote that fails OptionQuote.validate, the
+    # rule load_chain applies
+    def priced(options, *args, **kwargs):
+        return [PriceEstimate(price=float("inf"), std_error=0.0,
+                              estimator="conditional_mixed", path_count=2)] * len(options)
+
+    monkeypatch.setattr(synth, "price_chain", priced)
+    with pytest.raises(ValueError, match="quote at strike 95.0.*finite, got inf"):
+        make()
 
 
 def test_fractional_maturity_day_raises():
