@@ -52,6 +52,13 @@ _STREAM_GA = 1
 #: position of the Hurst index in a parameter vector.
 _H = PARAM_NAMES.index("H")
 
+#: least-squares stopping rules: relative objective improvement and relative step size.
+_OBJ_TOL, _STEP_TOL = 1e-6, 1e-7
+
+#: finite-difference step as a fraction of the bound width; at most 0.5, so a step
+#: flipped at the upper bound stays in the box.
+_FD_REL_STEP = 1e-4
+
 
 @dataclass(frozen=True)
 class ParamBounds:
@@ -106,27 +113,19 @@ class CalibrationConfig:
     bounds: ParamBounds = field(default_factory=ParamBounds.default)
     ga_population: int = 150
     ga_generations: int = 5
-    obj_tol: float = 1e-6
-    step_tol: float = 1e-7
     path_count: int = 20_000
     steps_per_year: int = 1008
     seed: int = 0
     model_variant: str = "alphaRFSV"
-    fd_rel_step: float = 1e-4
     threads: int = 1
 
     def __post_init__(self):
         if self.ga_population < 1 or self.ga_generations < 0:
             raise ValueError("GA needs population >= 1 and generations >= 0")
-        if not (0.0 < self.obj_tol < np.inf and 0.0 < self.step_tol < np.inf):
-            raise ValueError("tolerances must be positive and finite")
         if self.path_count < 1 or self.steps_per_year < 1:
             raise ValueError("path_count and steps_per_year must be positive")
         if self.model_variant not in MODEL_VARIANTS:
             raise ValueError(f"unknown model variant {self.model_variant!r}")
-        # at most half the bound width, a step flipped at the upper bound stays in the box
-        if not 0.0 < self.fd_rel_step <= 0.5:
-            raise ValueError("fd_rel_step must lie in (0, 0.5]")
 
     def effective_bounds(self) -> ParamBounds:
         """Variant-specific bound collapse: one code path for all four model variants."""
@@ -323,10 +322,15 @@ def local_refine(start: ModelParams, residual_fn,
 
     ``residual_fn`` maps a full parameter array to its residual vector and is called
     again at points already seen (``FrozenPricer.residuals`` prices each once). Stops
-    when the objective improvement falls below obj_tol or the step norm below
-    step_tol; the final objective never exceeds the starting one. Fixed (collapsed)
-    parameters are excluded from the optimization vector and reported unchanged. The
-    result carries no fit metrics.
+    when the relative objective improvement falls below ``_OBJ_TOL`` (1e-6) or the
+    relative step below ``_STEP_TOL`` (1e-7); the final objective never exceeds the
+    starting one. Jacobian columns are one-sided differences of ``_FD_REL_STEP``
+    (1e-4) x the bound width. Fixed (collapsed) parameters are excluded from the
+    optimization vector and reported unchanged. Of ``config`` only the bounds, the
+    variant and the seed are read. The result carries no fit metrics.
+
+    `calibrate` starts it from the genetic stage's best; a bootstrap sample runs it
+    alone, from the overall calibration's parameters.
     """
     # imported here, not with the module: it is most of scipy's import time, and only
     # the least-squares stage needs it
@@ -361,7 +365,7 @@ def local_refine(start: ModelParams, residual_fn,
                       {"nfev": 1, "iterations": 0, "message": "all parameters fixed"})
 
     lb, ub = bounds.lower[free], bounds.upper[free]
-    steps = config.fd_rel_step * bounds.width[free]
+    steps = _FD_REL_STEP * bounds.width[free]
     # trf iterates strictly inside the box; nudge an on-bound start into the interior
     x0 = np.clip(theta0[free], lb + 1e-12 * (ub - lb), ub - 1e-12 * (ub - lb))
     # vary H last, so the other columns reuse the paths cached at the base point's H
@@ -371,7 +375,7 @@ def local_refine(start: ModelParams, residual_fn,
         return _fd_jacobian(res, x, res(x), steps, lb, ub, order)
 
     ls = least_squares(res, x0, jac=jac, bounds=(lb, ub), method="trf",
-                       ftol=config.obj_tol, xtol=config.step_tol, gtol=None)
+                       ftol=_OBJ_TOL, xtol=_STEP_TOL, gtol=None)
     theta_arr = assemble(ls.x)
     final_res = residual_fn(theta_arr)
     final_obj = float(final_res @ final_res)

@@ -224,8 +224,8 @@ def _calibration_config(settings: _Settings) -> CalibrationConfig:
     """Each setting defaults to, and takes the kind of, `CalibrationConfig`'s own."""
     bounds = _resolve_bounds(settings)
     tuned = {name: settings.get(name, getattr(CalibrationConfig, name))
-             for name in ("ga_population", "ga_generations", "obj_tol", "step_tol",
-                          "path_count", "steps_per_year", "fd_rel_step")}
+             for name in ("ga_population", "ga_generations", "path_count",
+                          "steps_per_year")}
     variant = settings.get("variant", CalibrationConfig.model_variant)
     return CalibrationConfig(bounds=bounds, seed=settings.seed,
                              model_variant=variant, threads=settings.threads, **tuned)
@@ -253,7 +253,6 @@ def cmd_synth_chain(args: argparse.Namespace) -> int:
         seed=settings.seed,
         rel_spread=rel_spread,
         threads=settings.threads,
-        weight_rule=settings.weight_rule,
         **kwargs,
     )
     outdir = settings.outdir
@@ -272,7 +271,7 @@ def cmd_synth_chain(args: argparse.Namespace) -> int:
 
 def cmd_price(args: argparse.Namespace) -> int:
     settings = _Settings(args)
-    structure = load_chain(settings.require("chain"), weight_rule=settings.weight_rule)
+    structure = load_chain(settings.require("chain"))
     theta = _resolve_theta(settings)
     estimates = price_chain(
         structure.options, structure.env, theta,
@@ -323,14 +322,7 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
     settings = _Settings(args)
     config = _calibration_config(settings)
     structure = load_chain(settings.require("chain"), weight_rule=settings.weight_rule)
-
-    calibration_file = settings.get("calibration")
-    if calibration_file:
-        overall = _read_theta(calibration_file)
-    else:
-        log.info("no --calibration given; running a full calibration first")
-        overall = calibrate(structure, config).theta
-
+    overall = _read_theta(settings.require("calibration"))
     plan = BootstrapPlan(config=config, sample_count=settings.get("samples", 200),
                          base_seed=settings.seed)
     results, failures = run_bootcalibrations(structure, plan, overall,
@@ -381,7 +373,7 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
 
 def cmd_significance(args: argparse.Namespace) -> int:
     settings = _Settings(args)
-    structure = load_chain(settings.require("chain"), weight_rule=settings.weight_rule)
+    structure = load_chain(settings.require("chain"))
     theta_full = _read_theta(settings.require("full"))
     theta_restricted = _read_theta(settings.require("restricted"))
     result = significance_test(
@@ -520,8 +512,6 @@ def _add_path_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_calibration_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--variant", default=None, choices=list(MODEL_VARIANTS))
-    parser.add_argument("--ga-population", type=int, default=None, dest="ga_population")
-    parser.add_argument("--ga-generations", type=int, default=None, dest="ga_generations")
     _add_path_flags(parser)
     parser.add_argument("--weight-rule", default=None, dest="weight_rule")
 
@@ -558,6 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="fit model parameters to a chain")
     _add_common(p)
     _add_calibration_flags(p)
+    p.add_argument("--ga-population", type=int, default=None, dest="ga_population")
+    p.add_argument("--ga-generations", type=int, default=None, dest="ga_generations")
     p.add_argument("--chain", default=None)
     p.set_defaults(handler=cmd_calibrate)
 
@@ -568,7 +560,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None,
                    help="number of bootstrap resamples (default: 200)")
     p.add_argument("--calibration", default=None,
-                   help="calibration.json with the overall fit (skips recalibrating)")
+                   help="calibration.json of the overall fit (required): each resample "
+                        "is refit locally from its 'theta' block")
     p.set_defaults(handler=cmd_bootstrap)
 
     p = sub.add_parser("sensitivity", help="per-parameter fit-sensitivity tests")
@@ -586,7 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="calibration.json of the restricted model")
     p.add_argument("--repetitions", type=int, default=None)
     _add_path_flags(p)
-    p.add_argument("--weight-rule", default=None, dest="weight_rule")
     p.set_defaults(handler=cmd_significance)
 
     p = sub.add_parser("report", help="render a Markdown summary of prior artifacts")

@@ -23,8 +23,7 @@ def generate_chain(truth: ModelParams, env: MarketEnv, strikes, maturity_days,
                    *, steps_per_year: int = 252, path_count: int = 100_000,
                    seed: int = 0, rel_spread: float = 0.01,
                    trade_date: dt.date = _DEFAULT_TRADE_DATE,
-                   threads: int = 1, weight_rule: str = "inv_spread_sq",
-                   ) -> OptionStructure:
+                   threads: int = 1) -> OptionStructure:
     """Price the strike x maturity cross product at ``truth`` and wrap it as a chain.
 
     ``maturity_days`` are integer calendar-day offsets from the trade date: ``91.0``
@@ -34,7 +33,8 @@ def generate_chain(truth: ModelParams, env: MarketEnv, strikes, maturity_days,
     deep out of the money that all sampled paths miss it — widen ``path_count`` or
     move the strike in that case). Every quote must pass `OptionQuote.validate`, the
     rule `load_chain` applies, so a chain that is returned can be written and read
-    back; ValueError otherwise.
+    back; ValueError otherwise. The weights follow `compute_weights`' default rule;
+    `write_chain` writes none, and `load_chain` computes them under the reader's.
     """
     strikes = [float(k) for k in strikes]
     days = []
@@ -71,6 +71,6 @@ def generate_chain(truth: ModelParams, env: MarketEnv, strikes, maturity_days,
             raise ValueError(f"synthetic quote at strike {strike}, maturity "
                              f"{maturity}: {problem}")
         quotes.append(quote)
-    weights = compute_weights(quotes, rule=weight_rule)
+    weights = compute_weights(quotes)
     return OptionStructure(quotes=tuple(quotes), env=env, trade_date=trade_date,
                            weights=weights)

@@ -521,7 +521,7 @@ def _run_small(command, pipeline, out, config=None, flags=None):
         argv["--chain"] = str(pipeline / "chain.csv")
     if command == "price":
         argv["--params"] = str(pipeline / "chain.truth.json")
-    if command in ("calibrate", "bootstrap"):
+    if command == "calibrate":
         argv |= {"--ga-population": "4", "--ga-generations": "1"}
     if command == "bootstrap":
         argv |= {"--calibration": str(pipeline / "calibration.json"), "--samples": "2"}
@@ -758,6 +758,30 @@ def test_unknown_command_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [["significance", "--weight-rule", "inv_spread_abs"],
+                                  ["bootstrap", "--ga-population", "4"],
+                                  ["bootstrap", "--ga-generations", "1"]],
+                         ids=["significance-weight-rule", "bootstrap-ga-population",
+                              "bootstrap-ga-generations"])
+def test_flags_that_change_no_output_exit_two(argv):
+    # weights reach only the calibration objective, and bootstrap runs no genetic stage
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_bootstrap_without_calibration_reports_json(pipeline, tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["bootstrap", "--chain", str(pipeline / "chain.csv"), "--samples", "2",
+               "--path-count", "200", "--steps-per-year", "12", "--threads", "1",
+               "--out", str(out)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert "missing required input 'calibration'" in err["message"]
+    assert not out.exists()
 
 
 def test_console_script_entry_point():

@@ -48,12 +48,6 @@ def test_spread_brackets_close():
     assert np.array_equal(chain.weights, compute_weights(chain.quotes))
 
 
-def test_weight_rule_passthrough():
-    chain = make(weight_rule="inv_spread_abs")
-    assert np.array_equal(chain.weights,
-                          compute_weights(chain.quotes, rule="inv_spread_abs"))
-
-
 def test_deterministic_in_seed():
     a, b, c = make(), make(), make(seed=8)
     assert [q.close for q in a.quotes] == [q.close for q in b.quotes]
