@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace as dc_replace
 import numpy as np
 
 from .calibration import CalibrationConfig, FrozenPricer, local_refine
-from .fbm import FactorizationError, derive_seed, parallel_map
+from .fbm import FactorizationError, _STREAM_BOOT, derive_seed, parallel_map
 from .market import OptionStructure
 from .model import PARAM_NAMES, ModelParams
 from .pricing import price_chain
@@ -36,7 +36,6 @@ __all__ = [
 #: sub-stream tags under the plan's base seed: resample indices / calibration noise /
 #: repricing noise for each bootcalibration j.
 _TAG_RESAMPLE, _TAG_CALIBRATE, _TAG_REPRICE = 0, 1, 2
-_STREAM_BOOT = 2
 
 
 @dataclass(frozen=True)
@@ -168,10 +167,22 @@ def _iqr(values: np.ndarray) -> float:
     return float(q75 - q25)
 
 
-def bootstrap_statistics(results, structure: OptionStructure) -> BootstrapReport:
-    """Aggregate M bootcalibrations into the robustness report (M >= 2 required)."""
+def bootstrap_statistics(results, structure: OptionStructure,
+                         failures=()) -> BootstrapReport:
+    """Aggregate M bootcalibrations into the robustness report (M >= 2 required).
+
+    ``failures`` are the (index, message) pairs of the failed samples
+    (`run_bootcalibrations`): the report counts them, and the error for too few
+    successes names the first.
+    """
     if len(results) < 2:
-        raise ValueError("bootstrap statistics need at least 2 successful samples")
+        reason = ""
+        if failures:
+            j, message = failures[0]
+            reason = (f"; {len(failures)} of {len(results) + len(failures)} failed, "
+                      f"the first (sample {j}) with {message}")
+        raise ValueError("bootstrap statistics need at least 2 successful samples"
+                         + reason)
     theta_samples = np.array([r.theta.as_array() for r in results])
     price_table = np.array([r.prices for r in results])     # M x N
     closes = structure.closes
@@ -203,6 +214,7 @@ def bootstrap_statistics(results, structure: OptionStructure) -> BootstrapReport
         boot_are_std=float(aare.std(ddof=1)),
         aare_samples=aare,
         arfv_samples=arfv,
+        failure_count=len(failures),
     )
 
 

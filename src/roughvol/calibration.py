@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .fbm import (PATH_BLOCK, PathBundle, TimeGrid, _block_count,
+from .fbm import (PATH_BLOCK, PathBundle, TimeGrid, _STREAM_GA, _block_count,
                   build_joint_covariance, draw_normal_bundle, parallel_map,
                   transform_normals)
 from .market import OptionStructure
@@ -45,9 +45,6 @@ __all__ = [
 ]
 
 MODEL_VARIANTS = ("alphaRFSV", "RFSV", "rBergomi", "fixed_H")
-
-#: sub-stream tag for the genetic algorithm's RNG (path blocks use tag 0).
-_STREAM_GA = 1
 
 #: position of the Hurst index in a parameter vector.
 _H = PARAM_NAMES.index("H")

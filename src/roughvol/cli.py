@@ -2,10 +2,11 @@
 
 Subcommands: ``synth-chain``, ``price``, ``calibrate``, ``bootstrap``,
 ``sensitivity``, ``significance``, ``report``. Every command reads its inputs from
-flags and/or a ``--config`` JSON file (flags win), writes its declared artifacts into
-the ``--out`` directory atomically (temp file + rename), and emits nothing
-non-deterministic: no timestamps, no environment echoes, fixed float formatting. Two
-runs with the same inputs are byte-identical, at any ``--threads`` value.
+flags and/or a ``--config`` JSON file (flags win; a key the command does not read is
+refused), writes its declared artifacts into the ``--out`` directory atomically (temp
+file + rename), and emits nothing non-deterministic: no timestamps, no environment
+echoes, fixed float formatting. Two runs with the same inputs are byte-identical, at
+any ``--threads`` value.
 
 Failures print a machine-readable ``{"error": ..., "message": ...}`` JSON object to
 stderr and exit with code 1 (argparse usage errors keep their conventional code 2).
@@ -111,19 +112,37 @@ def _number_or_text(text: str):
         return text
 
 
+#: namespace entries that no config file sets
+_NOT_SETTINGS = frozenset({"config", "log_level", "command", "handler"})
+
+
 class _Settings:
     """Flag/config merge, and the one place where a setting gets its type.
 
     A CLI flag that was given beats the config key. The value must have the setting's
     kind (`json_kind`), as a flag does from argparse: the default's type, the ``kind`` of
     a required read, or str (a path, a name, a date) for a read with neither.
+
+    The config keys a command reads are its flag destinations, apart from
+    `_NOT_SETTINGS`, plus its ``blocks`` (``theta``, ``bounds``). Where ``theta`` is
+    read, the parameters belong in it, so their flag names are no keys. Any other key
+    is refused before the command does any work.
     """
 
-    def __init__(self, args: argparse.Namespace):
+    def __init__(self, args: argparse.Namespace, blocks: tuple = ()):
         self.args = args
         self.config: dict = {}
         if getattr(args, "config", None):
             self.config = read_json_object(args.config)
+            keys = (set(vars(args)) - _NOT_SETTINGS) | set(blocks)
+            if "theta" in blocks:
+                keys -= set(PARAM_NAMES)
+            unread = sorted(set(self.config) - keys)
+            if unread:
+                raise ValueError(
+                    f"{args.config}: keys this command does not read: "
+                    f"{', '.join(map(repr, unread))} (it reads "
+                    f"{', '.join(map(repr, sorted(keys)))})")
 
     def _lookup(self, name: str):
         """(value, source): the flag if given, else the config value (None if absent)."""
@@ -236,7 +255,7 @@ def _calibration_config(settings: _Settings) -> CalibrationConfig:
 
 
 def cmd_synth_chain(args: argparse.Namespace) -> int:
-    settings = _Settings(args)
+    settings = _Settings(args, ("theta",))
     theta = _resolve_theta(settings)
     env = MarketEnv(spot=settings.require("spot", float), rate=settings.get("rate", 0.0))
     strikes = settings.numbers("strikes", float)
@@ -270,7 +289,7 @@ def cmd_synth_chain(args: argparse.Namespace) -> int:
 
 
 def cmd_price(args: argparse.Namespace) -> int:
-    settings = _Settings(args)
+    settings = _Settings(args, ("theta",))
     structure = load_chain(settings.require("chain"))
     theta = _resolve_theta(settings)
     estimates = price_chain(
@@ -293,7 +312,7 @@ _ROW_HEADER = ["day", *PARAM_NAMES, "aare", "mare", "wrss", "arfv"]
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    settings = _Settings(args)
+    settings = _Settings(args, ("bounds",))
     config = _calibration_config(settings)
     structure = load_chain(settings.require("chain"), weight_rule=settings.weight_rule)
     result = calibrate(structure, config)
@@ -319,7 +338,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_bootstrap(args: argparse.Namespace) -> int:
-    settings = _Settings(args)
+    settings = _Settings(args, ("bounds",))
     config = _calibration_config(settings)
     structure = load_chain(settings.require("chain"), weight_rule=settings.weight_rule)
     overall = _read_theta(settings.require("calibration"))
@@ -327,8 +346,7 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
                          base_seed=settings.seed)
     results, failures = run_bootcalibrations(structure, plan, overall,
                                              threads=settings.threads)
-    report = bootstrap_statistics(results, structure)
-    report.failure_count = len(failures)
+    report = bootstrap_statistics(results, structure, failures)
     outdir = settings.outdir
 
     payload = report.to_dict()

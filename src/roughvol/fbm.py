@@ -308,9 +308,14 @@ class PathBundle:
     grid: TimeGrid = field(repr=False)
 
 
-#: sub-stream namespace tag for path-block draws; other consumers of the same base
-#: seed (optimizer, resampler, significance workflow) use different leading tags.
-_STREAM_PATHS = 0
+#: Leading key words of the RNG streams under one base seed s, one per consumer, so
+#: no two consumers share a stream. Path block b draws from [s, _STREAM_PATHS, b], the
+#: genetic search from [s, _STREAM_GA], bootstrap sample j from the `derive_seed` keys
+#: [s, _STREAM_BOOT, j, tag], and significance repetition k from
+#: [s, _STREAM_SIGNIFICANCE, k, arm]. numpy's SeedSequence ignores trailing zero words
+#: ([s], [s, 0] and [s, 0, 0] give the same state with numpy 2.4.6), so path block 0 of
+#: seed s draws the same stream as ``default_rng(s)``. A new consumer takes a new tag.
+_STREAM_PATHS, _STREAM_GA, _STREAM_BOOT, _STREAM_SIGNIFICANCE = 0, 1, 2, 3
 
 
 def derive_seed(base: int, *path: int) -> int:

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .fbm import TimeGrid, build_joint_covariance, derive_seed, parallel_map
+from .fbm import (TimeGrid, _STREAM_SIGNIFICANCE, build_joint_covariance, derive_seed,
+                  parallel_map)
 from .market import OptionStructure
 from .model import PARAM_NAMES, ModelParams
 from .pricing import fresh_estimates
@@ -33,8 +34,6 @@ __all__ = [
     "sensitivity_analysis",
     "significance_test",
 ]
-
-_STREAM_SIGNIFICANCE = 3
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+from roughvol import bootstrap as boot_mod
 from roughvol.cli import _atomic_path, _Settings, main
 from roughvol.market import load_chain
 from roughvol.model import PARAM_NAMES
@@ -560,6 +561,68 @@ def test_bad_setting_reports_json(pipeline, tmp_path, capsys, monkeypatch, comma
     assert named in err["message"]
     if config is not None:
         assert str(path) in err["message"]
+    assert not artifact.exists()
+
+
+@pytest.mark.parametrize("command,config,key", [
+    ("calibrate", {"obj_tol": 1e-6}, "obj_tol"),
+    ("bootstrap", {"fd_rel_step": 1e-4}, "fd_rel_step"),
+    ("bootstrap", {"ga_population": 4}, "ga_population"),
+    ("price", {"weight_rule": "inv_spread_sq"}, "weight_rule"),
+    ("synth-chain", {"weight_rule": "inv_spread_sq"}, "weight_rule"),
+    ("price", {"path_cont": 5}, "path_cont"),
+    ("price", {"H": 0.45}, "H"),
+    ("synth-chain", {"bounds": {"H": [0.1, 0.2]}}, "bounds"),
+    ("calibrate", {"theta": TRUTH_THETA}, "theta"),
+], ids=["calibrate-obj-tol", "bootstrap-fd-rel-step", "bootstrap-ga-population",
+        "price-weight-rule", "synth-chain-weight-rule", "price-misspelled",
+        "price-top-level-parameter", "synth-chain-bounds", "calibrate-theta"])
+def test_config_key_the_command_does_not_read_reports_json(pipeline, tmp_path, capsys,
+                                                           command, config, key):
+    rc, path, artifact = _run_small(command, pipeline, tmp_path / "out", config)
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith(f"{path}: keys this command does not read: {key!r} (")
+    assert not artifact.parent.exists()
+
+
+@pytest.mark.parametrize("command", ["synth-chain", "price", "calibrate", "bootstrap",
+                                     "sensitivity", "significance", "report"])
+def test_config_log_level_is_refused_before_any_work(tmp_path, capsys, command):
+    # the config is read before the handler runs, so --log-level is a flag only
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"log_level": "info", "out": str(tmp_path / "out")}))
+    assert main([command, "--config", str(cfg)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["message"].startswith(
+        f"{cfg}: keys this command does not read: 'log_level' (")
+    assert not (tmp_path / "out").exists()
+
+
+def test_sensitivity_reads_its_alpha_from_the_config(pipeline, tmp_path):
+    # a top-level 'alpha' is refused where a theta block is read, not here
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"alpha": 0.1,
+                               "bootstrap": str(pipeline / "bootstrap_big.json")}))
+    run_cli(["sensitivity", "--config", str(cfg), "--out", str(tmp_path)])
+    assert json.loads((tmp_path / "sensitivity.json").read_text())["alpha_level"] == 0.1
+
+
+def test_bootstrap_with_too_few_successes_names_the_first_failure(pipeline, tmp_path,
+                                                                   capsys, monkeypatch):
+    def run_one(structure, plan, overall, j):
+        raise ValueError(f"singular refit at sample {j}")
+
+    monkeypatch.setattr(boot_mod, "_run_one", run_one)
+    rc, _, artifact = _run_small("bootstrap", pipeline, tmp_path / "out",
+                                 flags={"--samples": "3"})
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message":
+                   "bootstrap statistics need at least 2 successful samples; 3 of 3 "
+                   "failed, the first (sample 0) with ValueError: singular refit at "
+                   "sample 0"}
     assert not artifact.exists()
 
 

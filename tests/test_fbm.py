@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate, special
 
-from roughvol import fbm
+from roughvol import bootstrap, fbm
 from roughvol.fbm import (
     JITTER_LADDER,
     FactorizationError,
@@ -675,6 +675,23 @@ def test_derive_seed_is_deterministic_and_distinct():
     seen = {derive_seed(0, i, j) for i in range(10) for j in range(3)}
     assert len(seen) == 30
     assert all(0 <= s < 2**64 for s in seen)
+
+
+def test_stream_keys_of_one_base_seed_give_distinct_states():
+    # path blocks 0-2, the GA, bootstrap samples 0-2 with each tag and significance
+    # repetitions 0-2 with each arm, as their consumers build the keys
+    s = 812
+    keys = [[s, fbm._STREAM_PATHS, b] for b in range(3)] + [[s, fbm._STREAM_GA]]
+    keys += [[s, fbm._STREAM_BOOT, j, tag] for j in range(3)
+             for tag in (bootstrap._TAG_RESAMPLE, bootstrap._TAG_CALIBRATE,
+                         bootstrap._TAG_REPRICE)]
+    keys += [[s, fbm._STREAM_SIGNIFICANCE, k, arm] for k in range(3) for arm in (0, 1)]
+    states = {tuple(np.random.SeedSequence(key).generate_state(4)) for key in keys}
+    assert len(states) == len(keys) == 19
+    # trailing zero words are ignored: path block 0 of seed s is default_rng(s)'s stream
+    block0 = np.random.SeedSequence([s, fbm._STREAM_PATHS, 0])
+    assert np.array_equal(block0.generate_state(4),
+                          np.random.SeedSequence(s).generate_state(4))
 
 
 # ---------------------------------------------------------------------------
