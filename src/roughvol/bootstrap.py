@@ -12,14 +12,15 @@ robustness tables.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+import itertools
+from dataclasses import dataclass, fields, replace as dc_replace
 
 import numpy as np
 
 from .calibration import CalibrationConfig, FrozenPricer, local_refine
 from .fbm import FactorizationError, _STREAM_BOOT, derive_seed, parallel_map
 from .market import OptionStructure
-from .model import PARAM_NAMES, ModelParams
+from .model import PARAM_NAMES, ModelParams, _theta_samples
 from .pricing import price_chain
 
 __all__ = [
@@ -145,21 +146,16 @@ class BootstrapReport:
     failure_count: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "theta_samples": self.theta_samples.tolist(),
-            "theta_hat": {n: v for n, v in zip(PARAM_NAMES, self.theta_hat.tolist())},
-            "price_hat": self.price_hat.tolist(),
-            "bre": self.bre.tolist(),
-            "v": self.v.tolist(),
-            "rel_iqr": {n: v for n, v in zip(PARAM_NAMES, self.rel_iqr.tolist())},
-            "rel_iqr_avg": self.rel_iqr_avg,
-            "rel_iqr_max": self.rel_iqr_max,
-            "boot_are": {"range": self.boot_are_range, "iqr": self.boot_are_iqr,
-                         "std": self.boot_are_std},
-            "aare_samples": self.aare_samples.tolist(),
-            "arfv_samples": self.arfv_samples.tolist(),
-            "failure_count": self.failure_count,
-        }
+        """The fields as JSON values: arrays become lists, ``theta_hat`` and ``rel_iqr``
+        map each name in `PARAM_NAMES` to its value, and the three ``boot_are_*``
+        fields nest under ``boot_are`` as ``range``, ``iqr`` and ``std``."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in out.items()}
+        for key in ("theta_hat", "rel_iqr"):
+            out[key] = dict(zip(PARAM_NAMES, out[key]))
+        spread = [key for key in out if key.startswith("boot_are_")]
+        out["boot_are"] = {key.removeprefix("boot_are_"): out.pop(key) for key in spread}
+        return out
 
 
 def _iqr(values: np.ndarray) -> float:
@@ -194,7 +190,7 @@ def bootstrap_statistics(results, structure: OptionStructure,
     bre = np.abs(price_hat - closes) / closes
     v = norm_err.var(axis=0, ddof=1)
 
-    rel_iqr = np.array([_iqr(theta_samples[:, k]) for k in range(theta_samples.shape[1])])
+    rel_iqr = np.array([_iqr(column) for column in theta_samples.T])
     with np.errstate(divide="ignore", invalid="ignore"):
         rel_iqr = np.where(rel_iqr == 0.0, 0.0, rel_iqr / theta_hat)
 
@@ -232,36 +228,35 @@ def _bins(column: np.ndarray) -> str:
     return "fd" if fits else "sturges"
 
 
-def export_scatter_matrix(theta_samples: np.ndarray, theta_hat: np.ndarray,
-                          overall_theta: np.ndarray, path) -> None:
+def export_scatter_matrix(theta_samples: np.ndarray, overall_theta: np.ndarray,
+                          path) -> None:
     """Write scatter-matrix data: per-parameter histograms (`_bins`) on the diagonal,
     paired samples off-diagonal, plus bootstrap-mean/overall markers.
 
-    Plain sectioned text consumable by any plotting tool; byte-stable for fixed input.
+    ``theta_samples`` is the M x 5 bootstrap parameter matrix (M >= 2), one column per
+    parameter in `PARAM_NAMES` order; any other width raises ValueError naming the
+    shape. The bootstrap mean is its column mean, as in `bootstrap_statistics`. Plain
+    sectioned text consumable by any plotting tool; byte-stable for fixed input.
     """
-    theta_samples = np.asarray(theta_samples, dtype=float)
-    if theta_samples.ndim != 2 or theta_samples.shape[0] < 2:
-        raise ValueError("scatter matrix needs an M x d sample matrix with M >= 2")
-    d = theta_samples.shape[1]
-    names = PARAM_NAMES[:d] if d <= len(PARAM_NAMES) else tuple(
-        f"p{k}" for k in range(d))
-    lines = ["# scatter-matrix data v1", f"# parameters: {','.join(names)}"]
-    for k, name in enumerate(names):
-        column = theta_samples[:, k]
+    theta_samples = _theta_samples(theta_samples)
+    if theta_samples.shape[0] < 2:
+        raise ValueError("scatter matrix needs M >= 2 samples")
+    theta_hat = theta_samples.mean(axis=0)
+    lines = ["# scatter-matrix data v1", f"# parameters: {','.join(PARAM_NAMES)}"]
+    for name, column in zip(PARAM_NAMES, theta_samples.T):
         counts, edges = np.histogram(column, bins=_bins(column))
         lines.append(f"[histogram {name}]")
         lines.append("bin_left,bin_right,count")
         for i, c in enumerate(counts):
             lines.append(f"{_fmt(edges[i])},{_fmt(edges[i + 1])},{int(c)}")
-    for a in range(d):
-        for b in range(a + 1, d):
-            lines.append(f"[pairs {names[a]}:{names[b]}]")
-            lines.append(f"{names[a]},{names[b]}")
-            for row in theta_samples:
-                lines.append(f"{_fmt(row[a])},{_fmt(row[b])}")
+    for (a, name_a), (b, name_b) in itertools.combinations(enumerate(PARAM_NAMES), 2):
+        lines.append(f"[pairs {name_a}:{name_b}]")
+        lines.append(f"{name_a},{name_b}")
+        for row in theta_samples:
+            lines.append(f"{_fmt(row[a])},{_fmt(row[b])}")
     lines.append("[markers]")
     lines.append("parameter,bootstrap_mean,overall")
-    for k, name in enumerate(names):
-        lines.append(f"{name},{_fmt(theta_hat[k])},{_fmt(overall_theta[k])}")
+    for name, mean, overall in zip(PARAM_NAMES, theta_hat, overall_theta, strict=True):
+        lines.append(f"{name},{_fmt(mean)},{_fmt(overall)}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

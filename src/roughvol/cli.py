@@ -178,11 +178,18 @@ class _Settings:
 
     @property
     def threads(self) -> int:
-        """The flag, then ROUGHVOL_THREADS, then the config, then all cores."""
+        """The flag, then ROUGHVOL_THREADS, then the config, then all cores. A count
+        below 1 raises ValueError naming the flag, the variable or the config key."""
+        value, source = self._lookup("threads")
         env = os.environ.get("ROUGHVOL_THREADS")
         if self.args.threads is None and env:
-            return max(1, json_kind(_number_or_text(env), int, "ROUGHVOL_THREADS"))
-        return max(1, self.get("threads", os.cpu_count() or 1))
+            value, source = _number_or_text(env), "ROUGHVOL_THREADS"
+        if value is None:
+            return os.cpu_count() or 1
+        threads = json_kind(value, int, source)
+        if threads < 1:
+            raise ValueError(f"{source} must be at least 1, got {threads}")
+        return threads
 
     @property
     def weight_rule(self) -> str:
@@ -366,8 +373,7 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
                   _csv_text(list(PARAM_NAMES), theta_rows))
 
     with _atomic_path(outdir / "scatter_matrix.txt") as tmp:
-        export_scatter_matrix(report.theta_samples, report.theta_hat,
-                              overall.as_array(), tmp)
+        export_scatter_matrix(report.theta_samples, overall.as_array(), tmp)
     return 0
 
 
@@ -506,7 +512,6 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file supplying defaults for this command")
-    parser.add_argument("--seed", type=int, default=None, help="base RNG seed (default 0)")
     parser.add_argument("--threads", type=int, default=None,
                         help="worker pool size (default: ROUGHVOL_THREADS, else all cores)")
     parser.add_argument("--out", default=None, help="output directory (default: .)")
@@ -524,6 +529,9 @@ def _add_theta_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_path_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags of the five commands that draw paths; `sensitivity` and `report` draw
+    nothing, so they take no --seed."""
+    parser.add_argument("--seed", type=int, default=None, help="base RNG seed (default 0)")
     parser.add_argument("--path-count", type=int, default=None, dest="path_count")
     parser.add_argument("--steps-per-year", type=int, default=None, dest="steps_per_year")
 

@@ -56,6 +56,16 @@ class ModelParams:
         return cls(*(float(v) for v in values))
 
 
+def _theta_samples(values) -> np.ndarray:
+    """``values`` as a float M x 5 array, one column per parameter in `PARAM_NAMES`
+    order; any other shape raises ValueError naming the parameters and the shape."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[1] != len(PARAM_NAMES):
+        raise ValueError(f"theta_samples must be an M x {len(PARAM_NAMES)} matrix with "
+                         f"columns {', '.join(PARAM_NAMES)}, got shape {values.shape}")
+    return values
+
+
 @dataclass(frozen=True)
 class MarketEnv:
     """Spot price and the (annualized, continuously compounded) all-in rate."""

@@ -97,12 +97,18 @@ def black_scholes_call(spot: float, strike: float, rate: float, vol: float,
     """Standard Black-Scholes call value.
 
     vol = 0 or maturity = 0 return the discounted intrinsic value
-    max(spot - strike * exp(-r T), 0). Raises on nonpositive spot or strike.
+    max(spot - strike * exp(-r T), 0). Raises ValueError unless spot and strike are
+    positive and finite, vol and maturity nonnegative and finite, and the rate finite;
+    each check is written so that NaN fails it.
     """
-    if spot <= 0.0 or strike <= 0.0:
-        raise ValueError(f"spot and strike must be positive, got {spot}, {strike}")
-    if vol < 0.0 or maturity < 0.0:
-        raise ValueError("vol and maturity must be nonnegative")
+    if not (0.0 < spot < math.inf and 0.0 < strike < math.inf):
+        raise ValueError(f"spot and strike must be positive and finite, got {spot}, "
+                         f"{strike}")
+    if not (0.0 <= vol < math.inf and 0.0 <= maturity < math.inf):
+        raise ValueError(f"vol and maturity must be nonnegative and finite, got {vol}, "
+                         f"{maturity}")
+    if not -math.inf < rate < math.inf:
+        raise ValueError(f"rate must be finite, got {rate}")
     values = _bs_calls(np.array([spot], dtype=float), np.array([vol**2 * maturity]),
                        (strike,), rate, maturity)
     return float(values[0, 0])

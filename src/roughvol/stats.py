@@ -16,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from .calibration import fit_metrics
 from .fbm import (TimeGrid, _STREAM_SIGNIFICANCE, build_joint_covariance, derive_seed,
                   parallel_map)
 from .market import OptionStructure
-from .model import PARAM_NAMES, ModelParams
+from .model import PARAM_NAMES, ModelParams, _theta_samples
 from .pricing import fresh_estimates
 
 __all__ = [
@@ -129,34 +130,30 @@ class SensitivityResult:
                 "reject": self.reject}
 
 
-def sensitivity_analysis(theta_samples, fit_values, alpha_level: float = 0.05,
-                         parameter_names=None) -> list[SensitivityResult]:
+def sensitivity_analysis(theta_samples, fit_values,
+                         alpha_level: float = 0.05) -> list[SensitivityResult]:
     """Per-parameter KS test: fit values of the low-octile group vs the high-octile one.
 
-    ``theta_samples`` is the M x d bootstrap parameter matrix and ``fit_values`` the
-    matching per-sample fit summary (one scalar per bootcalibration). Rejection at
+    ``theta_samples`` is the M x 5 bootstrap parameter matrix, one column per
+    parameter in `PARAM_NAMES` order, and ``fit_values`` the matching per-sample fit
+    summary (one scalar per bootcalibration). One result per parameter, named by
+    `PARAM_NAMES`; any other width raises ValueError naming the shape. Rejection at
     ``alpha_level`` means the parameter's level is associated with a shifted fit
     distribution — the calibration is sensitive to it.
     """
-    theta_samples = np.asarray(theta_samples, dtype=float)
+    theta_samples = _theta_samples(theta_samples)
     fit_values = np.asarray(fit_values, dtype=float).ravel()
-    if theta_samples.ndim != 2:
-        raise ValueError("theta_samples must be an M x d matrix")
-    m, d = theta_samples.shape
-    if fit_values.size != m:
+    if fit_values.size != len(theta_samples):
         raise ValueError("one fit value per bootstrap sample required")
-    if m < 8:
+    if len(theta_samples) < 8:
         raise ValueError("sensitivity analysis needs at least 8 bootstrap samples")
     if not 0.0 < alpha_level < 1.0:
         raise ValueError("alpha_level must lie in (0, 1)")
-    if parameter_names is None:
-        parameter_names = PARAM_NAMES[:d] if d <= len(PARAM_NAMES) else tuple(
-            f"p{k}" for k in range(d))
     results = []
-    for k, name in enumerate(parameter_names):
-        groups = octile_grouping(theta_samples[:, k])
+    for name, column in zip(PARAM_NAMES, theta_samples.T):
+        groups = octile_grouping(column)
         ks = ks_two_sample(fit_values[groups.low], fit_values[groups.high])
-        results.append(SensitivityResult(parameter=str(name), ks=ks,
+        results.append(SensitivityResult(parameter=name, ks=ks,
                                          reject=ks.p_value < alpha_level))
     return results
 
@@ -181,15 +178,6 @@ class SignificanceResult:
         }
 
 
-def _repetition_arfv(structure: OptionStructure, params: ModelParams, cov,
-                     path_count: int, seed: int) -> float:
-    # blocks run serially: the repetitions are already the parallel level
-    estimates = fresh_estimates(cov, params, structure.env, structure.options,
-                                path_count, seed)
-    prices = np.array([e.price for e in estimates])
-    return float(np.mean(np.abs(prices - structure.closes) / structure.env.spot))
-
-
 def significance_test(structure: OptionStructure, theta_full: ModelParams,
                       theta_restricted: ModelParams, repetitions: int = 100,
                       path_count: int = 20_000, steps_per_year: int = 252,
@@ -198,8 +186,10 @@ def significance_test(structure: OptionStructure, theta_full: ModelParams,
 
     Each repetition draws an independent path set (seeds derived from ``base_seed``,
     the repetition index and the model arm), prices the chain under both parameter
-    vectors and records the average relative fit value against the market closes. The
-    two covariance factorizations are built once and shared across repetitions.
+    vectors and records the average relative fit value against the market closes
+    (`fit_metrics`' ARFV). The (repetition, arm) jobs run in that order, and their flat
+    result is read back as a repetitions x 2 table. The two covariance factorizations
+    are built once and shared across repetitions.
     """
     if repetitions < 2:
         raise ValueError("significance test needs at least 2 repetitions per model")
@@ -207,18 +197,19 @@ def significance_test(structure: OptionStructure, theta_full: ModelParams,
     cov_full = build_joint_covariance(grid, theta_full.H)
     cov_restricted = (cov_full if theta_restricted.H == theta_full.H
                       else build_joint_covariance(grid, theta_restricted.H))
-    jobs = [(arm, k) for k in range(repetitions) for arm in (0, 1)]
-    arms = {0: (theta_full, cov_full), 1: (theta_restricted, cov_restricted)}
+    jobs = [(k, arm) for k in range(repetitions) for arm in (0, 1)]
+    arms = ((theta_full, cov_full), (theta_restricted, cov_restricted))
 
     def run(job):
-        arm, k = job
+        k, arm = job
         params, cov = arms[arm]
         seed = derive_seed(base_seed, _STREAM_SIGNIFICANCE, k, arm)
-        return arm, _repetition_arfv(structure, params, cov, path_count, seed)
+        # blocks run serially: the repetitions are already the parallel level
+        estimates = fresh_estimates(cov, params, structure.env, structure.options,
+                                    path_count, seed)
+        return fit_metrics([e.price for e in estimates], structure).arfv
 
-    raw = parallel_map(run, jobs, threads)
-    arfv_full = np.array([v for arm, v in raw if arm == 0])
-    arfv_restricted = np.array([v for arm, v in raw if arm == 1])
+    arfv_full, arfv_restricted = np.reshape(parallel_map(run, jobs, threads), (-1, 2)).T
     return SignificanceResult(t_test=welch_t_test(arfv_full, arfv_restricted),
                               arfv_full=arfv_full, arfv_restricted=arfv_restricted,
                               repetitions=repetitions)

@@ -2,6 +2,7 @@
 M=3 x N=4 table (no numpy aggregation calls on the oracle side), and the scatter-matrix
 export against a golden file."""
 import datetime as dt
+import json
 import pathlib
 
 import numpy as np
@@ -20,7 +21,7 @@ from roughvol.bootstrap import (
 from roughvol.calibration import CalibrationConfig
 from roughvol.fbm import FactorizationError
 from roughvol.market import OptionQuote, OptionStructure
-from roughvol.model import MarketEnv, ModelParams
+from roughvol.model import PARAM_NAMES, MarketEnv, ModelParams
 from roughvol.synth import generate_chain
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -147,6 +148,21 @@ def test_bre_never_exceeds_mean_normalized_error():
     report = bootstrap_statistics(results, structure)
     mean_norm = np.abs(prices - closes_row).mean(axis=0) / closes_row
     assert np.all(report.bre <= mean_norm + 1e-15)
+
+
+def test_report_to_dict_keys_and_values():
+    report = bootstrap_statistics(hand_results(), four_option_structure())
+    d = report.to_dict()
+    assert set(d) == {"theta_samples", "theta_hat", "price_hat", "bre", "v", "rel_iqr",
+                      "rel_iqr_avg", "rel_iqr_max", "boot_are", "aare_samples",
+                      "arfv_samples", "failure_count"}
+    assert d["theta_samples"] == report.theta_samples.tolist()
+    assert d["theta_hat"] == dict(zip(PARAM_NAMES, report.theta_hat.tolist()))
+    assert d["rel_iqr"] == dict(zip(PARAM_NAMES, report.rel_iqr.tolist()))
+    assert d["boot_are"] == {"range": report.boot_are_range,
+                             "iqr": report.boot_are_iqr, "std": report.boot_are_std}
+    assert d["failure_count"] == 0
+    assert json.loads(json.dumps(d)) == d
 
 
 def test_statistics_require_two_samples():
@@ -310,16 +326,14 @@ SCATTER_OVERALL = np.array([0.0782, -0.1792, 0.2324, 0.9875, 1.0])
 
 def test_scatter_matrix_matches_golden(tmp_path):
     out = tmp_path / "scatter.txt"
-    export_scatter_matrix(SCATTER_SAMPLES, SCATTER_SAMPLES.mean(axis=0),
-                          SCATTER_OVERALL, out)
+    export_scatter_matrix(SCATTER_SAMPLES, SCATTER_OVERALL, out)
     golden = (GOLDEN_DIR / "scatter_matrix_small.txt").read_bytes()
     assert out.read_bytes() == golden
 
 
 def test_scatter_matrix_structure(tmp_path):
     out = tmp_path / "scatter.txt"
-    export_scatter_matrix(SCATTER_SAMPLES, SCATTER_SAMPLES.mean(axis=0),
-                          SCATTER_OVERALL, out)
+    export_scatter_matrix(SCATTER_SAMPLES, SCATTER_OVERALL, out)
     text = out.read_text()
     lines = text.splitlines()
     assert lines[0] == "# scatter-matrix data v1"
@@ -338,7 +352,7 @@ def test_scatter_matrix_constant_column(tmp_path):
     samples = SCATTER_SAMPLES.copy()
     samples[:, 4] = 1.0  # pinned alpha: degenerate histogram must still export
     out = tmp_path / "scatter.txt"
-    export_scatter_matrix(samples, samples.mean(axis=0), SCATTER_OVERALL, out)
+    export_scatter_matrix(samples, SCATTER_OVERALL, out)
     block = out.read_text().split("[histogram alpha]")[1].split("[")[0]
     rows = block.strip().splitlines()[1:]
     assert len(rows) >= 1
@@ -347,8 +361,17 @@ def test_scatter_matrix_constant_column(tmp_path):
 
 def test_scatter_matrix_rejects_single_sample(tmp_path):
     with pytest.raises(ValueError, match="M >= 2"):
-        export_scatter_matrix(SCATTER_SAMPLES[:1], SCATTER_SAMPLES[0],
-                              SCATTER_OVERALL, tmp_path / "x.txt")
+        export_scatter_matrix(SCATTER_SAMPLES[:1], SCATTER_OVERALL, tmp_path / "x.txt")
+
+
+@pytest.mark.parametrize("width", [4, 6])
+def test_scatter_matrix_refuses_a_width_other_than_five(tmp_path, width):
+    samples = np.random.default_rng(width).normal(size=(8, width))
+    out = tmp_path / "scatter.txt"
+    shape = rf"M x 5 .*sigma0, rho, H, xi, alpha, got shape \(8, {width}\)"
+    with pytest.raises(ValueError, match=shape):
+        export_scatter_matrix(samples, SCATTER_OVERALL, out)
+    assert not out.exists()
 
 
 def test_scatter_matrix_piled_up_column_caps_the_bins(tmp_path):
@@ -357,7 +380,7 @@ def test_scatter_matrix_piled_up_column_caps_the_bins(tmp_path):
     samples = np.tile(SCATTER_SAMPLES[0], (8, 1))
     samples[:, 4] = [1 - 1e-16, 1 - 2.2e-16, 1, 1 - 1e-16, 1, 1 - 2.2e-16, 1, 0.907]
     out = tmp_path / "scatter.txt"
-    export_scatter_matrix(samples, samples.mean(axis=0), SCATTER_OVERALL, out)
+    export_scatter_matrix(samples, SCATTER_OVERALL, out)
     block = out.read_text().split("[histogram alpha]")[1].split("[")[0]
     rows = block.strip().splitlines()[1:]
     assert 1 <= len(rows) <= 8
@@ -368,7 +391,7 @@ def test_scatter_matrix_piled_up_column_caps_the_bins(tmp_path):
 def test_scatter_matrix_keeps_fd_bins_when_they_fit(tmp_path, seed):
     samples = np.random.default_rng(seed).normal(size=(50, 5))
     out = tmp_path / "scatter.txt"
-    export_scatter_matrix(samples, samples.mean(axis=0), SCATTER_OVERALL, out)
+    export_scatter_matrix(samples, SCATTER_OVERALL, out)
     text = out.read_text()
     for k, name in enumerate(("sigma0", "rho", "H", "xi", "alpha")):
         counts, edges = np.histogram(samples[:, k], bins="fd")

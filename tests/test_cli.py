@@ -600,6 +600,52 @@ def test_config_log_level_is_refused_before_any_work(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command,bootstrap", [("sensitivity", "bootstrap_big.json"),
+                                               ("report", "bootstrap.json")])
+def test_seed_config_key_is_refused_where_nothing_is_drawn(pipeline, tmp_path, capsys,
+                                                           command, bootstrap):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"seed": 1, "bootstrap": str(pipeline / bootstrap),
+                               "out": str(tmp_path / "out")}))
+    assert main([command, "--config", str(cfg)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["message"].startswith(f"{cfg}: keys this command does not read: 'seed' (")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("width", [3, 7])
+def test_sensitivity_on_another_parameter_width_reports_json(tmp_path, capsys, width):
+    rng = np.random.default_rng(width)
+    boot = tmp_path / "bootstrap.json"
+    boot.write_text(json.dumps({"theta_samples": rng.uniform(size=(24, width)).tolist(),
+                                "arfv_samples": rng.uniform(size=24).tolist()}))
+    out = tmp_path / "out"
+    assert main(["sensitivity", "--bootstrap", str(boot), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert err["message"].endswith(
+        f"columns sigma0, rho, H, xi, alpha, got shape (24, {width})")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config,flags,variable,message", [
+    (None, {"--threads": "-4"}, None, "flag --threads must be at least 1, got -4"),
+    ({"threads": 2}, None, "0", "ROUGHVOL_THREADS must be at least 1, got 0"),
+    ({"threads": 0}, None, None, "{config}: 'threads' must be at least 1, got 0"),
+], ids=["flag", "variable", "config-key"])
+def test_thread_count_below_one_reports_json(pipeline, tmp_path, capsys, monkeypatch,
+                                             config, flags, variable, message):
+    # the variable beats the config, which drops the --threads flag
+    monkeypatch.delenv("ROUGHVOL_THREADS", raising=False)
+    if variable is not None:
+        monkeypatch.setenv("ROUGHVOL_THREADS", variable)
+    rc, path, artifact = _run_small("price", pipeline, tmp_path / "out", config, flags)
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": message.format(config=path)}
+    assert not artifact.exists()
+
+
 def test_sensitivity_reads_its_alpha_from_the_config(pipeline, tmp_path):
     # a top-level 'alpha' is refused where a theta block is read, not here
     cfg = tmp_path / "config.json"
@@ -825,11 +871,15 @@ def test_unknown_command_exits_two():
 
 @pytest.mark.parametrize("argv", [["significance", "--weight-rule", "inv_spread_abs"],
                                   ["bootstrap", "--ga-population", "4"],
-                                  ["bootstrap", "--ga-generations", "1"]],
+                                  ["bootstrap", "--ga-generations", "1"],
+                                  ["sensitivity", "--seed", "1"],
+                                  ["report", "--seed", "1"]],
                          ids=["significance-weight-rule", "bootstrap-ga-population",
-                              "bootstrap-ga-generations"])
+                              "bootstrap-ga-generations", "sensitivity-seed",
+                              "report-seed"])
 def test_flags_that_change_no_output_exit_two(argv):
-    # weights reach only the calibration objective, and bootstrap runs no genetic stage
+    # weights reach only the calibration objective, bootstrap runs no genetic stage,
+    # and sensitivity and report draw nothing
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

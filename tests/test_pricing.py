@@ -1,5 +1,6 @@
 """Pricing tests: Black-Scholes reference values, estimator unbiasedness and variance
 reduction, and whole-chain consistency. BS references computed at 30-digit precision."""
+import math
 import re
 import tracemalloc
 
@@ -59,6 +60,17 @@ def test_black_scholes_validation():
         black_scholes_call(100.0, -5.0, 0.0, 0.2, 1.0)
     with pytest.raises(ValueError):
         black_scholes_call(100.0, 100.0, 0.0, -0.2, 1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("position", range(5),
+                         ids=["spot", "strike", "rate", "vol", "maturity"])
+def test_black_scholes_refuses_nan_and_inf(position, value):
+    # NaN fails every comparison, so a check written as `x <= 0` would let it through
+    args = [100.0, 100.0, 0.0, 0.2, 1.0]
+    args[position] = value
+    with pytest.raises(ValueError, match="finite"):
+        black_scholes_call(*args)
 
 
 # ---------------------------------------------------------------------------

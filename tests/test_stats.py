@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from roughvol.model import MarketEnv, ModelParams
+from roughvol.model import PARAM_NAMES, MarketEnv, ModelParams
 from roughvol.stats import (
     ks_two_sample,
     octile_grouping,
@@ -204,30 +204,32 @@ def test_sensitivity_null_rate_and_p_uniformity():
     rng = np.random.default_rng(22)
     p_values, rejections = [], 0
     for _ in range(200):
-        theta = rng.uniform(size=(200, 3))
+        theta = rng.uniform(size=(200, 5))
         fit = rng.normal(size=200)
-        for r in sensitivity_analysis(theta, fit, parameter_names=("a", "b", "c")):
+        for r in sensitivity_analysis(theta, fit):
             p_values.append(r.ks.p_value)
             rejections += r.reject
     assert 0.40 < np.mean(p_values) < 0.60
-    assert rejections <= 0.085 * len(p_values)  # 600 tests at the 5% level
+    assert rejections <= 0.085 * len(p_values)  # 1000 tests at the 5% level
 
 
-def test_sensitivity_custom_names_and_to_dict():
+def test_sensitivity_results_carry_param_names_and_to_dict():
     rng = np.random.default_rng(23)
-    theta = rng.uniform(size=(16, 2))
-    results = sensitivity_analysis(theta, rng.normal(size=16),
-                                   parameter_names=("foo", "bar"))
+    theta = rng.uniform(size=(16, 5))
+    results = sensitivity_analysis(theta, rng.normal(size=16))
+    assert tuple(r.parameter for r in results) == PARAM_NAMES
     d = results[0].to_dict()
-    assert d["parameter"] == "foo"
+    assert d["parameter"] == "sigma0"
     assert set(d) == {"parameter", "statistic", "p_value", "n_low", "n_high", "reject"}
 
 
 def test_sensitivity_input_validation():
     rng = np.random.default_rng(24)
-    good = rng.uniform(size=(16, 2))
-    with pytest.raises(ValueError, match="M x d"):
+    good = rng.uniform(size=(16, 5))
+    with pytest.raises(ValueError, match=r"M x 5 .*got shape \(16,\)"):
         sensitivity_analysis(np.zeros(16), rng.normal(size=16))
+    with pytest.raises(ValueError, match=r"sigma0, rho, H, xi, alpha, got shape \(16, 3\)"):
+        sensitivity_analysis(good[:, :3], rng.normal(size=16))
     with pytest.raises(ValueError, match="one fit value"):
         sensitivity_analysis(good, rng.normal(size=15))
     with pytest.raises(ValueError, match="at least 8"):
