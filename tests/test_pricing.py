@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -349,15 +349,21 @@ def _estimate(values):
 @settings(max_examples=200, deadline=None)
 @given(values=st.lists(st.floats(0.0, 1e3), min_size=2, max_size=60),
        cuts=st.sets(st.integers(1, 59), max_size=6))
+@example(values=[5e-324, 5e-324, 0.0], cuts={1})
 def test_pooled_estimate_matches_whole_sample(values, cuts):
     bounds = [0, *sorted(c for c in cuts if c < len(values)), len(values)]
     parts = [_estimate(values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
     pooled = _pool_estimates(parts)
     mean, se = _mean_se(np.asarray(values))
-    # the SE of a near-constant sample is itself rounding noise of size eps * |x|
+    # the SE of a near-constant sample is itself rounding noise of size eps * |x|.
+    # Below the normal range a part mean rounds to a multiple of the smallest
+    # subnormal, and squares of values under ~1e-154 do too, so the means can differ
+    # by that step and the SEs by its square root.
     floor = 1e-12 * max(values)
-    assert pooled.price == pytest.approx(mean, rel=1e-12, abs=floor)
-    assert pooled.std_error == pytest.approx(se, rel=1e-12, abs=floor)
+    tiny = math.ulp(0.0)
+    assert pooled.price == pytest.approx(mean, rel=1e-12, abs=max(floor, tiny))
+    assert pooled.std_error == pytest.approx(se, rel=1e-12,
+                                             abs=max(floor, math.sqrt(tiny)))
     assert pooled.path_count == len(values)
 
 
