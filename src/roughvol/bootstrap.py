@@ -98,6 +98,7 @@ def _run_one(structure: OptionStructure, plan: BootstrapPlan,
     config_j = dc_replace(plan.config, seed=calib_seed)
     result = local_refine(overall_theta,
                           FrozenPricer(sample.structure, config_j).residuals, config_j)
+    # one thread for the build and the blocks: the samples are the parallel level
     estimates = price_chain(structure.options, structure.env, result.theta,
                             plan.config.path_count, plan.config.steps_per_year,
                             reprice_seed)

@@ -222,7 +222,7 @@ class FrozenPricer:
                 return entry[1]
             # drop the old block, and the local reference, before building its successor
             self._blocks[b] = entry = None
-            if cov is None:
+            if cov is None:  # one thread: GA generations and bootstrap workers call this
                 cov = build_joint_covariance(self.grid, H)
             rows = slice(b * PATH_BLOCK, (b + 1) * PATH_BLOCK)
             bundle = transform_normals(self._z[rows], None, cov)

@@ -379,6 +379,7 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
 
 def cmd_sensitivity(args: argparse.Namespace) -> int:
     settings = _Settings(args)
+    settings.threads  # checked like every command's, though nothing here runs in parallel
     bootstrap_file = settings.require("bootstrap")
     data = read_json_object(bootstrap_file)
     alpha = settings.get("alpha", 0.05)
@@ -423,6 +424,7 @@ def _md_table(header: list[str], rows: list[list[str]]) -> list[str]:
 
 def cmd_report(args: argparse.Namespace) -> int:
     settings = _Settings(args)
+    settings.threads  # checked like every command's, though nothing here runs in parallel
     bootstrap_file = settings.require("bootstrap")
     boot = read_json_object(bootstrap_file)
     lines = ["# Rough volatility calibration report", ""]

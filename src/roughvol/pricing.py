@@ -285,13 +285,14 @@ def price_chain(options, env: MarketEnv, params: ModelParams, path_count: int,
 
     The inputs are checked first (ValueError on an empty list, a strike or maturity
     that is not positive and finite, an unknown ``estimator`` or ``path_count < 1``).
-    One covariance is built and factorized; the paths are then streamed block by block
-    through `fresh_estimates`, with ``threads`` blocks at once. Estimates are
-    byte-identical at any ``threads`` and equal a single-bundle `chain_estimates` of
-    the same draw up to the rounding of the pooled sums.
+    One covariance is built and factorized, its special functions split over
+    ``threads``; the paths are then streamed block by block through `fresh_estimates`,
+    with ``threads`` blocks at once. Estimates are byte-identical at any ``threads``
+    and equal a single-bundle `chain_estimates` of the same draw up to the rounding of
+    the pooled sums.
     """
     options = _checked_options(options, path_count, estimator)
     grid = TimeGrid.with_maturities([t for _, t in options], steps_per_year)
-    cov = build_joint_covariance(grid, params.H)
+    cov = build_joint_covariance(grid, params.H, threads)
     return fresh_estimates(cov, params, env, options, path_count, seed, estimator,
                            threads)

@@ -189,14 +189,15 @@ def significance_test(structure: OptionStructure, theta_full: ModelParams,
     vectors and records the average relative fit value against the market closes
     (`fit_metrics`' ARFV). The (repetition, arm) jobs run in that order, and their flat
     result is read back as a repetitions x 2 table. The two covariance factorizations
-    are built once and shared across repetitions.
+    are built once, each split over ``threads`` before the repetitions start, and
+    shared across repetitions.
     """
     if repetitions < 2:
         raise ValueError("significance test needs at least 2 repetitions per model")
     grid = TimeGrid.with_maturities(structure.maturities, steps_per_year)
-    cov_full = build_joint_covariance(grid, theta_full.H)
+    cov_full = build_joint_covariance(grid, theta_full.H, threads)
     cov_restricted = (cov_full if theta_restricted.H == theta_full.H
-                      else build_joint_covariance(grid, theta_restricted.H))
+                      else build_joint_covariance(grid, theta_restricted.H, threads))
     jobs = [(k, arm) for k in range(repetitions) for arm in (0, 1)]
     arms = ((theta_full, cov_full), (theta_restricted, cov_restricted))
 

@@ -7,11 +7,13 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 from roughvol import bootstrap as boot_mod
+from roughvol import calibration, fbm, pricing, stats
 from roughvol.cli import _atomic_path, _Settings, main
 from roughvol.market import load_chain
 from roughvol.model import PARAM_NAMES
@@ -628,14 +630,18 @@ def test_sensitivity_on_another_parameter_width_reports_json(tmp_path, capsys, w
     assert not out.exists()
 
 
-@pytest.mark.parametrize("config,flags,variable,message", [
+#: (config, flags, ROUGHVOL_THREADS, message) for a thread count below 1 from each
+#: source; the variable beats the config, which drops the --threads flag
+THREADS_BELOW_ONE = pytest.mark.parametrize("config,flags,variable,message", [
     (None, {"--threads": "-4"}, None, "flag --threads must be at least 1, got -4"),
     ({"threads": 2}, None, "0", "ROUGHVOL_THREADS must be at least 1, got 0"),
     ({"threads": 0}, None, None, "{config}: 'threads' must be at least 1, got 0"),
 ], ids=["flag", "variable", "config-key"])
+
+
+@THREADS_BELOW_ONE
 def test_thread_count_below_one_reports_json(pipeline, tmp_path, capsys, monkeypatch,
                                              config, flags, variable, message):
-    # the variable beats the config, which drops the --threads flag
     monkeypatch.delenv("ROUGHVOL_THREADS", raising=False)
     if variable is not None:
         monkeypatch.setenv("ROUGHVOL_THREADS", variable)
@@ -644,6 +650,71 @@ def test_thread_count_below_one_reports_json(pipeline, tmp_path, capsys, monkeyp
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "ValueError", "message": message.format(config=path)}
     assert not artifact.exists()
+
+
+@pytest.mark.parametrize("command,bootstrap", [("sensitivity", "bootstrap_big.json"),
+                                               ("report", "bootstrap.json")])
+@THREADS_BELOW_ONE
+def test_thread_count_below_one_reports_json_where_nothing_is_drawn(
+        pipeline, tmp_path, capsys, monkeypatch, command, bootstrap, config, flags,
+        variable, message):
+    # sensitivity and report run on the calling thread, but refuse the same counts
+    monkeypatch.delenv("ROUGHVOL_THREADS", raising=False)
+    if variable is not None:
+        monkeypatch.setenv("ROUGHVOL_THREADS", variable)
+    out, cfg = tmp_path / "out", tmp_path / "config.json"
+    argv = [command, "--bootstrap", str(pipeline / bootstrap), "--out", str(out)]
+    if config is not None:
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    for flag, value in (flags or {}).items():
+        argv += [flag, value]
+    assert main(argv) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": message.format(config=cfg)}
+    assert not out.exists()
+
+
+def test_covariance_builds_get_threads_only_where_the_caller_is_serial(
+        pipeline, tmp_path, monkeypatch):
+    # --threads 2 splits the builds of price, synth-chain and significance; a build in
+    # a GA generation, the least squares or a bootstrap worker gets 1, so no pool nests
+    builds = []  # (threads received, called on the main thread)
+
+    def recorder(grid, H, threads=1):
+        builds.append((threads, threading.current_thread() is threading.main_thread()))
+        return fbm.build_joint_covariance(grid, H, threads)
+
+    for module in (pricing, stats, calibration):
+        monkeypatch.setattr(module, "build_joint_covariance", recorder)
+
+    def run(command):
+        builds.clear()
+        if command == "significance":
+            thetas = []
+            for name, H in (("full", 0.2), ("restricted", 0.3)):
+                thetas += [f"--{name}", str(tmp_path / f"{name}.json")]
+                (tmp_path / f"{name}.json").write_text(json.dumps(
+                    {"theta": dict(zip(PARAM_NAMES, [0.08, -0.3, H, 1.0, 1.0]))}))
+            assert main([command, "--chain", str(pipeline / "chain.csv"), *thetas,
+                         "--repetitions", "2", "--path-count", "200",
+                         "--steps-per-year", "12", "--threads", "2",
+                         "--out", str(tmp_path / command)]) == 0
+        else:
+            rc, _, _ = _run_small(command, pipeline, tmp_path / command,
+                                  flags={"--threads": "2"})
+            assert rc == 0
+        return list(builds)
+
+    assert run("price") == [(2, True)]
+    assert run("synth-chain") == [(2, True)]
+    assert run("significance") == [(2, True), (2, True)]
+    calibrate = run("calibrate")
+    assert {threads for threads, _ in calibrate} == {1}
+    # the GA's builds run in its pool, the least squares' on the main thread
+    assert {main_thread for _, main_thread in calibrate} == {False, True}
+    bootstrap = run("bootstrap")  # 2 samples, each a refit and a repricing
+    assert len(bootstrap) >= 4 and set(bootstrap) == {(1, False)}
 
 
 def test_sensitivity_reads_its_alpha_from_the_config(pipeline, tmp_path):

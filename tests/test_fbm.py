@@ -5,8 +5,12 @@ by direct quadrature of the defining z-integral, the cross covariances both by t
 incomplete-Beta closed form and by stabilized quadrature of the kernel (the two agree
 to ~1e-21), and the constants from the Gamma-function definition.
 """
+import concurrent.futures
+import logging
+import sys
 import threading
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -148,6 +152,24 @@ def cross_covariance_matrix(times: np.ndarray, H: float) -> np.ndarray:
     H = _validate_hurst(H)
     tcol = np.asarray(times, dtype=float)[:, None]
     return _cross_covariance(tcol, np.minimum(tcol, tcol.T), H)
+
+
+def cross_covariance_every_entry(t, w, H: float, threads: int = 1):
+    """The closed form with the incomplete Beta and the tail evaluated at every entry's
+    own ratio w/t, not once per distinct ratio; ``threads`` is ignored."""
+    c = molchan_constant(H)
+    a_beta, b = 1.5 - H, H + 0.5
+    x = w / t
+    binc = special.betainc(a_beta, b, x) * special.beta(a_beta, b)
+    return c / b * (t**b * binc - (H - 0.5) * w**b * _kernel_tail(x, H))
+
+
+def factor_every_entry(grid: TimeGrid, H: float) -> np.ndarray:
+    """``build_joint_covariance(grid, H).fbm_factor`` with the cross covariance of
+    `cross_covariance_every_entry`: the bit-exact reference of the distinct-ratio
+    evaluation."""
+    with mock.patch.object(fbm, "_cross_covariance", cross_covariance_every_entry):
+        return build_joint_covariance(grid, H).fbm_factor
 
 
 def sigma_matrix(cov) -> np.ndarray:
@@ -489,6 +511,70 @@ def test_factor_reproduces_matrix_on_any_grid(H, steps_per_year, maturities):
     shift[:grid.n] = cov.jitter
     factor = cholesky_factor(cov)
     assert_allclose(factor @ factor.T, sigma_matrix(cov) + np.diag(shift), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(H=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).filter(lambda h: h != 0.5),
+       steps_per_year=st.integers(12, 260),
+       maturities=st.lists(st.floats(0.01, 1.5), min_size=1, max_size=4),
+       threads=st.integers(1, 4))
+def test_distinct_ratio_factor_is_bit_identical_on_any_grid(H, steps_per_year, maturities,
+                                                             threads):
+    grid = TimeGrid.with_maturities(maturities, steps_per_year)
+    cov = build_joint_covariance(grid, H, threads=threads)
+    assert np.array_equal(cov.fbm_factor, factor_every_entry(grid, H))
+
+
+PRODUCTION_GRID = TimeGrid.with_maturities([91 / 365, 182 / 365, 273 / 365, 1.0], 1008)
+
+
+@pytest.mark.parametrize("H", [0.08, 0.2, 0.45])
+def test_distinct_ratio_factor_is_bit_identical_at_1008_steps(H):
+    reference = factor_every_entry(PRODUCTION_GRID, H)
+    for threads in (1, 2):
+        cov = build_joint_covariance(PRODUCTION_GRID, H, threads=threads)
+        assert np.array_equal(cov.fbm_factor, reference), threads
+
+
+@pytest.mark.parametrize("threads", [0, -2])
+def test_thread_count_below_one_builds_serially(threads):
+    # as parallel_map does: a library caller's count below 1 means one thread
+    cov = build_joint_covariance(UNION_GRID, 0.2, threads=threads)
+    assert np.array_equal(cov.fbm_factor, build_joint_covariance(UNION_GRID, 0.2).fbm_factor)
+
+
+def test_distinct_ratio_split_under_thread_contention():
+    # eight threads on fewer cores, switching every microsecond, each write their
+    # interleaved share of the same two arrays: a lost or misplaced write moves bits
+    reference = factor_every_entry(UNION_GRID, 0.2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+            cov = pool.submit(build_joint_covariance, UNION_GRID, 0.2, 8).result(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(cov.fbm_factor, reference)
+
+
+def test_jitter_is_logged_with_h_and_n(monkeypatch, caplog):
+    real, attempts = np.linalg.cholesky, []
+
+    def fail_once(a):
+        attempts.append(a)
+        if len(attempts) == 1:
+            raise np.linalg.LinAlgError("forced")
+        return real(a)
+
+    grid = TimeGrid.regular(1.0, 4)
+    with caplog.at_level(logging.INFO, logger="roughvol.fbm"):
+        assert build_joint_covariance(grid, 0.3).jitter == 0.0
+        assert caplog.records == []
+        monkeypatch.setattr(np.linalg, "cholesky", fail_once)
+        cov = build_joint_covariance(grid, 0.3)
+    assert cov.jitter == JITTER_LADDER[0]
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("roughvol.fbm", "INFO", "covariance jitter 1e-14 added at H=0.3, n=4")]
 
 
 def test_factorization_failure_names_conditional_covariance(monkeypatch):
