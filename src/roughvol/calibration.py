@@ -16,8 +16,8 @@ selection of size 3, per-gene blend crossover, Gaussian mutation with sigma = 5%
 bound width, elitism of 2). The local stage is bound-constrained least squares on the
 residual vector sqrt(w_i) (C_i^Theta - C_i^mkt) with one-sided finite differences of
 step 1e-4 x bound width. Model variants fix parameters by collapsing their bounds
-(lower = upper); collapsed components are removed from the optimizer's vector and
-reinstated exactly on output.
+(lower = upper, `_VARIANT_PINS`); collapsed components are removed from the
+optimizer's vector and reinstated exactly on output.
 """
 from __future__ import annotations
 
@@ -44,7 +44,11 @@ __all__ = [
     "calibrate",
 ]
 
-MODEL_VARIANTS = ("alphaRFSV", "RFSV", "rBergomi", "fixed_H")
+#: the parameters each model variant pins, and their values; the rest are fitted
+#: within the bounds. alphaRFSV frees alpha, and fixed_H is the H = 1/2 baseline.
+_VARIANT_PINS = {"alphaRFSV": {}, "RFSV": {"alpha": 0.0}, "rBergomi": {"alpha": 1.0},
+                 "fixed_H": {"H": 0.5}}
+MODEL_VARIANTS = tuple(_VARIANT_PINS)
 
 #: position of the Hurst index in a parameter vector.
 _H = PARAM_NAMES.index("H")
@@ -59,7 +63,8 @@ _FD_REL_STEP = 1e-4
 
 @dataclass(frozen=True)
 class ParamBounds:
-    """Componentwise box for (sigma0, rho, H, xi, alpha); collapsed bounds fix a value."""
+    """Componentwise box over the parameters in `PARAM_NAMES` order; collapsed bounds
+    fix a value."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -69,8 +74,8 @@ class ParamBounds:
         upper = np.asarray(self.upper, dtype=float)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
-        if lower.shape != (5,) or upper.shape != (5,):
-            raise ValueError("bounds must cover the 5 model parameters")
+        if lower.shape != (len(PARAM_NAMES),) or upper.shape != (len(PARAM_NAMES),):
+            raise ValueError(f"bounds must cover the {len(PARAM_NAMES)} model parameters")
         if np.any(lower > upper):
             raise ValueError("lower bounds must not exceed upper bounds")
         # the box is a product of intervals: if both corners are valid, so is every point
@@ -125,14 +130,8 @@ class CalibrationConfig:
             raise ValueError(f"unknown model variant {self.model_variant!r}")
 
     def effective_bounds(self) -> ParamBounds:
-        """Variant-specific bound collapse: one code path for all four model variants."""
-        if self.model_variant == "RFSV":
-            return self.bounds.with_fixed(alpha=0.0)
-        if self.model_variant == "rBergomi":
-            return self.bounds.with_fixed(alpha=1.0)
-        if self.model_variant == "fixed_H":
-            return self.bounds.with_fixed(H=0.5)
-        return self.bounds
+        """The bounds with the variant's pins (`_VARIANT_PINS`) collapsed."""
+        return self.bounds.with_fixed(**_VARIANT_PINS[self.model_variant])
 
 
 @dataclass(frozen=True)
@@ -262,10 +261,10 @@ def _ga_minimize(config: CalibrationConfig, objective_fn):
     bounds = config.effective_bounds()
     lower, width = bounds.lower, bounds.width
     rng = np.random.default_rng(np.random.SeedSequence([int(config.seed), _STREAM_GA]))
-    pop_size = config.ga_population
+    pop_size, dim = config.ga_population, len(PARAM_NAMES)
     n_elite = min(2, pop_size)
 
-    pop = lower + rng.uniform(size=(pop_size, 5)) * width
+    pop = lower + rng.uniform(size=(pop_size, dim)) * width
     values = _evaluate_all(objective_fn, list(pop), config.threads)
     best_idx = int(np.argmin(values))
     best_theta, best_value = pop[best_idx].copy(), float(values[best_idx])
@@ -281,9 +280,9 @@ def _ga_minimize(config: CalibrationConfig, objective_fn):
                 contenders = rng.integers(0, pop_size, size=3)
                 parents.append(pop[contenders[np.argmin(values[contenders])]])
             # per-gene blend crossover, then Gaussian mutation at 5% of bound width
-            mix = rng.uniform(size=5)
+            mix = rng.uniform(size=dim)
             child = mix * parents[0] + (1.0 - mix) * parents[1]
-            child += rng.standard_normal(5) * 0.05 * width
+            child += rng.standard_normal(dim) * 0.05 * width
             new_pop.append(bounds.clip(child))
         pop = np.array(new_pop)
         # the objective is deterministic: the elites keep their values unrepriced

@@ -79,19 +79,29 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _theta_block(block, source, partial: bool = False) -> dict:
-    """The parameters of a JSON parameter block, checked.
+#: the command-line flag of each parameter: its name, apart from --hurst for H
+_THETA_FLAGS = {name: "--" + {"H": "hurst"}.get(name, name) for name in PARAM_NAMES}
 
-    ``block`` must be a JSON object with a number for each parameter it names, and,
-    unless ``partial``, for every one (`json_field`). The values come back as written,
-    so an integer stays one.
+
+def _param_block(block, source, kind: type = float, partial: bool = False) -> dict:
+    """The entries of a parameter-keyed JSON block read from ``source``, checked.
+
+    ``block`` must be a JSON object whose keys are parameter names, with a ``kind``
+    value (`json_field`) for each parameter it names and, unless ``partial``, for
+    every one. A name outside `PARAM_NAMES` raises ValueError naming ``source`` and
+    the name. The values come back as written, in `PARAM_NAMES` order, so an integer
+    stays one.
     """
-    source = f"{source}: 'theta' block"
-    block = json_kind(block, dict, source)
-    names = [name for name in PARAM_NAMES if name in block or not partial]
-    for name in names:
-        json_field(block, name, float, source)
-    return {name: block[name] for name in names}
+    names = ", ".join(PARAM_NAMES)
+    block = json_kind(block, dict, f"{source} (an object keyed by {names})")
+    unknown = [name for name in block if name not in PARAM_NAMES]
+    if unknown:
+        raise ValueError(f"{source}: unknown parameter {', '.join(map(repr, unknown))}"
+                         f" (the parameters are {names})")
+    read = [name for name in PARAM_NAMES if name in block or not partial]
+    for name in read:
+        json_field(block, name, kind, source)
+    return {name: block[name] for name in read}
 
 
 def _fields(obj: dict, keys, kind: type, source) -> list:
@@ -101,7 +111,8 @@ def _fields(obj: dict, keys, kind: type, source) -> list:
 
 def _read_theta(path) -> ModelParams:
     """The model parameters of a calibration file's ``theta`` block."""
-    return ModelParams(**_theta_block(read_json_object(path).get("theta"), path))
+    data = read_json_object(path)
+    return ModelParams(**_param_block(data.get("theta"), f"{path}: 'theta' block"))
 
 
 def _number_or_text(text: str):
@@ -207,20 +218,20 @@ def _resolve_theta(settings: _Settings) -> ModelParams:
     object), then the config 'theta' block, then the flags, each overriding the last."""
     params_file, config_file = settings.get("params"), settings.args.config
     data = read_json_object(params_file) if params_file else {}
-    flags = {name: getattr(settings.args, name) for name in PARAM_NAMES
-             if getattr(settings.args, name) is not None}
     values: dict = {}
     for block, source in ((data.get("theta", data), params_file),
-                          (settings.config.get("theta", {}), config_file),
-                          (flags, "flags")):
-        values.update(_theta_block(block, source, partial=True))
+                          (settings.config.get("theta", {}), config_file)):
+        values.update(_param_block(block, f"{source}: 'theta' block", partial=True))
+    values.update((name, getattr(settings.args, name)) for name in PARAM_NAMES
+                  if getattr(settings.args, name) is not None)
     missing = [n for n in PARAM_NAMES if n not in values]
     if missing:
         read = ", ".join(str(f) for f in (params_file, config_file) if f)
+        flags = "/".join(_THETA_FLAGS.values())
         raise ValueError(
             f"model parameters missing: {', '.join(missing)}"
-            + (f" (not in {read})" if read else "") + "; pass --sigma0/--rho/"
-            "--hurst/--xi/--alpha, a config 'theta' block, or --params <file.json>")
+            + (f" (not in {read})" if read else "")
+            + f"; pass {flags}, a config 'theta' block, or --params <file.json>")
     return ModelParams(**values)
 
 
@@ -232,15 +243,10 @@ def _resolve_bounds(settings: _Settings) -> ParamBounds:
     if overrides is None:
         return bounds
     source = f"{settings.args.config}: 'bounds'"
-    overrides = json_kind(overrides, dict,
-                          f"{source} (maps {', '.join(PARAM_NAMES)} to [lower, upper])")
     lower, upper = bounds.lower.copy(), bounds.upper.copy()
-    for name, pair in overrides.items():
-        if name not in PARAM_NAMES:
-            raise ValueError(f"{source}: unknown parameter {name!r}")
-        entry = f"{source} entry {name!r}"
-        if json_kind(pair, np.ndarray, entry).shape != (2,):
-            raise ValueError(f"{entry} must be [lower, upper], got {pair!r}")
+    for name, pair in _param_block(overrides, source, np.ndarray, partial=True).items():
+        if np.shape(pair) != (2,):
+            raise ValueError(f"{source}: {name!r} must be [lower, upper], got {pair!r}")
         i = PARAM_NAMES.index(name)
         lower[i], upper[i] = pair
     return ParamBounds(lower=lower, upper=upper)
@@ -432,7 +438,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     calibration_file = settings.get("calibration")
     if calibration_file:
         calib = read_json_object(calibration_file)
-        theta = ModelParams(**_theta_block(calib.get("theta"), calibration_file))
+        theta = ModelParams(**_param_block(calib.get("theta"),
+                                           f"{calibration_file}: 'theta' block"))
         trade_date, variant = (json_kind(calib.get(key, "n/a"), str,
                                          f"{calibration_file}: {key!r}")
                                for key in ("trade_date", "variant"))
@@ -463,11 +470,11 @@ def cmd_report(args: argparse.Namespace) -> int:
                  "relative errors; Rel IQR columns summarize the coefficient "
                  "interquartile ranges normalized by their averages.")
     lines.append("")
-    means, rel_iqr = (_fields(json_field(boot, key, dict, bootstrap_file), PARAM_NAMES,
-                              float, bootstrap_file) for key in ("theta_hat", "rel_iqr"))
+    means, rel_iqr = (_param_block(boot.get(key), f"{bootstrap_file}: {key!r}")
+                      for key in ("theta_hat", "rel_iqr"))
     lines += _md_table(["parameter", "bootstrap mean", "Rel IQR"],
-                       [[n, f"{mean:.6g}", format_pct(rel)] for n, mean, rel
-                        in zip(PARAM_NAMES, means, rel_iqr)])
+                       [[n, f"{means[n]:.6g}", format_pct(rel_iqr[n])]
+                        for n in PARAM_NAMES])
     lines.append("")
     bre, v = _fields(boot, ("bre", "v"), np.ndarray, bootstrap_file)
     lines += _md_table(["mean BRE", "max BRE", "mean V", "max V"],
@@ -521,11 +528,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_theta_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--sigma0", type=float, default=None, dest="sigma0")
-    parser.add_argument("--rho", type=float, default=None, dest="rho")
-    parser.add_argument("--hurst", type=float, default=None, dest="H")
-    parser.add_argument("--xi", type=float, default=None, dest="xi")
-    parser.add_argument("--alpha", type=float, default=None, dest="alpha")
+    for name, flag in _THETA_FLAGS.items():
+        parser.add_argument(flag, type=float, default=None, dest=name)
     parser.add_argument("--params", default=None,
                         help="JSON file with a 'theta' block (e.g. a calibration output)")
 

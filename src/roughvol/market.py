@@ -144,6 +144,11 @@ def compute_weights(quotes, rule: str = "inv_spread_sq") -> np.ndarray:
 
 
 def _parse_row(row: dict, line: int) -> tuple[OptionQuote, dt.date] | str:
+    # csv.DictReader files the fields beyond the header under the key None, and gives
+    # each field that a short row lacks the value None
+    extra, missing = row.get(None, ()), list(row.values()).count(None)
+    if extra or missing:
+        return f"{len(CSV_HEADER) + len(extra) - missing} fields, expected {len(CSV_HEADER)}"
     try:
         trade = dt.date.fromisoformat(row["trade_date"])
         expiry = dt.date.fromisoformat(row["expiry_date"])
@@ -222,8 +227,9 @@ def load_chain(path, weight_rule: str = "inv_spread_sq") -> OptionStructure:
     """Load and validate a chain CSV plus its JSON sidecar (spot, rate, day_count).
 
     The sidecar is the chain path with a ``.json`` suffix: ``chain.csv`` reads
-    ``chain.json``. All offending rows are reported together in one ChainFormatError;
-    row order is preserved on success.
+    ``chain.json``. All offending rows, rows with more or fewer fields than the header
+    included, are reported together in one ChainFormatError; row order is preserved
+    on success.
     """
     path = Path(path)
     sidecar = path.with_suffix(".json")

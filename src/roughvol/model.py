@@ -13,7 +13,7 @@ volatility path up to the time discretization of the stochastic integral.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,13 +22,11 @@ from .fbm import PathBundle
 __all__ = ["PARAM_NAMES", "ModelParams", "MarketEnv", "volatility_paths",
            "log_price_paths"]
 
-#: canonical parameter order used by arrays, bounds and optimizers.
-PARAM_NAMES = ("sigma0", "rho", "H", "xi", "alpha")
-
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Model parameter vector Theta = (sigma0, rho, H, xi, alpha)."""
+    """Model parameter vector Theta; its field order is the parameter order
+    (`PARAM_NAMES`) of every array, bound and optimizer."""
 
     sigma0: float
     rho: float
@@ -49,11 +47,16 @@ class ModelParams:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.sigma0, self.rho, self.H, self.xi, self.alpha])
+        return np.array([getattr(self, name) for name in PARAM_NAMES])
 
     @classmethod
     def from_array(cls, values) -> "ModelParams":
         return cls(*(float(v) for v in values))
+
+
+#: canonical parameter order used by arrays, bounds and optimizers: the field order
+#: of `ModelParams`, its one declaration.
+PARAM_NAMES = tuple(f.name for f in fields(ModelParams))
 
 
 def _theta_samples(values) -> np.ndarray:

@@ -52,11 +52,11 @@ __all__ = [
     "price_chain",
 ]
 
-ESTIMATORS = ("plain", "conditional_mixed")
-
-#: priced paths per independent sample: the plain estimator's paths are i.i.d., the
-#: conditional one prices each base draw and its antithetic mirror as one pair.
+#: priced paths per independent sample of each estimator: the plain estimator's paths
+#: are i.i.d., the conditional one prices each base draw and its antithetic mirror as
+#: one pair.
 _PATHS_PER_SAMPLE = {"plain": 1, "conditional_mixed": 2}
+ESTIMATORS = tuple(_PATHS_PER_SAMPLE)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import pytest
 
 from roughvol import bootstrap as boot_mod
 from roughvol import calibration, fbm, pricing, stats
-from roughvol.cli import _atomic_path, _Settings, main
+from roughvol.cli import _atomic_path, _Settings, build_parser, main
 from roughvol.market import load_chain
 from roughvol.model import PARAM_NAMES
 
@@ -454,7 +454,8 @@ THETA_SOURCES = ["price --params", "config theta", "bootstrap --calibration",
     ({**TRUTH_THETA, "H": True}, "'H'"),
     (5, "'theta'"),
     ({n: v for n, v in TRUTH_THETA.items() if n != "H"}, "H"),
-], ids=["string", "numeric-string", "bool", "not-an-object", "missing"])
+    ({**TRUTH_THETA, "hurst": 0.2}, "'hurst'"),
+], ids=["string", "numeric-string", "bool", "not-an-object", "missing", "unknown-name"])
 def test_bad_theta_block_reports_json(pipeline, tmp_path, capsys, source, block, named):
     rc, path, artifact = _run_theta_source(source, block, pipeline, tmp_path)
     assert rc == 1
@@ -482,6 +483,64 @@ def test_params_file_takes_a_bare_parameter_object(pipeline, tmp_path):
                  "--threads", "1", "--out", str(out)])
     assert (tmp_path / "a" / "prices.csv").read_bytes() == (
         tmp_path / "b" / "prices.csv").read_bytes()
+
+
+@pytest.mark.parametrize("source", ["params-bare", "significance-restricted", "bounds",
+                                    "report-theta-hat", "report-rel-iqr"])
+def test_unknown_parameter_name_reports_json(pipeline, tmp_path, capsys, source):
+    # every parameter-keyed block refuses a name outside PARAM_NAMES, naming its file
+    chain, out, path = str(pipeline / "chain.csv"), tmp_path / "out", tmp_path / "in.json"
+    small = ["--path-count", "200", "--steps-per-year", "12", "--threads", "1"]
+    if source == "params-bare":
+        path.write_text(json.dumps({**TRUTH_THETA, "hurst": 0.2}))
+        argv, artifact = ["price", "--chain", chain, "--params", str(path)], "prices.csv"
+    elif source == "significance-restricted":
+        path.write_text(json.dumps({"theta": {**TRUTH_THETA, "hurst": 0.2}}))
+        argv = ["significance", "--chain", chain, "--full", str(pipeline / "full.json"),
+                "--restricted", str(path), "--repetitions", "2"]
+        artifact = "significance.json"
+    elif source == "bounds":
+        path.write_text(json.dumps({"bounds": {"sigma0": [0.05, 0.1],
+                                               "hurst": [0.1, 0.2]}}))
+        argv = ["calibrate", "--chain", chain, "--config", str(path),
+                "--ga-population", "4", "--ga-generations", "1"]
+        artifact = "calibration.json"
+    else:
+        boot = json.loads((pipeline / "bootstrap.json").read_text())
+        boot["theta_hat" if source == "report-theta-hat" else "rel_iqr"]["hurst"] = 0.2
+        path.write_text(json.dumps(boot))
+        argv, artifact, small = ["report", "--bootstrap", str(path)], "report.md", []
+    assert main([*argv, *small, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert str(path) in err["message"]
+    assert "unknown parameter 'hurst'" in err["message"].replace(str(path), "")
+    assert not (out / artifact).exists()
+
+
+@pytest.mark.parametrize("command", ["price", "synth-chain"])
+def test_theta_flags_set_the_parameters_in_order(command):
+    # one flag per parameter, in PARAM_NAMES order; H's flag is spelt --hurst
+    sub = build_parser()._subparsers._group_actions[0].choices[command]
+    theta = [a for a in sub._actions if a.dest in PARAM_NAMES]
+    assert [a.option_strings for a in theta] == [
+        ["--sigma0"], ["--rho"], ["--hurst"], ["--xi"], ["--alpha"]]
+    assert tuple(a.dest for a in theta) == PARAM_NAMES
+    args = build_parser().parse_args([command, "--sigma0", "0.1", "--rho", "-0.2",
+                                      "--hurst", "0.3", "--xi", "0.4", "--alpha", "0.5"])
+    assert [getattr(args, name) for name in PARAM_NAMES] == [0.1, -0.2, 0.3, 0.4, 0.5]
+
+
+def test_missing_parameters_name_their_flags(pipeline, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["price", "--chain", str(pipeline / "chain.csv"), "--sigma0", "0.1",
+                 "--hurst", "0.2", "--threads", "1", "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message":
+                   "model parameters missing: rho, xi, alpha; pass --sigma0/--rho/"
+                   "--hurst/--xi/--alpha, a config 'theta' block, or --params "
+                   "<file.json>"}
+    assert not (out / "prices.csv").exists()
 
 
 def test_report_calibration_without_theta_reports_json(pipeline, tmp_path, capsys):

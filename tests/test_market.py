@@ -194,13 +194,16 @@ def test_load_collects_all_bad_rows(tmp_path):
         ["2026-01-02", "2026-02-01", "100", "5.2", "5.0", "5.0", ""],   # bid > ask
         ["2026-01-02", "2025-12-01", "100", "4.9", "5.1", "5.0", ""],   # expiry past
         ["2026-01-02", "not-a-date", "100", "4.9", "5.1", "5.0", ""],   # unparseable
+        [*GOOD_ROW, "999"],                                             # extra field
+        GOOD_ROW[:-1],                                                  # no volume field
     ]
     csv_path = write_fixture(tmp_path, rows)
     with pytest.raises(ChainFormatError) as exc_info:
         load_chain(csv_path)
     err = exc_info.value
-    assert [i for i, _ in err.rows] == [1, 2, 3]
+    assert [i for i, _ in err.rows] == [1, 2, 3, 4, 5]
     assert "exceeds ask" in str(err)
+    assert err.rows[3:] == [(4, "8 fields, expected 7"), (5, "6 fields, expected 7")]
 
 
 def test_load_names_each_non_finite_row(tmp_path):
