@@ -76,8 +76,11 @@ class ParamBounds:
         object.__setattr__(self, "upper", upper)
         if lower.shape != (len(PARAM_NAMES),) or upper.shape != (len(PARAM_NAMES),):
             raise ValueError(f"bounds must cover the {len(PARAM_NAMES)} model parameters")
-        if np.any(lower > upper):
-            raise ValueError("lower bounds must not exceed upper bounds")
+        inverted = [f"{name} [{lo}, {hi}]"
+                    for name, lo, hi in zip(PARAM_NAMES, lower, upper) if lo > hi]
+        if inverted:
+            raise ValueError("lower bounds must not exceed upper bounds: "
+                             + ", ".join(inverted))
         # the box is a product of intervals: if both corners are valid, so is every point
         for corner in (lower, upper):
             try:

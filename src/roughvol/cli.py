@@ -249,7 +249,10 @@ def _resolve_bounds(settings: _Settings) -> ParamBounds:
             raise ValueError(f"{source}: {name!r} must be [lower, upper], got {pair!r}")
         i = PARAM_NAMES.index(name)
         lower[i], upper[i] = pair
-    return ParamBounds(lower=lower, upper=upper)
+    try:
+        return ParamBounds(lower=lower, upper=upper)
+    except ValueError as exc:  # an inverted pair or one outside the model's domain
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def _calibration_config(settings: _Settings) -> CalibrationConfig:

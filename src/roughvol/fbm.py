@@ -18,6 +18,9 @@ K_H(t,u) du — and draws exact joint Gaussian paths plus, on request, an indepe
 orthogonal increment set (the asset scheme and the plain estimator read it; the
 conditional estimator integrates it out, so it is not drawn there). Sampling is blocked
 with per-block RNG streams so results are bit-identical at any degree of parallelism.
+Draws and paths are stored time-major (Fortran order), shapes unchanged at paths x
+steps: each grid step's values for every path are contiguous, which is the order in
+which the left-point sums (`model._left_point_sums`) walk them.
 The law is symmetric: the negated draws -Z give the antithetic mirror of a path, with
 fBm -B^H and increments -dW, which the conditional estimator prices from the sampled
 path itself, with no second draw and no second product.
@@ -87,6 +90,12 @@ log = logging.getLogger(__name__)
 #: frozen pricer's path cache: every price pools per-block estimates, with one block
 #: in flight per worker.
 PATH_BLOCK = 4096
+
+#: entries per panel of the time-major kernels (2 MB of float64 per temporary), so
+#: the temporaries stay in cache at any grid size: a draw reads its stream into C-order
+#: panels of _CHUNK_ENTRIES // columns rows, and the left-point sums walk panels of
+#: _CHUNK_ENTRIES // paths contiguous steps.
+_CHUNK_ENTRIES = 1 << 18
 
 #: escalating diagonal jitter schedule for nearly rank-deficient covariance matrices.
 JITTER_LADDER = (1e-14, 1e-13, 1e-12, 1e-11, 1e-10)
@@ -334,8 +343,10 @@ class PathBundle:
     view of the draws [dW | Z_B]; W itself is never formed. ``w_tilde_increments[:, k]``
     is an N(0, deltas[k]) draw independent of everything else — the orthogonal
     Brownian component consumed by the asset scheme — or None when it was not drawn.
-    The path count is ``fbm_paths.shape[0]``. Identical (seed, grid, path count)
-    reproduce bit-identical bundles.
+    The path count is ``fbm_paths.shape[0]``. Every array is time-major (Fortran
+    order, or a row slice of a Fortran-order array), shapes unchanged at paths x
+    steps: the values of one grid step are contiguous. Identical (seed, grid, path
+    count) reproduce bit-identical bundles.
     """
 
     fbm_paths: np.ndarray
@@ -373,19 +384,38 @@ def _block_normals(seed: int, b: int, path_count: int, grid: TimeGrid,
     """Block b's draws from its own stream, Z (rows x 2n) first, then Z_tilde (rows x n),
     returned as [dW | Z_B] and dW~: the one place where normals are scaled by sqrt(dt).
 
-    Without ``orthogonal`` Z_tilde is not drawn and dW~ is None; Z keeps its bits,
-    since it comes first in the stream."""
+    Both arrays are time-major (Fortran order). The stream fills a C-order panel of
+    ``_CHUNK_ENTRIES // columns`` rows at a time, which is scaled and copied into place,
+    so every (row, column) holds its value in a one-shot ``standard_normal`` draw of the
+    whole block. Without ``orthogonal`` Z_tilde is not drawn and dW~ is None; Z keeps
+    its bits, since it comes first in the stream."""
     n = grid.n
     rows = min(PATH_BLOCK, path_count - b * PATH_BLOCK)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), _STREAM_PATHS, b]))
-    z = rng.standard_normal((rows, 2 * n))
     scale = np.sqrt(grid.deltas)
-    z[:, :n] *= scale
-    if not orthogonal:
-        return z, None
-    z_tilde = rng.standard_normal((rows, n))
-    z_tilde *= scale
-    return z, z_tilde
+
+    def draw(columns: int) -> np.ndarray:
+        draws = np.empty((rows, columns), order="F")
+        height = max(1, _CHUNK_ENTRIES // columns)
+        panel = np.empty((min(height, rows), columns))
+        for lo in range(0, rows, height):
+            part = panel[: min(height, rows - lo)]
+            rng.standard_normal(out=part)
+            part[:, :n] *= scale
+            draws[lo: lo + part.shape[0]] = part
+        return draws
+
+    z = draw(2 * n)
+    return z, draw(n) if orthogonal else None
+
+
+def _cumsum_steps(a: np.ndarray) -> np.ndarray:
+    """``np.cumsum(a, axis=1)`` in place for a time-major ``a``, bit for bit: the same
+    sequential additions, one contiguous column of steps at a time (numpy's cumsum
+    would walk the strided axis, 5-7x slower at 4096 x 1011)."""
+    for k in range(1, a.shape[1]):
+        a[:, k] += a[:, k - 1]
+    return a
 
 
 def parallel_map(fn, items, threads: int) -> list:
@@ -408,24 +438,27 @@ def draw_normal_bundle(grid: TimeGrid, path_count: int, seed: int, *,
 
     dW and dW~ are the Wiener and orthogonal increments on ``grid``, Z_B the normals
     that drive the part of B^H independent of W (see `JointCovariance`); none depends
-    on H. Without ``orthogonal`` dW~ is neither drawn nor stored, and is None. Block b
-    draws from the same per-block stream as `sample_paths` with ``block=b``, so
-    transforming any PATH_BLOCK row slice of these draws reproduces that block bit for
-    bit. The blocks are drawn in order on the calling thread. This is the object a
-    common-random-numbers calibration freezes.
+    on H. Without ``orthogonal`` dW~ is neither drawn nor stored, and is None. Both
+    arrays are time-major (Fortran order), shapes unchanged, and each value sits where
+    a row-major draw of the block puts it. Block b draws from the same per-block stream
+    as `sample_paths` with ``block=b``, so transforming any PATH_BLOCK row slice of
+    these draws reproduces that block bit for bit. The blocks are drawn in order on the
+    calling thread. This is the object a common-random-numbers calibration freezes.
     """
     if path_count < 1:
         raise ValueError("path_count must be >= 1")
     n = grid.n
-    z = np.empty((path_count, 2 * n))
-    z_tilde = np.empty((path_count, n)) if orthogonal else None
+    z = np.empty((path_count, 2 * n), order="F")
+    z_tilde = np.empty((path_count, n), order="F") if orthogonal else None
     for b in range(_block_count(path_count)):
         z_b, zt_b = _block_normals(seed, b, path_count, grid, orthogonal)
         rows = slice(b * PATH_BLOCK, b * PATH_BLOCK + z_b.shape[0])
         # Keep this copy and the free of the block buffer after it: freeing a block's
-        # draws (an mmap) raises glibc's dynamic mmap threshold above the pricing
-        # loop's per-block temporaries, so those come from the heap. Drawing in place
-        # or keeping per-block draws made a desk calibration fault in ~15x the pages.
+        # draws (an mmap) raises glibc's dynamic mmap threshold to its size, and the
+        # heap trim threshold to twice that, so the pricing loop's per-block
+        # temporaries come from a heap that is not trimmed after every call. Drawing
+        # in place left only the 2 MB draw panel to set them, and a desk calibration
+        # faulted in about 5x the pages (81k against 17k minor faults).
         z[rows] = z_b
         if orthogonal:
             z_tilde[rows] = zt_b
@@ -437,11 +470,20 @@ def _joint_paths(z: np.ndarray, w_tilde_increments: np.ndarray | None,
                  cov: JointCovariance) -> PathBundle:
     """The path kernel of `sample_paths` and `transform_normals`.
 
-    dW is a view of the draws [dW | Z_B], and B^H = [dW | Z_B] @ [K~ | L_S]^T; at
-    H = 1/2, B^H = cumsum(dW) with no product.
+    dW is a view of the draws [dW | Z_B], and B^H = [dW | Z_B] @ [K~ | L_S]^T, formed
+    as ([K~ | L_S] @ [dW | Z_B]^T)^T so that it comes out time-major, one product per
+    PATH_BLOCK rows: BLAS may round a product over more rows differently, and this
+    way the rows of a whole draw are its blocks' bit for bit. At H = 1/2,
+    B^H = cumsum(dW) with no product.
     """
     dw = z[:, : cov.grid.n]
-    fbm = np.cumsum(dw, axis=1) if cov.H == 0.5 else z @ cov.fbm_factor.T
+    if cov.H == 0.5:
+        fbm = _cumsum_steps(np.array(dw, order="F"))
+    else:  # one product per PATH_BLOCK rows, as each block alone is formed
+        fbm = np.empty((z.shape[0], cov.grid.n), order="F")
+        for lo in range(0, z.shape[0], PATH_BLOCK):
+            rows = slice(lo, lo + PATH_BLOCK)
+            np.matmul(cov.fbm_factor, z[rows].T, out=fbm[rows].T)
     return PathBundle(fbm_paths=fbm, w_increments=dw,
                       w_tilde_increments=w_tilde_increments, grid=cov.grid)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .fbm import PathBundle
+from .fbm import _CHUNK_ENTRIES, PathBundle, _cumsum_steps
 
 __all__ = ["PARAM_NAMES", "ModelParams", "MarketEnv", "volatility_paths",
            "log_price_paths"]
@@ -100,28 +100,27 @@ def volatility_paths(fbm_paths: np.ndarray, params: ModelParams, times,
     return sigma
 
 
-#: entries per row sub-block of the left-point sums (2 MB of float64 per temporary),
-#: so the temporaries stay in cache at any grid size.
-_CHUNK_ENTRIES = 1 << 18
-
-
 def _left_point_sums(bundle: PathBundle, params: ModelParams, nodes, integrand, *args,
                      mirror: bool = False):
     """Left-endpoint sums over [0, t_k] at each grid node k in ``nodes``.
 
     Each step uses the volatility at its left endpoint: at t = 0 for the first step,
-    at the previous node afterwards. The volatilities are formed per row sub-block,
-    from B^H = 0 at t = 0 (which gives sigma0 exactly) and the fBm at the earlier nodes.
-    ``integrand(sig, dw, dw_tilde, dt, *args)`` maps a sub-block of rows of those
-    volatilities, the matching Wiener and orthogonal increments (None when the bundle
-    has none) and the step sizes to a tuple of per-step arrays, and may overwrite
-    ``sig``. Each array is summed along each path with one sequential cumsum; one
-    (len(nodes) x paths) array per term is returned. Only one sub-block of full-length
-    temporaries is held at a time.
+    at the previous node afterwards. The bundle's arrays are time-major (memory order
+    only, shapes unchanged: see `PathBundle`), so the steps are walked in panels of
+    ``_CHUNK_ENTRIES // paths`` contiguous steps for every path at once. A panel's
+    volatilities are formed from B^H = 0 at t = 0 (which gives sigma0 exactly) and the
+    fBm at the earlier nodes. ``integrand(sig, dw, dw_tilde, dt, *args)`` maps a panel
+    of those volatilities, the matching Wiener and orthogonal increments (None when the
+    bundle has none) and the step sizes to a tuple of per-step arrays, and may
+    overwrite ``sig``. Each term is summed in place step by step, the running sum of
+    the previous panel carried into its first step: the sequential additions of one
+    cumsum along each path, so the sums keep its bits. They are recorded at the nodes;
+    one (len(nodes) x paths) array per term is returned. Only one panel of temporaries
+    is held at a time.
 
     With ``mirror`` every path is summed a second time as its antithetic mirror, whose
     fBm is -B^H and whose increments are -dW and -dW~. The mirror's volatilities are
-    formed from -B^H in the same sub-block, so no negated copy of the paths is stored;
+    formed from -B^H in the same panel, so no negated copy of the paths is stored;
     its sums follow the sampled paths' along the paths axis (len(nodes) x 2 paths).
     An integrand reads sigma only through sigma^2 and sigma times an increment, so
     the mirror's sigma against -dW is handed over as -sigma against +dW: the same
@@ -132,28 +131,36 @@ def _left_point_sums(bundle: PathBundle, params: ModelParams, nodes, integrand, 
     end = max(nodes) + 1
     dt = bundle.grid.deltas[:end]
     times = np.concatenate(([0.0], bundle.grid.times[: end - 1]))
-    chunk = max(1, _CHUNK_ENTRIES // end)
+    width = max(1, _CHUNK_ENTRIES // n_paths)
     signs = (1.0, -1.0) if mirror else (1.0,)
-    sums = None
-    for lo in range(0, n_paths, chunk):
-        rows = slice(lo, min(lo + chunk, n_paths))
-        dw = bundle.w_increments[rows, :end]
-        dwt = None if dw_tilde is None else dw_tilde[rows, :end]
+    sums = running = None
+    for lo in range(0, end, width):
+        hi = min(lo + width, end)
+        dw = bundle.w_increments[:, lo:hi]
+        dwt = None if dw_tilde is None else dw_tilde[:, lo:hi]
+        at = [(j, k - lo) for j, k in enumerate(nodes) if lo <= k < hi]
         for m, sign in enumerate(signs):
-            sig = np.empty((rows.stop - lo, end))
-            sig[:, 0] = 0.0
-            np.multiply(fbm[rows, : end - 1], sign, out=sig[:, 1:])  # B^H, then -B^H
-            volatility_paths(sig, params, times, out=sig)
+            sig = np.empty((n_paths, hi - lo), order="F")
+            head = 1 if lo == 0 else 0  # the first step's left endpoint: B^H = 0
+            sig[:, :head] = 0.0
+            np.multiply(fbm[:, lo + head - 1: hi - 1], sign, out=sig[:, head:])  # B^H, -B^H
+            volatility_paths(sig, params, times[lo:hi], out=sig)
             if sign < 0.0:
                 np.negative(sig, out=sig)  # the mirror: -sigma against +dW, see above
-            steps = integrand(sig, dw, dwt, dt, *args)
+            terms = integrand(sig, dw, dwt, dt[lo:hi], *args)
             if sums is None:
-                sums = [np.empty((len(nodes), len(signs) * n_paths)) for _ in steps]
-            for total, step in zip(sums, steps):
-                np.cumsum(step, axis=1, out=step)
-                total[:, m * n_paths + lo: m * n_paths + rows.stop] = step[:, nodes].T
-            # free this sub-block before the next one is allocated
-            del sig, steps, step
+                sums = [np.empty((len(nodes), len(signs) * n_paths)) for _ in terms]
+                running = np.empty((len(signs), len(terms), n_paths))
+            cols = slice(m * n_paths, (m + 1) * n_paths)
+            for total, carried, term in zip(sums, running[m], terms):
+                if lo:
+                    term[:, 0] += carried  # the sum up to the panel's first step
+                _cumsum_steps(term)
+                carried[:] = term[:, -1]
+                for j, k in at:
+                    total[j, cols] = term[:, k]
+            # free this panel before the next one is allocated
+            del sig, terms, term
     return sums
 
 

@@ -152,8 +152,7 @@ def chain_estimates(bundle: PathBundle, params: ModelParams, env: MarketEnv,
     of the randomness remains, and a pair cancels the part that is odd in the draws.
     Each maturity's strikes are reduced in one (strikes x samples) step.
     """
-    if estimator not in ESTIMATORS:
-        raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
+    _check_estimator(estimator)
     by_maturity: dict[float, list[int]] = {}
     for i, (_, t) in enumerate(options):
         by_maturity.setdefault(t, []).append(i)
@@ -234,6 +233,11 @@ def _block_estimates(bundle_of, n_blocks: int, params: ModelParams, env: MarketE
     return [_pool_estimates(parts) for parts in zip(*per_block)]
 
 
+def _check_estimator(estimator: str) -> None:
+    if estimator not in ESTIMATORS:
+        raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
+
+
 def _checked_options(options, path_count: int, estimator: str) -> tuple:
     """``options`` as a tuple of float (strike, maturity) pairs, once the inputs of a
     fresh-draw price are checked: a nonempty option list, strikes and maturities
@@ -247,8 +251,7 @@ def _checked_options(options, path_count: int, estimator: str) -> tuple:
             raise ValueError(f"strikes must be positive and finite, got {k}")
         if not 0.0 < t < math.inf:
             raise ValueError(f"maturities must be positive and finite, got {t}")
-    if estimator not in ESTIMATORS:
-        raise ValueError(f"estimator must be one of {ESTIMATORS}")
+    _check_estimator(estimator)
     if path_count < 1:
         raise ValueError("path_count must be >= 1")
     return options
@@ -268,6 +271,13 @@ def fresh_estimates(cov: JointCovariance, params: ModelParams, env: MarketEnv, o
     once priced, so memory holds one block per worker at any ``path_count``.
     """
     options = _checked_options(options, path_count, estimator)
+    return _fresh_blocks(cov, params, env, options, path_count, seed, estimator, threads)
+
+
+def _fresh_blocks(cov: JointCovariance, params: ModelParams, env: MarketEnv, options,
+                  path_count: int, seed: int, estimator: str,
+                  threads: int) -> list[PriceEstimate]:
+    """`fresh_estimates` on inputs its public callers have already checked."""
     draws = _base_draws(path_count, estimator)
 
     def bundle_of(b: int) -> PathBundle:
@@ -283,16 +293,15 @@ def price_chain(options, env: MarketEnv, params: ModelParams, path_count: int,
     """Price the (strike, maturity) ``options`` on ``path_count`` fresh paths over the
     union grid (regular at ``steps_per_year`` + quoted maturities), in option order.
 
-    The inputs are checked first (ValueError on an empty list, a strike or maturity
-    that is not positive and finite, an unknown ``estimator`` or ``path_count < 1``).
-    One covariance is built and factorized, its special functions split over
-    ``threads``; the paths are then streamed block by block through `fresh_estimates`,
-    with ``threads`` blocks at once. Estimates are byte-identical at any ``threads``
-    and equal a single-bundle `chain_estimates` of the same draw up to the rounding of
-    the pooled sums.
+    The inputs are checked first, and only here (ValueError on an empty list, a strike
+    or maturity that is not positive and finite, an unknown ``estimator`` or
+    ``path_count < 1``). One covariance is built and factorized, its special functions
+    split over ``threads``; the paths are then streamed block by block as in
+    `fresh_estimates`, with ``threads`` blocks at once. Estimates are byte-identical at
+    any ``threads`` and equal a single-bundle `chain_estimates` of the same draw up to
+    the rounding of the pooled sums.
     """
     options = _checked_options(options, path_count, estimator)
     grid = TimeGrid.with_maturities([t for _, t in options], steps_per_year)
     cov = build_joint_covariance(grid, params.H, threads)
-    return fresh_estimates(cov, params, env, options, path_count, seed, estimator,
-                           threads)
+    return _fresh_blocks(cov, params, env, options, path_count, seed, estimator, threads)

@@ -933,12 +933,14 @@ def test_threads_environment_variable_must_be_an_integer(pipeline, tmp_path, cap
     assert not (tmp_path / "prices.csv").exists()
 
 
-@pytest.mark.parametrize("bounds", [{"sigma0": [0.05]}, {"sigma0": [0.05, 0.1, 7]},
-                                    {"sigma0": 0.05}, {"sigma0": [0.05, "0.1"]},
-                                    [[0.05, 0.1]], [], False, 0],
-                         ids=["one", "three", "scalar", "string", "not-a-map",
-                              "empty-list", "false", "zero"])
-def test_malformed_bounds_config_reports_json(pipeline, tmp_path, capsys, bounds):
+@pytest.mark.parametrize("bounds,named", [
+    ({"sigma0": [0.05]}, "sigma0"), ({"sigma0": [0.05, 0.1, 7]}, "sigma0"),
+    ({"sigma0": 0.05}, "sigma0"), ({"sigma0": [0.05, "0.1"]}, "sigma0"),
+    ([[0.05, 0.1]], "sigma0"), ([], "sigma0"), (False, "sigma0"), (0, "sigma0"),
+    ({"H": [0.3, 0.2]}, "H [0.3, 0.2]"), ({"H": [0.0, 0.2]}, "H must lie in (0, 1), got 0.0"),
+], ids=["one", "three", "scalar", "string", "not-a-map", "empty-list", "false", "zero",
+        "inverted", "outside-domain"])
+def test_malformed_bounds_config_reports_json(pipeline, tmp_path, capsys, bounds, named):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"bounds": bounds}))
     rc = main(["calibrate", "--chain", str(pipeline / "chain.csv"), "--config", str(cfg),
@@ -947,7 +949,8 @@ def test_malformed_bounds_config_reports_json(pipeline, tmp_path, capsys, bounds
     assert rc == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError"
-    assert "sigma0" in err["message"] and "bounds" in err["message"]
+    assert named in err["message"] and "bounds" in err["message"]
+    assert f"{cfg}: 'bounds'" in err["message"]  # the file and the key
     assert not (tmp_path / "calibration.json").exists()
 
 

@@ -656,18 +656,56 @@ def test_block_boundary_paths_are_stable():
 
 
 def test_single_block_equals_rows_of_full_draw():
-    grid = TimeGrid.regular(1.0, 6)
-    cov = build_joint_covariance(grid, 0.15)
-    path_count = 2 * fbm.PATH_BLOCK + 10  # the last block is short
-    full = sample_paths(cov, path_count, seed=13)
-    for b in range(3):
-        part = sample_paths(cov, path_count, seed=13, block=b)
-        rows = slice(b * fbm.PATH_BLOCK, min((b + 1) * fbm.PATH_BLOCK, path_count))
-        assert part.fbm_paths.shape[0] == rows.stop - rows.start
-        assert np.array_equal(part.fbm_paths, full.fbm_paths[rows])
-        assert np.array_equal(part.w_increments, full.w_increments[rows])
-        assert np.array_equal(part.w_tilde_increments, full.w_tilde_increments[rows])
-    assert part.fbm_paths.shape[0] == 10
+    # every array is time-major, and a block's paths equal its rows of the whole draw
+    # and the transform of its row slice of the frozen draws (strided views) bit for
+    # bit; at n = 300 one product over all rows would round the short block apart
+    for steps_per_year in (6, 300):
+        grid = TimeGrid.regular(1.0, steps_per_year)
+        cov = build_joint_covariance(grid, 0.15)
+        path_count = 2 * fbm.PATH_BLOCK + 10  # the last block is short
+        full = sample_paths(cov, path_count, seed=13)
+        z, w_tilde = draw_normal_bundle(grid, path_count, seed=13)
+        assert full.fbm_paths.flags.f_contiguous and z.flags.f_contiguous
+        assert w_tilde.flags.f_contiguous and full.w_tilde_increments.flags.f_contiguous
+        for b in range(3):
+            part = sample_paths(cov, path_count, seed=13, block=b)
+            rows = slice(b * fbm.PATH_BLOCK, min((b + 1) * fbm.PATH_BLOCK, path_count))
+            frozen = transform_normals(z[rows], w_tilde[rows], cov)
+            assert part.fbm_paths.shape[0] == rows.stop - rows.start
+            assert part.fbm_paths.flags.f_contiguous
+            assert frozen.fbm_paths.flags.f_contiguous
+            for bundle in (part, frozen):
+                assert np.array_equal(bundle.fbm_paths, full.fbm_paths[rows])
+                assert np.array_equal(bundle.w_increments, full.w_increments[rows])
+                assert np.array_equal(bundle.w_tilde_increments,
+                                      full.w_tilde_increments[rows])
+        assert part.fbm_paths.shape[0] == 10
+
+
+@pytest.mark.parametrize("orthogonal", [True, False])
+@pytest.mark.parametrize("chunk", [None, 997], ids=["default-panel", "small-panel"])
+def test_block_draws_are_the_one_shot_stream(monkeypatch, orthogonal, chunk):
+    # the panels read the block stream in row-major order: each (row, column) of the
+    # time-major draws holds the value of one standard_normal((rows, 2n)) call, then
+    # dW~ that of the following standard_normal((rows, n)), scaled as drawn; the row
+    # counts are no multiple of the panel height (997 // 2n or 2^18 // 2n)
+    if chunk is not None:
+        monkeypatch.setattr(fbm, "_CHUNK_ENTRIES", chunk)
+    grid = TimeGrid.with_maturities([0.21, 0.5, 1.0], 130 if chunk is None else 24)
+    n, seed, path_count = grid.n, 17, fbm.PATH_BLOCK + 1001
+    scale = np.sqrt(grid.deltas)
+    for b, rows in ((0, fbm.PATH_BLOCK), (1, 1001)):
+        z, z_tilde = fbm._block_normals(seed, b, path_count, grid, orthogonal)
+        assert z.shape == (rows, 2 * n) and z.flags.f_contiguous
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0, b]))
+        one_shot = rng.standard_normal((rows, 2 * n))
+        assert np.array_equal(z[:, :n], one_shot[:, :n] * scale)
+        assert np.array_equal(z[:, n:], one_shot[:, n:])
+        if orthogonal:
+            assert z_tilde.shape == (rows, n) and z_tilde.flags.f_contiguous
+            assert np.array_equal(z_tilde, rng.standard_normal((rows, n)) * scale)
+        else:
+            assert z_tilde is None
 
 
 def _spy(monkeypatch, name: str) -> list:

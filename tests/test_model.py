@@ -3,7 +3,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from roughvol.fbm import PathBundle, TimeGrid, build_joint_covariance, sample_paths
+from roughvol import model
+from roughvol.fbm import (PathBundle, TimeGrid, build_joint_covariance, draw_normal_bundle,
+                          sample_paths, transform_normals)
 from roughvol.model import (MarketEnv, ModelParams, _left_point_sums, _log_euler_steps,
                             log_price_paths, volatility_paths)
 from roughvol.pricing import _conditional_steps
@@ -155,6 +157,49 @@ def test_mirror_sums_are_those_of_the_negated_paths(integrand, args):
         assert np.array_equal(both[:, :5000], base)
         assert np.array_equal(both[:, 5000:], neg)
         assert not np.array_equal(base, neg)
+
+
+def _cumsum_sums(b, p, nodes, integrand, *args, mirror=False):
+    """`_left_point_sums` by whole-path arrays and one cumsum per term, the reference
+    for the order of its additions."""
+    end = max(nodes) + 1
+    times = np.concatenate(([0.0], b.grid.times[: end - 1]))
+    dw = np.ascontiguousarray(b.w_increments[:, :end])
+    dwt = (None if b.w_tilde_increments is None
+           else np.ascontiguousarray(b.w_tilde_increments[:, :end]))
+    parts = []
+    for sign in (1.0, -1.0) if mirror else (1.0,):
+        fbm = np.zeros((dw.shape[0], end))
+        fbm[:, 1:] = sign * b.fbm_paths[:, : end - 1]
+        sig = sign * volatility_paths(fbm, p, times)
+        terms = integrand(sig, dw, dwt, b.grid.deltas[:end], *args)
+        parts.append([np.cumsum(term, axis=1)[:, nodes].T for term in terms])
+    return [np.concatenate(sums, axis=1) for sums in zip(*parts)]
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["sampled", "frozen-slice"])
+@pytest.mark.parametrize("mirror", [False, True])
+@pytest.mark.parametrize("integrand,args", [(_conditional_steps, ()),
+                                            (_log_euler_steps, (0.02, -0.6))])
+def test_left_point_sums_equal_a_cumsum_reference(monkeypatch, integrand, args, mirror,
+                                                  frozen):
+    # panels of 7 steps over 22 (the last one holds 1), nodes out of order and short of
+    # the grid's end: the running sums keep the bits of one cumsum along each path
+    g = TimeGrid.with_maturities([0.25, 0.6, 1.0], 36)
+    cov = build_joint_covariance(g, 0.15)
+    b = sample_paths(cov, 700, seed=5)
+    if frozen:  # the frozen pricer's bundles read row slices of the whole draw
+        z, w_tilde = draw_normal_bundle(g, 1000, seed=5)
+        b = transform_normals(z[300:], w_tilde[300:], cov)
+    monkeypatch.setattr(model, "_CHUNK_ENTRIES", 7 * b.fbm_paths.shape[0] + 3)
+    p = ModelParams(sigma0=0.12, rho=-0.6, H=0.15, xi=1.4, alpha=0.5)
+    nodes = [g.index_of(0.6), 3, g.index_of(0.25)]
+    assert max(nodes) + 1 == 22 and g.n > 22
+    sums = _left_point_sums(b, p, nodes, integrand, *args, mirror=mirror)
+    reference = _cumsum_sums(b, p, nodes, integrand, *args, mirror=mirror)
+    assert len(sums) == len(reference)
+    for got, want in zip(sums, reference):
+        assert np.array_equal(got, want)
 
 
 def test_asset_scheme_needs_the_orthogonal_increments():

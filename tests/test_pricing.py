@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from roughvol import pricing
 from roughvol.calibration import ParamBounds
 from roughvol.fbm import PATH_BLOCK, TimeGrid, build_joint_covariance, sample_paths
 from roughvol.model import MarketEnv, ModelParams, volatility_paths
@@ -280,6 +281,39 @@ def test_chain_estimates_requires_known_estimator(rough_setup):
     assert single[0].estimator == "plain"
     with pytest.raises(ValueError, match=re.escape(str(ESTIMATORS))):
         chain_estimates(bundle, FIT_PARAMS, env, ((100.0, 1.0),), estimator="plian")
+
+
+@pytest.mark.parametrize("entry", ["price_chain", "fresh_estimates", "chain_estimates"])
+def test_unknown_estimator_message_names_the_value(entry):
+    # one message at every public entry, with the rejected value
+    grid = TimeGrid.with_maturities([0.5], 12)
+    env, options = MarketEnv(spot=100.0), ((100.0, 0.5),)
+    calls = {
+        "price_chain": lambda: price_chain(options, env, FIT_PARAMS, path_count=100,
+                                           steps_per_year=12, seed=0, estimator="x"),
+        "fresh_estimates": lambda: fresh_estimates(
+            build_joint_covariance(grid, FIT_PARAMS.H), FIT_PARAMS, env, options,
+            path_count=100, seed=0, estimator="x"),
+        "chain_estimates": lambda: chain_estimates(
+            sample_paths(build_joint_covariance(grid, FIT_PARAMS.H), 10, seed=0),
+            FIT_PARAMS, env, options, estimator="x"),
+    }
+    expected = f"estimator must be one of {ESTIMATORS}, got 'x'"
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        calls[entry]()
+
+
+def test_price_chain_checks_its_options_once(monkeypatch):
+    checked, real = [], pricing._checked_options
+
+    def spy(*args):
+        checked.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(pricing, "_checked_options", spy)
+    price_chain(((100.0, 0.5), (90.0, 0.25)), MarketEnv(spot=100.0), FIT_PARAMS,
+                path_count=2 * PATH_BLOCK + 10, steps_per_year=12, seed=0)
+    assert len(checked) == 1
 
 
 def test_plain_estimator_needs_the_orthogonal_increments():
