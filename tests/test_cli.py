@@ -1037,19 +1037,30 @@ def test_console_script_entry_point():
     assert "synth-chain" in proc.stdout
 
 
-def test_cli_import_leaves_out_scipy_stats_and_integrate():
+def test_cli_import_leaves_out_scipy_stats_and_integrate(pipeline, tmp_path):
     # importing them roughly doubles the start-up time of every command; scipy.optimize
-    # is imported by the least-squares stage when it runs
+    # is imported by the least-squares stage when it runs. scipy.linalg (about 66 ms
+    # and 5 MB) stays out of `price` too, whose transform at 1008 steps per year runs
+    # in two panels of numpy products
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, roughvol.cli; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.integrate', 'scipy.optimize') "
-            "if m in sys.modules))")
+    argv = ["price", "--chain", str(pipeline / "chain.csv"),
+            "--params", str(pipeline / "chain.truth.json"), "--path-count", "200",
+            "--steps-per-year", "1008", "--threads", "1", "--out", str(tmp_path)]
+    code = ("import json, sys, roughvol.cli\n"
+            "names = ('scipy.stats', 'scipy.integrate', 'scipy.optimize', 'scipy.linalg')\n"
+            "loaded = lambda: sorted(m for m in names if m in sys.modules)\n"
+            "after_import = loaded()\n"
+            f"rc = roughvol.cli.main({argv!r})\n"
+            "print(json.dumps([after_import, rc, loaded()]))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    after_import, rc, after_price = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert after_import == [] and rc == 0
+    assert after_price == []
+    assert (tmp_path / "prices.csv").exists()
 
 
 @pytest.mark.parametrize("flags,msg", [

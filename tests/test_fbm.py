@@ -58,6 +58,16 @@ def fbm_autocovariance(t: float, s: float, H: float) -> float:
     return 0.5 * (t ** (2 * H) + s ** (2 * H) - abs(t - s) ** (2 * H))
 
 
+def hypergeometric_tail(x, H: float):
+    """tail(x) = int_x^1 y^{-2H} (1-y)^{H-1/2} dy through the Gauss hypergeometric
+    identity (1-x)^{H+1/2}/(H+1/2) * 2F1(2H, H+1/2; H+3/2; 1-x), valid at every H in
+    (0, 1): the oracles' own tail, independent of the incomplete-Beta form that
+    `_kernel_tail` takes below H = 1/2."""
+    b = H + 0.5
+    z = 1.0 - np.asarray(x, dtype=float)
+    return z**b / b * special.hyp2f1(2.0 * H, b, b + 1.0, z)
+
+
 def molchan_golosov_kernel(t: float, s: float, H: float) -> float:
     """Finite-interval fBm kernel K_H(t, s) for 0 < s < t.
 
@@ -72,7 +82,7 @@ def molchan_golosov_kernel(t: float, s: float, H: float) -> float:
     c = molchan_constant(H)
     a = H - 0.5
     # the inner z-integral collapses to s^{2H-1} * tail(s/t)
-    return c * ((t / s) ** a * (t - s) ** a - a * s**a * float(_kernel_tail(s / t, H)))
+    return c * ((t / s) ** a * (t - s) ** a - a * s**a * float(hypergeometric_tail(s / t, H)))
 
 
 def fbm_wiener_cross_covariance(t: float, s: float, H: float, tol: float = 1e-10) -> float:
@@ -111,7 +121,7 @@ def fbm_wiener_cross_covariance(t: float, s: float, H: float, tol: float = 1e-10
         # are absorbed into v^{a2} and v^{a1}, both with nonnegative exponents.
         u = v**p
         term1 = t**a * (t - u) ** a * v**a1
-        term2 = a * float(_kernel_tail(u / t, H)) * v**a2
+        term2 = a * float(hypergeometric_tail(u / t, H)) * v**a2
         return c * p * (term1 - term2)
 
     def upper_piece(v: float) -> float:
@@ -271,6 +281,51 @@ def test_kernel_domain_errors():
         molchan_golosov_kernel(1.0, 0.0, 0.3)
     with pytest.raises(ValueError):
         molchan_golosov_kernel(1.0, 1.5, 0.3)
+
+
+def _production_ratios() -> np.ndarray:
+    """The distinct ratios w/t of the README chain's grid at 1008 steps per year."""
+    grid = TimeGrid.with_maturities([91 / 365, 182 / 365, 273 / 365, 1.0], 1008)
+    rows, cols = np.tril_indices(grid.n)
+    return np.unique(grid.times[cols] / grid.times[rows])
+
+
+def test_kernel_tail_matches_the_hypergeometric_form_on_the_production_grid():
+    # below H = 1/2 the tail is an incomplete Beta; it agrees with the hypergeometric
+    # form (up to 5.1e-14 relative measured) on all 332,807 ratios, x = 1 included
+    x = _production_ratios()
+    for H in (0.02, 0.05, 0.2, 0.45, 0.49):
+        assert_allclose(_kernel_tail(x, H), hypergeometric_tail(x, H), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("H", [0.55, 0.7, 0.95])
+def test_kernel_tail_above_half_keeps_the_hypergeometric_bits(H):
+    x = _production_ratios()[::97]
+    assert np.array_equal(_kernel_tail(x, H), hypergeometric_tail(x, H))
+
+
+# int_x^1 y^{-2H} (1-y)^{H-1/2} dy at the binary values of the float H and x, by
+# mpmath's regularized incomplete Beta at 40 digits (mpmath quadrature agreed to all
+# 40); 2F1 in double precision is off by 2.6e-7 at the first point and by 6.7e-12 at
+# the sixth, the incomplete Beta by at most 7.8e-16 at any of them
+TAIL_NEAR_HALF = [
+    (0.5 - 1e-9, 1e-3, 6.9077552329089868177),
+    (0.5 - 1e-9, 0.1, 2.302585089234463699),
+    (0.5 - 1e-9, 0.5, 0.69314718114218585254),
+    (0.5 - 1e-9, 0.9, 0.10536051599194479182),
+    (0.5 - 1e-9, 0.999, 0.0010005003414939952076),
+    (0.5 - 1e-6, 1e-3, 6.9077092060515189912),
+    (0.5 - 1e-6, 0.5, 0.6931477628012785494),
+    (0.5 - 1e-6, 0.999, 0.0010005082440758781279),
+    (0.49, 1e-3, 6.4681458976032170419),
+    (0.49, 0.5, 0.69905114758033650674),
+    (0.49, 0.999, 0.0010828707633844977411),
+]
+
+
+@pytest.mark.parametrize("H,x,expected", TAIL_NEAR_HALF)
+def test_kernel_tail_near_half_matches_high_precision_values(H, x, expected):
+    assert float(_kernel_tail(x, H)) == pytest.approx(expected, rel=4e-15, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -658,9 +713,12 @@ def test_block_boundary_paths_are_stable():
 def test_single_block_equals_rows_of_full_draw():
     # every array is time-major, and a block's paths equal its rows of the whole draw
     # and the transform of its row slice of the frozen draws (strided views) bit for
-    # bit; at n = 300 one product over all rows would round the short block apart
+    # bit; at n = 300 one product over all rows would round the short block apart, and
+    # the transform runs in three panels of steps, the last one short
     for steps_per_year in (6, 300):
         grid = TimeGrid.regular(1.0, steps_per_year)
+        if steps_per_year == 300:
+            assert 2 * fbm._TRANSFORM_PANEL < grid.n < 3 * fbm._TRANSFORM_PANEL
         cov = build_joint_covariance(grid, 0.15)
         path_count = 2 * fbm.PATH_BLOCK + 10  # the last block is short
         full = sample_paths(cov, path_count, seed=13)
@@ -680,6 +738,47 @@ def test_single_block_equals_rows_of_full_draw():
                 assert np.array_equal(bundle.w_tilde_increments,
                                       full.w_tilde_increments[rows])
         assert part.fbm_paths.shape[0] == 10
+
+
+def _three_panel_draws(monkeypatch, panel):
+    """A covariance whose n = 300 spans at least three transform panels, the last one
+    short, and frozen draws of one full and one short path block on it."""
+    if panel is not None:
+        monkeypatch.setattr(fbm, "_TRANSFORM_PANEL", panel)
+    grid = TimeGrid.regular(1.0, 300)
+    assert grid.n > 2 * fbm._TRANSFORM_PANEL and grid.n % fbm._TRANSFORM_PANEL
+    z, _ = draw_normal_bundle(grid, fbm.PATH_BLOCK + 10, seed=29, orthogonal=False)
+    return build_joint_covariance(grid, 0.15), z
+
+
+@pytest.mark.parametrize("panel", [None, 7], ids=["default-panel", "small-panel"])
+def test_panel_transform_matches_the_dense_product(monkeypatch, panel):
+    # each entry within 1e-14 of the sum of its terms' magnitudes, the scale of a dot
+    # product's rounding error (measured: 3.7e-16)
+    cov, z = _three_panel_draws(monkeypatch, panel)
+    paths = transform_normals(z, None, cov).fbm_paths
+    dense = z @ cov.fbm_factor.T
+    magnitude = np.abs(z) @ np.abs(cov.fbm_factor).T
+    assert paths.flags.f_contiguous
+    assert np.all(np.abs(paths - dense) <= 1e-14 * magnitude)
+
+
+@pytest.mark.parametrize("panel", [None, 7], ids=["default-panel", "small-panel"])
+def test_panel_transform_skips_the_zero_triangles(monkeypatch, panel):
+    # NaN in every factor entry above a non-final panel's last step, in both halves,
+    # reaches no path: the panels never read them, rather than multiplying zeros
+    cov, z = _three_panel_draws(monkeypatch, panel)
+    n, width = cov.grid.n, fbm._TRANSFORM_PANEL
+    planted = cov.fbm_factor.copy()
+    last = (n - 1) // width * width  # the first step of the final panel
+    for lo in range(0, last, width):
+        planted[lo: lo + width, lo + width: n] = np.nan
+        planted[lo: lo + width, n + lo + width:] = np.nan
+    assert np.isnan(planted).sum() > n
+    poisoned = fbm.JointCovariance(grid=cov.grid, H=cov.H, fbm_factor=planted)
+    paths = transform_normals(z, None, poisoned).fbm_paths
+    assert np.all(np.isfinite(paths))
+    assert np.array_equal(paths, transform_normals(z, None, cov).fbm_paths)
 
 
 @pytest.mark.parametrize("orthogonal", [True, False])
