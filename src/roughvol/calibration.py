@@ -6,10 +6,13 @@ calibrator therefore freezes the standard-normal draws once per run (common rand
 numbers): each new Hurst index gets its joint covariance, its Cholesky factor and the
 frozen draws pushed through it, making Theta -> G a deterministic, smooth function of
 the parameters. The paths are kept one path block at a time, each until a call at
-another H rebuilds that block, and evaluations at an unchanged H reuse them. The
-pricer also remembers the prices of every parameter vector it has priced, so no
-vector is priced twice by the optimizers. Every reuse is exact, so results are what
-full re-evaluation would give.
+another H rebuilds that block, and evaluations at an unchanged H reuse them. Each
+block also keeps the conditional estimator's left-point sums at sigma0 = 1 from its
+last call, keyed by (H, xi, alpha) (see `pricing`): the prices scale them by sigma0
+and sigma0^2 and take rho after them, so a call that moves only sigma0 or rho forms
+no sums, only the Black-Scholes step. The pricer also remembers the prices of every
+parameter vector it has priced, so no vector is priced twice by the optimizers.
+Every reuse is exact, so results are what full re-evaluation would give.
 
 The global stage is a small genetic algorithm over the bounded box (tournament
 selection of size 3, per-gene blend crossover, Gaussian mutation with sigma = 5% of the
@@ -188,9 +191,14 @@ class FrozenPricer:
     draws, so an entry adds only its fBm paths. A call passes the pricing block kernel
     a ``bundle_of`` that returns block b's cached bundle when its H is the call's;
     else it drops the entry, transforms the slice under the call's covariance (built
-    once, on the call's first miss) and stores the new bundle. So the pricer holds the
-    draws plus one fBm path set of base paths, and calls sharing it across threads
-    hold one block in flight each. Every call prices only bundles of its own H, so a
+    once, on the call's first miss) and stores the new bundle. A cached bundle carries
+    the one-slot memo of its unit-sigma0 sums (`PathBundle.unit_sums`, keyed by
+    (H, xi, alpha) and the maturity nodes), which goes with the bundle when a new H
+    replaces it; a call that keeps the block's (H, xi, alpha) and moves only sigma0 or
+    rho prices from it. So the pricer holds the draws plus one fBm path set of base
+    paths and 2 x maturities x 2 x base-paths floats of sums, and calls sharing it
+    across threads hold one block in flight each. Every call prices only bundles of
+    its own H, and the sums are scaled by sigma0 after summing on a cold call too, so a
     cached price equals a fresh pricer's exactly. Thread count affects wall time only.
 
     ``prices`` always does the work. ``priced`` returns the prices of a parameter
@@ -367,7 +375,8 @@ def local_refine(start: ModelParams, residual_fn,
     steps = _FD_REL_STEP * bounds.width[free]
     # trf iterates strictly inside the box; nudge an on-bound start into the interior
     x0 = np.clip(theta0[free], lb + 1e-12 * (ub - lb), ub - 1e-12 * (ub - lb))
-    # vary H last, so the other columns reuse the paths cached at the base point's H
+    # sigma0 and rho come first and reuse the unit sums cached at the base point; vary
+    # H last, so the other columns reuse the paths cached at the base point's H
     order = np.argsort(np.flatnonzero(free) == _H, kind="stable")
 
     def jac(x: np.ndarray) -> np.ndarray:

@@ -375,6 +375,10 @@ class PathBundle:
     w_increments: np.ndarray
     w_tilde_increments: np.ndarray | None
     grid: TimeGrid = field(repr=False)
+    #: one-slot memo of the conditional estimator's sums of these paths at sigma0 = 1,
+    #: ``(key, sums)``, read and replaced by `pricing.chain_estimates`; it goes with
+    #: the paths
+    unit_sums: tuple | None = field(default=None, init=False, repr=False)
 
 
 #: Leading key words of the RNG streams under one base seed s, one per consumer, so

@@ -13,6 +13,13 @@ increments, which makes the conditional estimator exactly unbiased for the discr
 model the plain estimator prices — the two may be compared on shared samples at
 standard-error resolution.
 
+sigma is proportional to sigma0, so the conditional estimator forms its two sums once
+at sigma0 = 1, I1 = int sigma^(1) dW and I2 = int (sigma^(1))^2 dt, and prices from
+sigma0 * I1 and sigma0^2 * I2; rho enters only after the sums. The unit sums depend on
+the paths and on (H, xi, alpha) alone. Each bundle keeps the last ones it was priced
+with in a one-slot memo keyed by (H, xi, alpha) and the maturity nodes, so a repricing
+of the same paths that moves only sigma0 or rho costs the Black-Scholes step alone.
+
 The conditional estimator also prices every sampled path's antithetic mirror: the
 path of the negated draws, whose fBm is -B^H and whose Wiener increments are -dW. It
 has the same law, so the estimator stays exactly unbiased, and it costs no second draw
@@ -29,8 +36,8 @@ PATH_BLOCK of sampled paths is priced on its own and the per-block estimates are
 pooled in block order, weighted by their independent samples. The kernel asks a
 ``bundle_of(b)`` for each block. Fresh-draw pricing samples the block there and drops
 it once priced, so memory grows with the worker count, not the path count;
-calibration's frozen-noise pricer returns its cached block, or transforms the block's
-frozen draws at a new H and caches the result.
+calibration's frozen-noise pricer returns its cached block, with the block's memo of
+unit sums, or transforms the block's frozen draws at a new H and caches the result.
 """
 from __future__ import annotations
 
@@ -136,6 +143,25 @@ def _conditional_steps(sig, dw, dwt, dt):
     return sig, sdw
 
 
+def _unit_sums(bundle: PathBundle, params: ModelParams, nodes):
+    """The conditional estimator's sums at sigma0 = 1 and the ``nodes``, pairs mirrored:
+    [I2 = int sigma^2 dt, I1 = int sigma dW], from the bundle's memo when its key,
+    (H, xi, alpha, nodes), is this call's, else formed and stored there.
+
+    The memo is read once, and replaced whole: threads pricing one bundle at different
+    keys may each form the sums, each pricing from its own. The stored arrays are
+    never written to.
+    """
+    key = (params.H, params.xi, params.alpha, tuple(nodes))
+    memo = bundle.unit_sums
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    sums = _left_point_sums(bundle, replace(params, sigma0=1.0), nodes,
+                           _conditional_steps, mirror=True)
+    bundle.unit_sums = (key, sums)
+    return sums
+
+
 def chain_estimates(bundle: PathBundle, params: ModelParams, env: MarketEnv,
                     options, estimator: str = "conditional_mixed") -> list[PriceEstimate]:
     """Price every option from one already-simulated path set (truncated per maturity).
@@ -150,7 +176,10 @@ def chain_estimates(bundle: PathBundle, params: ModelParams, env: MarketEnv,
     means, so ``path_count`` is twice the bundle's. The estimator is exactly unbiased
     for the same discretized model and far less variable: only the rho-correlated part
     of the randomness remains, and a pair cancels the part that is odd in the draws.
-    Each maturity's strikes are reduced in one (strikes x samples) step.
+    Its sums are taken at sigma0 = 1 (`_unit_sums`, memoised on the bundle) and scaled
+    by sigma0 and sigma0^2, so a call that moves only sigma0 or rho from the bundle's
+    last (H, xi, alpha) forms no sums. Each maturity's distinct strikes are reduced in
+    one (strikes x samples) step, and every copy of a repeated quote gets its estimate.
     """
     _check_estimator(estimator)
     by_maturity: dict[float, list[int]] = {}
@@ -163,24 +192,28 @@ def chain_estimates(bundle: PathBundle, params: ModelParams, env: MarketEnv,
         (log_sums,) = _left_point_sums(bundle, params, nodes, _log_euler_steps, env.rate,
                                        rho)
     else:
-        int_var, int_sdw = _left_point_sums(bundle, params, nodes, _conditional_steps,
-                                            mirror=True)
+        unit_var, unit_sdw = _unit_sums(bundle, params, nodes)
     out = [None] * len(options)
     for j, (t, members) in enumerate(by_maturity.items()):
-        strikes = np.array([options[i][0] for i in members])
+        strikes, copy_of = np.unique([options[i][0] for i in members],
+                                     return_inverse=True)
         if estimator == "plain":
             terminal = np.exp(np.log(env.spot) + log_sums[j])
             values = np.exp(-env.rate * t) * np.maximum(terminal - strikes[:, None], 0.0)
         else:
-            eff_spot = env.spot * np.exp(rho * int_sdw[j] - 0.5 * rho**2 * int_var[j])
-            both = _bs_calls(eff_spot, (1.0 - rho**2) * int_var[j], strikes, env.rate, t)
+            int_sdw = params.sigma0 * unit_sdw[j]
+            int_var = params.sigma0**2 * unit_var[j]
+            eff_spot = env.spot * np.exp(rho * int_sdw - 0.5 * rho**2 * int_var)
+            both = _bs_calls(eff_spot, (1.0 - rho**2) * int_var, strikes, env.rate, t)
             values = np.add(both[:, :n_paths], both[:, n_paths:], out=both[:, :n_paths])
             values *= 0.5  # the pair means
         means, ses = _mean_se(values)
-        for i, mean, se in zip(members, means, ses):
-            out[i] = PriceEstimate(price=float(mean), std_error=float(se),
+        estimates = [PriceEstimate(price=float(mean), std_error=float(se),
                                    estimator=estimator,
                                    path_count=n_paths * _PATHS_PER_SAMPLE[estimator])
+                     for mean, se in zip(means, ses)]
+        for i, c in zip(members, copy_of):
+            out[i] = estimates[c]
     return out
 
 

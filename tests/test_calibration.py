@@ -14,6 +14,8 @@ from numpy.testing import assert_allclose
 
 from roughvol.calibration import (
     MODEL_VARIANTS,
+    _FD_REL_STEP,
+    _H,
     CalibrationConfig,
     FrozenPricer,
     ParamBounds,
@@ -29,6 +31,7 @@ from roughvol.fbm import (PATH_BLOCK, build_joint_covariance, draw_normal_bundle
                           transform_normals)
 from roughvol.market import OptionQuote, OptionStructure, compute_weights
 from roughvol.model import PARAM_NAMES, MarketEnv, ModelParams
+from roughvol import pricing
 from roughvol.pricing import _pool_estimates, chain_estimates
 from roughvol.synth import generate_chain
 from test_fbm import block_stream_normals
@@ -472,11 +475,16 @@ def test_calibrate_is_deterministic(synth_chain):
 
 
 def test_pricer_path_cache_is_exact():
+    # at a warm (H, xi), moves in sigma0 and rho reuse the block's unit sums, and a
+    # move in alpha forms new ones; every call equals a cold pricer's
     s = small_structure()
     config = fast_config()
     sequence = [THETA, THETA,
                 ModelParams(sigma0=0.08, rho=-0.3, H=0.2, xi=1.4, alpha=1.0),
                 ModelParams(sigma0=0.11, rho=-0.3, H=0.2, xi=1.4, alpha=1.0),
+                ModelParams(sigma0=0.11, rho=-0.6, H=0.2, xi=1.4, alpha=1.0),
+                ModelParams(sigma0=0.05, rho=-0.1, H=0.2, xi=1.4, alpha=1.0),
+                ModelParams(sigma0=0.05, rho=-0.1, H=0.2, xi=1.4, alpha=0.4),
                 ModelParams(sigma0=0.11, rho=-0.3, H=0.12, xi=1.4, alpha=1.0),
                 ModelParams(sigma0=0.11, rho=-0.3, H=0.2, xi=1.4, alpha=1.0)]
     cached = FrozenPricer(s, config)
@@ -486,10 +494,14 @@ def test_pricer_path_cache_is_exact():
 
 @pytest.mark.parametrize("path_count", [500, 2 * PATH_BLOCK + 8])
 def test_pricer_path_cache_under_thread_contention(path_count):
+    # the first 24 vectors differ in (H, xi); the last 24 share each of those (H, xi)
+    # and differ in sigma0 and rho, so threads race on the blocks' unit sums too
     s = small_structure()
     config = fast_config(path_count=path_count)
     thetas = [ModelParams(sigma0=0.08, rho=-0.3, H=h, xi=1.0 + 0.1 * (i % 3), alpha=1.0)
               for i, h in enumerate([0.1, 0.2, 0.3] * 8)]
+    thetas += [replace(theta, sigma0=0.06 + 0.01 * (i % 4), rho=-0.2 - 0.3 * (i % 2))
+               for i, theta in enumerate(thetas)]
     expected = [FrozenPricer(s, config).prices(t) for t in thetas]
     shared = FrozenPricer(s, config)
     interval = sys.getswitchinterval()
@@ -582,6 +594,44 @@ def test_calibrate_prices_each_parameter_vector_once(monkeypatch, threads):
     assert len(set(seen)) == len(seen)
     monkeypatch.undo()
     assert result.metrics == fit_metrics(FrozenPricer(s, config).prices(result.theta), s)
+
+
+def test_fd_jacobian_reuses_the_base_points_unit_sums(monkeypatch):
+    # rBergomi at a warm point: the sigma0 and rho columns price from the sums cached
+    # at the base point, so only the xi and H columns form sums (one block), and the
+    # Jacobian equals one priced by a cold pricer per column bit for bit
+    s = small_structure()
+    config = fast_config(model_variant="rBergomi")
+    bounds = config.effective_bounds()
+    free = bounds.free
+    lb, ub = bounds.lower[free], bounds.upper[free]
+    steps = _FD_REL_STEP * bounds.width[free]
+    order = np.argsort(np.flatnonzero(free) == _H, kind="stable")  # as local_refine
+    theta = THETA.as_array()
+
+    def on(pricer_of):
+        def residuals(x):
+            full = theta.copy()
+            full[free] = x
+            return pricer_of().residuals(full)
+        return residuals
+
+    warm = FrozenPricer(s, config)
+    r0 = warm.residuals(theta)
+    passes = []
+    real_sums = pricing._left_point_sums
+
+    def counting(*args, **kwargs):
+        passes.append(args[1])
+        return real_sums(*args, **kwargs)
+
+    monkeypatch.setattr(pricing, "_left_point_sums", counting)
+    jac = _fd_jacobian(on(lambda: warm), theta[free], r0, steps, lb, ub, order)
+    assert len(passes) == 2 and all(p.sigma0 == 1.0 for p in passes)
+    monkeypatch.undo()
+    cold = _fd_jacobian(on(lambda: FrozenPricer(s, config)), theta[free], r0, steps, lb,
+                        ub, order)
+    assert np.array_equal(jac, cold)
 
 
 def test_fd_jacobian_independent_of_column_order():

@@ -3,11 +3,13 @@ reduction, and whole-chain consistency. BS references computed at 30-digit preci
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.testing import assert_allclose
 from scipy import special
 
 from roughvol import pricing
@@ -326,27 +328,33 @@ def test_plain_estimator_needs_the_orthogonal_increments():
     assert chain_estimates(bundle, FIT_PARAMS, env, ((100.0, 1.0),))[0].price > 0.0
 
 
-def reference_conditional(params, bundle, env, options):
+def reference_conditional(params, bundle, env, options, sigma0_inside=False):
     """The conditional estimator written out per option: whole-path volatilities,
     concatenated left-point volatilities, the Wiener increments and one full
     Black-Scholes pass for every quote, on the bundle and on its mirror (-B^H, -dW);
-    the estimate is the mean and SE of the pair means."""
+    the estimate is the mean and SE of the pair means. The sums are taken at
+    sigma0 = 1 and scaled by sigma0 and sigma0^2, as the estimator takes them, or with
+    ``sigma0_inside`` from the volatilities at sigma0 itself."""
     grid = bundle.grid
     rho = params.rho
+    scale = 1.0 if sigma0_inside else params.sigma0
+    unit = params if sigma0_inside else replace(params, sigma0=1.0)
     per_path = [[] for _ in options]
     for fbm_paths, dw in ((bundle.fbm_paths, bundle.w_increments),
                           (-bundle.fbm_paths, -bundle.w_increments)):
-        sigma = volatility_paths(fbm_paths, params, grid.times)
+        sigma = volatility_paths(fbm_paths, unit, grid.times)
         n_paths, n = sigma.shape
-        sig_left = np.concatenate([np.full((n_paths, 1), params.sigma0),
+        sig_left = np.concatenate([np.full((n_paths, 1), unit.sigma0),
                                    sigma[:, : n - 1]], axis=1)
         cum_var = np.cumsum(sig_left**2 * grid.deltas, axis=1)
         cum_sdw = np.cumsum(sig_left * dw, axis=1)
         for values_of, (strike, t) in zip(per_path, options):
             idx = grid.index_of(t)
-            spot = env.spot * np.exp(rho * cum_sdw[:, idx]
-                                     - 0.5 * rho**2 * cum_var[:, idx])
-            totvar = (1.0 - rho**2) * cum_var[:, idx]
+            int_sdw, int_var = cum_sdw[:, idx], cum_var[:, idx]
+            if not sigma0_inside:
+                int_sdw, int_var = scale * int_sdw, scale**2 * int_var
+            spot = env.spot * np.exp(rho * int_sdw - 0.5 * rho**2 * int_var)
+            totvar = (1.0 - rho**2) * int_var
             disc_k = strike * np.exp(-env.rate * t)
             values = np.maximum(spot - disc_k, 0.0)
             pos = (totvar > 0.0) & (spot > 0.0)
@@ -368,6 +376,34 @@ def test_chain_estimates_equal_per_option_reference():
     got = [(e.price, e.std_error)
            for e in chain_estimates(bundle, FIT_PARAMS, env, options)]
     assert got == reference_conditional(FIT_PARAMS, bundle, env, options)
+    # sigma0 inside the sums gives the same estimates up to the sums' rounding
+    inside = reference_conditional(FIT_PARAMS, bundle, env, options, sigma0_inside=True)
+    assert_allclose(got, inside, rtol=1e-13, atol=0.0)
+
+
+def test_repeated_quotes_are_priced_once(monkeypatch):
+    # each distinct strike of a maturity goes through Black-Scholes once, and every
+    # copy of a quote gets the estimate of the chain without repeats
+    env = MarketEnv(spot=100.0, rate=0.02)
+    distinct = ((110.0, 1.0), (90.0, 0.25), (100.0, 1.0), (100.0, 0.25), (95.0, 0.5))
+    copies = [1, 0, 3, 3, 1, 4, 0, 2, 1]
+    repeated = tuple(distinct[i] for i in copies)
+    grid = TimeGrid.with_maturities([0.25, 0.5, 1.0], 12)
+    bundle = sample_paths(build_joint_covariance(grid, FIT_PARAMS.H), 1000, seed=12)
+    for estimator in ESTIMATORS:
+        once = chain_estimates(bundle, FIT_PARAMS, env, distinct, estimator=estimator)
+        got = chain_estimates(bundle, FIT_PARAMS, env, repeated, estimator=estimator)
+        assert got == [once[i] for i in copies]
+    seen = []
+    real_bs = pricing._bs_calls
+
+    def recording(spot, totvar, strikes, rate, maturity):
+        seen.append((maturity, sorted(strikes)))
+        return real_bs(spot, totvar, strikes, rate, maturity)
+
+    monkeypatch.setattr(pricing, "_bs_calls", recording)
+    chain_estimates(bundle, FIT_PARAMS, env, repeated)
+    assert sorted(seen) == [(0.25, [90.0, 100.0]), (0.5, [95.0]), (1.0, [100.0, 110.0])]
 
 
 # ---------------------------------------------------------------------------
@@ -569,6 +605,21 @@ def test_antithetic_conditional_agrees_with_plain_over_the_default_box(params):
         for est in (p, c):
             slack = 4.0 * est.std_error + floor
             assert lower - slack <= est.price <= env.spot + slack
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(params=box_params)
+def test_unit_sums_price_as_sigma0_inside_over_the_default_box(params):
+    # scaling the sigma0 = 1 sums by sigma0 and sigma0^2 rounds differently from
+    # summing at sigma0, and no more than that
+    grid = TimeGrid.with_maturities([0.25, 1.0], 12)
+    bundle = sample_paths(build_joint_covariance(grid, params.H), 500, seed=31,
+                          orthogonal=False)
+    env = MarketEnv(spot=100.0, rate=0.01)
+    options = [(k, t) for t in (0.25, 1.0) for k in (80.0, 100.0, 120.0)]
+    got = [e.price for e in chain_estimates(bundle, params, env, options)]
+    inside = reference_conditional(params, bundle, env, options, sigma0_inside=True)
+    assert_allclose(got, [price for price, _ in inside], rtol=1e-12, atol=0.0)
 
 
 PERMUTED_OPTIONS = ((90.0, 0.25), (100.0, 0.25), (100.0, 0.5), (95.0, 1.0),
