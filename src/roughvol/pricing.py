@@ -9,9 +9,9 @@ path contributes the Black-Scholes value with effective spot
 
 and effective variance (1 - rho^2) * int sigma^2 dt. Both estimators take their sums
 from the path scheme's left-point kernel, `model._left_point_sums`, on the same
-increments, which makes the conditional estimator exactly unbiased for the discretized
-model the plain estimator prices — the two may be compared on shared samples at
-standard-error resolution.
+increments, which makes the conditional estimator's values exactly unbiased for the
+discretized model the plain estimator prices — the two may be compared on shared
+samples at standard-error resolution.
 
 sigma is proportional to sigma0, so the conditional estimator forms its two sums once
 at sigma0 = 1, I1 = int sigma^(1) dW and I2 = int (sigma^(1))^2 dt, and prices from
@@ -24,16 +24,25 @@ The conditional estimator also prices every sampled path's antithetic mirror: th
 path of the negated draws, whose fBm is -B^H and whose Wiener increments are -dW. It
 has the same law, so the estimator stays exactly unbiased, and it costs no second draw
 and no second product: the kernel forms its volatilities from -B^H. The two values of
-a pair are averaged, and the price and its standard error are the mean and SE of the
-pair means, the independent samples. A request for N priced paths draws ceil(N / 2)
-base paths, so an odd N prices N + 1. The plain estimator stays i.i.d.: it is the
-reference the conditional one is checked against.
+a pair are averaged into Y, the independent samples. A request for N priced paths
+draws ceil(N / 2) base paths, so an odd N prices N + 1. The plain estimator stays
+i.i.d.: it is the reference the conditional one is checked against.
+
+The pair means Y are regressed on the pair means of three control variates, each with
+mean exactly 0 on the discrete scheme (Glasserman 2003, section 4.1): c1 = S_eff - S0,
+since S_eff is a discrete martingale; c2 = I2 - E[I2], with E[I2] = sigma0^2 sum
+exp((2 - alpha) xi^2 t_{k-1}^{2H}) dt_k since Var B^H_t = t^{2H}; and c3 = I1, since
+each sigma_{k-1} is independent of dW_k. The price is mean(Y) - beta . mean(c), beta
+fitted by least squares, with the standard error of the residuals (`_controlled`
+states which controls are kept). beta fitted on the priced pairs biases the price by
+O(1 / pairs), below its standard error.
 
 A whole option chain is priced on one simulation grid, the union of a regular grid and
 every quoted maturity; each option reads the paths truncated to its own maturity node.
 Every Monte-Carlo price comes from one block kernel, `_block_estimates`: each
-PATH_BLOCK of sampled paths is priced on its own and the per-block estimates are
-pooled in block order, weighted by their independent samples. The kernel asks a
+PATH_BLOCK of sampled paths is priced on its own, and the per-block moments are
+pooled in block order with exactly rounded sums; the conditional estimator's beta is
+fitted once, on the pooled moments of all the pairs. The kernel asks a
 ``bundle_of(b)`` for each block. Fresh-draw pricing samples the block there and drops
 it once priced, so memory grows with the worker count, not the path count;
 calibration's frozen-noise pricer returns its cached block, with the block's memo of
@@ -42,7 +51,8 @@ unit sums, or transforms the block's frozen draws at a new H and caches the resu
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from operator import mul
 
 import numpy as np
 from scipy import special
@@ -66,14 +76,29 @@ _PATHS_PER_SAMPLE = {"plain": 1, "conditional_mixed": 2}
 ESTIMATORS = tuple(_PATHS_PER_SAMPLE)
 
 
+#: a control is dropped when the part of its variance that the controls kept before it
+#: do not explain is at most this fraction of its variance (it is then numerically
+#: collinear with them), or when its variance is 0
+_COLLINEAR = 1e-10
+
+
 @dataclass(frozen=True)
 class PriceEstimate:
-    """A Monte-Carlo price; ``path_count`` counts priced paths (mirrors included)."""
+    """A Monte-Carlo price; ``path_count`` counts priced paths (mirrors included).
+
+    A conditional estimate also carries, in ``_moments``, the sufficient statistics of
+    its regression on the zero-mean controls: (pairs, means, cross, tail), where means
+    are those of [Y, c1, c2, c3] over the pairs, cross their 4 x 4 centred cross
+    products and tail the log relative second moment of sigma^2 at the maturity
+    (`_controlled`). `_pool_estimates` combines them across path blocks. They take no
+    part in comparisons.
+    """
 
     price: float
     std_error: float
     estimator: str
     path_count: int
+    _moments: tuple | None = field(default=None, compare=False, repr=False)
 
 
 def _bs_calls(spot: np.ndarray, totvar: np.ndarray, strikes, rate: float,
@@ -81,21 +106,40 @@ def _bs_calls(spot: np.ndarray, totvar: np.ndarray, strikes, rate: float,
     """Black-Scholes calls on per-path (spot, total variance) arrays, one row per strike.
 
     ``totvar`` is sigma^2 * T; zero total variance degenerates to the discounted
-    intrinsic value max(spot - strike * exp(-rT), 0). The positivity mask and
-    sqrt(totvar) do not depend on the strike and are computed once for all of them.
+    intrinsic value max(spot - strike * exp(-rT), 0). sqrt(totvar) does not depend on
+    the strike and is computed once for all of them, and each row is formed in two
+    reused buffers. When every path has a positive spot and variance, the rows are
+    formed from the whole arrays; otherwise the positive paths are gathered first and
+    the others take the intrinsic value. A positive path's value has the same bits
+    either way.
     """
     # a spot that underflowed to zero is a worthless call; log() would warn on it
     pos = (totvar > 0.0) & (spot > 0.0)
-    sq = np.sqrt(totvar[pos])
-    s = spot[pos]
+    every = bool(pos.all())
+    s, sq = (spot, np.sqrt(totvar)) if every else (spot[pos], np.sqrt(totvar[pos]))
     half_sq = 0.5 * sq
     drift = rate * maturity
+    d1, d2 = np.empty_like(s), np.empty_like(s)
     values = np.empty((len(strikes), *spot.shape))
     for row, strike in zip(values, strikes):
         disc_k = strike * np.exp(-rate * maturity)
-        np.maximum(spot - disc_k, 0.0, out=row)
-        d1 = (np.log(s / strike) + drift) / sq + half_sq
-        row[pos] = s * special.ndtr(d1) - disc_k * special.ndtr(d1 - sq)
+        np.divide(s, strike, out=d1)
+        np.log(d1, out=d1)
+        d1 += drift
+        d1 /= sq
+        d1 += half_sq
+        np.subtract(d1, sq, out=d2)
+        special.ndtr(d2, out=d2)
+        d2 *= disc_k
+        special.ndtr(d1, out=d1)
+        if every:
+            np.multiply(s, d1, out=row)
+            row -= d2
+        else:
+            np.maximum(spot - disc_k, 0.0, out=row)
+            d1 *= s
+            d1 -= d2
+            row[pos] = d1
     return values
 
 
@@ -135,6 +179,96 @@ def _mean_se(values: np.ndarray):
     return mean[()], se[()]
 
 
+def _centered(x: np.ndarray):
+    """Mean of each row of ``x`` and the deviations from it; a constant row has mean
+    x[..., 0] exactly and deviations 0."""
+    constant = np.ptp(x, axis=-1) == 0.0
+    mean = np.where(constant, x[..., 0], x.mean(axis=-1))
+    return mean, x - mean[..., None]
+
+
+def _dot(a, b) -> float:
+    return sum(map(mul, a, b))
+
+
+def _control_fit(count: int, c_means, scc, tail: float) -> tuple:
+    """The controls a regression over ``count`` samples keeps, the Cholesky factor of
+    their centred cross products ``scc`` and its forward solve against their means:
+    the part of `_controlled` that does not depend on Y."""
+    kept, factor = [], []  # indices of the kept controls, rows of their Cholesky factor
+    for k in range(len(scc)) if tail <= math.log(count) else ():
+        if count - len(kept) <= 2:
+            break
+        row = []
+        for i, lrow in zip(kept, factor):
+            row.append((scc[k][i] - _dot(row, lrow)) / lrow[len(row)])
+        pivot = scc[k][k] - _dot(row, row)
+        if pivot > _COLLINEAR * scc[k][k]:
+            kept.append(k)
+            factor.append(row + [math.sqrt(pivot)])
+    shift = []
+    for i, lrow in zip(kept, factor):
+        shift.append((c_means[i] - _dot(shift, lrow)) / lrow[-1])
+    return kept, factor, shift
+
+
+def _fitted(count: int, y_mean: float, syy: float, syc, control_fit) -> tuple:
+    """`_controlled` from Y's moments and the controls' `_control_fit`."""
+    if syy == 0.0:
+        return y_mean, 0.0
+    kept, factor, shift = control_fit
+    fit = []
+    for i, lrow in zip(kept, factor):
+        fit.append((syc[i] - _dot(fit, lrow)) / lrow[-1])
+    rss = max(syy - _dot(fit, fit), 0.0)
+    return (y_mean - _dot(fit, shift),
+            math.sqrt(rss / (count - 1 - len(kept)) / count))
+
+
+def _controlled(count: int, means, cross, tail: float) -> tuple[float, float]:
+    """Price and standard error of the regression estimator from one row's moments.
+
+    ``means`` and ``cross`` are the means and centred cross products of
+    [Y, c1, c2, c3] over ``count`` independent samples, each control with exact mean 0.
+    The controls are factored by Cholesky in that fixed order, and each is kept only
+    if its pivot exceeds `_COLLINEAR` times its own variance (so a constant control is
+    dropped) and a residual degree of freedom remains. With beta fitted by least
+    squares on the p kept ones, the price is mean(Y) - beta . mean(c) and the standard
+    error sqrt(RSS / (count - 1 - p) / count). A Y without spread is its mean with
+    standard error 0.
+
+    No control is kept when ``tail`` = 4 xi^2 T^{2H} exceeds log(count). E[sigma_T^4] /
+    E[sigma_T^2]^2 = exp(tail), and a sample of lognormal values with more relative
+    variance than samples misses the paths that carry their mean: the controls' sample
+    means and variances, and so beta and the standard error, would not be resolved.
+    """
+    control_fit = _control_fit(count, means[1:], [row[1:] for row in cross[1:]], tail)
+    return _fitted(count, means[0], cross[0][0], cross[0][1:], control_fit)
+
+
+def _regression_estimates(values: np.ndarray, controls: np.ndarray,
+                          tail: float) -> list[tuple]:
+    """(price, standard error, moments) of each row of ``values`` (strikes x samples),
+    controlled by the rows of ``controls`` (3 x samples), as `_controlled` gives them.
+
+    Every cross product is a 1-d dot product, of one row with itself or with one
+    control, so a row's moments do not depend on which other rows share the call.
+    """
+    count = values.shape[-1]
+    c_mean, c_dev = _centered(controls)
+    y_mean, y_dev = _centered(values)
+    scc = [[float(a @ b) for b in c_dev] for a in c_dev]
+    c_mean = c_mean.tolist()
+    control_fit = _control_fit(count, c_mean, scc, tail)
+    out = []
+    for ym, dev in zip(y_mean.tolist(), y_dev):
+        syy, syc = float(dev @ dev), [float(c @ dev) for c in c_dev]
+        moments = (count, [ym, *c_mean],
+                   [[syy, *syc], *([c, *r] for c, r in zip(syc, scc))], tail)
+        out.append((*_fitted(count, ym, syy, syc, control_fit), moments))
+    return out
+
+
 def _conditional_steps(sig, dw, dwt, dt):
     """`_left_point_sums` integrand of the conditional estimator: sigma^2 dt, sigma dW."""
     sdw = np.multiply(dw, sig)
@@ -145,9 +279,12 @@ def _conditional_steps(sig, dw, dwt, dt):
 
 def _unit_sums(bundle: PathBundle, params: ModelParams, nodes):
     """The conditional estimator's sums at sigma0 = 1 and the ``nodes``, pairs mirrored:
-    [I2 = int sigma^2 dt, I1 = int sigma dW], from the bundle's memo when its key,
-    (H, xi, alpha, nodes), is this call's, else formed and stored there.
+    [I2 = int sigma^2 dt, I1 = int sigma dW, E[I2]], from the bundle's memo when its
+    key, (H, xi, alpha, nodes), is this call's, else formed and stored there.
 
+    The mirror's I1 is -sum sigma^- dW: its sums are negated once, after summing.
+    E[I2] = sum exp((2 - alpha) xi^2 t_{k-1}^{2H}) dt_k is exact on the left-point
+    scheme, because Var B^H_t = t^{2H}; one value per node.
     The memo is read once, and replaced whole: threads pricing one bundle at different
     keys may each form the sums, each pricing from its own. The stored arrays are
     never written to.
@@ -157,7 +294,13 @@ def _unit_sums(bundle: PathBundle, params: ModelParams, nodes):
     if memo is not None and memo[0] == key:
         return memo[1]
     sums = _left_point_sums(bundle, replace(params, sigma0=1.0), nodes,
-                           _conditional_steps, mirror=True)
+                            _conditional_steps, mirror=True)
+    mirror_sdw = sums[1][:, bundle.fbm_paths.shape[0]:]
+    np.negative(mirror_sdw, out=mirror_sdw)
+    end = max(nodes) + 1
+    left = np.concatenate(([0.0], bundle.grid.times[: end - 1]))
+    growth = np.exp((2.0 - params.alpha) * params.xi**2 * left ** (2.0 * params.H))
+    sums = (*sums, np.cumsum(growth * bundle.grid.deltas[:end])[nodes])
     bundle.unit_sums = (key, sums)
     return sums
 
@@ -172,14 +315,20 @@ def chain_estimates(bundle: PathBundle, params: ModelParams, env: MarketEnv,
     default conditional (mixed) one prices per-path Black-Scholes values given the
     W-path, for every path of the bundle and for its antithetic mirror (fBm -B^H,
     increments -dW); it never reads the orthogonal increments. Each pair's two values
-    are averaged, and the price and standard error are the mean and SE of the pair
-    means, so ``path_count`` is twice the bundle's. The estimator is exactly unbiased
-    for the same discretized model and far less variable: only the rho-correlated part
-    of the randomness remains, and a pair cancels the part that is odd in the draws.
-    Its sums are taken at sigma0 = 1 (`_unit_sums`, memoised on the bundle) and scaled
-    by sigma0 and sigma0^2, so a call that moves only sigma0 or rho from the bundle's
-    last (H, xi, alpha) forms no sums. Each maturity's distinct strikes are reduced in
-    one (strikes x samples) step, and every copy of a repeated quote gets its estimate.
+    are averaged, and the pair means Y, the independent samples, are regressed on the
+    pair means of three controls with exact mean 0: c1 = S_eff - S0, c2 = I2 - E[I2]
+    and c3 = I1 (`_controlled`, which states the drop rules). The price is
+    mean(Y) - beta . mean(c), and its standard error that of the regression residuals,
+    so ``path_count`` is twice the bundle's. Each estimate carries the regression's
+    moments, which `_pool_estimates` pools over path blocks. The estimator is unbiased
+    for the same discretized model up to the O(1 / pairs) bias of fitting beta on the
+    priced paths, and far less variable: only the rho-correlated part of the
+    randomness remains, a pair cancels the part that is odd in the draws, and the
+    controls take out most of the rest. Its sums are taken at sigma0 = 1
+    (`_unit_sums`, memoised on the bundle) and scaled by sigma0 and sigma0^2, so a
+    call that moves only sigma0 or rho from the bundle's last (H, xi, alpha) forms no
+    sums. Each maturity's distinct strikes are reduced in one (strikes x samples)
+    step, and every copy of a repeated quote gets its estimate.
     """
     _check_estimator(estimator)
     by_maturity: dict[float, list[int]] = {}
@@ -192,14 +341,18 @@ def chain_estimates(bundle: PathBundle, params: ModelParams, env: MarketEnv,
         (log_sums,) = _left_point_sums(bundle, params, nodes, _log_euler_steps, env.rate,
                                        rho)
     else:
-        unit_var, unit_sdw = _unit_sums(bundle, params, nodes)
+        unit_var, unit_sdw, unit_mean_var = _unit_sums(bundle, params, nodes)
+        controls = np.empty((3, n_paths))
     out = [None] * len(options)
     for j, (t, members) in enumerate(by_maturity.items()):
         strikes, copy_of = np.unique([options[i][0] for i in members],
                                      return_inverse=True)
+        paths = n_paths * _PATHS_PER_SAMPLE[estimator]
         if estimator == "plain":
             terminal = np.exp(np.log(env.spot) + log_sums[j])
             values = np.exp(-env.rate * t) * np.maximum(terminal - strikes[:, None], 0.0)
+            estimates = [PriceEstimate(float(mean), float(se), estimator, paths)
+                         for mean, se in zip(*_mean_se(values))]
         else:
             int_sdw = params.sigma0 * unit_sdw[j]
             int_var = params.sigma0**2 * unit_var[j]
@@ -207,11 +360,15 @@ def chain_estimates(bundle: PathBundle, params: ModelParams, env: MarketEnv,
             both = _bs_calls(eff_spot, (1.0 - rho**2) * int_var, strikes, env.rate, t)
             values = np.add(both[:, :n_paths], both[:, n_paths:], out=both[:, :n_paths])
             values *= 0.5  # the pair means
-        means, ses = _mean_se(values)
-        estimates = [PriceEstimate(price=float(mean), std_error=float(se),
-                                   estimator=estimator,
-                                   path_count=n_paths * _PATHS_PER_SAMPLE[estimator])
-                     for mean, se in zip(means, ses)]
+            for row, paired in zip(controls, (eff_spot, int_var, int_sdw)):
+                np.add(paired[:n_paths], paired[n_paths:], out=row)
+                row *= 0.5
+            controls[0] -= env.spot
+            controls[1] -= params.sigma0**2 * unit_mean_var[j]
+            tail = 4.0 * params.xi**2 * t ** (2.0 * params.H)
+            estimates = [PriceEstimate(price, se, estimator, paths, moments)
+                         for price, se, moments
+                         in _regression_estimates(values, controls, tail)]
         for i, c in zip(members, copy_of):
             out[i] = estimates[c]
     return out
@@ -227,13 +384,15 @@ def _base_draws(path_count: int, estimator: str) -> int:
 def _pool_estimates(parts) -> PriceEstimate:
     """One estimate from estimates on disjoint path sets, as if on their union.
 
-    Each part counts its independent samples: paths for the plain estimator, pairs
-    (half its priced paths) for the conditional one. The pooled mean weights each
-    part's mean by its sample count n_b. The pooled sample variance adds the
-    within-part sums of squares, (n_b - 1) n_b se_b^2, to the between-part ones,
-    n_b (mean_b - mean)^2. Both sums are exactly rounded, so the result does not
-    depend on the order of the parts. Parts that are all constant at one value pool to
-    that value with standard error 0 exactly, as `_mean_se` gives.
+    Parts that are all constant at one value pool to that value with standard error
+    0 exactly, as `_mean_se` and `_controlled` give. Conditional parts carry their
+    regression moments: they are pooled (`_pool_moments`) and beta is fitted once, on
+    the moments of all the pairs, so the estimate is that of one `chain_estimates`
+    over the union up to the rounding of the sums. Plain parts count their paths n_b:
+    the pooled mean weights each part's mean by n_b, and the pooled sample variance
+    adds the within-part sums of squares, (n_b - 1) n_b se_b^2, to the between-part
+    ones, n_b (mean_b - mean)^2. Every sum is exactly rounded, so the result does not
+    depend on the order of the parts.
     """
     first = parts[0]
     if len(parts) == 1:
@@ -241,13 +400,35 @@ def _pool_estimates(parts) -> PriceEstimate:
     paths = sum(e.path_count for e in parts)
     if all(e.std_error == 0.0 and e.price == first.price for e in parts):
         return replace(first, path_count=paths)
-    counts = [e.path_count // _PATHS_PER_SAMPLE[e.estimator] for e in parts]
+    if first._moments is not None:
+        moments = _pool_moments([e._moments for e in parts])
+        price, se = _controlled(*moments)
+        return replace(first, price=price, std_error=se, path_count=paths,
+                       _moments=moments)
+    counts = [e.path_count for e in parts]
     total = sum(counts)
     mean = math.fsum(n * e.price for n, e in zip(counts, parts)) / total
     squares = math.fsum((n - 1) * n * e.std_error**2 + n * (e.price - mean) ** 2
                         for n, e in zip(counts, parts))
     return replace(first, price=mean, std_error=math.sqrt(squares / (total - 1) / total),
                    path_count=paths)
+
+
+def _pool_moments(parts) -> tuple:
+    """The (count, means, cross, tail) moments of the union of disjoint samples of one
+    maturity: the means weight each part's by its count n_b, and the centred cross
+    products add the within-part ones to the between-part ones,
+    n_b (m_b - m)(m_b - m)^T. Every sum is exactly rounded (`math.fsum`)."""
+    total = sum(part[0] for part in parts)
+    dim = len(parts[0][1])
+    means = [math.fsum(n * m[i] for n, m, _, _ in parts) / total for i in range(dim)]
+    cross = [[0.0] * dim for _ in range(dim)]
+    for i in range(dim):
+        for k in range(i, dim):
+            cross[i][k] = cross[k][i] = math.fsum(
+                x for n, m, c, _ in parts
+                for x in (c[i][k], n * (m[i] - means[i]) * (m[k] - means[k])))
+    return total, means, cross, parts[0][3]
 
 
 def _block_estimates(bundle_of, n_blocks: int, params: ModelParams, env: MarketEnv,

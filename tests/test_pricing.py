@@ -65,6 +65,24 @@ def test_black_scholes_validation():
         black_scholes_call(100.0, 100.0, 0.0, -0.2, 1.0)
 
 
+def test_bs_calls_fast_path_keeps_the_masked_paths_bits():
+    # with every spot and variance positive the rows are formed without the mask;
+    # one zero variance sends the same inputs through the masked branch, and every
+    # other path keeps its bits
+    rng = np.random.default_rng(5)
+    spot = 100.0 * np.exp(0.3 * rng.standard_normal(1000))
+    totvar = 0.04 * rng.uniform(0.01, 2.0, 1000)
+    strikes = (60.0, 100.0, 125.0)
+    fast = pricing._bs_calls(spot, totvar, strikes, 0.02, 0.75)
+    one_zero = totvar.copy()
+    one_zero[17] = 0.0
+    masked = pricing._bs_calls(spot, one_zero, strikes, 0.02, 0.75)
+    others = np.arange(spot.size) != 17
+    assert np.array_equal(fast[:, others], masked[:, others])
+    intrinsic = np.maximum(spot[17] - np.array(strikes) * np.exp(-0.02 * 0.75), 0.0)
+    assert np.array_equal(masked[:, 17], intrinsic)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("position", range(5),
                          ids=["spot", "strike", "rate", "vol", "maturity"])
@@ -328,17 +346,23 @@ def test_plain_estimator_needs_the_orthogonal_increments():
     assert chain_estimates(bundle, FIT_PARAMS, env, ((100.0, 1.0),))[0].price > 0.0
 
 
-def reference_conditional(params, bundle, env, options, sigma0_inside=False):
+def reference_pairs(params, bundle, env, options, sigma0_inside=False):
     """The conditional estimator written out per option: whole-path volatilities,
     concatenated left-point volatilities, the Wiener increments and one full
-    Black-Scholes pass for every quote, on the bundle and on its mirror (-B^H, -dW);
-    the estimate is the mean and SE of the pair means. The sums are taken at
-    sigma0 = 1 and scaled by sigma0 and sigma0^2, as the estimator takes them, or with
-    ``sigma0_inside`` from the volatilities at sigma0 itself."""
+    Black-Scholes pass for every quote, on the bundle and on its mirror (-B^H, -dW).
+    The sums are taken at sigma0 = 1 and scaled by sigma0 and sigma0^2, as the
+    estimator takes them, or with ``sigma0_inside`` from the volatilities at sigma0
+    itself. Returns, per option, the pair means of the values and of the controls
+    S_eff - S0, I2 - E[I2] (3 x pairs), with E[I2] = sigma0^2 sum exp((2 - alpha) xi^2
+    t_{k-1}^{2H}) dt_k."""
     grid = bundle.grid
     rho = params.rho
     scale = 1.0 if sigma0_inside else params.sigma0
     unit = params if sigma0_inside else replace(params, sigma0=1.0)
+    left = np.concatenate(([0.0], grid.times[:-1]))
+    mean_var = params.sigma0**2 * np.cumsum(
+        np.exp((2.0 - params.alpha) * params.xi**2 * left ** (2.0 * params.H))
+        * grid.deltas)
     per_path = [[] for _ in options]
     for fbm_paths, dw in ((bundle.fbm_paths, bundle.w_increments),
                           (-bundle.fbm_paths, -bundle.w_increments)):
@@ -362,9 +386,42 @@ def reference_conditional(params, bundle, env, options, sigma0_inside=False):
             s = spot[pos]
             d1 = (np.log(s / strike) + env.rate * t) / sq + 0.5 * sq
             values[pos] = s * special.ndtr(d1) - disc_k * special.ndtr(d1 - sq)
-            values_of.append(values)
-    return [tuple(map(float, _mean_se(0.5 * (base + mirror))))
-            for base, mirror in per_path]
+            values_of.append((values, spot, int_var, int_sdw))
+    pairs = []
+    for (_, t), (base, mirror) in zip(options, per_path):
+        y, *controls = (0.5 * (b + m) for b, m in zip(base, mirror))
+        controls[0] = controls[0] - env.spot
+        controls[1] = controls[1] - mean_var[grid.index_of(t)]
+        pairs.append((y, np.array(controls)))
+    return pairs
+
+
+def reference_conditional(params, bundle, env, options, sigma0_inside=False,
+                          controlled=True):
+    """`reference_pairs` estimated as the estimator does: the regression of the
+    values on the controls (`pricing._regression_estimates`), or without
+    ``controlled`` the mean and SE of the pair means, the uncontrolled oracle."""
+    estimates = []
+    for (_, t), (y, controls) in zip(options, reference_pairs(params, bundle, env,
+                                                             options, sigma0_inside)):
+        if controlled:
+            tail = 4.0 * params.xi**2 * t ** (2.0 * params.H)
+            (price, se, _), = pricing._regression_estimates(y[None, :], controls, tail)
+            estimates.append((price, se))
+        else:
+            estimates.append(tuple(map(float, _mean_se(y))))
+    return estimates
+
+
+def ols(y, controls):
+    """Price and SE of y regressed on ``controls`` (rows, exact mean 0) by least
+    squares with an intercept: the intercept, and the residuals' SE with
+    1 + len(controls) degrees of freedom spent."""
+    n = y.size
+    design = np.column_stack([np.ones(n), *controls])
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ coef
+    return coef[0], math.sqrt(resid @ resid / (n - 1 - len(controls)) / n)
 
 
 def test_chain_estimates_equal_per_option_reference():
@@ -378,7 +435,11 @@ def test_chain_estimates_equal_per_option_reference():
     assert got == reference_conditional(FIT_PARAMS, bundle, env, options)
     # sigma0 inside the sums gives the same estimates up to the sums' rounding
     inside = reference_conditional(FIT_PARAMS, bundle, env, options, sigma0_inside=True)
-    assert_allclose(got, inside, rtol=1e-13, atol=0.0)
+    assert_allclose([p for p, _ in got], [p for p, _ in inside], rtol=1e-13, atol=0.0)
+    # an SE is a regression residual's: rounding of order eps * spot in each pair's
+    # values and controls moves it by about that over sqrt(pairs), whatever its size
+    assert_allclose([se for _, se in got], [se for _, se in inside], rtol=1e-13,
+                    atol=1e-14 * env.spot / math.sqrt(3000))
 
 
 def test_repeated_quotes_are_priced_once(monkeypatch):
@@ -410,31 +471,42 @@ def test_repeated_quotes_are_priced_once(monkeypatch):
 # streamed block pricing
 
 
-def _estimate(values):
-    mean, se = _mean_se(np.asarray(values, dtype=float))
-    return PriceEstimate(price=mean, std_error=se, estimator="plain",
-                         path_count=len(values))
+def _estimate(values, controls=None):
+    """A plain estimate of ``values``, or with ``controls`` (3 x len(values)) the
+    conditional estimator's regression on them."""
+    values = np.asarray(values, dtype=float)
+    if controls is None:
+        mean, se = _mean_se(values)
+        return PriceEstimate(price=mean, std_error=se, estimator="plain",
+                             path_count=len(values))
+    (price, se, moments), = pricing._regression_estimates(values[None, :], controls, 0.0)
+    return PriceEstimate(price, se, "conditional_mixed", 2 * len(values), moments)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(values=st.lists(st.floats(0.0, 1e3), min_size=2, max_size=60),
-       cuts=st.sets(st.integers(1, 59), max_size=6))
-@example(values=[5e-324, 5e-324, 0.0], cuts={1})
-def test_pooled_estimate_matches_whole_sample(values, cuts):
+       cuts=st.sets(st.integers(1, 59), max_size=6), controlled=st.booleans())
+@example(values=[5e-324, 5e-324, 0.0], cuts={1}, controlled=False)
+def test_pooled_estimate_matches_whole_sample(values, cuts, controlled):
     bounds = [0, *sorted(c for c in cuts if c < len(values)), len(values)]
-    parts = [_estimate(values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    controls = None
+    if controlled:  # three normal controls, the first correlated with the values
+        controls = np.random.default_rng(len(values)).standard_normal((3, len(values)))
+        controls[0] += 1e-3 * np.asarray(values)
+    parts = [_estimate(values[lo:hi], None if controls is None else controls[:, lo:hi])
+             for lo, hi in zip(bounds, bounds[1:])]
     pooled = _pool_estimates(parts)
-    mean, se = _mean_se(np.asarray(values))
+    whole = _estimate(values, controls)
     # the SE of a near-constant sample is itself rounding noise of size eps * |x|.
     # Below the normal range a part mean rounds to a multiple of the smallest
     # subnormal, and squares of values under ~1e-154 do too, so the means can differ
     # by that step and the SEs by its square root.
     floor = 1e-12 * max(values)
     tiny = math.ulp(0.0)
-    assert pooled.price == pytest.approx(mean, rel=1e-12, abs=max(floor, tiny))
-    assert pooled.std_error == pytest.approx(se, rel=1e-12,
+    assert pooled.price == pytest.approx(whole.price, rel=1e-12, abs=max(floor, tiny))
+    assert pooled.std_error == pytest.approx(whole.std_error, rel=1e-12,
                                              abs=max(floor, math.sqrt(tiny)))
-    assert pooled.path_count == len(values)
+    assert pooled.path_count == whole.path_count
 
 
 def test_pooled_constant_sample_has_zero_se():
@@ -639,3 +711,134 @@ def test_price_chain_is_invariant_to_quote_order(order, estimator):
     base = priced(PERMUTED_OPTIONS)
     permuted = priced(tuple(PERMUTED_OPTIONS[i] for i in order))
     assert permuted == [base[i] for i in order]
+
+
+# ---------------------------------------------------------------------------
+# control variates
+
+
+CONTROL_GRID = TimeGrid.with_maturities([0.25, 1.0], 12)
+
+
+def _controlled_setup(params, paths=2000, seed=21):
+    bundle = sample_paths(build_joint_covariance(CONTROL_GRID, params.H), paths,
+                          seed=seed, orthogonal=False)
+    env = MarketEnv(spot=100.0, rate=0.01)
+    options = [(k, t) for t in (0.25, 1.0) for k in (80.0, 100.0, 120.0)]
+    return bundle, env, options
+
+
+@pytest.mark.parametrize("rho,dropped", [(0.0, {0}), (-1.0, set())],
+                         ids=["rho0-no-spot-control", "rho-1-no-conditional-variance"])
+def test_controlled_estimates_equal_least_squares(rho, dropped):
+    # at rho = 0 S_eff is S0 on every path, so c1 is 0 and is dropped; at rho = -1
+    # the conditional variance is 0 and each value is the intrinsic value of S_eff.
+    # The estimate is the intercept of a least-squares fit on the kept controls
+    params = replace(FIT_PARAMS, rho=rho)
+    bundle, env, options = _controlled_setup(params)
+    got = chain_estimates(bundle, params, env, options)
+    for est, (y, controls) in zip(got, reference_pairs(params, bundle, env, options)):
+        kept = [c for k, c in enumerate(controls) if k not in dropped]
+        price, se = ols(y, kept)
+        assert est.price == pytest.approx(price, rel=1e-10, abs=1e-12)
+        assert est.std_error == pytest.approx(se, rel=1e-8)
+        if dropped:
+            assert not controls[0].any()
+
+
+def test_flat_volatility_keeps_only_the_spot_control():
+    # gate 03's tilted case: xi below the subnormal floor makes sigma = sigma0 on every
+    # path, so I2 - E[I2] is 0 and a pair's I1 terms cancel; only c1 stays
+    params = ModelParams(sigma0=0.2, rho=-0.3, H=0.5, xi=1e-300, alpha=0.0)
+    grid = TimeGrid.regular(1.0, 16)
+    bundle = sample_paths(build_joint_covariance(grid, 0.5), 3000, seed=77)
+    env = MarketEnv(spot=100.0, rate=0.0)
+    options = [(90.0, 1.0), (100.0, 1.0)]
+    (y, controls), _ = reference_pairs(params, bundle, env, options)
+    assert not controls[1].any() and not controls[2].any()
+    est = chain_estimates(bundle, params, env, options)[0]
+    price, se = ols(y, controls[:1])
+    assert est.price == pytest.approx(price, rel=1e-12)
+    assert est.std_error == pytest.approx(se, rel=1e-8)
+    assert abs(est.price - black_scholes_call(100.0, 90.0, 0.0, 0.2, 1.0)) \
+        <= 4.0 * est.std_error
+
+
+def test_collinear_control_is_dropped():
+    rng = np.random.default_rng(3)
+    controls = rng.integers(-8, 9, size=(3, 500)).astype(float)
+    controls[2] = controls[0] - 2.0 * controls[1]  # exactly, in small integers
+    y = 1.5 + 0.3 * controls[0] - 0.1 * controls[1] + rng.standard_normal(500)
+    (price, se, _), = pricing._regression_estimates(y[None, :], controls, 0.0)
+    assert (price, se) == pytest.approx(ols(y, controls[:2]), rel=1e-12)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_worthless_row_prices_zero_exactly(threads):
+    # a strike no path reaches: every value is 0.0, so price and SE are 0 exactly,
+    # in each block and pooled over three
+    env = MarketEnv(spot=100.0, rate=0.0)
+    est, = price_chain(((1e6, 0.25),), env, replace(FIT_PARAMS, xi=0.1),
+                       path_count=2 * 2 * PATH_BLOCK + 50, steps_per_year=12, seed=4,
+                       threads=threads)
+    assert (est.price, est.std_error) == (0.0, 0.0)
+
+
+def test_heavy_tailed_volatility_uses_no_control():
+    # 4 xi^2 T^{2H} above log(pairs): the sample misses the paths that carry the
+    # controls' means, and the estimate is the uncontrolled pair mean
+    params = ModelParams(sigma0=0.05, rho=-0.22, H=0.05, xi=2.5, alpha=0.01)
+    bundle, env, options = _controlled_setup(params, paths=1000)
+    got = chain_estimates(bundle, params, env, options)
+    oracle = reference_conditional(params, bundle, env, options, controlled=False)
+    for est, (price, se) in zip(got, oracle):
+        assert est.price == price
+        assert est.std_error == pytest.approx(se, rel=1e-13)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(params=box_params)
+def test_controls_have_mean_zero_over_the_default_box(params):
+    # each control's sample mean is within 4 SE of its exact mean 0, wherever the
+    # estimator uses the controls
+    bundle, env, options = _controlled_setup(params, seed=8)
+    for est in chain_estimates(bundle, params, env, [(100.0, 0.25), (100.0, 1.0)]):
+        count, means, cross, tail = est._moments
+        if tail > math.log(count):
+            continue
+        for k in (1, 2, 3):
+            assert abs(means[k]) <= 4.0 * math.sqrt(cross[k][k] / (count - 1) / count)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(params=box_params)
+def test_controlled_price_agrees_with_the_uncontrolled_oracle(params):
+    bundle, env, options = _controlled_setup(params)
+    got = chain_estimates(bundle, params, env, options)
+    oracle = reference_conditional(params, bundle, env, options, controlled=False)
+    pairs = bundle.fbm_paths.shape[0]
+    for est, (price, se) in zip(got, oracle):
+        # the residuals' sum of squares is at most Y's; the SE can exceed the oracle's
+        # only by the degrees of freedom the controls spend
+        assert est.std_error <= se * math.sqrt((pairs - 1) / (pairs - 4)) * (1 + 1e-12)
+        floor = 1e-12 * env.spot
+        assert abs(est.price - price) <= 4.0 * math.hypot(est.std_error, se) + floor
+
+
+def test_fitted_beta_bias_is_below_se_resolution():
+    # beta fitted on the priced paths adds an O(1/N) bias; over 100 chains of 2000
+    # priced paths it stays within 3 standard errors of the mean difference from the
+    # uncontrolled oracle on the same draws
+    env = MarketEnv(spot=100.0, rate=0.01)
+    options = [(90.0, 1.0), (100.0, 1.0), (110.0, 1.0), (100.0, 0.25)]
+    cov = build_joint_covariance(CONTROL_GRID, FIT_PARAMS.H)
+    gaps = []
+    for seed in range(100):
+        bundle = sample_paths(cov, 1000, seed=seed, orthogonal=False)
+        got = chain_estimates(bundle, FIT_PARAMS, env, options)
+        oracle = reference_conditional(FIT_PARAMS, bundle, env, options,
+                                       controlled=False)
+        gaps.append([e.price - price for e, (price, _) in zip(got, oracle)])
+    gaps = np.array(gaps)
+    mean, se = _mean_se(gaps.T)
+    assert np.all(np.abs(mean) <= 3.0 * se)
