@@ -119,13 +119,13 @@ def _left_point_sums(bundle: PathBundle, params: ModelParams, nodes, integrand, 
     one (len(nodes) x paths) array per term is returned. Only one panel of temporaries
     is held at a time.
 
-    With ``mirror`` every path is summed a second time with the volatilities of its
-    antithetic mirror, whose fBm is -B^H. They are formed from -B^H in the same panel,
-    so no negated copy of the paths is stored, and they meet the sampled increments
-    +dW and +dW~; the sums follow the sampled paths' along the paths axis
-    (len(nodes) x 2 paths). The mirror's own increments are -dW and -dW~, so the
-    caller negates the mirror's sums of terms odd in the increments: rounding is
-    symmetric in sign, so a negated sum has the bits of the sum of negated terms.
+    With ``mirror`` every path is summed a second time as its antithetic mirror, whose
+    fBm is -B^H and whose increments are -dW and -dW~. The mirror's volatilities are
+    formed from -B^H in the same panel, so no negated copy of the paths is stored;
+    its sums follow the sampled paths' along the paths axis (len(nodes) x 2 paths).
+    An integrand reads sigma only through sigma^2 and sigma times an increment, so
+    the mirror's sigma against -dW is handed over as -sigma against +dW: the same
+    terms bit for bit, without a negated copy of the increments.
     """
     fbm, dw_tilde = bundle.fbm_paths, bundle.w_tilde_increments
     n_paths = fbm.shape[0]
@@ -146,6 +146,8 @@ def _left_point_sums(bundle: PathBundle, params: ModelParams, nodes, integrand, 
             sig[:, :head] = 0.0
             np.multiply(fbm[:, lo + head - 1: hi - 1], sign, out=sig[:, head:])  # B^H, -B^H
             volatility_paths(sig, params, times[lo:hi], out=sig)
+            if sign < 0.0:
+                np.negative(sig, out=sig)  # the mirror: -sigma against +dW, see above
             terms = integrand(sig, dw, dwt, dt[lo:hi], *args)
             if sums is None:
                 sums = [np.empty((len(nodes), len(signs) * n_paths)) for _ in terms]

@@ -106,23 +106,21 @@ def _bs_calls(spot: np.ndarray, totvar: np.ndarray, strikes, rate: float,
     """Black-Scholes calls on per-path (spot, total variance) arrays, one row per strike.
 
     ``totvar`` is sigma^2 * T; zero total variance degenerates to the discounted
-    intrinsic value max(spot - strike * exp(-rT), 0). sqrt(totvar) does not depend on
-    the strike and is computed once for all of them, and each row is formed in two
-    reused buffers. When every path has a positive spot and variance, the rows are
-    formed from the whole arrays; otherwise the positive paths are gathered first and
-    the others take the intrinsic value. A positive path's value has the same bits
-    either way.
+    intrinsic value max(spot - strike * exp(-rT), 0). The positivity mask and
+    sqrt(totvar) do not depend on the strike and are computed once for all of them,
+    and each row's positive paths are formed in two reused buffers.
     """
     # a spot that underflowed to zero is a worthless call; log() would warn on it
     pos = (totvar > 0.0) & (spot > 0.0)
-    every = bool(pos.all())
-    s, sq = (spot, np.sqrt(totvar)) if every else (spot[pos], np.sqrt(totvar[pos]))
+    sq = np.sqrt(totvar[pos])
+    s = spot[pos]
     half_sq = 0.5 * sq
     drift = rate * maturity
     d1, d2 = np.empty_like(s), np.empty_like(s)
     values = np.empty((len(strikes), *spot.shape))
     for row, strike in zip(values, strikes):
         disc_k = strike * np.exp(-rate * maturity)
+        np.maximum(spot - disc_k, 0.0, out=row)
         np.divide(s, strike, out=d1)
         np.log(d1, out=d1)
         d1 += drift
@@ -132,14 +130,9 @@ def _bs_calls(spot: np.ndarray, totvar: np.ndarray, strikes, rate: float,
         special.ndtr(d2, out=d2)
         d2 *= disc_k
         special.ndtr(d1, out=d1)
-        if every:
-            np.multiply(s, d1, out=row)
-            row -= d2
-        else:
-            np.maximum(spot - disc_k, 0.0, out=row)
-            d1 *= s
-            d1 -= d2
-            row[pos] = d1
+        d1 *= s
+        d1 -= d2
+        row[pos] = d1
     return values
 
 
@@ -193,10 +186,11 @@ def _dot(a, b) -> float:
 
 def _control_fit(count: int, c_means, scc, tail: float) -> tuple:
     """The controls a regression over ``count`` samples keeps, the Cholesky factor of
-    their centred cross products ``scc`` and its forward solve against their means:
-    the part of `_controlled` that does not depend on Y."""
+    their centred cross products ``scc``, its forward solve against their means and the
+    weight of the fit: the part of `_controlled` that does not depend on Y."""
+    weight = min(1.0, max(0.0, math.log(count) - tail))
     kept, factor = [], []  # indices of the kept controls, rows of their Cholesky factor
-    for k in range(len(scc)) if tail <= math.log(count) else ():
+    for k in range(len(scc)) if weight > 0.0 else ():
         if count - len(kept) <= 2:
             break
         row = []
@@ -209,20 +203,20 @@ def _control_fit(count: int, c_means, scc, tail: float) -> tuple:
     shift = []
     for i, lrow in zip(kept, factor):
         shift.append((c_means[i] - _dot(shift, lrow)) / lrow[-1])
-    return kept, factor, shift
+    return kept, factor, shift, weight
 
 
 def _fitted(count: int, y_mean: float, syy: float, syc, control_fit) -> tuple:
     """`_controlled` from Y's moments and the controls' `_control_fit`."""
     if syy == 0.0:
         return y_mean, 0.0
-    kept, factor, shift = control_fit
+    kept, factor, shift, weight = control_fit
     fit = []
     for i, lrow in zip(kept, factor):
         fit.append((syc[i] - _dot(fit, lrow)) / lrow[-1])
-    rss = max(syy - _dot(fit, fit), 0.0)
-    return (y_mean - _dot(fit, shift),
-            math.sqrt(rss / (count - 1 - len(kept)) / count))
+    rss = max(syy - weight * (2.0 - weight) * _dot(fit, fit), 0.0)
+    return (y_mean - weight * _dot(fit, shift),
+            math.sqrt(rss / (count - 1 - weight * len(kept)) / count))
 
 
 def _controlled(count: int, means, cross, tail: float) -> tuple[float, float]:
@@ -233,14 +227,18 @@ def _controlled(count: int, means, cross, tail: float) -> tuple[float, float]:
     The controls are factored by Cholesky in that fixed order, and each is kept only
     if its pivot exceeds `_COLLINEAR` times its own variance (so a constant control is
     dropped) and a residual degree of freedom remains. With beta fitted by least
-    squares on the p kept ones, the price is mean(Y) - beta . mean(c) and the standard
-    error sqrt(RSS / (count - 1 - p) / count). A Y without spread is its mean with
-    standard error 0.
+    squares on the p kept ones, the price is mean(Y) - w beta . mean(c) and the
+    standard error sqrt(RSS_w / (count - 1 - w p) / count), where RSS_w is the sum of
+    squares of the residuals Y - w beta . c and the weight w is 1 away from the tail
+    rule below. A Y without spread is its mean with standard error 0.
 
-    No control is kept when ``tail`` = 4 xi^2 T^{2H} exceeds log(count). E[sigma_T^4] /
-    E[sigma_T^2]^2 = exp(tail), and a sample of lognormal values with more relative
-    variance than samples misses the paths that carry their mean: the controls' sample
-    means and variances, and so beta and the standard error, would not be resolved.
+    The tail rule: w = clip(log(count) - tail, 0, 1) with ``tail`` = 4 xi^2 T^{2H}, so
+    no control is used once tail reaches log(count). E[sigma_T^4] / E[sigma_T^2]^2 =
+    exp(tail), and a sample of lognormal values with more relative variance than
+    samples misses the paths that carry their mean: the controls' sample means and
+    variances, and so beta and the standard error, would not be resolved. w falls
+    linearly over the last unit of tail, so price and standard error stay continuous in
+    the parameters, as the least-squares stage's finite differences need.
     """
     control_fit = _control_fit(count, means[1:], [row[1:] for row in cross[1:]], tail)
     return _fitted(count, means[0], cross[0][0], cross[0][1:], control_fit)
@@ -282,7 +280,6 @@ def _unit_sums(bundle: PathBundle, params: ModelParams, nodes):
     [I2 = int sigma^2 dt, I1 = int sigma dW, E[I2]], from the bundle's memo when its
     key, (H, xi, alpha, nodes), is this call's, else formed and stored there.
 
-    The mirror's I1 is -sum sigma^- dW: its sums are negated once, after summing.
     E[I2] = sum exp((2 - alpha) xi^2 t_{k-1}^{2H}) dt_k is exact on the left-point
     scheme, because Var B^H_t = t^{2H}; one value per node.
     The memo is read once, and replaced whole: threads pricing one bundle at different
@@ -295,8 +292,6 @@ def _unit_sums(bundle: PathBundle, params: ModelParams, nodes):
         return memo[1]
     sums = _left_point_sums(bundle, replace(params, sigma0=1.0), nodes,
                             _conditional_steps, mirror=True)
-    mirror_sdw = sums[1][:, bundle.fbm_paths.shape[0]:]
-    np.negative(mirror_sdw, out=mirror_sdw)
     end = max(nodes) + 1
     left = np.concatenate(([0.0], bundle.grid.times[: end - 1]))
     growth = np.exp((2.0 - params.alpha) * params.xi**2 * left ** (2.0 * params.H))

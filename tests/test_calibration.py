@@ -634,6 +634,35 @@ def test_fd_jacobian_reuses_the_base_points_unit_sums(monkeypatch):
     assert np.array_equal(jac, cold)
 
 
+def test_fd_jacobian_is_stable_across_the_control_tail_rule():
+    # the controls fade out as 4 xi^2 T^{2H} reaches log(pairs) (`pricing._controlled`).
+    # A xi step from just below that edge to just above it is a forward difference
+    # across a kink of a continuous price: its column lies between the columns on
+    # either side of the edge, where a price that jumped would put it at jump / step
+    s = small_structure()
+    config = fast_config()  # 2000 priced paths: 1000 pairs, one block
+    bounds = config.effective_bounds()
+    steps = _FD_REL_STEP * bounds.width
+    xi = PARAM_NAMES.index("xi")
+    h = steps[xi]
+    T, H = max(s.maturities), THETA.H
+    edge = np.sqrt(np.log(1000) / (4.0 * T ** (2.0 * H)))
+    pricer = FrozenPricer(s, config)
+
+    def column(at):
+        theta = replace(THETA, xi=at).as_array()
+        jac = _fd_jacobian(pricer.residuals, theta, pricer.residuals(theta), steps,
+                           bounds.lower, bounds.upper, [xi])
+        return jac[:, xi]
+
+    across = column(edge - 0.3 * h)
+    below, above = column(edge - 2.3 * h), column(edge + 1.7 * h)
+    assert np.all(np.isfinite(across))
+    slack = 1e-2 * np.abs([below, above]).max()
+    assert np.all(across >= np.minimum(below, above) - slack)
+    assert np.all(across <= np.maximum(below, above) + slack)
+
+
 def test_fd_jacobian_independent_of_column_order():
     def residual_fn(x):
         return np.array([np.sin(x[0]) * x[2], x[1] ** 3 - x[3], np.exp(x[2] * x[3]),

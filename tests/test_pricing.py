@@ -65,24 +65,6 @@ def test_black_scholes_validation():
         black_scholes_call(100.0, 100.0, 0.0, -0.2, 1.0)
 
 
-def test_bs_calls_fast_path_keeps_the_masked_paths_bits():
-    # with every spot and variance positive the rows are formed without the mask;
-    # one zero variance sends the same inputs through the masked branch, and every
-    # other path keeps its bits
-    rng = np.random.default_rng(5)
-    spot = 100.0 * np.exp(0.3 * rng.standard_normal(1000))
-    totvar = 0.04 * rng.uniform(0.01, 2.0, 1000)
-    strikes = (60.0, 100.0, 125.0)
-    fast = pricing._bs_calls(spot, totvar, strikes, 0.02, 0.75)
-    one_zero = totvar.copy()
-    one_zero[17] = 0.0
-    masked = pricing._bs_calls(spot, one_zero, strikes, 0.02, 0.75)
-    others = np.arange(spot.size) != 17
-    assert np.array_equal(fast[:, others], masked[:, others])
-    intrinsic = np.maximum(spot[17] - np.array(strikes) * np.exp(-0.02 * 0.75), 0.0)
-    assert np.array_equal(masked[:, 17], intrinsic)
-
-
 @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("position", range(5),
                          ids=["spot", "strike", "rate", "vol", "maturity"])
@@ -430,16 +412,19 @@ def test_chain_estimates_equal_per_option_reference():
                (120.0, 1.0))
     grid = TimeGrid.with_maturities([0.25, 0.5, 1.0], 12)
     bundle = sample_paths(build_joint_covariance(grid, FIT_PARAMS.H), 3000, seed=12)
-    got = [(e.price, e.std_error)
-           for e in chain_estimates(bundle, FIT_PARAMS, env, options)]
+    estimates = chain_estimates(bundle, FIT_PARAMS, env, options)
+    got = [(e.price, e.std_error) for e in estimates]
     assert got == reference_conditional(FIT_PARAMS, bundle, env, options)
-    # sigma0 inside the sums gives the same estimates up to the sums' rounding
-    inside = reference_conditional(FIT_PARAMS, bundle, env, options, sigma0_inside=True)
-    assert_allclose([p for p, _ in got], [p for p, _ in inside], rtol=1e-13, atol=0.0)
-    # an SE is a regression residual's: rounding of order eps * spot in each pair's
-    # values and controls moves it by about that over sqrt(pairs), whatever its size
-    assert_allclose([se for _, se in got], [se for _, se in inside], rtol=1e-13,
-                    atol=1e-14 * env.spot / math.sqrt(3000))
+    # sigma0 inside the sums gives the same prices and regression moments up to the
+    # sums' rounding. The SE is not compared: RSS = syy - |fit|^2 cancels, and the
+    # conditioning of the controls' cross products amplifies the moments' rounding
+    inside = reference_pairs(FIT_PARAMS, bundle, env, options, sigma0_inside=True)
+    for est, (_, t), (y, controls) in zip(estimates, options, inside):
+        tail = 4.0 * FIT_PARAMS.xi**2 * t ** (2.0 * FIT_PARAMS.H)
+        (price, _, moments), = pricing._regression_estimates(y[None, :], controls, tail)
+        assert_allclose(est.price, price, rtol=1e-13, atol=0.0)
+        for got_moment, moment in zip(est._moments[1:3], moments[1:3]):
+            assert_allclose(got_moment, moment, rtol=1e-13, atol=0.0)
 
 
 def test_repeated_quotes_are_priced_once(monkeypatch):
@@ -773,6 +758,29 @@ def test_collinear_control_is_dropped():
     assert (price, se) == pytest.approx(ols(y, controls[:2]), rel=1e-12)
 
 
+@pytest.mark.parametrize("fade", [0.0, 0.25, 0.75, 1.0, 1.5])
+def test_controls_fade_out_over_the_last_unit_of_tail(fade):
+    # the fit's weight w falls from 1 to 0 as tail goes from log(n) - 1 to log(n): the
+    # price is mean(y) - w beta . mean(c) and the SE that of the residuals
+    # y - w beta . c with 1 + 3 w degrees of freedom spent, from the samples and from
+    # the moments alike
+    rng = np.random.default_rng(9)
+    n = 500
+    controls = rng.standard_normal((3, n))
+    y = 2.0 + controls.T @ [0.8, -0.4, 0.3] + 0.5 * rng.standard_normal(n)
+    tail = math.log(n) - 1.0 + fade
+    w = min(1.0, max(0.0, math.log(n) - tail))
+    (price, se, moments), = pricing._regression_estimates(y[None, :], controls, tail)
+    design = np.column_stack([np.ones(n), *controls])
+    beta = np.linalg.lstsq(design, y, rcond=None)[0][1:]
+    resid = y - y.mean() - w * beta @ (controls - controls.mean(axis=1, keepdims=True))
+    assert price == pytest.approx(y.mean() - w * beta @ controls.mean(axis=1), rel=1e-13)
+    assert se == pytest.approx(math.sqrt(resid @ resid / (n - 1 - 3 * w) / n), rel=1e-12)
+    assert pricing._controlled(*moments) == pytest.approx((price, se), rel=1e-12)
+    if w == 0.0:
+        assert price == y.mean()
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_worthless_row_prices_zero_exactly(threads):
     # a strike no path reaches: every value is 0.0, so price and SE are 0 exactly,
@@ -804,7 +812,7 @@ def test_controls_have_mean_zero_over_the_default_box(params):
     bundle, env, options = _controlled_setup(params, seed=8)
     for est in chain_estimates(bundle, params, env, [(100.0, 0.25), (100.0, 1.0)]):
         count, means, cross, tail = est._moments
-        if tail > math.log(count):
+        if tail >= math.log(count):
             continue
         for k in (1, 2, 3):
             assert abs(means[k]) <= 4.0 * math.sqrt(cross[k][k] / (count - 1) / count)
