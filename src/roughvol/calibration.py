@@ -2,7 +2,7 @@
 
 The objective G(Theta) = sum_i w_i (C_i^Theta - C_i^mkt)^2 is a Monte-Carlo quantity;
 evaluated naively it is noisy and finite-difference Jacobians are meaningless. The
-calibrator therefore freezes the standard-normal draws once per run (common random
+calibrator therefore freezes the standard-normal draws once per pricer (common random
 numbers): each new Hurst index gets its joint covariance, its Cholesky factor and the
 frozen draws pushed through it, making Theta -> G a deterministic, smooth function of
 the parameters. The paths are kept one path block at a time, each until a call at
@@ -11,20 +11,31 @@ block also keeps the conditional estimator's left-point sums at sigma0 = 1 from 
 last call, keyed by (H, xi, alpha) (see `pricing`): the prices scale them by sigma0
 and sigma0^2 and take rho after them, so a call that moves only sigma0 or rho forms
 no sums, only the Black-Scholes step. The pricer also remembers the prices of every
-parameter vector it has priced, so no vector is priced twice by the optimizers.
+parameter vector it has priced, so neither optimizer prices a vector twice on it.
 Every reuse is exact, so results are what full re-evaluation would give.
 
 The global stage is a small genetic algorithm over the bounded box (tournament
 selection of size 3, per-gene blend crossover, Gaussian mutation with sigma = 5% of the
-bound width, elitism of 2). The local stage is bound-constrained least squares on the
-residual vector sqrt(w_i) (C_i^Theta - C_i^mkt) with one-sided finite differences of
-step 1e-4 x bound width. Model variants fix parameters by collapsing their bounds
-(lower = upper, `_VARIANT_PINS`); collapsed components are removed from the
-optimizer's vector and reinstated exactly on output.
+bound width, elitism of 2). It only has to find the basin, so it runs on a coarse
+pricer: one path block of base paths (`_GA_PATH_COUNT` priced paths) at no more than
+`_GA_STEPS_PER_YEAR` steps per year, from the same seed, so that at or below that grid
+its draws are the requested pricer's first block bit for bit. The local stage is
+bound-constrained least squares on the residual vector sqrt(w_i) (C_i^Theta -
+C_i^mkt) of the requested pricer, with one-sided finite differences of step 1e-4 x
+bound width: the coarse grid is biased, so the fit is made on the requested one. The
+coarse pricer is released before the requested one draws, and a config at or below
+the coarse scale uses one pricer for both stages. Model variants fix parameters by
+collapsing their bounds (lower = upper, `_VARIANT_PINS`); collapsed components are
+removed from the optimizer's vector and reinstated exactly on output.
+
+Progress goes to the ``roughvol.calibration`` logger at INFO: one line per genetic
+generation and one when the least squares ends.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+import logging
+import time
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -47,6 +58,8 @@ __all__ = [
     "calibrate",
 ]
 
+log = logging.getLogger(__name__)
+
 #: the parameters each model variant pins, and their values; the rest are fitted
 #: within the bounds. alphaRFSV frees alpha, and fixed_H is the H = 1/2 baseline.
 _VARIANT_PINS = {"alphaRFSV": {}, "RFSV": {"alpha": 0.0}, "rBergomi": {"alpha": 1.0},
@@ -62,6 +75,12 @@ _OBJ_TOL, _STEP_TOL = 1e-6, 1e-7
 #: finite-difference step as a fraction of the bound width; at most 0.5, so a step
 #: flipped at the upper bound stays in the box.
 _FD_REL_STEP = 1e-4
+
+#: the genetic stage's scale, as caps on the config's path count and steps per year:
+#: one PATH_BLOCK of base paths (conditional pairs) on the desk grid. The search only
+#: has to find the basin, and almost all of its calls are at a new H.
+_GA_PATH_COUNT = 2 * PATH_BLOCK
+_GA_STEPS_PER_YEAR = 48
 
 
 @dataclass(frozen=True)
@@ -275,13 +294,17 @@ def _ga_minimize(config: CalibrationConfig, objective_fn):
     pop_size, dim = config.ga_population, len(PARAM_NAMES)
     n_elite = min(2, pop_size)
 
+    started = time.perf_counter()
     pop = lower + rng.uniform(size=(pop_size, dim)) * width
     values = _evaluate_all(objective_fn, list(pop), config.threads)
     best_idx = int(np.argmin(values))
     best_theta, best_value = pop[best_idx].copy(), float(values[best_idx])
     history = [best_value]
+    log.info("GA generation 0/%d: best objective %.6g, %.2f s", config.ga_generations,
+             best_value, time.perf_counter() - started)
 
-    for _ in range(config.ga_generations):
+    for generation in range(1, config.ga_generations + 1):
+        started = time.perf_counter()
         elite = np.argsort(values, kind="stable")[:n_elite]
         new_pop = [pop[i].copy() for i in elite]
         while len(new_pop) < pop_size:
@@ -303,6 +326,8 @@ def _ga_minimize(config: CalibrationConfig, objective_fn):
         if values[gen_best] < best_value:
             best_theta, best_value = pop[gen_best].copy(), float(values[gen_best])
         history.append(float(values[gen_best]))
+        log.info("GA generation %d/%d: best objective %.6g, %.2f s", generation,
+                 config.ga_generations, history[-1], time.perf_counter() - started)
     return best_theta, history
 
 
@@ -336,8 +361,10 @@ def local_refine(start: ModelParams, residual_fn,
     optimization vector and reported unchanged. Of ``config`` only the bounds, the
     variant and the seed are read. The result carries no fit metrics.
 
-    `calibrate` starts it from the genetic stage's best; a bootstrap sample runs it
-    alone, from the overall calibration's parameters.
+    `calibrate` starts it from the genetic stage's best, on the requested pricer
+    where the genetic stage ran on a coarse one; a bootstrap sample runs it alone,
+    from the overall calibration's parameters. Logs nfev, njev and trf's status at
+    INFO when the least squares ends.
     """
     # imported here, not with the module: it is most of scipy's import time, and only
     # the least-squares stage needs it
@@ -389,6 +416,8 @@ def local_refine(start: ModelParams, residual_fn,
     final_obj = float(final_res @ final_res)
     if final_obj > start_obj:  # keep the descent contract even if trf's last trial lost
         theta_arr, final_obj = theta0, start_obj
+    log.info("least squares done: nfev %d, njev %d, status %d, objective %.6g",
+             ls.nfev, ls.njev or 0, ls.status, final_obj)
     return result(theta_arr, final_obj,
                   {"nfev": int(ls.nfev), "njev": int(ls.njev or 0),
                    "status": int(ls.status), "message": str(ls.message),
@@ -396,12 +425,29 @@ def local_refine(start: ModelParams, residual_fn,
 
 
 def calibrate(structure: OptionStructure, config: CalibrationConfig) -> CalibrationResult:
-    """Global genetic search followed by local refinement, one frozen path bundle."""
-    pricer = FrozenPricer(structure, config)
+    """Global genetic search on a coarse pricer, then least squares on the requested one.
+
+    The genetic stage prices on at most `_GA_PATH_COUNT` paths at `_GA_STEPS_PER_YEAR`
+    steps per year, with the config's seed; ``iterations`` records that scale as
+    ``ga_path_count`` and ``ga_steps_per_year``, and ``ga_best_per_generation`` holds
+    objectives at it. Where that scale is the requested one, the same pricer serves
+    both stages. Else the coarse pricer is dropped before the requested one is built,
+    so the two never hold memory at once, and `local_refine` starts from the genetic
+    best priced anew. The metrics are those of the requested pricer.
+    """
+    ga_config = replace(config, path_count=min(config.path_count, _GA_PATH_COUNT),
+                        steps_per_year=min(config.steps_per_year, _GA_STEPS_PER_YEAR))
+    pricer = FrozenPricer(structure, ga_config)
     best_theta, history = _ga_minimize(config, pricer.objective)
+    if ((ga_config.path_count, ga_config.steps_per_year)
+            != (config.path_count, config.steps_per_year)):
+        del pricer  # free the coarse draws and paths before the requested ones
+        pricer = FrozenPricer(structure, config)
     start = ModelParams.from_array(best_theta)
     result = local_refine(start, pricer.residuals, config)
     result.metrics = fit_metrics(pricer.priced(result.theta), structure)
     result.iterations["ga_best_per_generation"] = history
+    result.iterations["ga_path_count"] = ga_config.path_count
+    result.iterations["ga_steps_per_year"] = ga_config.steps_per_year
     result.iterations["ga_start"] = asdict(start)
     return result

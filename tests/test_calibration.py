@@ -2,8 +2,10 @@
 analytic objectives, local refinement, model variants, and a small end-to-end fit."""
 import concurrent.futures
 import datetime as dt
+import logging
 import sys
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +17,8 @@ from numpy.testing import assert_allclose
 from roughvol.calibration import (
     MODEL_VARIANTS,
     _FD_REL_STEP,
+    _GA_PATH_COUNT,
+    _GA_STEPS_PER_YEAR,
     _H,
     CalibrationConfig,
     FrozenPricer,
@@ -594,6 +598,94 @@ def test_calibrate_prices_each_parameter_vector_once(monkeypatch, threads):
     assert len(set(seen)) == len(seen)
     monkeypatch.undo()
     assert result.metrics == fit_metrics(FrozenPricer(s, config).prices(result.theta), s)
+
+
+# ---------------------------------------------------------------------------
+# coarse-to-fine: the genetic stage on a coarse pricer, least squares on the requested
+
+
+def recorded_pricers(monkeypatch):
+    """Patch FrozenPricer.__init__ to record, per construction, the pricer's scale and
+    whether each pricer built before it is still alive; returns the record and the
+    pricers' weak references."""
+    made, refs = [], []
+    real_init = FrozenPricer.__init__
+
+    def recording(self, structure, config):
+        made.append((config.path_count, config.steps_per_year,
+                     [ref() is not None for ref in refs]))
+        real_init(self, structure, config)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(FrozenPricer, "__init__", recording)
+    return made, refs
+
+
+def test_calibrate_runs_the_genetic_stage_on_a_coarse_pricer(monkeypatch):
+    s = small_structure()
+    config = fast_config(model_variant="rBergomi", ga_population=4, ga_generations=1,
+                         path_count=16385, steps_per_year=96)
+    made, _ = recorded_pricers(monkeypatch)
+    result = calibrate(s, config)
+    monkeypatch.undo()
+    # the GA pricer first, and dead by the time the least-squares pricer is built
+    assert made == [(2 * PATH_BLOCK, 48, []), (16385, 96, [False])]
+    assert (_GA_PATH_COUNT, _GA_STEPS_PER_YEAR) == (2 * PATH_BLOCK, 48)
+    iterations = result.iterations
+    assert (iterations["ga_path_count"], iterations["ga_steps_per_year"]) == (8192, 48)
+    assert result.objective <= iterations["local"]["start_objective"]
+    # the recorded generation bests are coarse objectives, the start is priced anew
+    coarse = FrozenPricer(s, replace(config, path_count=8192, steps_per_year=48))
+    start = ModelParams(**iterations["ga_start"])
+    assert iterations["ga_best_per_generation"][-1] == coarse.objective(start)
+    assert iterations["local"]["start_objective"] == FrozenPricer(s, config).objective(start)
+
+
+@pytest.mark.parametrize("scale", [(2000, 12), (2 * PATH_BLOCK, 48)],
+                         ids=["fast", "coarse-scale"])
+def test_calibrate_at_or_below_the_coarse_scale_builds_one_pricer(monkeypatch, scale):
+    path_count, steps_per_year = scale
+    config = fast_config(model_variant="rBergomi", ga_population=4, ga_generations=1,
+                         path_count=path_count, steps_per_year=steps_per_year)
+    made, _ = recorded_pricers(monkeypatch)
+    result = calibrate(small_structure(), config)
+    assert made == [(path_count, steps_per_year, [])]
+    assert (result.iterations["ga_path_count"],
+            result.iterations["ga_steps_per_year"]) == scale
+
+
+def test_coarse_pricer_draws_are_the_requested_pricers_first_block(monkeypatch):
+    pricers = []
+    real_init = FrozenPricer.__init__
+
+    def keeping(self, structure, config):
+        real_init(self, structure, config)
+        pricers.append(self)
+
+    monkeypatch.setattr(FrozenPricer, "__init__", keeping)
+    config = fast_config(model_variant="rBergomi", ga_population=4, ga_generations=1,
+                         path_count=16385, steps_per_year=48)
+    calibrate(small_structure(), config)
+    coarse, fine = pricers
+    assert coarse._z.shape[0] == PATH_BLOCK and fine._z.shape[0] == 8193
+    assert np.array_equal(coarse._z, fine._z[:PATH_BLOCK])
+
+
+def test_calibrate_logs_progress(caplog):
+    config = fast_config(model_variant="rBergomi", ga_population=4, ga_generations=2)
+    with caplog.at_level(logging.INFO, logger="roughvol.calibration"):
+        result = calibrate(small_structure(), config)
+    messages = [r.getMessage() for r in caplog.records
+                if r.name == "roughvol.calibration" and r.levelno == logging.INFO]
+    history = result.iterations["ga_best_per_generation"]
+    assert len(messages) == 4
+    for g, (message, best) in enumerate(zip(messages, history)):
+        assert message.startswith(f"GA generation {g}/2: best objective {best:.6g}, ")
+        assert message.endswith(" s")
+    local = result.iterations["local"]
+    assert messages[-1] == (f"least squares done: nfev {local['nfev']}, njev "
+                            f"{local['njev']}, status {local['status']}, objective "
+                            f"{result.objective:.6g}")
 
 
 def test_fd_jacobian_reuses_the_base_points_unit_sums(monkeypatch):

@@ -3,6 +3,7 @@ flag/config/environment precedence, error reporting, and byte-stable reruns."""
 import argparse
 import csv
 import json
+import logging
 import os
 import pathlib
 import subprocess
@@ -251,6 +252,22 @@ def test_conditional_artifacts_byte_identical_across_threads(pipeline, tmp_path)
     assert {row[4] for row in rows} == {str(4 * 4096 + 2)}
     for name, contents in runs.items():
         assert len(set(contents)) == 1, name
+
+
+def test_calibrate_artifacts_do_not_depend_on_the_log_level(pipeline, tmp_path, caplog):
+    argv = ["calibrate", "--chain", str(pipeline / "chain.csv"), "--variant", "rBergomi",
+            "--ga-population", "4", "--ga-generations", "1", "--path-count", "200",
+            "--steps-per-year", "12", "--seed", "3", "--threads", "1"]
+    run_cli([*argv, "--out", str(tmp_path / "quiet")])
+    assert not [r for r in caplog.records if r.name == "roughvol.calibration"]
+    with caplog.at_level(logging.INFO, logger="roughvol"):
+        run_cli([*argv, "--log-level", "info", "--out", str(tmp_path / "info")])
+    progress = [r.getMessage() for r in caplog.records if r.name == "roughvol.calibration"]
+    assert [m.split(":")[0] for m in progress] == [
+        "GA generation 0/1", "GA generation 1/1", "least squares done"]
+    for name in ("calibration.json", "calibration_row.csv"):
+        assert (tmp_path / "quiet" / name).read_bytes() == \
+            (tmp_path / "info" / name).read_bytes(), name
 
 
 def test_artifact_writes_leave_no_tmp_files(pipeline, tmp_path):
