@@ -109,10 +109,14 @@ def _fields(obj: dict, keys, kind: type, source) -> list:
     return [json_field(obj, key, kind, source) for key in keys]
 
 
+def _theta(calib: dict, path) -> ModelParams:
+    """The model parameters of the ``theta`` block of ``calib``, read from ``path``."""
+    return ModelParams(**_param_block(calib.get("theta"), f"{path}: 'theta' block"))
+
+
 def _read_theta(path) -> ModelParams:
     """The model parameters of a calibration file's ``theta`` block."""
-    data = read_json_object(path)
-    return ModelParams(**_param_block(data.get("theta"), f"{path}: 'theta' block"))
+    return _theta(read_json_object(path), path)
 
 
 def _number_or_text(text: str):
@@ -441,8 +445,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     calibration_file = settings.get("calibration")
     if calibration_file:
         calib = read_json_object(calibration_file)
-        theta = ModelParams(**_param_block(calib.get("theta"),
-                                           f"{calibration_file}: 'theta' block"))
+        theta = _theta(calib, calibration_file)
         trade_date, variant = (json_kind(calib.get(key, "n/a"), str,
                                          f"{calibration_file}: {key!r}")
                                for key in ("trade_date", "variant"))
@@ -629,8 +632,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(level=getattr(logging, args.log_level.upper()),
-                        stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
+    # the level goes on the package's logger, so it holds where the host has set up
+    # the root logger before (basicConfig then adds no handler and sets no level)
+    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
+    log.setLevel(getattr(logging, args.log_level.upper()))
     try:
         return args.handler(args)
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, not crashes

@@ -35,14 +35,15 @@ exp((2 - alpha) xi^2 t_{k-1}^{2H}) dt_k since Var B^H_t = t^{2H}; and c3 = I1, s
 each sigma_{k-1} is independent of dW_k. The price is mean(Y) - beta . mean(c), beta
 fitted by least squares, with the standard error of the residuals (`_controlled`
 states which controls are kept). beta fitted on the priced pairs biases the price by
-O(1 / pairs), below its standard error.
+O(1 / pairs), below its standard error. The plain estimator is the same regression on
+no controls: the sample mean of the discounted payoffs, with its standard error.
 
 A whole option chain is priced on one simulation grid, the union of a regular grid and
 every quoted maturity; each option reads the paths truncated to its own maturity node.
 Every Monte-Carlo price comes from one block kernel, `_block_estimates`: each
 PATH_BLOCK of sampled paths is priced on its own, and the per-block moments are
-pooled in block order with exactly rounded sums; the conditional estimator's beta is
-fitted once, on the pooled moments of all the pairs. The kernel asks a
+pooled in block order with exactly rounded sums; `_controlled` then forms each
+estimate once, from the moments of all the samples. The kernel asks a
 ``bundle_of(b)`` for each block. Fresh-draw pricing samples the block there and drops
 it once priced, so memory grows with the worker count, not the path count;
 calibration's frozen-noise pricer returns its cached block, with the block's memo of
@@ -86,12 +87,14 @@ _COLLINEAR = 1e-10
 class PriceEstimate:
     """A Monte-Carlo price; ``path_count`` counts priced paths (mirrors included).
 
-    A conditional estimate also carries, in ``_moments``, the sufficient statistics of
-    its regression on the zero-mean controls: (pairs, means, cross, tail), where means
-    are those of [Y, c1, c2, c3] over the pairs, cross their 4 x 4 centred cross
-    products and tail the log relative second moment of sigma^2 at the maturity
-    (`_controlled`). `_pool_estimates` combines them across path blocks. They take no
-    part in comparisons.
+    An estimate of `chain_estimates` also carries, in ``_moments``, the sufficient
+    statistics of its regression on the zero-mean controls: (samples, means, cross,
+    tail), where means are those of [Y, c1, ..., cp] over the independent samples, cross
+    their centred cross products and tail the log relative second moment of sigma^2 at
+    the maturity (`_controlled`). A conditional estimate has the three controls and the
+    pairs as samples; a plain one has no control, its paths as samples and tail 0.
+    `_pool_estimates` combines them across path blocks. They take no part in
+    comparisons.
     """
 
     price: float
@@ -158,20 +161,6 @@ def black_scholes_call(spot: float, strike: float, rate: float, vol: float,
     return float(values[0, 0])
 
 
-def _mean_se(values: np.ndarray):
-    """Mean and standard error of each row of ``values``, samples along the last axis.
-
-    A constant row has mean values[..., 0] and standard error 0 exactly; summation
-    round-off would otherwise report a spurious ~1e-17 SE. A 1-d sample gives scalars.
-    """
-    n = values.shape[-1]
-    constant = np.ptp(values, axis=-1) == 0.0
-    mean = np.where(constant, values[..., 0], values.mean(axis=-1))
-    se = np.zeros_like(mean) if n == 1 else np.where(
-        constant, 0.0, values.std(axis=-1, ddof=1) / np.sqrt(n))
-    return mean[()], se[()]
-
-
 def _centered(x: np.ndarray):
     """Mean of each row of ``x`` and the deviations from it; a constant row has mean
     x[..., 0] exactly and deviations 0."""
@@ -184,53 +173,20 @@ def _dot(a, b) -> float:
     return sum(map(mul, a, b))
 
 
-def _control_fit(count: int, c_means, scc, tail: float) -> tuple:
-    """The controls a regression over ``count`` samples keeps, the Cholesky factor of
-    their centred cross products ``scc``, its forward solve against their means and the
-    weight of the fit: the part of `_controlled` that does not depend on Y."""
-    weight = min(1.0, max(0.0, math.log(count) - tail))
-    kept, factor = [], []  # indices of the kept controls, rows of their Cholesky factor
-    for k in range(len(scc)) if weight > 0.0 else ():
-        if count - len(kept) <= 2:
-            break
-        row = []
-        for i, lrow in zip(kept, factor):
-            row.append((scc[k][i] - _dot(row, lrow)) / lrow[len(row)])
-        pivot = scc[k][k] - _dot(row, row)
-        if pivot > _COLLINEAR * scc[k][k]:
-            kept.append(k)
-            factor.append(row + [math.sqrt(pivot)])
-    shift = []
-    for i, lrow in zip(kept, factor):
-        shift.append((c_means[i] - _dot(shift, lrow)) / lrow[-1])
-    return kept, factor, shift, weight
-
-
-def _fitted(count: int, y_mean: float, syy: float, syc, control_fit) -> tuple:
-    """`_controlled` from Y's moments and the controls' `_control_fit`."""
-    if syy == 0.0:
-        return y_mean, 0.0
-    kept, factor, shift, weight = control_fit
-    fit = []
-    for i, lrow in zip(kept, factor):
-        fit.append((syc[i] - _dot(fit, lrow)) / lrow[-1])
-    rss = max(syy - weight * (2.0 - weight) * _dot(fit, fit), 0.0)
-    return (y_mean - weight * _dot(fit, shift),
-            math.sqrt(rss / (count - 1 - weight * len(kept)) / count))
-
-
 def _controlled(count: int, means, cross, tail: float) -> tuple[float, float]:
     """Price and standard error of the regression estimator from one row's moments.
 
     ``means`` and ``cross`` are the means and centred cross products of
-    [Y, c1, c2, c3] over ``count`` independent samples, each control with exact mean 0.
-    The controls are factored by Cholesky in that fixed order, and each is kept only
-    if its pivot exceeds `_COLLINEAR` times its own variance (so a constant control is
-    dropped) and a residual degree of freedom remains. With beta fitted by least
-    squares on the p kept ones, the price is mean(Y) - w beta . mean(c) and the
-    standard error sqrt(RSS_w / (count - 1 - w p) / count), where RSS_w is the sum of
-    squares of the residuals Y - w beta . c and the weight w is 1 away from the tail
-    rule below. A Y without spread is its mean with standard error 0.
+    [Y, c1, ..., cp] over ``count`` independent samples, each control with exact mean
+    0; with p = 0 (the plain estimator) they are Y's mean and sum of squares, and the
+    estimate is the sample mean with its standard error. The controls are factored by
+    Cholesky in that fixed order, and each is kept only if its pivot exceeds
+    `_COLLINEAR` times its own variance (so a constant control is dropped) and a
+    residual degree of freedom remains. With beta fitted by least squares on the q kept
+    ones, the price is mean(Y) - w beta . mean(c) and the standard error
+    sqrt(RSS_w / (count - 1 - w q) / count), where RSS_w is the sum of squares of the
+    residuals Y - w beta . c and the weight w is 1 away from the tail rule below. A Y
+    without spread is its mean with standard error 0.
 
     The tail rule: w = clip(log(count) - tail, 0, 1) with ``tail`` = 4 xi^2 T^{2H}, so
     no control is used once tail reaches log(count). E[sigma_T^4] / E[sigma_T^2]^2 =
@@ -240,14 +196,35 @@ def _controlled(count: int, means, cross, tail: float) -> tuple[float, float]:
     linearly over the last unit of tail, so price and standard error stay continuous in
     the parameters, as the least-squares stage's finite differences need.
     """
-    control_fit = _control_fit(count, means[1:], [row[1:] for row in cross[1:]], tail)
-    return _fitted(count, means[0], cross[0][0], cross[0][1:], control_fit)
+    syy = cross[0][0]
+    if syy == 0.0:
+        return means[0], 0.0
+    weight = min(1.0, max(0.0, math.log(count) - tail))
+    kept, factor = [], []  # indices of the kept controls, rows of their Cholesky factor
+    for k in range(1, len(means)) if weight > 0.0 else ():
+        if count - len(kept) <= 2:
+            break
+        row = []
+        for i, lrow in zip(kept, factor):
+            row.append((cross[k][i] - _dot(row, lrow)) / lrow[len(row)])
+        pivot = cross[k][k] - _dot(row, row)
+        if pivot > _COLLINEAR * cross[k][k]:
+            kept.append(k)
+            factor.append(row + [math.sqrt(pivot)])
+    shift, fit = [], []  # the forward solves against the controls' means and Y's
+    for i, lrow in zip(kept, factor):
+        shift.append((means[i] - _dot(shift, lrow)) / lrow[-1])
+        fit.append((cross[0][i] - _dot(fit, lrow)) / lrow[-1])
+    rss = max(syy - weight * (2.0 - weight) * _dot(fit, fit), 0.0)
+    return (means[0] - weight * _dot(fit, shift),
+            math.sqrt(rss / (count - 1 - weight * len(kept)) / count))
 
 
 def _regression_estimates(values: np.ndarray, controls: np.ndarray,
                           tail: float) -> list[tuple]:
     """(price, standard error, moments) of each row of ``values`` (strikes x samples),
-    controlled by the rows of ``controls`` (3 x samples), as `_controlled` gives them.
+    controlled by the rows of ``controls`` (p x samples), as `_controlled` gives them;
+    p = 0 controls give each row's sample mean and its standard error.
 
     Every cross product is a 1-d dot product, of one row with itself or with one
     control, so a row's moments do not depend on which other rows share the call.
@@ -257,13 +234,12 @@ def _regression_estimates(values: np.ndarray, controls: np.ndarray,
     y_mean, y_dev = _centered(values)
     scc = [[float(a @ b) for b in c_dev] for a in c_dev]
     c_mean = c_mean.tolist()
-    control_fit = _control_fit(count, c_mean, scc, tail)
     out = []
     for ym, dev in zip(y_mean.tolist(), y_dev):
         syy, syc = float(dev @ dev), [float(c @ dev) for c in c_dev]
         moments = (count, [ym, *c_mean],
                    [[syy, *syc], *([c, *r] for c, r in zip(syc, scc))], tail)
-        out.append((*_fitted(count, ym, syy, syc, control_fit), moments))
+        out.append((*_controlled(*moments), moments))
     return out
 
 
@@ -304,26 +280,26 @@ def chain_estimates(bundle: PathBundle, params: ModelParams, env: MarketEnv,
                     options, estimator: str = "conditional_mixed") -> list[PriceEstimate]:
     """Price every option from one already-simulated path set (truncated per maturity).
 
-    The left-point sums are formed once, at the maturity nodes only. The plain
-    estimator averages discounted payoffs of the Euler-scheme prices over the i.i.d.
-    paths, and needs their orthogonal increments (ValueError without them). The
-    default conditional (mixed) one prices per-path Black-Scholes values given the
-    W-path, for every path of the bundle and for its antithetic mirror (fBm -B^H,
-    increments -dW); it never reads the orthogonal increments. Each pair's two values
-    are averaged, and the pair means Y, the independent samples, are regressed on the
-    pair means of three controls with exact mean 0: c1 = S_eff - S0, c2 = I2 - E[I2]
-    and c3 = I1 (`_controlled`, which states the drop rules). The price is
-    mean(Y) - beta . mean(c), and its standard error that of the regression residuals,
-    so ``path_count`` is twice the bundle's. Each estimate carries the regression's
-    moments, which `_pool_estimates` pools over path blocks. The estimator is unbiased
-    for the same discretized model up to the O(1 / pairs) bias of fitting beta on the
-    priced paths, and far less variable: only the rho-correlated part of the
+    The left-point sums are formed once, at the maturity nodes only. The plain estimator
+    averages discounted payoffs of the Euler-scheme prices over the i.i.d. paths, a
+    regression on no controls, and needs their orthogonal increments (ValueError without
+    them). The default conditional (mixed) one prices per-path Black-Scholes values
+    given the W-path, for every path of the bundle and for its antithetic mirror
+    (fBm -B^H, increments -dW); it never reads the orthogonal increments. Each pair's
+    two values are averaged, and the pair means Y, the independent samples, are
+    regressed on the pair means of three controls with exact mean 0: c1 = S_eff - S0,
+    c2 = I2 - E[I2] and c3 = I1 (`_controlled`, which states the drop rules). The price
+    is mean(Y) - beta . mean(c), and its standard error that of the regression
+    residuals, so ``path_count`` is twice the bundle's. Every estimate carries its
+    regression's moments, which `_pool_estimates` pools over path blocks. The estimator
+    is unbiased for the same discretized model up to the O(1 / pairs) bias of fitting
+    beta on the priced paths, and far less variable: only the rho-correlated part of the
     randomness remains, a pair cancels the part that is odd in the draws, and the
-    controls take out most of the rest. Its sums are taken at sigma0 = 1
-    (`_unit_sums`, memoised on the bundle) and scaled by sigma0 and sigma0^2, so a
-    call that moves only sigma0 or rho from the bundle's last (H, xi, alpha) forms no
-    sums. Each maturity's distinct strikes are reduced in one (strikes x samples)
-    step, and every copy of a repeated quote gets its estimate.
+    controls take out most of the rest. Its sums are taken at sigma0 = 1 (`_unit_sums`,
+    memoised on the bundle) and scaled by sigma0 and sigma0^2, so a call that moves only
+    sigma0 or rho from the bundle's last (H, xi, alpha) forms no sums. Each maturity's
+    distinct strikes are reduced in one (strikes x samples) step, and every copy of a
+    repeated quote gets its estimate.
     """
     _check_estimator(estimator)
     by_maturity: dict[float, list[int]] = {}
@@ -332,9 +308,11 @@ def chain_estimates(bundle: PathBundle, params: ModelParams, env: MarketEnv,
     nodes = [bundle.grid.index_of(t) for t in by_maturity]
     rho = params.rho
     n_paths = bundle.fbm_paths.shape[0]
+    paths = n_paths * _PATHS_PER_SAMPLE[estimator]
     if estimator == "plain":
         (log_sums,) = _left_point_sums(bundle, params, nodes, _log_euler_steps, env.rate,
                                        rho)
+        controls, tail = np.empty((0, n_paths)), 0.0
     else:
         unit_var, unit_sdw, unit_mean_var = _unit_sums(bundle, params, nodes)
         controls = np.empty((3, n_paths))
@@ -342,12 +320,9 @@ def chain_estimates(bundle: PathBundle, params: ModelParams, env: MarketEnv,
     for j, (t, members) in enumerate(by_maturity.items()):
         strikes, copy_of = np.unique([options[i][0] for i in members],
                                      return_inverse=True)
-        paths = n_paths * _PATHS_PER_SAMPLE[estimator]
         if estimator == "plain":
             terminal = np.exp(np.log(env.spot) + log_sums[j])
             values = np.exp(-env.rate * t) * np.maximum(terminal - strikes[:, None], 0.0)
-            estimates = [PriceEstimate(float(mean), float(se), estimator, paths)
-                         for mean, se in zip(*_mean_se(values))]
         else:
             int_sdw = params.sigma0 * unit_sdw[j]
             int_var = params.sigma0**2 * unit_var[j]
@@ -361,9 +336,9 @@ def chain_estimates(bundle: PathBundle, params: ModelParams, env: MarketEnv,
             controls[0] -= env.spot
             controls[1] -= params.sigma0**2 * unit_mean_var[j]
             tail = 4.0 * params.xi**2 * t ** (2.0 * params.H)
-            estimates = [PriceEstimate(price, se, estimator, paths, moments)
-                         for price, se, moments
-                         in _regression_estimates(values, controls, tail)]
+        estimates = [PriceEstimate(price, se, estimator, paths, moments)
+                     for price, se, moments
+                     in _regression_estimates(values, controls, tail)]
         for i, c in zip(members, copy_of):
             out[i] = estimates[c]
     return out
@@ -380,14 +355,11 @@ def _pool_estimates(parts) -> PriceEstimate:
     """One estimate from estimates on disjoint path sets, as if on their union.
 
     Parts that are all constant at one value pool to that value with standard error
-    0 exactly, as `_mean_se` and `_controlled` give. Conditional parts carry their
-    regression moments: they are pooled (`_pool_moments`) and beta is fitted once, on
-    the moments of all the pairs, so the estimate is that of one `chain_estimates`
-    over the union up to the rounding of the sums. Plain parts count their paths n_b:
-    the pooled mean weights each part's mean by n_b, and the pooled sample variance
-    adds the within-part sums of squares, (n_b - 1) n_b se_b^2, to the between-part
-    ones, n_b (mean_b - mean)^2. Every sum is exactly rounded, so the result does not
-    depend on the order of the parts.
+    0 exactly, as `_controlled` gives. Otherwise the parts' regression moments are
+    pooled (`_pool_moments`) and `_controlled` prices them once, fitting a conditional
+    estimate's beta on the moments of all the pairs, so the estimate is that of one
+    `chain_estimates` over the union up to the rounding of the sums. Every sum is
+    exactly rounded, so the result does not depend on the order of the parts.
     """
     first = parts[0]
     if len(parts) == 1:
@@ -395,18 +367,9 @@ def _pool_estimates(parts) -> PriceEstimate:
     paths = sum(e.path_count for e in parts)
     if all(e.std_error == 0.0 and e.price == first.price for e in parts):
         return replace(first, path_count=paths)
-    if first._moments is not None:
-        moments = _pool_moments([e._moments for e in parts])
-        price, se = _controlled(*moments)
-        return replace(first, price=price, std_error=se, path_count=paths,
-                       _moments=moments)
-    counts = [e.path_count for e in parts]
-    total = sum(counts)
-    mean = math.fsum(n * e.price for n, e in zip(counts, parts)) / total
-    squares = math.fsum((n - 1) * n * e.std_error**2 + n * (e.price - mean) ** 2
-                        for n, e in zip(counts, parts))
-    return replace(first, price=mean, std_error=math.sqrt(squares / (total - 1) / total),
-                   path_count=paths)
+    moments = _pool_moments([e._moments for e in parts])
+    price, se = _controlled(*moments)
+    return replace(first, price=price, std_error=se, path_count=paths, _moments=moments)
 
 
 def _pool_moments(parts) -> tuple:

@@ -270,6 +270,28 @@ def test_calibrate_artifacts_do_not_depend_on_the_log_level(pipeline, tmp_path, 
             (tmp_path / "info" / name).read_bytes(), name
 
 
+def test_log_level_holds_when_the_root_logger_has_a_handler(pipeline, tmp_path):
+    # a host that set up logging first makes basicConfig a no-op; --log-level still
+    # reaches the host's handler, because it sets the level of the "roughvol" logger
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    root, package = logging.getLogger(), logging.getLogger("roughvol")
+    level = package.level
+    root.addHandler(handler)
+    try:
+        run_cli(["calibrate", "--chain", str(pipeline / "chain.csv"), "--variant",
+                 "rBergomi", "--ga-population", "4", "--ga-generations", "1",
+                 "--path-count", "200", "--steps-per-year", "12", "--seed", "3",
+                 "--threads", "1", "--log-level", "info", "--out", str(tmp_path)])
+    finally:
+        root.removeHandler(handler)
+        package.setLevel(level)
+    progress = [r.getMessage() for r in records if r.name == "roughvol.calibration"]
+    assert [m.split(":")[0] for m in progress] == [
+        "GA generation 0/1", "GA generation 1/1", "least squares done"]
+
+
 def test_artifact_writes_leave_no_tmp_files(pipeline, tmp_path):
     run_cli(["price", "--chain", str(pipeline / "chain.csv"),
              "--params", str(pipeline / "chain.truth.json"),

@@ -23,7 +23,6 @@ from roughvol.pricing import (
     chain_estimates,
     fresh_estimates,
     price_chain,
-    _mean_se,
     _pool_estimates,
 )
 
@@ -378,6 +377,14 @@ def reference_pairs(params, bundle, env, options, sigma0_inside=False):
     return pairs
 
 
+def sample_mean_se(values):
+    """numpy's mean and standard error of each row of ``values``, samples along the
+    last axis: the oracle of an estimate without controls."""
+    values = np.asarray(values, dtype=float)
+    n = values.shape[-1]
+    return values.mean(axis=-1), values.std(axis=-1, ddof=1) / math.sqrt(n)
+
+
 def reference_conditional(params, bundle, env, options, sigma0_inside=False,
                           controlled=True):
     """`reference_pairs` estimated as the estimator does: the regression of the
@@ -391,7 +398,7 @@ def reference_conditional(params, bundle, env, options, sigma0_inside=False,
             (price, se, _), = pricing._regression_estimates(y[None, :], controls, tail)
             estimates.append((price, se))
         else:
-            estimates.append(tuple(map(float, _mean_se(y))))
+            estimates.append(tuple(map(float, sample_mean_se(y))))
     return estimates
 
 
@@ -457,13 +464,13 @@ def test_repeated_quotes_are_priced_once(monkeypatch):
 
 
 def _estimate(values, controls=None):
-    """A plain estimate of ``values``, or with ``controls`` (3 x len(values)) the
-    conditional estimator's regression on them."""
+    """A plain estimate of ``values``, the regression on no controls, or with
+    ``controls`` (3 x len(values)) the conditional estimator's regression on them."""
     values = np.asarray(values, dtype=float)
     if controls is None:
-        mean, se = _mean_se(values)
-        return PriceEstimate(price=mean, std_error=se, estimator="plain",
-                             path_count=len(values))
+        (price, se, moments), = pricing._regression_estimates(
+            values[None, :], np.empty((0, len(values))), 0.0)
+        return PriceEstimate(price, se, "plain", len(values), moments)
     (price, se, moments), = pricing._regression_estimates(values[None, :], controls, 0.0)
     return PriceEstimate(price, se, "conditional_mixed", 2 * len(values), moments)
 
@@ -506,18 +513,19 @@ def test_pooled_constant_sample_has_zero_se():
 def test_pooled_last_block_of_one_path():
     values = [1.0, 4.0, 2.5, 7.0, 3.25]
     pooled = _pool_estimates([_estimate(values[:4]), _estimate(values[4:])])
-    mean, se = _mean_se(np.asarray(values))
+    mean, se = sample_mean_se(values)
     assert pooled.price == pytest.approx(mean, rel=1e-14)
     assert pooled.std_error == pytest.approx(se, rel=1e-14)
 
 
 @pytest.mark.parametrize("estimator", ["conditional_mixed", "plain"])
-@pytest.mark.parametrize("path_count", [PATH_BLOCK, PATH_BLOCK + 1, 2 * PATH_BLOCK + 10,
-                                        4 * PATH_BLOCK + 21])
+@pytest.mark.parametrize("path_count", [1, PATH_BLOCK, PATH_BLOCK + 1,
+                                        2 * PATH_BLOCK + 10, 4 * PATH_BLOCK + 21])
 def test_price_chain_matches_single_bundle(estimator, path_count):
     # the block-pooled estimates are those of one chain_estimates over the union of
     # the same draws: paths for the plain estimator, ceil(N / 2) mirrored pairs for
-    # the conditional one, which so prices N + 1 paths at an odd N
+    # the conditional one, which so prices N + 1 paths at an odd N. One sample, a path
+    # or a pair, is priced at its value with standard error 0
     env = MarketEnv(spot=100.0, rate=0.01)
     options = ((95.0, 0.25), (105.0, 0.25), (100.0, 1.0))
     per_draw = 1 if estimator == "plain" else 2
@@ -531,6 +539,8 @@ def test_price_chain_matches_single_bundle(estimator, path_count):
         assert est.price == pytest.approx(ref.price, rel=1e-13)
         assert est.std_error == pytest.approx(ref.std_error, rel=1e-10)
         assert est.path_count == ref.path_count == per_draw * draws
+        if draws == 1:
+            assert (est.price, est.std_error) == (ref.price, 0.0)
     for other in runs[1:]:
         assert other == runs[0]
 
@@ -848,5 +858,5 @@ def test_fitted_beta_bias_is_below_se_resolution():
                                        controlled=False)
         gaps.append([e.price - price for e, (price, _) in zip(got, oracle)])
     gaps = np.array(gaps)
-    mean, se = _mean_se(gaps.T)
+    mean, se = sample_mean_se(gaps.T)
     assert np.all(np.abs(mean) <= 3.0 * se)
