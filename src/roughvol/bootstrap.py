@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields, replace as dc_replace
 
 import numpy as np
 
-from .calibration import CalibrationConfig, FrozenPricer, local_refine
+from .calibration import CalibrationConfig, FrozenPricer, fit_metrics, local_refine
 from .fbm import FactorizationError, _STREAM_BOOT, derive_seed, parallel_map
 from .market import OptionStructure
 from .model import PARAM_NAMES, ModelParams, _theta_samples
@@ -107,8 +107,9 @@ def _run_one(structure: OptionStructure, plan: BootstrapPlan,
 
 
 def run_bootcalibrations(structure: OptionStructure, plan: BootstrapPlan,
-                         overall_theta: ModelParams, threads: int = 1):
-    """Calibrate each resample and reprice the original chain at its parameters.
+                         overall_theta: ModelParams):
+    """Calibrate each resample and reprice the original chain at its parameters, with
+    up to ``plan.config.threads`` samples at once.
 
     Returns (results, failures); failed samples are recorded as (index, message) and
     skipped. A failure is recorded only when a sample's data can cause it: a
@@ -123,7 +124,7 @@ def run_bootcalibrations(structure: OptionStructure, plan: BootstrapPlan,
         except (ValueError, FactorizationError) as exc:  # per-sample failures are data
             return (j, f"{type(exc).__name__}: {exc}")
 
-    raw = parallel_map(run, range(plan.sample_count), threads)
+    raw = parallel_map(run, range(plan.sample_count), plan.config.threads)
     results = [r for r in raw if isinstance(r, BootCalibration)]
     failures = [r for r in raw if not isinstance(r, BootCalibration)]
     return results, failures
@@ -183,7 +184,6 @@ def bootstrap_statistics(results, structure: OptionStructure,
     theta_samples = np.array([r.theta.as_array() for r in results])
     price_table = np.array([r.prices for r in results])     # M x N
     closes = structure.closes
-    spot = structure.env.spot
 
     theta_hat = theta_samples.mean(axis=0)
     price_hat = price_table.mean(axis=0)
@@ -195,8 +195,8 @@ def bootstrap_statistics(results, structure: OptionStructure,
     with np.errstate(divide="ignore", invalid="ignore"):
         rel_iqr = np.where(rel_iqr == 0.0, 0.0, rel_iqr / theta_hat)
 
-    aare = norm_err.mean(axis=1)                            # per-bootcalibration AARE
-    arfv = (np.abs(price_table - closes) / spot).mean(axis=1)
+    metrics = [fit_metrics(prices, structure) for prices in price_table]
+    aare = np.array([m.aare for m in metrics])
     return BootstrapReport(
         theta_samples=theta_samples,
         theta_hat=theta_hat,
@@ -210,7 +210,7 @@ def bootstrap_statistics(results, structure: OptionStructure,
         boot_are_iqr=_iqr(aare),
         boot_are_std=float(aare.std(ddof=1)),
         aare_samples=aare,
-        arfv_samples=arfv,
+        arfv_samples=np.array([m.arfv for m in metrics]),
         failure_count=len(failures),
     )
 

@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import csv
 import datetime as dt
+import inspect
 import io
 import json
 import logging
@@ -119,6 +120,12 @@ def _read_theta(path) -> ModelParams:
     return _theta(read_json_object(path), path)
 
 
+def _default(fn, name: str):
+    """The default that ``fn`` declares for its parameter ``name``; `inspect.signature`
+    follows ``__wrapped__``, so a `functools.wraps` wrapper reports the original's."""
+    return inspect.signature(fn).parameters[name].default
+
+
 def _number_or_text(text: str):
     """The float that ``text`` spells, else ``text`` itself, which `json_kind` rejects."""
     try:
@@ -193,12 +200,9 @@ class _Settings:
 
     @property
     def threads(self) -> int:
-        """The flag, then ROUGHVOL_THREADS, then the config, then all cores. A count
-        below 1 raises ValueError naming the flag, the variable or the config key."""
+        """The flag, then the config, then all cores. A count below 1 raises ValueError
+        naming the flag or the config key."""
         value, source = self._lookup("threads")
-        env = os.environ.get("ROUGHVOL_THREADS")
-        if self.args.threads is None and env:
-            value, source = _number_or_text(env), "ROUGHVOL_THREADS"
         if value is None:
             return os.cpu_count() or 1
         threads = json_kind(value, int, source)
@@ -208,7 +212,7 @@ class _Settings:
 
     @property
     def weight_rule(self) -> str:
-        return self.get("weight_rule", "inv_spread_sq")
+        return self.get("weight_rule", _default(load_chain, "weight_rule"))
 
     @property
     def outdir(self) -> Path:
@@ -259,12 +263,15 @@ def _resolve_bounds(settings: _Settings) -> ParamBounds:
         raise ValueError(f"{source}: {exc}") from None
 
 
+#: the `CalibrationConfig` fields that calibrate and bootstrap read from flags or config,
+#: and that calibration.json records under 'settings'
+_TUNED = ("ga_population", "ga_generations", "path_count", "steps_per_year")
+
+
 def _calibration_config(settings: _Settings) -> CalibrationConfig:
     """Each setting defaults to, and takes the kind of, `CalibrationConfig`'s own."""
     bounds = _resolve_bounds(settings)
-    tuned = {name: settings.get(name, getattr(CalibrationConfig, name))
-             for name in ("ga_population", "ga_generations", "path_count",
-                          "steps_per_year")}
+    tuned = {name: settings.get(name, getattr(CalibrationConfig, name)) for name in _TUNED}
     variant = settings.get("variant", CalibrationConfig.model_variant)
     return CalibrationConfig(bounds=bounds, seed=settings.seed,
                              model_variant=variant, threads=settings.threads, **tuned)
@@ -277,23 +284,17 @@ def _calibration_config(settings: _Settings) -> CalibrationConfig:
 def cmd_synth_chain(args: argparse.Namespace) -> int:
     settings = _Settings(args, ("theta",))
     theta = _resolve_theta(settings)
-    env = MarketEnv(spot=settings.require("spot", float), rate=settings.get("rate", 0.0))
+    env = MarketEnv(spot=settings.require("spot", float),
+                    rate=settings.get("rate", MarketEnv.rate))
     strikes = settings.numbers("strikes", float)
     days = settings.numbers("maturity_days", int)
     trade_date = settings.get("trade_date")
-    kwargs = {}
-    if trade_date:
-        kwargs["trade_date"] = dt.date.fromisoformat(trade_date)
-    rel_spread = settings.get("rel_spread", 0.01)
-    structure = generate_chain(
-        theta, env, strikes, days,
-        steps_per_year=settings.get("steps_per_year", 252),
-        path_count=settings.get("path_count", 100_000),
-        seed=settings.seed,
-        rel_spread=rel_spread,
-        threads=settings.threads,
-        **kwargs,
-    )
+    trade_date = (dt.date.fromisoformat(trade_date) if trade_date
+                  else _default(generate_chain, "trade_date"))
+    chain = {name: settings.get(name, _default(generate_chain, name))
+             for name in ("rel_spread", "steps_per_year", "path_count")}
+    structure = generate_chain(theta, env, strikes, days, **chain, seed=settings.seed,
+                               trade_date=trade_date, threads=settings.threads)
     outdir = settings.outdir
     name = settings.get("name", "chain")
     # the sidecar lands first: `load_chain` cannot read the CSV without it
@@ -302,7 +303,7 @@ def cmd_synth_chain(args: argparse.Namespace) -> int:
         write_chain(structure, tmp_csv, sidecar=tmp_sidecar)
     _atomic_json(outdir / f"{name}.truth.json", {
         "theta": asdict(theta), "spot": env.spot, "rate": env.rate,
-        "seed": settings.seed, "rel_spread": rel_spread,
+        "seed": settings.seed, "rel_spread": chain["rel_spread"],
         "quote_count": structure.n,
     })
     return 0
@@ -317,7 +318,7 @@ def cmd_price(args: argparse.Namespace) -> int:
         path_count=settings.get("path_count", 100_000),
         steps_per_year=settings.get("steps_per_year", 252),
         seed=settings.seed,
-        estimator=settings.get("estimator", "conditional_mixed"),
+        estimator=settings.get("estimator", _default(price_chain, "estimator")),
         threads=settings.threads,
     )
     rows = [[repr(k), repr(t), repr(e.price), repr(e.std_error), str(e.path_count),
@@ -341,11 +342,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     payload = asdict(result)
     payload["variant"] = config.model_variant
     payload["trade_date"] = structure.trade_date.isoformat()
-    payload["settings"] = {
-        "ga_population": config.ga_population, "ga_generations": config.ga_generations,
-        "path_count": config.path_count, "steps_per_year": config.steps_per_year,
-        "weight_rule": settings.weight_rule, "seed": config.seed,
-    }
+    payload["settings"] = {name: getattr(config, name) for name in _TUNED}
+    payload["settings"].update(weight_rule=settings.weight_rule, seed=config.seed)
     _atomic_json(outdir / "calibration.json", payload)
 
     m = result.metrics
@@ -362,10 +360,10 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
     config = _calibration_config(settings)
     structure = load_chain(settings.require("chain"), weight_rule=settings.weight_rule)
     overall = _read_theta(settings.require("calibration"))
-    plan = BootstrapPlan(config=config, sample_count=settings.get("samples", 200),
+    plan = BootstrapPlan(config=config,
+                         sample_count=settings.get("samples", BootstrapPlan.sample_count),
                          base_seed=settings.seed)
-    results, failures = run_bootcalibrations(structure, plan, overall,
-                                             threads=settings.threads)
+    results, failures = run_bootcalibrations(structure, plan, overall)
     report = bootstrap_statistics(results, structure, failures)
     outdir = settings.outdir
 
@@ -395,7 +393,7 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
     settings.threads  # checked like every command's, though nothing here runs in parallel
     bootstrap_file = settings.require("bootstrap")
     data = read_json_object(bootstrap_file)
-    alpha = settings.get("alpha", 0.05)
+    alpha = settings.get("alpha", _default(sensitivity_analysis, "alpha_level"))
     theta_samples, arfv_samples = _fields(data, ("theta_samples", "arfv_samples"),
                                           np.ndarray, bootstrap_file)
     results = sensitivity_analysis(theta_samples, arfv_samples, alpha_level=alpha)
@@ -414,13 +412,10 @@ def cmd_significance(args: argparse.Namespace) -> int:
     structure = load_chain(settings.require("chain"))
     theta_full = _read_theta(settings.require("full"))
     theta_restricted = _read_theta(settings.require("restricted"))
-    result = significance_test(
-        structure, theta_full, theta_restricted,
-        repetitions=settings.get("repetitions", 100),
-        path_count=settings.get("path_count", 20_000),
-        steps_per_year=settings.get("steps_per_year", 252),
-        base_seed=settings.seed, threads=settings.threads,
-    )
+    counts = {name: settings.get(name, _default(significance_test, name))
+              for name in ("repetitions", "path_count", "steps_per_year")}
+    result = significance_test(structure, theta_full, theta_restricted, **counts,
+                               base_seed=settings.seed, threads=settings.threads)
     payload = result.to_dict()
     payload["theta_full"] = asdict(theta_full)
     payload["theta_restricted"] = asdict(theta_restricted)
@@ -528,7 +523,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file supplying defaults for this command")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker pool size (default: ROUGHVOL_THREADS, else all cores)")
+                        help="worker pool size (default: all cores)")
     parser.add_argument("--out", default=None, help="output directory (default: .)")
     parser.add_argument("--log-level", default="warning", choices=_LOG_LEVELS)
 
@@ -596,7 +591,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_calibration_flags(p)
     p.add_argument("--chain", default=None)
     p.add_argument("--samples", type=int, default=None,
-                   help="number of bootstrap resamples (default: 200)")
+                   help="number of bootstrap resamples "
+                        f"(default: {BootstrapPlan.sample_count})")
     p.add_argument("--calibration", default=None,
                    help="calibration.json of the overall fit (required): each resample "
                         "is refit locally from its 'theta' block")
@@ -606,7 +602,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--bootstrap", default=None, help="bootstrap.json from `bootstrap`")
     p.add_argument("--alpha", type=float, default=None,
-                   help="rejection level (default: 0.05)")
+                   help="rejection level "
+                        f"(default: {_default(sensitivity_analysis, 'alpha_level')})")
     p.set_defaults(handler=cmd_sensitivity)
 
     p = sub.add_parser("significance", help="Welch test between two calibrated models")

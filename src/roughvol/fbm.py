@@ -215,8 +215,7 @@ class TimeGrid:
     """Strictly increasing grid of positive times; t = 0 is excluded by construction.
 
     All processes vanish at t = 0, so including it would only make the joint covariance
-    singular. ``horizon`` is the last grid time; quoted maturities merged via
-    `with_maturities` each appear exactly once.
+    singular. Quoted maturities merged via `with_maturities` each appear exactly once.
     """
 
     times: np.ndarray
@@ -259,10 +258,6 @@ class TimeGrid:
                 times.append(m)
         times = np.array(sorted(times))
         return cls(times=times)
-
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
 
     @property
     def n(self) -> int:

@@ -100,10 +100,6 @@ class OptionStructure:
         return len(self.quotes)
 
     @property
-    def strikes(self) -> np.ndarray:
-        return np.array([q.strike for q in self.quotes])
-
-    @property
     def maturities(self) -> np.ndarray:
         return np.array([q.maturity for q in self.quotes])
 

@@ -205,9 +205,9 @@ def tiny_chain():
                           seed=5, rel_spread=0.02)
 
 
-def tiny_plan(sample_count=3):
+def tiny_plan(sample_count=3, threads=1):
     config = CalibrationConfig(path_count=800, steps_per_year=12, seed=0,
-                               model_variant="rBergomi")
+                               model_variant="rBergomi", threads=threads)
     return BootstrapPlan(config=config, sample_count=sample_count, base_seed=1)
 
 
@@ -228,8 +228,8 @@ def test_run_bootcalibrations_end_to_end(tiny_chain):
 
 def test_run_bootcalibrations_threads_match_serial(tiny_chain):
     overall = ModelParams(sigma0=0.08, rho=-0.3, H=0.2, xi=1.0, alpha=1.0)
-    serial, _ = run_bootcalibrations(tiny_chain, tiny_plan(), overall, threads=1)
-    pooled, _ = run_bootcalibrations(tiny_chain, tiny_plan(), overall, threads=3)
+    serial, _ = run_bootcalibrations(tiny_chain, tiny_plan(threads=1), overall)
+    pooled, _ = run_bootcalibrations(tiny_chain, tiny_plan(threads=3), overall)
     for a, b in zip(serial, pooled):
         assert a.theta == b.theta
         assert np.array_equal(a.prices, b.prices)
@@ -255,7 +255,7 @@ def test_run_bootcalibrations_collects_failures(tiny_chain, monkeypatch):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_run_bootcalibrations_propagates_memory_error(tiny_chain, monkeypatch, threads):
     overall = ModelParams(sigma0=0.08, rho=-0.3, H=0.2, xi=1.0, alpha=1.0)
-    plan = tiny_plan()
+    plan = tiny_plan(threads=threads)
 
     def failing(exc):
         def run_one(structure, plan, overall_theta, j):
@@ -267,9 +267,9 @@ def test_run_bootcalibrations_propagates_memory_error(tiny_chain, monkeypatch, t
 
     monkeypatch.setattr(boot_mod, "_run_one", failing(MemoryError("out of memory")))
     with pytest.raises(MemoryError):
-        run_bootcalibrations(tiny_chain, plan, overall, threads=threads)
+        run_bootcalibrations(tiny_chain, plan, overall)
     monkeypatch.setattr(boot_mod, "_run_one", failing(ValueError("boom")))
-    results, failures = run_bootcalibrations(tiny_chain, plan, overall, threads=threads)
+    results, failures = run_bootcalibrations(tiny_chain, plan, overall)
     assert [r.seed for r in results] == [0, 2]
     assert failures == [(1, "ValueError: boom")]
 
@@ -290,7 +290,7 @@ def test_run_bootcalibrations_propagates_programming_errors(tiny_chain, monkeypa
 
     monkeypatch.setattr(boot_mod, "_run_one", run_one)
     with pytest.raises(type(exc)):
-        run_bootcalibrations(tiny_chain, tiny_plan(), overall, threads=threads)
+        run_bootcalibrations(tiny_chain, tiny_plan(threads=threads), overall)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -305,8 +305,8 @@ def test_run_bootcalibrations_records_factorization_errors(tiny_chain, monkeypat
                                indices=np.arange(structure.n), seed=j)
 
     monkeypatch.setattr(boot_mod, "_run_one", run_one)
-    results, failures = run_bootcalibrations(tiny_chain, tiny_plan(), overall,
-                                             threads=threads)
+    results, failures = run_bootcalibrations(tiny_chain, tiny_plan(threads=threads),
+                                             overall)
     assert [r.seed for r in results] == [1, 2]
     assert failures == [(0, "FactorizationError: singular")]
 

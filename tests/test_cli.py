@@ -1,5 +1,5 @@
 """End-to-end CLI tests: the full artifact pipeline on a tiny synthetic chain,
-flag/config/environment precedence, error reporting, and byte-stable reruns."""
+flag/config precedence and library defaults, error reporting, and byte-stable reruns."""
 import argparse
 import csv
 import json
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from roughvol import bootstrap as boot_mod
-from roughvol import calibration, fbm, pricing, stats
+from roughvol import calibration, fbm, pricing, stats, synth
 from roughvol.cli import _atomic_path, _Settings, build_parser, main
 from roughvol.market import load_chain
 from roughvol.model import PARAM_NAMES
@@ -357,15 +357,11 @@ def test_missing_input_names_the_flag(tmp_path):
         s.require("maturity_days")
 
 
-def test_threads_resolution_order(monkeypatch, tmp_path):
+def test_threads_resolution_order(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"threads": 7}))
-    monkeypatch.delenv("ROUGHVOL_THREADS", raising=False)
     assert _Settings(argparse.Namespace(config=str(cfg), threads=None)).threads == 7
-    monkeypatch.setenv("ROUGHVOL_THREADS", "3")
-    assert _Settings(argparse.Namespace(config=str(cfg), threads=None)).threads == 3
     assert _Settings(argparse.Namespace(config=str(cfg), threads=2)).threads == 2
-    monkeypatch.delenv("ROUGHVOL_THREADS")
     got = _Settings(argparse.Namespace(config=None, threads=None)).threads
     assert got == max(1, os.cpu_count() or 1)
 
@@ -612,7 +608,8 @@ def test_bootstrap_input_of_the_wrong_kind_reports_json(pipeline, tmp_path, caps
 def _run_small(command, pipeline, out, config=None, flags=None):
     """Run ``command`` at a tiny size on the pipeline's artifacts, with ``config`` (if
     any) as its --config file, whose keys drop the flags of the same name, and ``flags``
-    overriding the rest. Returns (exit code, the config path, the artifact written)."""
+    overriding the rest (a None value drops the flag). Returns (exit code, the config
+    path, the artifact written)."""
     argv = {"--path-count": "200", "--steps-per-year": "12", "--seed": "1",
             "--threads": "1", "--out": str(out)}
     if command == "synth-chain":
@@ -632,7 +629,8 @@ def _run_small(command, pipeline, out, config=None, flags=None):
         argv["--config"] = str(path)
         for key in config:
             argv.pop("--" + key.replace("_", "-"), None)
-    argv |= flags or {}
+    argv = {flag: value for flag, value in (argv | (flags or {})).items()
+            if value is not None}
     artifact = {"synth-chain": "chain.csv", "price": "prices.csv",
                 "calibrate": "calibration.json", "bootstrap": "bootstrap.json"}[command]
     return main([command, *(x for pair in argv.items() for x in pair)]), path, out / artifact
@@ -651,9 +649,8 @@ def _run_small(command, pipeline, out, config=None, flags=None):
 ], ids=["fractional-ga-population", "bool-path-count", "string-path-count",
         "fractional-samples", "fractional-maturity-day", "string-spot",
         "string-strike-flag", "fractional-seed", "string-threads"])
-def test_bad_setting_reports_json(pipeline, tmp_path, capsys, monkeypatch, command, config,
-                                  flags, named):
-    monkeypatch.delenv("ROUGHVOL_THREADS", raising=False)  # it would beat the config
+def test_bad_setting_reports_json(pipeline, tmp_path, capsys, command, config, flags,
+                                  named):
     rc, path, artifact = _run_small(command, pipeline, tmp_path / "out", config, flags)
     assert rc == 1
     err = json.loads(capsys.readouterr().err)
@@ -728,21 +725,16 @@ def test_sensitivity_on_another_parameter_width_reports_json(tmp_path, capsys, w
     assert not out.exists()
 
 
-#: (config, flags, ROUGHVOL_THREADS, message) for a thread count below 1 from each
-#: source; the variable beats the config, which drops the --threads flag
-THREADS_BELOW_ONE = pytest.mark.parametrize("config,flags,variable,message", [
-    (None, {"--threads": "-4"}, None, "flag --threads must be at least 1, got -4"),
-    ({"threads": 2}, None, "0", "ROUGHVOL_THREADS must be at least 1, got 0"),
-    ({"threads": 0}, None, None, "{config}: 'threads' must be at least 1, got 0"),
-], ids=["flag", "variable", "config-key"])
+#: (config, flags, message) for a thread count below 1 from each source
+THREADS_BELOW_ONE = pytest.mark.parametrize("config,flags,message", [
+    (None, {"--threads": "-4"}, "flag --threads must be at least 1, got -4"),
+    ({"threads": 0}, None, "{config}: 'threads' must be at least 1, got 0"),
+], ids=["flag", "config-key"])
 
 
 @THREADS_BELOW_ONE
-def test_thread_count_below_one_reports_json(pipeline, tmp_path, capsys, monkeypatch,
-                                             config, flags, variable, message):
-    monkeypatch.delenv("ROUGHVOL_THREADS", raising=False)
-    if variable is not None:
-        monkeypatch.setenv("ROUGHVOL_THREADS", variable)
+def test_thread_count_below_one_reports_json(pipeline, tmp_path, capsys, config, flags,
+                                             message):
     rc, path, artifact = _run_small("price", pipeline, tmp_path / "out", config, flags)
     assert rc == 1
     err = json.loads(capsys.readouterr().err)
@@ -754,12 +746,8 @@ def test_thread_count_below_one_reports_json(pipeline, tmp_path, capsys, monkeyp
                                                ("report", "bootstrap.json")])
 @THREADS_BELOW_ONE
 def test_thread_count_below_one_reports_json_where_nothing_is_drawn(
-        pipeline, tmp_path, capsys, monkeypatch, command, bootstrap, config, flags,
-        variable, message):
+        pipeline, tmp_path, capsys, command, bootstrap, config, flags, message):
     # sensitivity and report run on the calling thread, but refuse the same counts
-    monkeypatch.delenv("ROUGHVOL_THREADS", raising=False)
-    if variable is not None:
-        monkeypatch.setenv("ROUGHVOL_THREADS", variable)
     out, cfg = tmp_path / "out", tmp_path / "config.json"
     argv = [command, "--bootstrap", str(pipeline / bootstrap), "--out", str(out)]
     if config is not None:
@@ -822,6 +810,47 @@ def test_sensitivity_reads_its_alpha_from_the_config(pipeline, tmp_path):
                                "bootstrap": str(pipeline / "bootstrap_big.json")}))
     run_cli(["sensitivity", "--config", str(cfg), "--out", str(tmp_path)])
     assert json.loads((tmp_path / "sensitivity.json").read_text())["alpha_level"] == 0.1
+
+
+#: (command, a patch of the library default its omitted flag falls back to, the
+#: artifact that records the setting, its key there, the patched value)
+LIBRARY_DEFAULTS = [
+    ("sensitivity",
+     lambda mp: mp.setattr(stats.sensitivity_analysis, "__defaults__", (0.1,)),
+     "sensitivity.json", "alpha_level", 0.1),
+    ("bootstrap", lambda mp: mp.setattr(boot_mod.BootstrapPlan, "sample_count", 3),
+     "bootstrap.json", "sample_count", 3),
+    ("synth-chain",
+     lambda mp: mp.setattr(synth.generate_chain, "__kwdefaults__",
+                           {**synth.generate_chain.__kwdefaults__, "rel_spread": 0.03}),
+     "chain.truth.json", "rel_spread", 0.03),
+]
+
+
+@pytest.mark.parametrize("command,patch,artifact,key,value", LIBRARY_DEFAULTS,
+                         ids=["sensitivity-alpha", "bootstrap-samples",
+                              "synth-chain-rel-spread"])
+def test_omitted_flag_takes_the_library_default(pipeline, tmp_path, monkeypatch, command,
+                                                patch, artifact, key, value):
+    patch(monkeypatch)
+    out = tmp_path / "out"
+    if command == "sensitivity":
+        run_cli(["sensitivity", "--bootstrap", str(pipeline / "bootstrap_big.json"),
+                 "--out", str(out)])
+    else:
+        rc, _, _ = _run_small(command, pipeline, out, flags={"--samples": None})
+        assert rc == 0
+    assert json.loads((out / artifact).read_text())[key] == value
+
+
+def test_help_prints_the_library_defaults(monkeypatch, capsys):
+    monkeypatch.setattr(boot_mod.BootstrapPlan, "sample_count", 3)
+    monkeypatch.setattr(stats.sensitivity_analysis, "__defaults__", (0.1,))
+    for command, text in (("bootstrap", "resamples (default: 3)"),
+                          ("sensitivity", "level (default: 0.1)")):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert text in capsys.readouterr().out
 
 
 def test_bootstrap_with_too_few_successes_names_the_first_failure(pipeline, tmp_path,
@@ -958,18 +987,6 @@ def test_report_input_of_the_wrong_kind_reports_json(pipeline, tmp_path, capsys,
     assert str(wrong) in err["message"]
     assert key in err["message"].replace(str(wrong), "")
     assert not (out / artifact).exists()
-
-
-def test_threads_environment_variable_must_be_an_integer(pipeline, tmp_path, capsys,
-                                                         monkeypatch):
-    monkeypatch.setenv("ROUGHVOL_THREADS", "abc")
-    rc = main(["price", "--chain", str(pipeline / "chain.csv"), *TRUTH_FLAGS,
-               "--path-count", "200", "--steps-per-year", "12", "--out", str(tmp_path)])
-    assert rc == 1
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ValueError"
-    assert "ROUGHVOL_THREADS" in err["message"] and "'abc'" in err["message"]
-    assert not (tmp_path / "prices.csv").exists()
 
 
 @pytest.mark.parametrize("bounds,named", [

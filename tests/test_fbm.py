@@ -422,7 +422,6 @@ def test_regular_grid_excludes_origin_and_hits_horizon():
     assert g.n == 252
     assert g.times[0] == pytest.approx(1.0 / 252.0)
     assert g.times[-1] == 1.0
-    assert g.horizon == 1.0
 
 
 def test_regular_grid_appends_offgrid_horizon():
@@ -442,7 +441,7 @@ def test_with_maturities_inserts_each_exactly_once():
     assert g2.n == 13
     assert np.all(np.diff(g2.times) > 0.0)
     assert g2.times[g2.index_of(0.21)] == 0.21
-    assert g2.horizon == 1.0
+    assert g2.times[-1] == 1.0
 
 
 def test_index_of_missing_maturity_raises():
@@ -455,7 +454,7 @@ def test_deltas_prepend_origin():
     g = TimeGrid.with_maturities([0.21, 1.0], 12)
     d = g.deltas
     assert d[0] == g.times[0]
-    assert np.sum(d) == pytest.approx(g.horizon, rel=1e-14)
+    assert np.sum(d) == pytest.approx(g.times[-1], rel=1e-14)
 
 
 def test_grid_validation():

@@ -72,7 +72,7 @@ def test_quote_validate_flags_violations(kwargs, fragment):
 def test_structure_properties():
     s = make_structure()
     assert s.n == 3
-    assert_allclose(s.strikes, [90.0, 100.0, 110.0])
+    assert_allclose([q.strike for q in s.quotes], [90.0, 100.0, 110.0])
     assert_allclose(s.maturities, [30 / 365, 60 / 365, 90 / 365])
     assert_allclose(s.closes, [5.0, 5.0, 5.0])
     assert s.options == ((90.0, 30 / 365), (100.0, 60 / 365), (110.0, 90 / 365))
@@ -159,7 +159,8 @@ def test_round_trip_row_order(tmp_path):
     s = OptionStructure(quotes=quotes, env=MarketEnv(spot=100.0), trade_date=TRADE,
                         weights=compute_weights(quotes))
     write_chain(s, tmp_path / "o.csv", sidecar=tmp_path / "o.json")
-    assert_allclose(load_chain(tmp_path / "o.csv").strikes, [110.0, 90.0, 100.0])
+    assert_allclose([q.strike for q in load_chain(tmp_path / "o.csv").quotes],
+                    [110.0, 90.0, 100.0])
 
 
 # ---------------------------------------------------------------------------

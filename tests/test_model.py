@@ -221,7 +221,7 @@ def test_discounted_price_is_martingale(H):
                 p = ModelParams(sigma0=0.15, rho=rho, H=H, xi=1.0, alpha=alpha)
                 env = MarketEnv(spot=100.0, rate=rate)
                 x = log_price_paths(b, p, env)
-                discounted = np.exp(x[:, -1] - rate * g.horizon)
+                discounted = np.exp(x[:, -1] - rate * g.times[-1])
                 se = discounted.std(ddof=1) / np.sqrt(discounted.size)
                 assert abs(discounted.mean() - 100.0) < 4.0 * se, (H, alpha, rho, rate)
 
