@@ -137,8 +137,8 @@ class BootstrapReport:
     price_hat: np.ndarray          # per-option bootstrap mean price
     bre: np.ndarray                # per-option bootstrap relative error
     v: np.ndarray                  # per-option variance of normalized errors
-    rel_iqr: np.ndarray            # per-parameter IQR / mean
-    rel_iqr_avg: float
+    rel_iqr: np.ndarray            # per-parameter IQR / mean, negative where the mean is
+    rel_iqr_avg: float             # mean and max of |rel_iqr|
     rel_iqr_max: float
     boot_are_range: float          # range / IQR / std of the M per-sample AAREs
     boot_are_iqr: float
@@ -204,8 +204,8 @@ def bootstrap_statistics(results, structure: OptionStructure,
         bre=bre,
         v=v,
         rel_iqr=rel_iqr,
-        rel_iqr_avg=float(rel_iqr.mean()),
-        rel_iqr_max=float(rel_iqr.max()),
+        rel_iqr_avg=float(np.abs(rel_iqr).mean()),
+        rel_iqr_max=float(np.abs(rel_iqr).max()),
         boot_are_range=float(aare.max() - aare.min()),
         boot_are_iqr=_iqr(aare),
         boot_are_std=float(aare.std(ddof=1)),

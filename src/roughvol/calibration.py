@@ -5,14 +5,15 @@ evaluated naively it is noisy and finite-difference Jacobians are meaningless. T
 calibrator therefore freezes the standard-normal draws once per pricer (common random
 numbers): each new Hurst index gets its joint covariance, its Cholesky factor and the
 frozen draws pushed through it, making Theta -> G a deterministic, smooth function of
-the parameters. The paths are kept one path block at a time, each until a call at
-another H rebuilds that block, and evaluations at an unchanged H reuse them. Each
-block also keeps the conditional estimator's left-point sums at sigma0 = 1 from its
-last call, keyed by (H, xi, alpha) (see `pricing`): the prices scale them by sigma0
-and sigma0^2 and take rho after them, so a call that moves only sigma0 or rho forms
-no sums, only the Black-Scholes step. The pricer also remembers the prices of every
-parameter vector it has priced, so neither optimizer prices a vector twice on it.
-Every reuse is exact, so results are what full re-evaluation would give.
+the parameters. The pricer keeps one path set, that of the last new H: a call at
+another H drops it, builds the covariance once and transforms every path block under
+it, and evaluations at an unchanged H reuse it. Each block also keeps the conditional
+estimator's left-point sums at sigma0 = 1 from its last call, keyed by (H, xi, alpha)
+(see `pricing`): the prices scale them by sigma0 and sigma0^2 and take rho after
+them, so a call that moves only sigma0 or rho forms no sums, only the Black-Scholes
+step. The pricer also remembers the prices of every parameter vector it has priced,
+so neither optimizer prices a vector twice on it. Every reuse is exact, so results
+are what full re-evaluation would give.
 
 The global stage is a small genetic algorithm over the bounded box (tournament
 selection of size 3, per-gene blend crossover, Gaussian mutation with sigma = 5% of the
@@ -39,9 +40,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .fbm import (PATH_BLOCK, PathBundle, TimeGrid, _STREAM_GA, _block_count,
-                  build_joint_covariance, draw_normal_bundle, parallel_map,
-                  transform_normals)
+from .fbm import (PATH_BLOCK, PathBundle, TimeGrid, _STREAM_GA, build_joint_covariance,
+                  draw_normal_bundle, parallel_map, transform_normals)
 from .market import OptionStructure
 from .model import PARAM_NAMES, ModelParams
 from .pricing import _base_draws, _block_estimates
@@ -205,20 +205,20 @@ class FrozenPricer:
     on H, drawn block by block on the calling thread (``config.threads`` is read by
     the genetic stage only). The conditional estimator prices each base path with its
     antithetic mirror and integrates out the orthogonal increments, so neither the
-    mirrors nor dW~ are drawn or stored. Paths are cached per PATH_BLOCK row slice of
-    the draws, each slice as one (H, bundle) entry whose increments are views of the
-    draws, so an entry adds only its fBm paths. A call passes the pricing block kernel
-    a ``bundle_of`` that returns block b's cached bundle when its H is the call's;
-    else it drops the entry, transforms the slice under the call's covariance (built
-    once, on the call's first miss) and stores the new bundle. A cached bundle carries
-    the one-slot memo of its unit-sigma0 sums (`PathBundle.unit_sums`, keyed by
-    (H, xi, alpha) and the maturity nodes), which goes with the bundle when a new H
-    replaces it; a call that keeps the block's (H, xi, alpha) and moves only sigma0 or
-    rho prices from it. So the pricer holds the draws plus one fBm path set of base
-    paths and 2 x maturities x 2 x base-paths floats of sums, and calls sharing it
-    across threads hold one block in flight each. Every call prices only bundles of
-    its own H, and the sums are scaled by sigma0 after summing on a cold call too, so a
-    cached price equals a fresh pricer's exactly. Thread count affects wall time only.
+    mirrors nor dW~ are drawn or stored. The pricer holds one path set, as one slot
+    (H, one bundle per PATH_BLOCK row slice of the draws), whose increments are views
+    of the draws, so the slot adds only its fBm paths. A call at a new H drops the
+    slot, builds the covariance once, transforms every slice under it and stores the
+    new slot; a call at the cached H prices from the slot. Each bundle carries the
+    one-slot memo of its unit-sigma0 sums (`PathBundle.unit_sums`, keyed by
+    (H, xi, alpha) and the maturity nodes), which goes with the path set when a new H
+    replaces it; a call that keeps (H, xi, alpha) and moves only sigma0 or rho prices
+    from it. So the pricer holds the draws plus one fBm path set of base paths and
+    2 x maturities x 2 x base-paths floats of sums. Threads of a genetic generation
+    share the coarse pricer, which holds one block, so each holds at most one block of
+    its own in flight. Every call prices only paths of its own H, and the sums are
+    scaled by sigma0 after summing on a cold call too, so a cached price equals a
+    fresh pricer's exactly. Thread count affects wall time only.
 
     ``prices`` always does the work. ``priced`` returns the prices of a parameter
     vector from a memo keyed by its bytes, calling ``prices`` on the vector's first
@@ -228,37 +228,28 @@ class FrozenPricer:
 
     def __init__(self, structure: OptionStructure, config: CalibrationConfig):
         self.structure = structure
-        self.config = config
         self.grid = TimeGrid.with_maturities(structure.maturities, config.steps_per_year)
         draws = _base_draws(config.path_count, "conditional_mixed")
         self._z, _ = draw_normal_bundle(self.grid, draws, config.seed, orthogonal=False)
         self._sqrt_w = np.sqrt(structure.weights)
         self._closes = structure.closes
         self._options = structure.options
-        # (H, bundle) of each PATH_BLOCK row slice, as the last call that needed it left it
-        self._blocks: list[tuple[float, PathBundle] | None] = [None] * _block_count(draws)
+        # (H, one bundle per PATH_BLOCK row slice of the draws) of the last new-H call
+        self._paths: tuple[float, list[PathBundle]] | None = None
         self._memo: dict[bytes, np.ndarray] = {}  # theta.tobytes() -> prices
 
     def prices(self, theta) -> np.ndarray:
         params = theta if isinstance(theta, ModelParams) else ModelParams.from_array(theta)
-        H = params.H
-        cov = None
-
-        def bundle_of(b: int) -> PathBundle:
-            nonlocal cov
-            entry = self._blocks[b]  # one read: other threads may replace the entry
-            if entry is not None and entry[0] == H:
-                return entry[1]
-            # drop the old block, and the local reference, before building its successor
-            self._blocks[b] = entry = None
-            if cov is None:  # one thread: GA generations and bootstrap workers call this
-                cov = build_joint_covariance(self.grid, H)
-            rows = slice(b * PATH_BLOCK, (b + 1) * PATH_BLOCK)
-            bundle = transform_normals(self._z[rows], None, cov)
-            self._blocks[b] = (H, bundle)
-            return bundle
-
-        estimates = _block_estimates(bundle_of, len(self._blocks), params,
+        paths = self._paths  # one read: a concurrent GA call may replace the slot
+        if paths is None or paths[0] != params.H:
+            # drop the old path set, and the local reference, before building the new
+            self._paths = paths = None
+            cov = build_joint_covariance(self.grid, params.H)
+            paths = self._paths = (params.H, [
+                transform_normals(self._z[lo:lo + PATH_BLOCK], None, cov)
+                for lo in range(0, len(self._z), PATH_BLOCK)])
+        bundles = paths[1]
+        estimates = _block_estimates(bundles.__getitem__, len(bundles), params,
                                      self.structure.env, self._options)
         return np.array([e.price for e in estimates])
 

@@ -427,7 +427,7 @@ def _md_table(header: list[str], rows: list[list[str]]) -> list[str]:
     out = ["| " + " | ".join(header) + " |",
            "|" + "|".join(" --- " for _ in header) + "|"]
     out += ["| " + " | ".join(row) + " |" for row in rows]
-    return out
+    return out + [""]
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -447,14 +447,12 @@ def cmd_report(args: argparse.Namespace) -> int:
         lines += [f"## Calibration ({trade_date}, variant {variant})", ""]
         lines += _md_table(["parameter", "value"],
                            [[n, f"{v:.6g}"] for n, v in asdict(theta).items()])
-        lines.append("")
         if calib.get("metrics"):
             m = json_field(calib, "metrics", dict, calibration_file)
             fit = _fields(m, ("aare", "mare", "arfv", "mrfv"), float, calibration_file)
             objective = json_field(calib, "objective", float, calibration_file)
             lines += _md_table(["AARE", "MARE", "ARFV", "MRFV", "WRSS"],
                                [[*map(format_pct, fit), f"{objective:.6g}"]])
-            lines.append("")
 
     samples = json_field(boot, "aare_samples", np.ndarray, bootstrap_file)
     failures = json_kind(boot.get("failure_count", 0), int,
@@ -466,7 +464,6 @@ def cmd_report(args: argparse.Namespace) -> int:
               + (f", {failures} failed" if failures else "") + ")", ""]
     lines += _md_table(["Range", "IQR", "Std", "Rel IQR Avg", "Rel IQR Max"],
                        [list(map(format_pct, spread))])
-    lines.append("")
     lines.append("Boot-ARE columns summarize the spread of the per-sample average "
                  "relative errors; Rel IQR columns summarize the coefficient "
                  "interquartile ranges normalized by their averages.")
@@ -476,12 +473,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     lines += _md_table(["parameter", "bootstrap mean", "Rel IQR"],
                        [[n, f"{means[n]:.6g}", format_pct(rel_iqr[n])]
                         for n in PARAM_NAMES])
-    lines.append("")
     bre, v = _fields(boot, ("bre", "v"), np.ndarray, bootstrap_file)
     lines += _md_table(["mean BRE", "max BRE", "mean V", "max V"],
                        [[format_pct(bre.mean()), format_pct(bre.max()),
                          f"{v.mean():.3g}", f"{v.max():.3g}"]])
-    lines.append("")
 
     sensitivity_file = settings.get("sensitivity")
     if sensitivity_file:
@@ -498,7 +493,6 @@ def cmd_report(args: argparse.Namespace) -> int:
                          "yes" if reject else "no"])
         lines += [f"## Parameter sensitivity (alpha = {alpha:g})", ""]
         lines += _md_table(["parameter", "D", "p-value", "reject"], rows)
-        lines.append("")
 
     significance_file = settings.get("significance")
     if significance_file:
@@ -510,7 +504,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         lines += _md_table(
             ["t", "dof", "p-value", "mean ARFV (full)", "mean ARFV (restricted)"],
             [[f"{t:.4f}", f"{dof:.2f}", f"{p_value:.4g}", *map(format_pct, arfv)]])
-        lines.append("")
 
     _atomic_write(settings.outdir / "report.md", "\n".join(lines).rstrip() + "\n")
     return 0

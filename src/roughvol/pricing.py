@@ -46,8 +46,8 @@ pooled in block order with exactly rounded sums; `_controlled` then forms each
 estimate once, from the moments of all the samples. The kernel asks a
 ``bundle_of(b)`` for each block. Fresh-draw pricing samples the block there and drops
 it once priced, so memory grows with the worker count, not the path count;
-calibration's frozen-noise pricer returns its cached block, with the block's memo of
-unit sums, or transforms the block's frozen draws at a new H and caches the result.
+calibration's frozen-noise pricer returns a block of its cached path set, with the
+block's memo of unit sums; at a new H it transforms every block before the kernel runs.
 """
 from __future__ import annotations
 

@@ -21,7 +21,7 @@ from .fbm import (TimeGrid, _STREAM_SIGNIFICANCE, build_joint_covariance, derive
                   parallel_map)
 from .market import OptionStructure
 from .model import PARAM_NAMES, ModelParams, _theta_samples
-from .pricing import fresh_estimates
+from .pricing import _checked_options, _fresh_blocks
 
 __all__ = [
     "KsResult",
@@ -188,12 +188,14 @@ def significance_test(structure: OptionStructure, theta_full: ModelParams,
     the repetition index and the model arm), prices the chain under both parameter
     vectors and records the average relative fit value against the market closes
     (`fit_metrics`' ARFV). The (repetition, arm) jobs run in that order, and their flat
-    result is read back as a repetitions x 2 table. The two covariance factorizations
-    are built once, each split over ``threads`` before the repetitions start, and
+    result is read back as a repetitions x 2 table. The options and ``path_count`` are
+    checked first (as `price_chain` checks them). The two covariance factorizations
+    are then built once, each split over ``threads`` before the repetitions start, and
     shared across repetitions.
     """
     if repetitions < 2:
         raise ValueError("significance test needs at least 2 repetitions per model")
+    options = _checked_options(structure.options, path_count, "conditional_mixed")
     grid = TimeGrid.with_maturities(structure.maturities, steps_per_year)
     cov_full = build_joint_covariance(grid, theta_full.H, threads)
     cov_restricted = (cov_full if theta_restricted.H == theta_full.H
@@ -206,8 +208,8 @@ def significance_test(structure: OptionStructure, theta_full: ModelParams,
         params, cov = arms[arm]
         seed = derive_seed(base_seed, _STREAM_SIGNIFICANCE, k, arm)
         # blocks run serially: the repetitions are already the parallel level
-        estimates = fresh_estimates(cov, params, structure.env, structure.options,
-                                    path_count, seed)
+        estimates = _fresh_blocks(cov, params, structure.env, options, path_count, seed,
+                                  "conditional_mixed", 1)
         return fit_metrics([e.price for e in estimates], structure).arfv
 
     arfv_full, arfv_restricted = np.reshape(parallel_map(run, jobs, threads), (-1, 2)).T

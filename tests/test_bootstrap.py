@@ -105,8 +105,8 @@ def test_relative_iqr_matches_hand_computation():
         q25, q75 = quartiles(samples[:, k])
         mean = sum(samples[:, k]) / 3.0
         assert report.rel_iqr[k] == pytest.approx((q75 - q25) / mean, rel=1e-12)
-    assert report.rel_iqr_avg == pytest.approx(report.rel_iqr.mean(), rel=1e-12)
-    assert report.rel_iqr_max == pytest.approx(report.rel_iqr.max(), rel=1e-12)
+    assert report.rel_iqr_avg == pytest.approx(np.abs(report.rel_iqr).mean(), rel=1e-12)
+    assert report.rel_iqr_max == pytest.approx(np.abs(report.rel_iqr).max(), rel=1e-12)
     # rho has a negative sample mean, so its relative IQR is negative by convention
     assert report.rel_iqr[1] < 0.0
 

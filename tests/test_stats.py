@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from roughvol import stats
 from roughvol.model import PARAM_NAMES, MarketEnv, ModelParams
 from roughvol.stats import (
     ks_two_sample,
@@ -287,3 +288,14 @@ def test_significance_deterministic_across_threads(chain):
 def test_significance_needs_two_repetitions(chain):
     with pytest.raises(ValueError, match="at least 2"):
         significance_test(chain, TRUTH, TRUTH, repetitions=1)
+
+
+def test_significance_checks_path_count_before_any_covariance(chain, monkeypatch):
+    # a bad path count fails before either factorization is built, not in the first job
+    builds = []
+    monkeypatch.setattr(stats, "build_joint_covariance",
+                        lambda *args: builds.append(args))
+    other = ModelParams(sigma0=0.08, rho=-0.3, H=0.1, xi=1.0, alpha=1.0)
+    with pytest.raises(ValueError, match="path_count must be >= 1"):
+        significance_test(chain, TRUTH, other, repetitions=2, path_count=0)
+    assert builds == []
