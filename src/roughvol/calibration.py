@@ -24,10 +24,10 @@ its draws are the requested pricer's first block bit for bit. The local stage is
 bound-constrained least squares on the residual vector sqrt(w_i) (C_i^Theta -
 C_i^mkt) of the requested pricer, with one-sided finite differences of step 1e-4 x
 bound width: the coarse grid is biased, so the fit is made on the requested one. The
-coarse pricer is released before the requested one draws, and a config at or below
-the coarse scale uses one pricer for both stages. Model variants fix parameters by
-collapsing their bounds (lower = upper, `_VARIANT_PINS`); collapsed components are
-removed from the optimizer's vector and reinstated exactly on output.
+coarse pricer is released before the requested one draws, at every requested scale.
+Model variants fix parameters by collapsing their bounds (lower = upper,
+`_VARIANT_PINS`); collapsed components are removed from the optimizer's vector and
+reinstated exactly on output.
 
 Progress goes to the ``roughvol.calibration`` logger at INFO: one line per genetic
 generation and one when the least squares ends.
@@ -421,19 +421,18 @@ def calibrate(structure: OptionStructure, config: CalibrationConfig) -> Calibrat
     The genetic stage prices on at most `_GA_PATH_COUNT` paths at `_GA_STEPS_PER_YEAR`
     steps per year, with the config's seed; ``iterations`` records that scale as
     ``ga_path_count`` and ``ga_steps_per_year``, and ``ga_best_per_generation`` holds
-    objectives at it. Where that scale is the requested one, the same pricer serves
-    both stages. Else the coarse pricer is dropped before the requested one is built,
-    so the two never hold memory at once, and `local_refine` starts from the genetic
-    best priced anew. The metrics are those of the requested pricer.
+    objectives at it. The coarse pricer lives only as long as the search, so it is
+    freed before the requested one is built and the two never hold memory at once;
+    `local_refine` starts from the genetic best priced anew on the requested pricer.
+    At or below the coarse scale both pricers draw the same rows, so the start
+    objective is the last generation's best, bit for bit. The metrics are those of
+    the requested pricer.
     """
     ga_config = replace(config, path_count=min(config.path_count, _GA_PATH_COUNT),
                         steps_per_year=min(config.steps_per_year, _GA_STEPS_PER_YEAR))
-    pricer = FrozenPricer(structure, ga_config)
-    best_theta, history = _ga_minimize(config, pricer.objective)
-    if ((ga_config.path_count, ga_config.steps_per_year)
-            != (config.path_count, config.steps_per_year)):
-        del pricer  # free the coarse draws and paths before the requested ones
-        pricer = FrozenPricer(structure, config)
+    # no name holds the coarse pricer: it is freed when the search returns
+    best_theta, history = _ga_minimize(config, FrozenPricer(structure, ga_config).objective)
+    pricer = FrozenPricer(structure, config)
     start = ModelParams.from_array(best_theta)
     result = local_refine(start, pricer.residuals, config)
     result.metrics = fit_metrics(pricer.priced(result.theta), structure)

@@ -200,10 +200,12 @@ class _Settings:
 
     @property
     def threads(self) -> int:
-        """The flag, then the config, then all cores. A count below 1 raises ValueError
-        naming the flag or the config key."""
+        """The flag, then the config, then every core this process may run on. A count
+        below 1 raises ValueError naming the flag or the config key."""
         value, source = self._lookup("threads")
         if value is None:
+            if hasattr(os, "sched_getaffinity"):
+                return len(os.sched_getaffinity(0))
             return os.cpu_count() or 1
         threads = json_kind(value, int, source)
         if threads < 1:
@@ -516,7 +518,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file supplying defaults for this command")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker pool size (default: all cores)")
+                        help="worker pool size (default: the cores this process may use)")
     parser.add_argument("--out", default=None, help="output directory (default: .)")
     parser.add_argument("--log-level", default="warning", choices=_LOG_LEVELS)
 

@@ -66,7 +66,6 @@ __all__ = [
     "PriceEstimate",
     "black_scholes_call",
     "chain_estimates",
-    "fresh_estimates",
     "price_chain",
 ]
 
@@ -429,27 +428,19 @@ def _checked_options(options, path_count: int, estimator: str) -> tuple:
     return options
 
 
-def fresh_estimates(cov: JointCovariance, params: ModelParams, env: MarketEnv, options,
-                    path_count: int, seed: int, estimator: str = "conditional_mixed",
-                    threads: int = 1) -> list[PriceEstimate]:
-    """Price every option on ``path_count`` fresh paths, one PATH_BLOCK of draws at a
-    time.
-
-    The inputs are checked as `price_chain` checks them. The plain estimator draws
-    ``path_count`` i.i.d. paths. The conditional one draws ceil(path_count / 2) base
-    paths and prices each with its mirror, so an odd count prices path_count + 1
-    paths; it draws no orthogonal increments. Each block is sampled (`sample_paths`
-    with ``block=b``) in `_block_estimates`, ``threads`` blocks at once, and dropped
-    once priced, so memory holds one block per worker at any ``path_count``.
-    """
-    options = _checked_options(options, path_count, estimator)
-    return _fresh_blocks(cov, params, env, options, path_count, seed, estimator, threads)
-
-
 def _fresh_blocks(cov: JointCovariance, params: ModelParams, env: MarketEnv, options,
                   path_count: int, seed: int, estimator: str,
                   threads: int) -> list[PriceEstimate]:
-    """`fresh_estimates` on inputs its public callers have already checked."""
+    """Price every option on ``path_count`` fresh paths, one PATH_BLOCK of draws at a
+    time, on inputs its callers have already checked (`_checked_options`).
+
+    The plain estimator draws ``path_count`` i.i.d. paths. The conditional one draws
+    ceil(path_count / 2) base paths and prices each with its mirror, so an odd count
+    prices path_count + 1 paths; it draws no orthogonal increments. Each block is
+    sampled (`sample_paths` with ``block=b``) in `_block_estimates`, ``threads`` blocks
+    at once, and dropped once priced, so memory holds one block per worker at any
+    ``path_count``.
+    """
     draws = _base_draws(path_count, estimator)
 
     def bundle_of(b: int) -> PathBundle:
@@ -469,7 +460,7 @@ def price_chain(options, env: MarketEnv, params: ModelParams, path_count: int,
     or maturity that is not positive and finite, an unknown ``estimator`` or
     ``path_count < 1``). One covariance is built and factorized, its special functions
     split over ``threads``; the paths are then streamed block by block as in
-    `fresh_estimates`, with ``threads`` blocks at once. Estimates are byte-identical at
+    `_fresh_blocks`, with ``threads`` blocks at once. Estimates are byte-identical at
     any ``threads`` and equal a single-bundle `chain_estimates` of the same draw up to
     the rounding of the pooled sums.
     """

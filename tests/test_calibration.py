@@ -662,14 +662,19 @@ def test_calibrate_prices_each_parameter_vector_once(monkeypatch, threads):
                          threads=threads)
     seen = []
     real_prices = FrozenPricer.prices
+    made, _ = recorded_pricers(monkeypatch)
 
     def counting(self, theta):
-        seen.append(np.asarray(theta, dtype=float).tobytes())
+        # the pricers run one after the other: the constructions so far name this one
+        seen.append((len(made), np.asarray(theta, dtype=float).tobytes()))
         return real_prices(self, theta)
 
     monkeypatch.setattr(FrozenPricer, "prices", counting)
     result = calibrate(s, config)
+    # once per pricer: the genetic best is priced on the coarse and the requested one
     assert len(set(seen)) == len(seen)
+    start = ModelParams(**result.iterations["ga_start"]).as_array().tobytes()
+    assert (1, start) in seen and (2, start) in seen
     monkeypatch.undo()
     assert result.metrics == fit_metrics(FrozenPricer(s, config).prices(result.theta), s)
 
@@ -680,9 +685,9 @@ def test_calibrate_prices_each_parameter_vector_once(monkeypatch, threads):
 
 def recorded_pricers(monkeypatch):
     """Patch FrozenPricer.__init__ to record, per construction, the pricer's scale and
-    whether each pricer built before it is still alive; returns the record and the
-    pricers' weak references."""
-    made, refs = [], []
+    whether each pricer built before it is still alive; returns the record and each
+    pricer's frozen draws, which hold no reference to the pricer."""
+    made, refs, draws = [], [], []
     real_init = FrozenPricer.__init__
 
     def recording(self, structure, config):
@@ -690,9 +695,10 @@ def recorded_pricers(monkeypatch):
                      [ref() is not None for ref in refs]))
         real_init(self, structure, config)
         refs.append(weakref.ref(self))
+        draws.append(self._z)
 
     monkeypatch.setattr(FrozenPricer, "__init__", recording)
-    return made, refs
+    return made, draws
 
 
 def test_calibrate_runs_the_genetic_stage_on_a_coarse_pricer(monkeypatch):
@@ -717,32 +723,31 @@ def test_calibrate_runs_the_genetic_stage_on_a_coarse_pricer(monkeypatch):
 
 @pytest.mark.parametrize("scale", [(2000, 12), (2 * PATH_BLOCK, 48)],
                          ids=["fast", "coarse-scale"])
-def test_calibrate_at_or_below_the_coarse_scale_builds_one_pricer(monkeypatch, scale):
+def test_calibrate_at_or_below_the_coarse_scale_builds_two_pricers_on_one_draw(
+        monkeypatch, scale):
     path_count, steps_per_year = scale
     config = fast_config(model_variant="rBergomi", ga_population=4, ga_generations=1,
                          path_count=path_count, steps_per_year=steps_per_year)
-    made, _ = recorded_pricers(monkeypatch)
+    made, draws = recorded_pricers(monkeypatch)
     result = calibrate(small_structure(), config)
-    assert made == [(path_count, steps_per_year, [])]
-    assert (result.iterations["ga_path_count"],
-            result.iterations["ga_steps_per_year"]) == scale
+    # the same lifecycle as above the coarse scale, on draws that are equal
+    assert made == [(path_count, steps_per_year, []),
+                    (path_count, steps_per_year, [False])]
+    assert np.array_equal(draws[0], draws[1])
+    iterations = result.iterations
+    assert (iterations["ga_path_count"], iterations["ga_steps_per_year"]) == scale
+    # so the least squares starts from the genetic best's objective, bit for bit
+    assert iterations["local"]["start_objective"] == iterations["ga_best_per_generation"][-1]
 
 
 def test_coarse_pricer_draws_are_the_requested_pricers_first_block(monkeypatch):
-    pricers = []
-    real_init = FrozenPricer.__init__
-
-    def keeping(self, structure, config):
-        real_init(self, structure, config)
-        pricers.append(self)
-
-    monkeypatch.setattr(FrozenPricer, "__init__", keeping)
+    _, draws = recorded_pricers(monkeypatch)
     config = fast_config(model_variant="rBergomi", ga_population=4, ga_generations=1,
                          path_count=16385, steps_per_year=48)
     calibrate(small_structure(), config)
-    coarse, fine = pricers
-    assert coarse._z.shape[0] == PATH_BLOCK and fine._z.shape[0] == 8193
-    assert np.array_equal(coarse._z, fine._z[:PATH_BLOCK])
+    coarse, fine = draws
+    assert coarse.shape[0] == PATH_BLOCK and fine.shape[0] == 8193
+    assert np.array_equal(coarse, fine[:PATH_BLOCK])
 
 
 def test_calibrate_logs_progress(caplog):

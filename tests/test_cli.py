@@ -363,7 +363,20 @@ def test_threads_resolution_order(tmp_path):
     assert _Settings(argparse.Namespace(config=str(cfg), threads=None)).threads == 7
     assert _Settings(argparse.Namespace(config=str(cfg), threads=2)).threads == 2
     got = _Settings(argparse.Namespace(config=None, threads=None)).threads
-    assert got == max(1, os.cpu_count() or 1)
+    assert got == len(os.sched_getaffinity(0))
+
+
+def test_default_threads_count_the_cores_this_process_may_use(monkeypatch):
+    # a job pinned to one core of a larger machine runs one thread
+    default = argparse.Namespace(config=None, threads=None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _Settings(default).threads == 1
+    # where the platform cannot say, every core counts
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _Settings(default).threads == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert _Settings(default).threads == 3
 
 
 def test_missing_required_input_reports_json(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Pricing tests: Black-Scholes reference values, estimator unbiasedness and variance
 reduction, and whole-chain consistency. BS references computed at 30-digit precision."""
+import datetime as dt
 import math
 import re
 import tracemalloc
@@ -12,19 +13,20 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import special
 
-from roughvol import pricing
+from roughvol import pricing, stats
 from roughvol.calibration import ParamBounds
 from roughvol.fbm import PATH_BLOCK, TimeGrid, build_joint_covariance, sample_paths
+from roughvol.market import OptionQuote, OptionStructure
 from roughvol.model import MarketEnv, ModelParams, volatility_paths
 from roughvol.pricing import (
     ESTIMATORS,
     PriceEstimate,
     black_scholes_call,
     chain_estimates,
-    fresh_estimates,
     price_chain,
     _pool_estimates,
 )
+from roughvol.stats import significance_test
 
 # parameters of the reported rough-Bergomi fit, a realistic stress point for the
 # estimators (vol-of-vol ~ 1, rough paths)
@@ -203,13 +205,21 @@ def test_price_chain_rejects_bad_inputs(bad, msg):
         price_chain(**kwargs)
 
 
-@pytest.mark.parametrize("bad,msg", BAD_CHAIN_INPUTS, ids=BAD_CHAIN_IDS)
-def test_fresh_estimates_rejects_bad_inputs(bad, msg):
-    # the same check runs where significance prices, so 0 paths no longer returns []
-    cov = build_joint_covariance(TimeGrid.with_maturities([0.5], 12), FIT_PARAMS.H)
-    kwargs = dict(options=((100.0, 0.5),), path_count=100, seed=0) | bad
+# every case but the last, the unknown estimator: significance fixes the estimator
+@pytest.mark.parametrize("bad,msg", BAD_CHAIN_INPUTS[:-1], ids=BAD_CHAIN_IDS[:-1])
+def test_significance_rejects_bad_inputs(bad, msg, monkeypatch):
+    # its options and path count fail price_chain's check, before any covariance build
+    builds = []
+    monkeypatch.setattr(stats, "build_joint_covariance", lambda *args: builds.append(args))
+    kwargs = dict(options=((100.0, 0.5),), path_count=100) | bad
+    quotes = [OptionQuote(strike=k, maturity=t, bid=0.9, ask=1.1, close=1.0)
+              for k, t in kwargs["options"]]
+    structure = OptionStructure(quotes=quotes, env=MarketEnv(spot=100.0),
+                                trade_date=dt.date(2026, 1, 2), weights=[1.0])
     with pytest.raises(ValueError, match=msg):
-        fresh_estimates(cov, FIT_PARAMS, MarketEnv(spot=100.0), **kwargs)
+        significance_test(structure, FIT_PARAMS, FIT_PARAMS, repetitions=2,
+                          path_count=kwargs["path_count"], steps_per_year=12)
+    assert builds == []
 
 
 def test_price_chain_matches_manual_assembly():
@@ -284,7 +294,7 @@ def test_chain_estimates_requires_known_estimator(rough_setup):
         chain_estimates(bundle, FIT_PARAMS, env, ((100.0, 1.0),), estimator="plian")
 
 
-@pytest.mark.parametrize("entry", ["price_chain", "fresh_estimates", "chain_estimates"])
+@pytest.mark.parametrize("entry", ["price_chain", "chain_estimates"])
 def test_unknown_estimator_message_names_the_value(entry):
     # one message at every public entry, with the rejected value
     grid = TimeGrid.with_maturities([0.5], 12)
@@ -292,9 +302,6 @@ def test_unknown_estimator_message_names_the_value(entry):
     calls = {
         "price_chain": lambda: price_chain(options, env, FIT_PARAMS, path_count=100,
                                            steps_per_year=12, seed=0, estimator="x"),
-        "fresh_estimates": lambda: fresh_estimates(
-            build_joint_covariance(grid, FIT_PARAMS.H), FIT_PARAMS, env, options,
-            path_count=100, seed=0, estimator="x"),
         "chain_estimates": lambda: chain_estimates(
             sample_paths(build_joint_covariance(grid, FIT_PARAMS.H), 10, seed=0),
             FIT_PARAMS, env, options, estimator="x"),
