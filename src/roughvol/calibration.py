@@ -220,10 +220,11 @@ class FrozenPricer:
     scaled by sigma0 after summing on a cold call too, so a cached price equals a
     fresh pricer's exactly. Thread count affects wall time only.
 
-    ``prices`` always does the work. ``priced`` returns the prices of a parameter
-    vector from a memo keyed by its bytes, calling ``prices`` on the vector's first
-    use; ``residuals`` and ``objective`` read through it, so the optimizers price each
-    vector once.
+    ``priced`` is the entry: it takes a parameter vector or `ModelParams`, converts it
+    once and returns its prices from a memo keyed by the vector's bytes, calling
+    ``prices`` on the vector's first use; ``residuals`` and ``objective`` read through
+    it, so the optimizers price each vector once. ``prices`` takes `ModelParams` and
+    always does the work.
     """
 
     def __init__(self, structure: OptionStructure, config: CalibrationConfig):
@@ -236,31 +237,32 @@ class FrozenPricer:
         self._options = structure.options
         # (H, one bundle per PATH_BLOCK row slice of the draws) of the last new-H call
         self._paths: tuple[float, list[PathBundle]] | None = None
-        self._memo: dict[bytes, np.ndarray] = {}  # theta.tobytes() -> prices
+        self._memo: dict[bytes, np.ndarray] = {}  # params.as_array().tobytes() -> prices
 
-    def prices(self, theta) -> np.ndarray:
-        params = theta if isinstance(theta, ModelParams) else ModelParams.from_array(theta)
+    def prices(self, theta: ModelParams) -> np.ndarray:
+        """The model prices at ``theta``, computed on every call; `priced` is the
+        memoised entry that the optimizers use."""
         paths = self._paths  # one read: a concurrent GA call may replace the slot
-        if paths is None or paths[0] != params.H:
+        if paths is None or paths[0] != theta.H:
             # drop the old path set, and the local reference, before building the new
             self._paths = paths = None
-            cov = build_joint_covariance(self.grid, params.H)
-            paths = self._paths = (params.H, [
+            cov = build_joint_covariance(self.grid, theta.H)
+            paths = self._paths = (theta.H, [
                 transform_normals(self._z[lo:lo + PATH_BLOCK], None, cov)
                 for lo in range(0, len(self._z), PATH_BLOCK)])
         bundles = paths[1]
-        estimates = _block_estimates(bundles.__getitem__, len(bundles), params,
+        estimates = _block_estimates(bundles.__getitem__, len(bundles), theta,
                                      self.structure.env, self._options)
         return np.array([e.price for e in estimates])
 
     def priced(self, theta) -> np.ndarray:
-        """Memoised ``prices``: each parameter vector is priced once per pricer."""
-        if isinstance(theta, ModelParams):
-            theta = theta.as_array()
-        key = np.asarray(theta, dtype=float).tobytes()
+        """Memoised ``prices`` of a parameter array or `ModelParams`: each parameter
+        vector is priced once per pricer, whichever form it comes in."""
+        params = theta if isinstance(theta, ModelParams) else ModelParams.from_array(theta)
+        key = params.as_array().tobytes()
         # threads racing on one new vector may each price it, to the same bits
         if key not in self._memo:
-            self._memo[key] = self.prices(theta)
+            self._memo[key] = self.prices(params)
         return self._memo[key]
 
     def residuals(self, theta) -> np.ndarray:

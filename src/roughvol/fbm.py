@@ -287,14 +287,14 @@ class JointCovariance:
     Stores only the n x 2n fBm factor ``fbm_factor = [K~ | L_S]``: B^H = Z @ fbm_factor.T
     for the draws Z = [dW | Z_B] of `draw_normal_bundle`, whose first n columns are the
     Wiener increments and whose last n are the standard normals that drive the part of
-    B^H independent of W. Both halves are lower-triangular, and the path kernel forms
-    the product over panels of grid steps that never read their zero upper triangles
-    (`_block_transform`). K~ is the step-average kernel (see the module docstring),
-    whose kernel tail is an incomplete Beta for H < 1/2 and a 2F1 for H > 1/2; in
-    Z-space the kernel is K = K~ sqrt(deltas). ``jitter`` records the diagonal shift
-    added to the conditional covariance S = r - K K^T before its Cholesky (0.0 when
-    plain factorization succeeded, and always at H = 1/2, where S = 0 and K~ is
-    tril(ones)).
+    B^H independent of W. Both halves are lower-triangular, and the path kernel,
+    `transform_normals`, forms the product over panels of grid steps that never read
+    their zero upper triangles (`_block_transform`). K~ is the step-average kernel
+    (see the module docstring), whose kernel tail is an incomplete Beta for H < 1/2
+    and a 2F1 for H > 1/2; in Z-space the kernel is K = K~ sqrt(deltas). ``jitter``
+    records the diagonal shift added to the conditional covariance S = r - K K^T
+    before its Cholesky (0.0 when plain factorization succeeded, and always at
+    H = 1/2, where S = 0 and K~ is tril(ones)).
     """
 
     grid: TimeGrid
@@ -462,9 +462,10 @@ def draw_normal_bundle(grid: TimeGrid, path_count: int, seed: int, *,
     on H. Without ``orthogonal`` dW~ is neither drawn nor stored, and is None. Both
     arrays are time-major (Fortran order), shapes unchanged, and each value sits where
     a row-major draw of the block puts it. Block b draws from the same per-block stream
-    as `sample_paths` with ``block=b``, so transforming any PATH_BLOCK row slice of
-    these draws reproduces that block bit for bit. The blocks are drawn in order on the
-    calling thread. This is the object a common-random-numbers calibration freezes.
+    as `sample_paths` with ``block=b``, so `transform_normals` of any PATH_BLOCK row
+    slice of these draws reproduces that block bit for bit. The blocks are drawn in
+    order on the calling thread. This is the object a common-random-numbers calibration
+    freezes, and the whole draw of `sample_paths`.
     """
     if path_count < 1:
         raise ValueError("path_count must be >= 1")
@@ -508,42 +509,20 @@ def _block_transform(factor: np.ndarray, zt: np.ndarray, out: np.ndarray) -> Non
     np.matmul(factor[last:], zt, out=out[last:])
 
 
-def _joint_paths(z: np.ndarray, w_tilde_increments: np.ndarray | None,
-                 cov: JointCovariance) -> PathBundle:
-    """The path kernel of `sample_paths` and `transform_normals`.
-
-    dW is a view of the draws [dW | Z_B], and B^H = [dW | Z_B] @ [K~ | L_S]^T, formed
-    as ([K~ | L_S] @ [dW | Z_B]^T)^T so that it comes out time-major, panel by panel
-    of grid steps (`_block_transform`), per PATH_BLOCK rows: BLAS may round a
-    product over more rows differently, and this way the rows of a whole draw are
-    its blocks' bit for bit. At H = 1/2, B^H = cumsum(dW) with no product.
-    """
-    dw = z[:, : cov.grid.n]
-    if cov.H == 0.5:
-        fbm = _cumsum_steps(np.array(dw, order="F"))
-    else:  # per PATH_BLOCK rows, as each block alone is formed
-        fbm = np.empty((z.shape[0], cov.grid.n), order="F")
-        for lo in range(0, z.shape[0], PATH_BLOCK):
-            rows = slice(lo, lo + PATH_BLOCK)
-            _block_transform(cov.fbm_factor, z[rows].T, fbm[rows].T)
-    return PathBundle(fbm_paths=fbm, w_increments=dw,
-                      w_tilde_increments=w_tilde_increments, grid=cov.grid)
-
-
 def sample_paths(cov: JointCovariance, path_count: int, seed: int, *,
                  block: int | None = None, orthogonal: bool = True) -> PathBundle:
     """Draw exact joint paths: B^H, the Wiener increments dW and independent
     orthogonal increments.
 
     The draws [dW | Z_B] and dW~ are made block by block on the calling thread
-    (`draw_normal_bundle`) and mapped to paths by the W-first factor; each block owns
-    an RNG stream derived from (seed, block index), so the output is deterministic for
-    fixed inputs. With ``block=b`` only path block b of the ``path_count``-path draw is
-    sampled, rows b * PATH_BLOCK onwards, bit for bit as in the whole draw; callers
-    that want parallelism dispatch blocks this way. Without ``orthogonal`` dW~ is not
-    drawn (the conditional estimator never reads it) and the bundle's
-    ``w_tilde_increments`` is None; B^H and dW keep their bits. Either draw goes
-    through the one path kernel, as `transform_normals` does.
+    (`draw_normal_bundle`); each block owns an RNG stream derived from (seed, block
+    index), so the output is deterministic for fixed inputs. With ``block=b`` only path
+    block b of the ``path_count``-path draw is sampled (`_block_normals`), rows
+    b * PATH_BLOCK onwards, bit for bit as in the whole draw; callers that want
+    parallelism dispatch blocks this way. Without ``orthogonal`` dW~ is not drawn (the
+    conditional estimator never reads it) and the bundle's ``w_tilde_increments`` is
+    None; B^H and dW keep their bits. Either draw is mapped to paths by the W-first
+    factor in `transform_normals`, whose bundle is returned as it is.
     """
     if path_count < 1:
         raise ValueError("path_count must be >= 1")
@@ -555,23 +534,37 @@ def sample_paths(cov: JointCovariance, path_count: int, seed: int, *,
             raise ValueError(f"block {block} outside 0..{n_blocks - 1} for "
                              f"{path_count} paths")
         z, w_tilde = _block_normals(seed, block, path_count, cov.grid, orthogonal)
-    return _joint_paths(z, w_tilde, cov)
+    return transform_normals(z, w_tilde, cov)
 
 
 def transform_normals(z: np.ndarray, w_tilde_increments: np.ndarray | None,
                       cov: JointCovariance) -> PathBundle:
-    """Form the paths of frozen draws under a (possibly new) covariance.
+    """The path kernel: form the paths of draws under a covariance.
 
     ``z`` and ``w_tilde_increments`` are (row slices of) the two arrays of
-    `draw_normal_bundle`: [dW | Z_B] and dW~ (or None), neither of which depends on H.
-    The fBm paths are z @ [K~ | L_S]^T under ``cov`` (see `JointCovariance`); the
-    bundle's increments are views of the inputs, so only the fBm is allocated. Used by
-    the calibrator, one PATH_BLOCK row slice at a time: the draws stay fixed while the
-    covariance (hence the Hurst index) changes, making the parameter-to-paths map
-    deterministic and smooth.
+    `draw_normal_bundle` or one block's draw: [dW | Z_B] and dW~ (or None), neither of
+    which depends on H. dW is a view of ``z`` and B^H = [dW | Z_B] @ [K~ | L_S]^T under
+    ``cov`` (see `JointCovariance`), formed as ([K~ | L_S] @ [dW | Z_B]^T)^T so that it
+    comes out time-major, panel by panel of grid steps (`_block_transform`), per
+    PATH_BLOCK rows: BLAS may round a product over more rows differently, and this way
+    the rows of a whole draw are its blocks' bit for bit. At H = 1/2, B^H = cumsum(dW)
+    with no product. The bundle's increments are views of the inputs, so only the fBm
+    is allocated. Every path set goes through here: `sample_paths` passes it the
+    draws it made, and the calibrator one PATH_BLOCK row slice of its frozen draws at
+    a time, so the draws stay fixed while the covariance (hence the Hurst index)
+    changes, making the parameter-to-paths map deterministic and smooth.
     """
     n = cov.grid.n
     if z.shape[1] != 2 * n or (w_tilde_increments is not None
                                and w_tilde_increments.shape[1] != n):
         raise ValueError("normal draw shapes do not match the covariance grid")
-    return _joint_paths(z, w_tilde_increments, cov)
+    dw = z[:, :n]
+    if cov.H == 0.5:
+        fbm = _cumsum_steps(np.array(dw, order="F"))
+    else:  # per PATH_BLOCK rows, as each block alone is formed
+        fbm = np.empty((z.shape[0], n), order="F")
+        for lo in range(0, z.shape[0], PATH_BLOCK):
+            rows = slice(lo, lo + PATH_BLOCK)
+            _block_transform(cov.fbm_factor, z[rows].T, fbm[rows].T)
+    return PathBundle(fbm_paths=fbm, w_increments=dw,
+                      w_tilde_increments=w_tilde_increments, grid=cov.grid)

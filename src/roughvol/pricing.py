@@ -44,10 +44,12 @@ Every Monte-Carlo price comes from one block kernel, `_block_estimates`: each
 PATH_BLOCK of sampled paths is priced on its own, and the per-block moments are
 pooled in block order with exactly rounded sums; `_controlled` then forms each
 estimate once, from the moments of all the samples. The kernel asks a
-``bundle_of(b)`` for each block. Fresh-draw pricing samples the block there and drops
-it once priced, so memory grows with the worker count, not the path count;
+``bundle_of(b)`` for each block. Fresh-draw pricing samples the block there
+(`sample_paths`, which forms its paths in `fbm.transform_normals`, the one path kernel)
+and drops it once priced, so memory grows with the worker count, not the path count;
 calibration's frozen-noise pricer returns a block of its cached path set, with the
-block's memo of unit sums; at a new H it transforms every block before the kernel runs.
+block's memo of unit sums; at a new H it passes every block of its frozen draws through
+the same `transform_normals` before the kernel runs.
 """
 from __future__ import annotations
 

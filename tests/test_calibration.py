@@ -611,6 +611,24 @@ def test_pricer_memo_under_thread_contention():
     assert len(shared._memo) == len({t.tobytes() for t in thetas})
 
 
+def test_priced_converts_an_array_and_its_params_to_one_memo_entry(monkeypatch):
+    # priced builds the ModelParams once, so an array and the ModelParams of the same
+    # vector share a key, and prices only ever receives ModelParams
+    calls = []
+    real_prices = FrozenPricer.prices
+
+    def counting(self, theta):
+        calls.append(theta)
+        return real_prices(self, theta)
+
+    monkeypatch.setattr(FrozenPricer, "prices", counting)
+    pricer = FrozenPricer(small_structure(), fast_config())
+    x = THETA.as_array()
+    first = pricer.priced(x)
+    assert pricer.priced(ModelParams.from_array(x)) is first
+    assert len(calls) == 1 and isinstance(calls[0], ModelParams) and calls[0] == THETA
+
+
 def analytic_objective(calls):
     """Weighted squared distance to a fixed point, in plain float arithmetic."""
     target = [0.10, -0.50, 0.15, 1.50, 0.50]
@@ -641,7 +659,7 @@ def test_local_refine_evaluates_each_point_once(monkeypatch):
     real_prices = FrozenPricer.prices
 
     def counting(self, theta):
-        seen.append(np.array(theta, dtype=float))
+        seen.append(theta.as_array())
         return real_prices(self, theta)
 
     monkeypatch.setattr(FrozenPricer, "prices", counting)
@@ -666,7 +684,7 @@ def test_calibrate_prices_each_parameter_vector_once(monkeypatch, threads):
 
     def counting(self, theta):
         # the pricers run one after the other: the constructions so far name this one
-        seen.append((len(made), np.asarray(theta, dtype=float).tobytes()))
+        seen.append((len(made), theta.as_array().tobytes()))
         return real_prices(self, theta)
 
     monkeypatch.setattr(FrozenPricer, "prices", counting)

@@ -739,6 +739,38 @@ def test_single_block_equals_rows_of_full_draw():
         assert part.fbm_paths.shape[0] == 10
 
 
+@pytest.mark.parametrize("orthogonal", [True, False], ids=["orthogonal", "no-orthogonal"])
+@pytest.mark.parametrize("block", [None, 0, 2], ids=["whole", "block-0", "short-block"])
+def test_sample_paths_forms_its_paths_in_one_transform_of_its_draw(monkeypatch, block,
+                                                                   orthogonal):
+    # the whole draw and every block, the short last one too, reach the path kernel
+    # through transform_normals alone, with the arrays just drawn passed by position
+    # (perfbench's tracer reads them so), and its bundle is the one returned
+    grid = TimeGrid.regular(1.0, 6)
+    cov = build_joint_covariance(grid, 0.15)
+    drawn, transformed = [], []
+
+    def recording(fn, log):
+        def spy(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            log.append((args, result))
+            return result
+        return spy
+
+    # the whole draw makes its blocks' draws itself: record the outermost draw only
+    draw = "draw_normal_bundle" if block is None else "_block_normals"
+    monkeypatch.setattr(fbm, draw, recording(getattr(fbm, draw), drawn))
+    monkeypatch.setattr(fbm, "transform_normals", recording(transform_normals, transformed))
+    bundle = sample_paths(cov, 2 * fbm.PATH_BLOCK + 10, seed=13, block=block,
+                          orthogonal=orthogonal)
+    assert len(drawn) == 1 and len(transformed) == 1
+    (z, w_tilde), ((z_in, w_tilde_in, cov_in), result) = drawn[0][1], transformed[0]
+    assert z_in is z and w_tilde_in is w_tilde and cov_in is cov
+    assert (w_tilde is None) == (not orthogonal)
+    assert bundle is result
+    assert bundle.fbm_paths.shape[0] == (10 if block == 2 else z.shape[0])
+
+
 def _three_panel_draws(monkeypatch, panel):
     """A covariance whose n = 300 spans at least three transform panels, the last one
     short, and frozen draws of one full and one short path block on it."""
