@@ -134,6 +134,10 @@ def _number_or_text(text: str):
         return text
 
 
+#: the CLI defaults that no library signature declares: the base seed of the commands
+#: that draw, the output directory and synth-chain's output basename
+_SEED, _OUTDIR, _CHAIN_NAME = 0, ".", "chain"
+
 #: namespace entries that no config file sets
 _NOT_SETTINGS = frozenset({"config", "log_level", "command", "handler"})
 
@@ -149,6 +153,10 @@ class _Settings:
     `_NOT_SETTINGS`, plus its ``blocks`` (``theta``, ``bounds``). Where ``theta`` is
     read, the parameters belong in it, so their flag names are no keys. Any other key
     is refused before the command does any work.
+
+    ``threads`` is resolved and checked on construction (`--threads`, then the config,
+    then the cores this process may run on; a count below 1 raises ValueError naming
+    its source), so each command refuses it before reading any other input.
     """
 
     def __init__(self, args: argparse.Namespace, blocks: tuple = ()):
@@ -165,6 +173,13 @@ class _Settings:
                     f"{args.config}: keys this command does not read: "
                     f"{', '.join(map(repr, unread))} (it reads "
                     f"{', '.join(map(repr, sorted(keys)))})")
+        value, source = self._lookup("threads")
+        if value is None:  # every core this process may run on
+            value = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                     else os.cpu_count() or 1)
+        self.threads = json_kind(value, int, source)
+        if self.threads < 1:
+            raise ValueError(f"{source} must be at least 1, got {self.threads}")
 
     def _lookup(self, name: str):
         """(value, source): the flag if given, else the config value (None if absent)."""
@@ -196,21 +211,7 @@ class _Settings:
 
     @property
     def seed(self) -> int:
-        return self.get("seed", 0)
-
-    @property
-    def threads(self) -> int:
-        """The flag, then the config, then every core this process may run on. A count
-        below 1 raises ValueError naming the flag or the config key."""
-        value, source = self._lookup("threads")
-        if value is None:
-            if hasattr(os, "sched_getaffinity"):
-                return len(os.sched_getaffinity(0))
-            return os.cpu_count() or 1
-        threads = json_kind(value, int, source)
-        if threads < 1:
-            raise ValueError(f"{source} must be at least 1, got {threads}")
-        return threads
+        return self.get("seed", _SEED)
 
     @property
     def weight_rule(self) -> str:
@@ -218,7 +219,7 @@ class _Settings:
 
     @property
     def outdir(self) -> Path:
-        out = Path(self.get("out", "."))
+        out = Path(self.get("out", _OUTDIR))
         out.mkdir(parents=True, exist_ok=True)
         return out
 
@@ -270,13 +271,18 @@ def _resolve_bounds(settings: _Settings) -> ParamBounds:
 _TUNED = ("ga_population", "ga_generations", "path_count", "steps_per_year")
 
 
-def _calibration_config(settings: _Settings) -> CalibrationConfig:
-    """Each setting defaults to, and takes the kind of, `CalibrationConfig`'s own."""
+def _calibration_config(args: argparse.Namespace) -> tuple:
+    """The inputs of calibrate and bootstrap: (settings, `CalibrationConfig`, the chain
+    loaded under --weight-rule). Each config setting defaults to, and takes the kind
+    of, `CalibrationConfig`'s own."""
+    settings = _Settings(args, ("bounds",))
     bounds = _resolve_bounds(settings)
     tuned = {name: settings.get(name, getattr(CalibrationConfig, name)) for name in _TUNED}
     variant = settings.get("variant", CalibrationConfig.model_variant)
-    return CalibrationConfig(bounds=bounds, seed=settings.seed,
-                             model_variant=variant, threads=settings.threads, **tuned)
+    config = CalibrationConfig(bounds=bounds, seed=settings.seed, model_variant=variant,
+                               threads=settings.threads, **tuned)
+    structure = load_chain(settings.require("chain"), weight_rule=settings.weight_rule)
+    return settings, config, structure
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +304,7 @@ def cmd_synth_chain(args: argparse.Namespace) -> int:
     structure = generate_chain(theta, env, strikes, days, **chain, seed=settings.seed,
                                trade_date=trade_date, threads=settings.threads)
     outdir = settings.outdir
-    name = settings.get("name", "chain")
+    name = settings.get("name", _CHAIN_NAME)
     # the sidecar lands first: `load_chain` cannot read the CSV without it
     with (_atomic_path(outdir / f"{name}.csv") as tmp_csv,
           _atomic_path(outdir / f"{name}.json") as tmp_sidecar):
@@ -335,9 +341,7 @@ _ROW_HEADER = ["day", *PARAM_NAMES, "aare", "mare", "wrss", "arfv"]
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    settings = _Settings(args, ("bounds",))
-    config = _calibration_config(settings)
-    structure = load_chain(settings.require("chain"), weight_rule=settings.weight_rule)
+    settings, config, structure = _calibration_config(args)
     result = calibrate(structure, config)
     outdir = settings.outdir
 
@@ -358,9 +362,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_bootstrap(args: argparse.Namespace) -> int:
-    settings = _Settings(args, ("bounds",))
-    config = _calibration_config(settings)
-    structure = load_chain(settings.require("chain"), weight_rule=settings.weight_rule)
+    settings, config, structure = _calibration_config(args)
     overall = _read_theta(settings.require("calibration"))
     plan = BootstrapPlan(config=config,
                          sample_count=settings.get("samples", BootstrapPlan.sample_count),
@@ -392,7 +394,6 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
 
 def cmd_sensitivity(args: argparse.Namespace) -> int:
     settings = _Settings(args)
-    settings.threads  # checked like every command's, though nothing here runs in parallel
     bootstrap_file = settings.require("bootstrap")
     data = read_json_object(bootstrap_file)
     alpha = settings.get("alpha", _default(sensitivity_analysis, "alpha_level"))
@@ -434,7 +435,6 @@ def _md_table(header: list[str], rows: list[list[str]]) -> list[str]:
 
 def cmd_report(args: argparse.Namespace) -> int:
     settings = _Settings(args)
-    settings.threads  # checked like every command's, though nothing here runs in parallel
     bootstrap_file = settings.require("bootstrap")
     boot = read_json_object(bootstrap_file)
     lines = ["# Rough volatility calibration report", ""]
@@ -519,7 +519,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file supplying defaults for this command")
     parser.add_argument("--threads", type=int, default=None,
                         help="worker pool size (default: the cores this process may use)")
-    parser.add_argument("--out", default=None, help="output directory (default: .)")
+    parser.add_argument("--out", default=None,
+                        help=f"output directory (default: {_OUTDIR})")
     parser.add_argument("--log-level", default="warning", choices=_LOG_LEVELS)
 
 
@@ -533,7 +534,8 @@ def _add_theta_flags(parser: argparse.ArgumentParser) -> None:
 def _add_path_flags(parser: argparse.ArgumentParser) -> None:
     """The flags of the five commands that draw paths; `sensitivity` and `report` draw
     nothing, so they take no --seed."""
-    parser.add_argument("--seed", type=int, default=None, help="base RNG seed (default 0)")
+    parser.add_argument("--seed", type=int, default=None,
+                        help=f"base RNG seed (default {_SEED})")
     parser.add_argument("--path-count", type=int, default=None, dest="path_count")
     parser.add_argument("--steps-per-year", type=int, default=None, dest="steps_per_year")
 
@@ -562,7 +564,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rel-spread", type=float, default=None, dest="rel_spread")
     _add_path_flags(p)
     p.add_argument("--trade-date", default=None, dest="trade_date")
-    p.add_argument("--name", default=None, help="output basename (default: chain)")
+    p.add_argument("--name", default=None,
+                   help=f"output basename (default: {_CHAIN_NAME})")
     p.set_defaults(handler=cmd_synth_chain)
 
     p = sub.add_parser("price", help="price every quote in a chain at fixed parameters")

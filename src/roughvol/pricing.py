@@ -355,32 +355,34 @@ def _base_draws(path_count: int, estimator: str) -> int:
 def _pool_estimates(parts) -> PriceEstimate:
     """One estimate from estimates on disjoint path sets, as if on their union.
 
-    Parts that are all constant at one value pool to that value with standard error
-    0 exactly, as `_controlled` gives. Otherwise the parts' regression moments are
-    pooled (`_pool_moments`) and `_controlled` prices them once, fitting a conditional
-    estimate's beta on the moments of all the pairs, so the estimate is that of one
-    `chain_estimates` over the union up to the rounding of the sums. Every sum is
-    exactly rounded, so the result does not depend on the order of the parts.
+    The parts' regression moments are pooled (`_pool_moments`) and `_controlled`
+    prices them once, fitting a conditional estimate's beta on the moments of all the
+    pairs, so the estimate, moments included, is that of one `chain_estimates` over
+    the union up to the rounding of the sums. Parts that are all constant at one value
+    pool to that value with standard error 0 exactly, as `_controlled` gives. Every
+    sum is exactly rounded, so the result does not depend on the order of the parts.
     """
-    first = parts[0]
     if len(parts) == 1:
-        return first
-    paths = sum(e.path_count for e in parts)
-    if all(e.std_error == 0.0 and e.price == first.price for e in parts):
-        return replace(first, path_count=paths)
+        return parts[0]
     moments = _pool_moments([e._moments for e in parts])
     price, se = _controlled(*moments)
-    return replace(first, price=price, std_error=se, path_count=paths, _moments=moments)
+    return replace(parts[0], price=price, std_error=se,
+                   path_count=sum(e.path_count for e in parts), _moments=moments)
 
 
 def _pool_moments(parts) -> tuple:
     """The (count, means, cross, tail) moments of the union of disjoint samples of one
     maturity: the means weight each part's by its count n_b, and the centred cross
     products add the within-part ones to the between-part ones,
-    n_b (m_b - m)(m_b - m)^T. Every sum is exactly rounded (`math.fsum`)."""
+    n_b (m_b - m)(m_b - m)^T. Every sum is exactly rounded (`math.fsum`), and a mean
+    on which every part agrees is kept exactly, so constant parts pool to constant
+    moments with zero cross products."""
     total = sum(part[0] for part in parts)
     dim = len(parts[0][1])
-    means = [math.fsum(n * m[i] for n, m, _, _ in parts) / total for i in range(dim)]
+    first = parts[0][1]
+    means = [first[i] if all(m[i] == first[i] for _, m, _, _ in parts)
+             else math.fsum(n * m[i] for n, m, _, _ in parts) / total
+             for i in range(dim)]
     cross = [[0.0] * dim for _ in range(dim)]
     for i in range(dim):
         for k in range(i, dim):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from roughvol import bootstrap as boot_mod
-from roughvol import calibration, fbm, pricing, stats, synth
+from roughvol import calibration, cli, fbm, pricing, stats, synth
 from roughvol.cli import _atomic_path, _Settings, build_parser, main
 from roughvol.market import load_chain
 from roughvol.model import PARAM_NAMES
@@ -774,6 +774,28 @@ def test_thread_count_below_one_reports_json_where_nothing_is_drawn(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["synth-chain", "price", "calibrate", "bootstrap",
+                                     "sensitivity", "significance", "report"])
+@pytest.mark.parametrize("source", ["flag", "config-key"])
+def test_thread_count_is_checked_before_any_other_input(tmp_path, capsys, command,
+                                                        source):
+    # no required input is given, so a command that read any before --threads would
+    # report that input missing instead
+    out, cfg = tmp_path / "out", tmp_path / "config.json"
+    argv = [command, "--out", str(out)]
+    if source == "flag":
+        argv += ["--threads", "0"]
+        message = "flag --threads must be at least 1, got 0"
+    else:
+        cfg.write_text(json.dumps({"threads": 0}))
+        argv += ["--config", str(cfg)]
+        message = f"{cfg}: 'threads' must be at least 1, got 0"
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError",
+                                                   "message": message}
+    assert not out.exists()
+
+
 def test_covariance_builds_get_threads_only_where_the_caller_is_serial(
         pipeline, tmp_path, monkeypatch):
     # --threads 2 splits the builds of price, synth-chain and significance; a build in
@@ -864,6 +886,24 @@ def test_help_prints_the_library_defaults(monkeypatch, capsys):
         with pytest.raises(SystemExit):
             main([command, "--help"])
         assert text in capsys.readouterr().out
+
+
+def test_help_and_omitted_flags_read_the_cli_defaults(tmp_path, monkeypatch, capsys):
+    # the seed, output directory and basename defaults are each one constant
+    monkeypatch.setattr(cli, "_SEED", 3)
+    monkeypatch.setattr(cli, "_OUTDIR", "made")
+    monkeypatch.setattr(cli, "_CHAIN_NAME", "mine")
+    with pytest.raises(SystemExit):
+        main(["synth-chain", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    for text in ("seed (default 3)", "directory (default: made)",
+                 "basename (default: mine)"):
+        assert text in help_text
+    monkeypatch.chdir(tmp_path)
+    run_cli(["synth-chain", *TRUTH_FLAGS, "--spot", "100", "--strikes", "95",
+             "--maturity-days", "91", "--path-count", "200", "--steps-per-year", "12",
+             "--threads", "1"])
+    assert json.loads((tmp_path / "made" / "mine.truth.json").read_text())["seed"] == 3
 
 
 def test_bootstrap_with_too_few_successes_names_the_first_failure(pipeline, tmp_path,

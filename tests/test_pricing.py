@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import special
 
-from roughvol import pricing, stats
-from roughvol.calibration import ParamBounds
+from roughvol import calibration, pricing, stats
+from roughvol.calibration import CalibrationConfig, FrozenPricer, ParamBounds
 from roughvol.fbm import PATH_BLOCK, TimeGrid, build_joint_covariance, sample_paths
-from roughvol.market import OptionQuote, OptionStructure
+from roughvol.market import OptionQuote, OptionStructure, compute_weights
 from roughvol.model import MarketEnv, ModelParams, volatility_paths
 from roughvol.pricing import (
     ESTIMATORS,
@@ -523,6 +523,36 @@ def test_pooled_last_block_of_one_path():
     mean, se = sample_mean_se(values)
     assert pooled.price == pytest.approx(mean, rel=1e-14)
     assert pooled.std_error == pytest.approx(se, rel=1e-14)
+
+
+@pytest.mark.parametrize("params", [
+    FIT_PARAMS, ModelParams(sigma0=0.2, rho=0.0, H=0.3, xi=1e-300, alpha=0.0)],
+    ids=["rough", "constant-pairs"])
+def test_pooled_estimates_carry_the_moments_of_every_block(monkeypatch, params):
+    # 20000 paths are 3 conditional blocks (10000 pairs) and 5 plain ones. At xi ~ 0
+    # and rho 0 every pair is priced at one Black-Scholes value, so the blocks are
+    # constant; their pooled moments must still count every sample of the union
+    quotes = [OptionQuote(strike=k, maturity=t, bid=1.0, ask=1.2, close=1.1)
+              for k, t in ((95.0, 0.25), (105.0, 0.5), (100.0, 1.0))]
+    structure = OptionStructure(quotes=quotes, env=MarketEnv(spot=100.0, rate=0.01),
+                                trade_date=dt.date(2026, 1, 2),
+                                weights=compute_weights(quotes))
+    estimates = [e for estimator in ESTIMATORS
+                 for e in price_chain(structure.options, structure.env, params, 20_000,
+                                      steps_per_year=12, seed=7, estimator=estimator)]
+
+    def recording(*args, **kwargs):
+        out = pricing._block_estimates(*args, **kwargs)
+        estimates.extend(out)
+        return out
+
+    monkeypatch.setattr(calibration, "_block_estimates", recording)
+    config = CalibrationConfig(path_count=20_000, steps_per_year=12, seed=7)
+    FrozenPricer(structure, config).priced(params)
+    assert len(estimates) == 3 * (len(ESTIMATORS) + 1)
+    for e in estimates:
+        assert e._moments[0] * pricing._PATHS_PER_SAMPLE[e.estimator] == e.path_count
+        assert e.path_count == 20_000
 
 
 @pytest.mark.parametrize("estimator", ["conditional_mixed", "plain"])

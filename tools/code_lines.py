@@ -5,7 +5,9 @@ every line it spans, unless it is a docstring.
 
     python3 tools/code_lines.py [package directory, default src/roughvol]
 
-Prints one ``lines path`` row per module, then the total. Standard library only.
+Prints one ``lines path`` row per module, then the total. A path that is not a
+directory, such as the default run from outside the repository root, is an error:
+a message on stderr and exit code 2. Standard library only.
 """
 from __future__ import annotations
 
@@ -44,6 +46,11 @@ def code_lines(path: pathlib.Path) -> int:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     package = pathlib.Path(argv[0] if argv else "src/roughvol")
+    if not package.is_dir():
+        print(f"code_lines: {package} is not a directory (usage: python3 "
+              "tools/code_lines.py [package directory, default src/roughvol])",
+              file=sys.stderr)
+        return 2
     total = 0
     for path in sorted(package.glob("*.py")):
         count = code_lines(path)
