@@ -40,8 +40,11 @@ Z-space. Only the n x 2n block [K~ | L_S] is stored, and B^H is the product
 [dW | Z_B] @ [K~ | L_S]^T. Both halves are lower-triangular, so it is formed over
 panels of grid steps, each multiplying only the columns up to its last step
 (`_block_transform`): about half the flops of a dense product at n = 1011, and still
-O(n^2) per path. At H = 1/2 the kernel is identically 1, B^H = W and S = 0, so no
-Cholesky is taken and the fBm paths are the cumulative sum of dW.
+O(n^2) per path. Z_B is dead once the product has read it, so fresh draws get B^H
+written over their own Z_B half, which the panels, run from the last to the first,
+never read again: a fresh block holds [dW | B^H] and no second array. At H = 1/2 the
+kernel is identically 1, B^H = W and S = 0, so no Cholesky is taken and the fBm paths
+are the cumulative sum of dW.
 
 The inner integral of the kernel reduces to an incomplete-Beta-type "tail" integral
 
@@ -357,9 +360,12 @@ class PathBundle:
     drive it, and independent scaled increments, one row per path.
 
     ``w_increments[:, k]`` is dW_k = W_{t_k} - W_{t_{k-1}} = sqrt(deltas[k]) Z_W[k], a
-    view of the draws [dW | Z_B]; W itself is never formed. ``w_tilde_increments[:, k]``
-    is an N(0, deltas[k]) draw independent of everything else — the orthogonal
-    Brownian component consumed by the asset scheme — or None when it was not drawn.
+    view of the draws [dW | Z_B]; W itself is never formed. ``fbm_paths`` may share
+    its base with ``w_increments``: `sample_paths` forms B^H over the Z_B half of the
+    draws it made, so the two are the halves of one [dW | B^H] array.
+    ``w_tilde_increments[:, k]`` is an N(0, deltas[k]) draw independent of everything
+    else — the orthogonal Brownian component consumed by the asset scheme — or None
+    when it was not drawn.
     The path count is ``fbm_paths.shape[0]``. Every array is time-major (Fortran
     order, or a row slice of a Fortran-order array), shapes unchanged at paths x
     steps: the values of one grid step are contiguous. Identical (seed, grid, path
@@ -490,23 +496,32 @@ def draw_normal_bundle(grid: TimeGrid, path_count: int, seed: int, *,
 
 def _block_transform(factor: np.ndarray, zt: np.ndarray, out: np.ndarray) -> None:
     """out = factor @ zt for the n x 2n factor [K~ | L_S], over row panels of
-    _TRANSFORM_PANEL grid steps.
+    _TRANSFORM_PANEL grid steps, from the last panel to the first.
 
     Both halves are lower-triangular, so the panel of steps [lo, hi) multiplies only
     columns [0, hi) of each half, two products summed through one panel temporary;
     the last panel is one product over all 2n columns. The zeros above each
     non-final panel's last step are never read, which saves about half the flops at
     n = 1011, and a grid of at most one panel keeps the single dense product.
+
+    ``out`` may be the Z_B half of ``zt`` (its rows n onwards), which `sample_paths`
+    passes: panel [lo, hi) reads only Z_B steps below hi, so walking the panels
+    backwards lands each on steps that no panel still to run reads. Within a panel
+    the Z_B product goes into the temporary before the dW product overwrites those
+    steps. The last panel reads every step it writes; numpy's ufuncs give an
+    overlapping output the result of a separate one, so matmul forms it in a copy
+    of that panel and writes it back. The products and sums are those of a forward
+    walk into a separate ``out``, so the paths keep their bits either way.
     """
     n = factor.shape[0]
     last = (n - 1) // _TRANSFORM_PANEL * _TRANSFORM_PANEL
-    partial = np.empty((min(_TRANSFORM_PANEL, last), zt.shape[1]))
-    for lo in range(0, last, _TRANSFORM_PANEL):
-        hi = lo + _TRANSFORM_PANEL
-        np.matmul(factor[lo:hi, :hi], zt[:hi], out=out[lo:hi])
-        np.matmul(factor[lo:hi, n: n + hi], zt[n: n + hi], out=partial)
-        out[lo:hi] += partial
     np.matmul(factor[last:], zt, out=out[last:])
+    partial = np.empty((min(_TRANSFORM_PANEL, last), zt.shape[1]))
+    for lo in range(last - _TRANSFORM_PANEL, -1, -_TRANSFORM_PANEL):
+        hi = lo + _TRANSFORM_PANEL
+        np.matmul(factor[lo:hi, n: n + hi], zt[n: n + hi], out=partial)
+        np.matmul(factor[lo:hi, :hi], zt[:hi], out=out[lo:hi])
+        out[lo:hi] += partial
 
 
 def sample_paths(cov: JointCovariance, path_count: int, seed: int, *,
@@ -522,7 +537,9 @@ def sample_paths(cov: JointCovariance, path_count: int, seed: int, *,
     parallelism dispatch blocks this way. Without ``orthogonal`` dW~ is not drawn (the
     conditional estimator never reads it) and the bundle's ``w_tilde_increments`` is
     None; B^H and dW keep their bits. Either draw is mapped to paths by the W-first
-    factor in `transform_normals`, whose bundle is returned as it is.
+    factor in `transform_normals`, whose bundle is returned as it is. The draws are
+    this call's own, so B^H is written over their Z_B half (``out=z[:, n:]``): a
+    block holds [dW | B^H] (and dW~), with the bits of a transform into a new array.
     """
     if path_count < 1:
         raise ValueError("path_count must be >= 1")
@@ -534,11 +551,11 @@ def sample_paths(cov: JointCovariance, path_count: int, seed: int, *,
             raise ValueError(f"block {block} outside 0..{n_blocks - 1} for "
                              f"{path_count} paths")
         z, w_tilde = _block_normals(seed, block, path_count, cov.grid, orthogonal)
-    return transform_normals(z, w_tilde, cov)
+    return transform_normals(z, w_tilde, cov, out=z[:, cov.grid.n:])
 
 
 def transform_normals(z: np.ndarray, w_tilde_increments: np.ndarray | None,
-                      cov: JointCovariance) -> PathBundle:
+                      cov: JointCovariance, *, out: np.ndarray | None = None) -> PathBundle:
     """The path kernel: form the paths of draws under a covariance.
 
     ``z`` and ``w_tilde_increments`` are (row slices of) the two arrays of
@@ -548,23 +565,32 @@ def transform_normals(z: np.ndarray, w_tilde_increments: np.ndarray | None,
     comes out time-major, panel by panel of grid steps (`_block_transform`), per
     PATH_BLOCK rows: BLAS may round a product over more rows differently, and this way
     the rows of a whole draw are its blocks' bit for bit. At H = 1/2, B^H = cumsum(dW)
-    with no product. The bundle's increments are views of the inputs, so only the fBm
-    is allocated. Every path set goes through here: `sample_paths` passes it the
-    draws it made, and the calibrator one PATH_BLOCK row slice of its frozen draws at
-    a time, so the draws stay fixed while the covariance (hence the Hurst index)
-    changes, making the parameter-to-paths map deterministic and smooth.
+    with no product. The bundle's increments are views of the inputs.
+
+    B^H is written to ``out``, a time-major (rows, n) buffer that must not overlap dW
+    (ValueError otherwise), or to a new array when ``out`` is None. ``out`` may be the
+    Z_B half of ``z`` itself, ``z[:, n:]``: the draws then end up holding [dW | B^H],
+    and nothing is allocated beyond panel temporaries. `sample_paths` owns its draws
+    and passes that; the calibrator keeps its draws, passes one PATH_BLOCK row slice of
+    them at a time and no ``out``, so they stay fixed while the covariance (hence the
+    Hurst index) changes, making the parameter-to-paths map deterministic and smooth.
+    The paths have the same bits with or without ``out``. Every path set goes through
+    here.
     """
     n = cov.grid.n
     if z.shape[1] != 2 * n or (w_tilde_increments is not None
                                and w_tilde_increments.shape[1] != n):
         raise ValueError("normal draw shapes do not match the covariance grid")
     dw = z[:, :n]
+    out = np.empty(dw.shape, order="F") if out is None else out
+    if out.shape != dw.shape or np.shares_memory(out, dw):
+        raise ValueError(f"out must have shape {dw.shape} and not overlap dW")
     if cov.H == 0.5:
-        fbm = _cumsum_steps(np.array(dw, order="F"))
+        out[:] = dw
+        _cumsum_steps(out)
     else:  # per PATH_BLOCK rows, as each block alone is formed
-        fbm = np.empty((z.shape[0], n), order="F")
         for lo in range(0, z.shape[0], PATH_BLOCK):
             rows = slice(lo, lo + PATH_BLOCK)
-            _block_transform(cov.fbm_factor, z[rows].T, fbm[rows].T)
-    return PathBundle(fbm_paths=fbm, w_increments=dw,
+            _block_transform(cov.fbm_factor, z[rows].T, out[rows].T)
+    return PathBundle(fbm_paths=out, w_increments=dw,
                       w_tilde_increments=w_tilde_increments, grid=cov.grid)

@@ -45,7 +45,8 @@ PATH_BLOCK of sampled paths is priced on its own, and the per-block moments are
 pooled in block order with exactly rounded sums; `_controlled` then forms each
 estimate once, from the moments of all the samples. The kernel asks a
 ``bundle_of(b)`` for each block. Fresh-draw pricing samples the block there
-(`sample_paths`, which forms its paths in `fbm.transform_normals`, the one path kernel)
+(`sample_paths`, which forms its paths in `fbm.transform_normals`, the one path kernel,
+over the Z_B half of the block's own draws, so a block in flight is its draws alone)
 and drops it once priced, so memory grows with the worker count, not the path count;
 calibration's frozen-noise pricer returns a block of its cached path set, with the
 block's memo of unit sums; at a new H it passes every block of its frozen draws through

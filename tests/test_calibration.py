@@ -239,6 +239,15 @@ def test_frozen_pricer_increments_are_views_of_the_draws():
             assert np.array_equal(bundle.w_increments, stream_z[:, :n] * scale)
 
 
+def test_frozen_pricer_draws_keep_their_bytes_across_hurst_indices():
+    # the pricer forms every path set into new arrays, so its frozen draws stay as drawn
+    pricer = FrozenPricer(small_structure(), fast_config(path_count=2 * PATH_BLOCK + 8))
+    as_drawn = pricer._z.tobytes()
+    for H in (THETA.H, 0.12, THETA.H):
+        pricer.prices(replace(THETA, H=H))
+        assert pricer._z.tobytes() == as_drawn
+
+
 def test_pricer_calls_add_one_fbm_path_set():
     # after construction, a first call and a call at a new H leave only the fBm paths
     # of the base draws behind: the increments are views of the frozen draws, not

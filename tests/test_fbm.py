@@ -6,10 +6,12 @@ incomplete-Beta closed form and by stabilized quadrature of the kernel (the two 
 to ~1e-21), and the constants from the Gamma-function definition.
 """
 import concurrent.futures
+import functools
 import logging
 import sys
 import threading
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -839,12 +841,14 @@ def test_block_draws_are_the_one_shot_stream(monkeypatch, orthogonal, chunk):
 
 
 def _spy(monkeypatch, name: str) -> list:
-    """Record the return values of ``fbm.<name>`` for the rest of the test."""
+    """Record the return values of the draw ``fbm.<name>`` for the rest of the test,
+    each with a copy of its [dW | Z_B] as drawn: `sample_paths` forms B^H over Z_B."""
     calls, real = [], getattr(fbm, name)
 
     def wrapper(*args, **kwargs):
-        calls.append(real(*args, **kwargs))
-        return calls[-1]
+        result = real(*args, **kwargs)
+        calls.append((result, result[0].copy(order="F")))
+        return result
 
     monkeypatch.setattr(fbm, name, wrapper)
     return calls
@@ -859,7 +863,7 @@ def test_increments_are_views_of_the_scaled_draws(monkeypatch, block):
     n, path_count, seed = grid.n, fbm.PATH_BLOCK + 10, 21
     drawn = _spy(monkeypatch, "draw_normal_bundle" if block is None else "_block_normals")
     bundle = sample_paths(cov, path_count, seed=seed, block=block)
-    (z, w_tilde), = drawn
+    ((z, w_tilde), as_drawn), = drawn
     assert np.shares_memory(bundle.w_increments, z)
     assert bundle.w_tilde_increments is w_tilde
     scale = np.sqrt(grid.deltas)
@@ -868,7 +872,7 @@ def test_increments_are_views_of_the_scaled_draws(monkeypatch, block):
         rows = slice(lo, lo + min(fbm.PATH_BLOCK, path_count - b * fbm.PATH_BLOCK))
         stream_z, stream_zt = block_stream_normals(seed, b, rows.stop - rows.start, n)
         assert np.array_equal(bundle.w_increments[rows], stream_z[:, :n] * scale)
-        assert np.array_equal(z[rows, n:], stream_z[:, n:])
+        assert np.array_equal(as_drawn[rows, n:], stream_z[:, n:])
         assert np.array_equal(bundle.w_tilde_increments[rows], stream_zt * scale)
 
 
@@ -913,6 +917,88 @@ def test_transform_normals_shape_mismatch():
     cov = build_joint_covariance(grid, 0.22)
     with pytest.raises(ValueError):
         transform_normals(np.zeros((10, 5)), np.zeros((10, 8)), cov)
+
+
+#: the README chain's maturities: n = 51 at 48 steps/yr (one dense product, whose
+#: output overlaps its input when formed over the draws), 129 at 126/yr (a full panel
+#: and a one-step last one) and 1011 at 1008/yr (seven panels, the last of 115 steps)
+_README_MATURITIES = [91 / 365, 182 / 365, 273 / 365, 1.0]
+
+
+@functools.lru_cache(maxsize=None)
+def _readme_covariance(steps_per_year: int, H: float):
+    """One covariance per grid and H for the parametrized cases below (0.5 s each at
+    n = 1011); no test writes to it."""
+    return build_joint_covariance(TimeGrid.with_maturities(_README_MATURITIES,
+                                                           steps_per_year), H)
+
+
+@pytest.mark.parametrize("orthogonal", [True, False], ids=["orthogonal", "no-orthogonal"])
+@pytest.mark.parametrize("block", [None, 0, 1], ids=["whole", "block-0", "short-block"])
+@pytest.mark.parametrize("H", [0.2, 0.5, 0.7])
+@pytest.mark.parametrize("steps_per_year, n", [(48, 51), (126, 129), (1008, 1011)],
+                         ids=["n51", "n129", "n1011"])
+def test_paths_formed_over_their_draws_keep_the_bits_of_a_separate_transform(
+        monkeypatch, steps_per_year, n, H, block, orthogonal):
+    # sample_paths writes B^H over the Z_B half of the draws it made; its paths and
+    # increments equal, bit for bit, the ones transform_normals forms into a new array
+    # from a copy of the same draws: for the whole draw, a full and a short block
+    cov = _readme_covariance(steps_per_year, H)
+    assert cov.grid.n == n
+    drawn = _spy(monkeypatch, "draw_normal_bundle" if block is None else "_block_normals")
+    bundle = sample_paths(cov, fbm.PATH_BLOCK + 10, seed=31, block=block,
+                          orthogonal=orthogonal)
+    ((z, w_tilde), as_drawn), = drawn
+    assert np.shares_memory(bundle.fbm_paths, z) and bundle.w_tilde_increments is w_tilde
+    separate = transform_normals(as_drawn, w_tilde, cov)
+    assert not np.shares_memory(separate.fbm_paths, as_drawn)
+    assert np.array_equal(bundle.fbm_paths, separate.fbm_paths)
+    assert np.array_equal(bundle.w_increments, separate.w_increments)
+
+
+@pytest.mark.parametrize("H", [0.2, 0.5, 0.7])
+def test_transform_without_out_leaves_its_draws_unchanged(H):
+    cov = _readme_covariance(126, H)
+    z, w_tilde = draw_normal_bundle(cov.grid, fbm.PATH_BLOCK + 10, seed=31)
+    before = z.copy(order="F")
+    transform_normals(z, w_tilde, cov)
+    assert np.array_equal(z, before)
+
+
+@pytest.mark.parametrize("orthogonal", [True, False], ids=["orthogonal", "no-orthogonal"])
+def test_a_fresh_block_allocates_its_draws_and_panel_temporaries_only(orthogonal):
+    # B^H lands on the block's own Z_B: a block at n = 255 allocates its draws and at
+    # most two transform panels (the panel temporary, and numpy's copy of the last
+    # panel, whose output overlaps its input), not a second (rows x n) array of paths
+    grid = TimeGrid.regular(1.0, 255)
+    cov = build_joint_covariance(grid, 0.2)
+    rows, n = fbm.PATH_BLOCK, grid.n
+    draws = rows * (3 if orthogonal else 2) * n * 8
+    panel = fbm._TRANSFORM_PANEL * rows * 8
+    tracemalloc.start()
+    try:
+        bundle = sample_paths(cov, rows, seed=3, block=0, orthogonal=orthogonal)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bundle.fbm_paths.shape == (rows, n)
+    assert peak <= draws + 2 * panel
+
+
+def test_transform_out_must_fit_the_paths_and_leave_dw_alone():
+    grid = TimeGrid.regular(1.0, 8)
+    cov = build_joint_covariance(grid, 0.22)
+    n = grid.n
+    z, _ = draw_normal_bundle(grid, 100, seed=5, orthogonal=False)
+    before = z.copy(order="F")
+    wrong_shape = (np.empty((100, n + 1), order="F"), np.empty((99, n), order="F"),
+                   np.empty((n, 100)))
+    over_dw = (z[:, :n], z[:, 1: n + 1], z[:, n - 1: 2 * n - 1])
+    for out in wrong_shape + over_dw:
+        with pytest.raises(ValueError, match=r"out must have shape \(100, 8\) and not "
+                                             "overlap dW"):
+            transform_normals(z, None, cov, out=out)
+    assert np.array_equal(z, before)
 
 
 def test_invalid_path_count():
