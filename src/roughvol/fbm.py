@@ -42,9 +42,11 @@ panels of grid steps, each multiplying only the columns up to its last step
 (`_block_transform`): about half the flops of a dense product at n = 1011, and still
 O(n^2) per path. Z_B is dead once the product has read it, so fresh draws get B^H
 written over their own Z_B half, which the panels, run from the last to the first,
-never read again: a fresh block holds [dW | B^H] and no second array. At H = 1/2 the
-kernel is identically 1, B^H = W and S = 0, so no Cholesky is taken and the fBm paths
-are the cumulative sum of dW.
+never read again. Each path's B^H depends on its own row of draws alone, so a fresh
+block is drawn and formed in row panels of at most _PANEL_ENTRIES draws
+(`_block_panels`), one [dW | B^H] panel at a time in one buffer, and its caller reads
+each panel before the next is drawn. At H = 1/2 the kernel is identically 1, B^H = W
+and S = 0, so no Cholesky is taken and the fBm paths are the cumulative sum of dW.
 
 The inner integral of the kernel reduces to an incomplete-Beta-type "tail" integral
 
@@ -96,9 +98,14 @@ log = logging.getLogger(__name__)
 
 #: fixed path-block size in sampled paths (the conditional estimator prices each with
 #: its mirror); the unit of RNG-stream derivation, parallel dispatch, pricing and the
-#: frozen pricer's path cache: every price pools per-block estimates, with one block
-#: in flight per worker.
+#: frozen pricer's path cache: every price pools per-block estimates. A fresh block in
+#: flight holds one row panel of its draws per worker (`_panel_rows`), and the frozen
+#: pricer holds its whole draw.
 PATH_BLOCK = 4096
+
+#: draws per row panel of a fresh block, [dW | Z_B] (16 MB of float64): the panel
+#: rows are the largest power of two up to PATH_BLOCK that fit (`_panel_rows`)
+_PANEL_ENTRIES = 1 << 21
 
 #: entries per panel of the time-major kernels (2 MB of float64 per temporary), so
 #: the temporaries stay in cache at any grid size: a draw reads its stream into C-order
@@ -406,34 +413,74 @@ def _block_count(path_count: int) -> int:
     return -(-path_count // PATH_BLOCK)
 
 
+def _block_rng(seed: int, b: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence([int(seed), _STREAM_PATHS, b]))
+
+
+def _draw(rng: np.random.Generator, out: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Fill the (rows x columns) ``out`` with the next normals of ``rng``'s stream in
+    row-major order, its first ``scale.size`` columns multiplied by ``scale``: the one
+    place where normals are scaled by sqrt(dt). The stream fills a C-order panel of
+    ``_CHUNK_ENTRIES // columns`` rows at a time, which is scaled and copied into
+    place, so ``out`` may be time-major; since `standard_normal` fills in C order, the
+    values are those of one draw of ``out``'s shape at this point of the stream."""
+    rows, columns = out.shape
+    height = max(1, _CHUNK_ENTRIES // columns)
+    panel = np.empty((min(height, rows), columns))
+    for lo in range(0, rows, height):
+        part = panel[: min(height, rows - lo)]
+        rng.standard_normal(out=part)
+        part[:, :scale.size] *= scale
+        out[lo: lo + part.shape[0]] = part
+    return out
+
+
 def _block_normals(seed: int, b: int, path_count: int, grid: TimeGrid,
                    orthogonal: bool = True):
     """Block b's draws from its own stream, Z (rows x 2n) first, then Z_tilde (rows x n),
-    returned as [dW | Z_B] and dW~: the one place where normals are scaled by sqrt(dt).
+    returned as [dW | Z_B] and dW~.
 
-    Both arrays are time-major (Fortran order). The stream fills a C-order panel of
-    ``_CHUNK_ENTRIES // columns`` rows at a time, which is scaled and copied into place,
-    so every (row, column) holds its value in a one-shot ``standard_normal`` draw of the
-    whole block. Without ``orthogonal`` Z_tilde is not drawn and dW~ is None; Z keeps
-    its bits, since it comes first in the stream."""
-    n = grid.n
+    Both arrays are time-major (Fortran order), and every (row, column) holds its value
+    in a one-shot ``standard_normal`` draw of the whole block (`_draw`). Without
+    ``orthogonal`` Z_tilde is not drawn and dW~ is None; Z keeps its bits, since it
+    comes first in the stream."""
+    n, rng = grid.n, _block_rng(seed, b)
     rows = min(PATH_BLOCK, path_count - b * PATH_BLOCK)
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), _STREAM_PATHS, b]))
     scale = np.sqrt(grid.deltas)
+    z = _draw(rng, np.empty((rows, 2 * n), order="F"), scale)
+    return z, _draw(rng, np.empty((rows, n), order="F"), scale) if orthogonal else None
 
-    def draw(columns: int) -> np.ndarray:
-        draws = np.empty((rows, columns), order="F")
-        height = max(1, _CHUNK_ENTRIES // columns)
-        panel = np.empty((min(height, rows), columns))
-        for lo in range(0, rows, height):
-            part = panel[: min(height, rows - lo)]
-            rng.standard_normal(out=part)
-            part[:, :n] *= scale
-            draws[lo: lo + part.shape[0]] = part
-        return draws
 
-    z = draw(2 * n)
-    return z, draw(n) if orthogonal else None
+def _panel_rows(n: int) -> int:
+    """Rows per panel of a fresh block on n grid steps: the largest power of two up to
+    PATH_BLOCK whose [dW | Z_B] panel holds at most _PANEL_ENTRIES draws, so 1024 at
+    n = 1011 and the whole block at n <= 256. The rows of a panel of a power-of-two
+    height sit where the GEMM of the whole block puts them, so its paths keep their
+    bits (a 333-row split moved them by up to 5.3e-15)."""
+    rows = PATH_BLOCK
+    while rows > 1 and rows * 2 * n > _PANEL_ENTRIES:
+        rows //= 2
+    return rows
+
+
+def _block_panels(seed: int, b: int, path_count: int, grid: TimeGrid,
+                  orthogonal: bool = True):
+    """Block b's draws from its own stream, in row panels, in order: yields
+    ``(lo, z, w_tilde)`` for the block's rows [lo, lo + z.shape[0]), with z their
+    [dW | Z_B] and w_tilde their dW~ or None, as `_block_normals` gives those rows.
+
+    The panels have `_panel_rows` rows, the last one fewer, and are drawn into one
+    time-major buffer: a panel is overwritten by the next, so its reader must be done
+    with it first. dW~ follows all of Z in the stream, so with ``orthogonal`` the
+    block is a single panel and dW~ its own array."""
+    n, rng = grid.n, _block_rng(seed, b)
+    rows = min(PATH_BLOCK, path_count - b * PATH_BLOCK)
+    scale = np.sqrt(grid.deltas)
+    height = rows if orthogonal else min(rows, _panel_rows(n))
+    buffer = np.empty((height, 2 * n), order="F")
+    for lo in range(0, rows, height):
+        z = _draw(rng, buffer[: min(height, rows - lo)], scale)
+        yield lo, z, _draw(rng, np.empty((rows, n), order="F"), scale) if orthogonal else None
 
 
 def _cumsum_steps(a: np.ndarray) -> np.ndarray:
@@ -483,10 +530,13 @@ def draw_normal_bundle(grid: TimeGrid, path_count: int, seed: int, *,
         rows = slice(b * PATH_BLOCK, b * PATH_BLOCK + z_b.shape[0])
         # Keep this copy and the free of the block buffer after it: freeing a block's
         # draws (an mmap) raises glibc's dynamic mmap threshold to its size, and the
-        # heap trim threshold to twice that, so the pricing loop's per-block
-        # temporaries come from a heap that is not trimmed after every call. Drawing
-        # in place left only the 2 MB draw panel to set them, and a desk calibration
-        # faulted in about 5x the pages (81k against 17k minor faults).
+        # heap trim threshold to twice that, so the per-block temporaries that follow
+        # come from a heap that is not trimmed after every call. Drawing in place left
+        # only the 2 MB draw panel to set them, and a desk calibration faulted in 81k
+        # pages against 17k. Since a call at a new H forms the whole path set before
+        # it prices a block, the free no longer covers all of that churn: a desk
+        # calibration (48/yr, 20k paths, GA 16x2) faults in 47.6k pages, and 19.0k
+        # with the mmap and trim thresholds pinned at 64 and 128 MiB.
         z[rows] = z_b
         if orthogonal:
             z_tilde[rows] = zt_b
@@ -525,33 +575,43 @@ def _block_transform(factor: np.ndarray, zt: np.ndarray, out: np.ndarray) -> Non
 
 
 def sample_paths(cov: JointCovariance, path_count: int, seed: int, *,
-                 block: int | None = None, orthogonal: bool = True) -> PathBundle:
+                 block: int | None = None, orthogonal: bool = True,
+                 each_panel=None) -> PathBundle | None:
     """Draw exact joint paths: B^H, the Wiener increments dW and independent
     orthogonal increments.
 
-    The draws [dW | Z_B] and dW~ are made block by block on the calling thread
-    (`draw_normal_bundle`); each block owns an RNG stream derived from (seed, block
-    index), so the output is deterministic for fixed inputs. With ``block=b`` only path
-    block b of the ``path_count``-path draw is sampled (`_block_normals`), rows
-    b * PATH_BLOCK onwards, bit for bit as in the whole draw; callers that want
-    parallelism dispatch blocks this way. Without ``orthogonal`` dW~ is not drawn (the
-    conditional estimator never reads it) and the bundle's ``w_tilde_increments`` is
-    None; B^H and dW keep their bits. Either draw is mapped to paths by the W-first
-    factor in `transform_normals`, whose bundle is returned as it is. The draws are
-    this call's own, so B^H is written over their Z_B half (``out=z[:, n:]``): a
-    block holds [dW | B^H] (and dW~), with the bits of a transform into a new array.
+    The draws [dW | Z_B] and dW~ are made block by block on the calling thread; each
+    block owns an RNG stream derived from (seed, block index), so the output is
+    deterministic for fixed inputs. Without ``orthogonal`` dW~ is not drawn (the
+    conditional estimator never reads it) and the bundles' ``w_tilde_increments`` is
+    None; B^H and dW keep their bits. Every draw is mapped to paths by the W-first
+    factor in `transform_normals`, with B^H written over the Z_B half of the draws
+    (``out=z[:, n:]``), so they hold [dW | B^H] (and dW~), with the bits of a transform
+    into a new array.
+
+    Without ``block`` the whole ``path_count``-path draw (`draw_normal_bundle`) is
+    transformed and its bundle returned. With ``block=b`` only path block b of that draw
+    is sampled, rows b * PATH_BLOCK onwards, one row panel at a time
+    (`_block_panels`), and None is returned: each panel's bundle is passed to
+    ``each_panel(lo, bundle)``, lo its first row in the block, and is overwritten by
+    the next panel once that call returns. The panels' paths are their rows of the
+    whole draw bit for bit; callers that want parallelism dispatch blocks this way.
     """
     if path_count < 1:
         raise ValueError("path_count must be >= 1")
+    if (block is None) != (each_panel is None):
+        raise ValueError("block and each_panel go together")
+    n = cov.grid.n
     if block is None:
         z, w_tilde = draw_normal_bundle(cov.grid, path_count, seed, orthogonal=orthogonal)
-    else:
-        n_blocks = _block_count(path_count)
-        if not 0 <= block < n_blocks:
-            raise ValueError(f"block {block} outside 0..{n_blocks - 1} for "
-                             f"{path_count} paths")
-        z, w_tilde = _block_normals(seed, block, path_count, cov.grid, orthogonal)
-    return transform_normals(z, w_tilde, cov, out=z[:, cov.grid.n:])
+        return transform_normals(z, w_tilde, cov, out=z[:, n:])
+    n_blocks = _block_count(path_count)
+    if not 0 <= block < n_blocks:
+        raise ValueError(f"block {block} outside 0..{n_blocks - 1} for "
+                         f"{path_count} paths")
+    for lo, z, w_tilde in _block_panels(seed, block, path_count, cov.grid, orthogonal):
+        each_panel(lo, transform_normals(z, w_tilde, cov, out=z[:, n:]))
+    return None
 
 
 def transform_normals(z: np.ndarray, w_tilde_increments: np.ndarray | None,
@@ -559,21 +619,23 @@ def transform_normals(z: np.ndarray, w_tilde_increments: np.ndarray | None,
     """The path kernel: form the paths of draws under a covariance.
 
     ``z`` and ``w_tilde_increments`` are (row slices of) the two arrays of
-    `draw_normal_bundle` or one block's draw: [dW | Z_B] and dW~ (or None), neither of
-    which depends on H. dW is a view of ``z`` and B^H = [dW | Z_B] @ [K~ | L_S]^T under
-    ``cov`` (see `JointCovariance`), formed as ([K~ | L_S] @ [dW | Z_B]^T)^T so that it
-    comes out time-major, panel by panel of grid steps (`_block_transform`), per
-    PATH_BLOCK rows: BLAS may round a product over more rows differently, and this way
-    the rows of a whole draw are its blocks' bit for bit. At H = 1/2, B^H = cumsum(dW)
-    with no product. The bundle's increments are views of the inputs.
+    `draw_normal_bundle` or one row panel of a block's draw: [dW | Z_B] and dW~ (or
+    None), neither of which depends on H. dW is a view of ``z`` and
+    B^H = [dW | Z_B] @ [K~ | L_S]^T under ``cov`` (see `JointCovariance`), formed as
+    ([K~ | L_S] @ [dW | Z_B]^T)^T so that it comes out time-major, panel by panel of
+    grid steps (`_block_transform`), per PATH_BLOCK rows: BLAS may round a product over
+    more rows differently, and this way the rows of a whole draw are its blocks' (and
+    their power-of-two row panels', `_panel_rows`) bit for bit. At H = 1/2,
+    B^H = cumsum(dW) with no product. The bundle's increments are views of the inputs.
 
     B^H is written to ``out``, a time-major (rows, n) buffer that must not overlap dW
     (ValueError otherwise), or to a new array when ``out`` is None. ``out`` may be the
     Z_B half of ``z`` itself, ``z[:, n:]``: the draws then end up holding [dW | B^H],
     and nothing is allocated beyond panel temporaries. `sample_paths` owns its draws
-    and passes that; the calibrator keeps its draws, passes one PATH_BLOCK row slice of
-    them at a time and no ``out``, so they stay fixed while the covariance (hence the
-    Hurst index) changes, making the parameter-to-paths map deterministic and smooth.
+    and passes that, for a whole draw or one row panel at a time; the calibrator keeps
+    its draws, passes one PATH_BLOCK row slice of them at a time and no ``out``, so
+    they stay fixed while the covariance (hence the Hurst index) changes, making the
+    parameter-to-paths map deterministic and smooth.
     The paths have the same bits with or without ``out``. Every path set goes through
     here.
     """

@@ -44,13 +44,16 @@ Every Monte-Carlo price comes from one block kernel, `_block_estimates`: each
 PATH_BLOCK of sampled paths is priced on its own, and the per-block moments are
 pooled in block order with exactly rounded sums; `_controlled` then forms each
 estimate once, from the moments of all the samples. The kernel asks a
-``bundle_of(b)`` for each block. Fresh-draw pricing samples the block there
-(`sample_paths`, which forms its paths in `fbm.transform_normals`, the one path kernel,
-over the Z_B half of the block's own draws, so a block in flight is its draws alone)
-and drops it once priced, so memory grows with the worker count, not the path count;
-calibration's frozen-noise pricer returns a block of its cached path set, with the
-block's memo of unit sums; at a new H it passes every block of its frozen draws through
-the same `transform_normals` before the kernel runs.
+``bundle_of(b)`` for each block. Fresh-draw pricing samples the block there, one row
+panel at a time (`sample_paths`, which forms each panel's paths in
+`fbm.transform_normals`, the one path kernel, over the Z_B half of the panel's own
+draws, in one buffer per worker). The conditional estimator reads only each path's
+unit sums at the maturity nodes, so a block of several panels keeps their sums alone
+and is priced from them, as its memo; a block of one panel is priced from its paths.
+So memory grows with the worker count, by one panel of draws each, not with the path
+count. Calibration's frozen-noise pricer returns a block of its cached path set, with
+the block's memo of unit sums; at a new H it passes every block of its frozen draws
+through the same `transform_normals` before the kernel runs.
 """
 from __future__ import annotations
 
@@ -61,7 +64,7 @@ from operator import mul
 import numpy as np
 from scipy import special
 
-from .fbm import (JointCovariance, PathBundle, TimeGrid, _block_count,
+from .fbm import (PATH_BLOCK, JointCovariance, PathBundle, TimeGrid, _block_count,
                   build_joint_covariance, parallel_map, sample_paths)
 from .model import MarketEnv, ModelParams, _left_point_sums, _log_euler_steps
 
@@ -253,6 +256,10 @@ def _conditional_steps(sig, dw, dwt, dt):
     return sig, sdw
 
 
+def _unit_key(params: ModelParams, nodes) -> tuple:
+    return params.H, params.xi, params.alpha, tuple(nodes)
+
+
 def _unit_sums(bundle: PathBundle, params: ModelParams, nodes):
     """The conditional estimator's sums at sigma0 = 1 and the ``nodes``, pairs mirrored:
     [I2 = int sigma^2 dt, I1 = int sigma dW, E[I2]], from the bundle's memo when its
@@ -264,7 +271,7 @@ def _unit_sums(bundle: PathBundle, params: ModelParams, nodes):
     keys may each form the sums, each pricing from its own. The stored arrays are
     never written to.
     """
-    key = (params.H, params.xi, params.alpha, tuple(nodes))
+    key = _unit_key(params, nodes)
     memo = bundle.unit_sums
     if memo is not None and memo[0] == key:
         return memo[1]
@@ -443,13 +450,44 @@ def _fresh_blocks(cov: JointCovariance, params: ModelParams, env: MarketEnv, opt
     ceil(path_count / 2) base paths and prices each with its mirror, so an odd count
     prices path_count + 1 paths; it draws no orthogonal increments. Each block is
     sampled (`sample_paths` with ``block=b``) in `_block_estimates`, ``threads`` blocks
-    at once, and dropped once priced, so memory holds one block per worker at any
-    ``path_count``.
+    at once, one row panel at a time. A block of one panel (every plain block, whose
+    dW~ follows all of its Z in the stream, and a conditional one at n <= 256) is
+    priced from its paths. Otherwise each panel's unit sums (`_unit_sums`, for its
+    paths and their mirrors) go into the block's columns of the sums, and the block is
+    priced from a bundle of paths without steps whose memo holds them, so
+    `chain_estimates` forms no sums. The sums are per path, so the estimates are those
+    of the whole block bit for bit, and a worker holds one panel of draws and the
+    block's sums at any ``path_count``.
     """
     draws = _base_draws(path_count, estimator)
+    # chain_estimates' maturity nodes, in its order, which its memo key reads
+    nodes = [cov.grid.index_of(t) for t in dict.fromkeys(t for _, t in options)]
 
     def bundle_of(b: int) -> PathBundle:
-        return sample_paths(cov, draws, seed, block=b, orthogonal=estimator == "plain")
+        rows = min(PATH_BLOCK, draws - b * PATH_BLOCK)
+        whole, sums = [], []
+
+        def take(lo: int, panel: PathBundle) -> None:
+            height = panel.fbm_paths.shape[0]
+            if height == rows:
+                whole.append(panel)
+                return
+            var, sdw, mean_var = _unit_sums(panel, params, nodes)
+            if not sums:
+                sums.extend((np.empty((len(nodes), 2 * rows)),
+                             np.empty((len(nodes), 2 * rows)), mean_var))
+            for total, part in zip(sums, (var, sdw)):
+                total[:, lo: lo + height] = part[:, :height]  # the sampled paths
+                total[:, rows + lo: rows + lo + height] = part[:, height:]  # mirrors
+
+        sample_paths(cov, draws, seed, block=b, orthogonal=estimator == "plain",
+                     each_panel=take)
+        if whole:
+            return whole[0]
+        stepless = np.empty((rows, 0))
+        bundle = PathBundle(stepless, stepless, None, cov.grid)
+        bundle.unit_sums = (_unit_key(params, nodes), tuple(sums))
+        return bundle
 
     return _block_estimates(bundle_of, _block_count(draws), params, env, options,
                             estimator, threads)
@@ -464,10 +502,11 @@ def price_chain(options, env: MarketEnv, params: ModelParams, path_count: int,
     The inputs are checked first, and only here (ValueError on an empty list, a strike
     or maturity that is not positive and finite, an unknown ``estimator`` or
     ``path_count < 1``). One covariance is built and factorized, its special functions
-    split over ``threads``; the paths are then streamed block by block as in
-    `_fresh_blocks`, with ``threads`` blocks at once. Estimates are byte-identical at
-    any ``threads`` and equal a single-bundle `chain_estimates` of the same draw up to
-    the rounding of the pooled sums.
+    split over ``threads``; the paths are then streamed block by block, each block in
+    row panels, as in `_fresh_blocks`, with ``threads`` blocks at once. Estimates are
+    byte-identical at any ``threads``, equal those of the blocks of the whole
+    `sample_paths` draw bit for bit, and equal a single-bundle `chain_estimates` of that
+    draw up to the rounding of the pooled sums.
     """
     options = _checked_options(options, path_count, estimator)
     grid = TimeGrid.with_maturities([t for _, t in options], steps_per_year)

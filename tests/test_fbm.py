@@ -25,6 +25,7 @@ from roughvol import bootstrap, fbm
 from roughvol.fbm import (
     JITTER_LADDER,
     FactorizationError,
+    PathBundle,
     TimeGrid,
     _cross_covariance,
     _fbm_autocovariance,
@@ -214,6 +215,38 @@ def block_stream_normals(seed: int, b: int, rows: int, n: int):
     from the block's RNG stream."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, fbm._STREAM_PATHS, b]))
     return rng.standard_normal((rows, 2 * n)), rng.standard_normal((rows, n))
+
+
+def sampled_block(cov, path_count: int, seed: int, b: int, orthogonal: bool = True):
+    """Path block b as `sample_paths` streams it: the (first row, rows) of each of its
+    row panels, and one bundle of copies of the panels' arrays, stacked in order (the
+    stream draws every panel into one buffer, so a panel is kept only as a copy).
+    Every panel is checked to be time-major: the values of one grid step are
+    contiguous."""
+    panels = []
+
+    def keep(lo, bundle):
+        arrays = (bundle.fbm_paths, bundle.w_increments, bundle.w_tilde_increments)
+        assert all(a is None or a.strides[0] == a.itemsize for a in arrays)
+        panels.append((lo, [None if a is None else a.copy(order="F") for a in arrays]))
+
+    assert sample_paths(cov, path_count, seed, block=b, orthogonal=orthogonal,
+                        each_panel=keep) is None
+
+    def stacked(k):
+        parts = [arrays[k] for _, arrays in panels]
+        return None if parts[0] is None else np.asfortranarray(np.concatenate(parts))
+
+    spans = [(lo, arrays[0].shape[0]) for lo, arrays in panels]
+    return spans, PathBundle(stacked(0), stacked(1), stacked(2), cov.grid)
+
+
+def sampled(cov, path_count: int, seed: int, block, orthogonal: bool = True):
+    """The whole draw's bundle (``block`` None) or path block ``block``'s, stacked from
+    its row panels (`sampled_block`)."""
+    if block is None:
+        return sample_paths(cov, path_count, seed, orthogonal=orthogonal)
+    return sampled_block(cov, path_count, seed, block, orthogonal)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -727,9 +760,10 @@ def test_single_block_equals_rows_of_full_draw():
         assert full.fbm_paths.flags.f_contiguous and z.flags.f_contiguous
         assert w_tilde.flags.f_contiguous and full.w_tilde_increments.flags.f_contiguous
         for b in range(3):
-            part = sample_paths(cov, path_count, seed=13, block=b)
+            spans, part = sampled_block(cov, path_count, 13, b)
             rows = slice(b * fbm.PATH_BLOCK, min((b + 1) * fbm.PATH_BLOCK, path_count))
             frozen = transform_normals(z[rows], w_tilde[rows], cov)
+            assert spans == [(0, rows.stop - rows.start)]  # dW~ follows all of Z
             assert part.fbm_paths.shape[0] == rows.stop - rows.start
             assert part.fbm_paths.flags.f_contiguous
             assert frozen.fbm_paths.flags.f_contiguous
@@ -747,10 +781,11 @@ def test_sample_paths_forms_its_paths_in_one_transform_of_its_draw(monkeypatch, 
                                                                    orthogonal):
     # the whole draw and every block, the short last one too, reach the path kernel
     # through transform_normals alone, with the arrays just drawn passed by position
-    # (perfbench's tracer reads them so), and its bundle is the one returned
+    # (perfbench's tracer reads them so), and its bundle is the one returned, or for a
+    # block the one handed to each_panel (one panel at n = 6)
     grid = TimeGrid.regular(1.0, 6)
     cov = build_joint_covariance(grid, 0.15)
-    drawn, transformed = [], []
+    drawn, transformed, bundles = [], [], []
 
     def recording(fn, log):
         def spy(*args, **kwargs):
@@ -759,16 +794,29 @@ def test_sample_paths_forms_its_paths_in_one_transform_of_its_draw(monkeypatch, 
             return result
         return spy
 
-    # the whole draw makes its blocks' draws itself: record the outermost draw only
-    draw = "draw_normal_bundle" if block is None else "_block_normals"
-    monkeypatch.setattr(fbm, draw, recording(getattr(fbm, draw), drawn))
+    def yielding(fn, log):
+        def spy(*args, **kwargs):
+            for lo, z, w_tilde in fn(*args, **kwargs):
+                log.append((args, (z, w_tilde)))
+                yield lo, z, w_tilde
+        return spy
+
     monkeypatch.setattr(fbm, "transform_normals", recording(transform_normals, transformed))
-    bundle = sample_paths(cov, 2 * fbm.PATH_BLOCK + 10, seed=13, block=block,
-                          orthogonal=orthogonal)
-    assert len(drawn) == 1 and len(transformed) == 1
+    if block is None:  # the whole draw makes its blocks' draws itself: record it only
+        monkeypatch.setattr(fbm, "draw_normal_bundle",
+                            recording(fbm.draw_normal_bundle, drawn))
+        bundles.append(sample_paths(cov, 2 * fbm.PATH_BLOCK + 10, seed=13,
+                                    orthogonal=orthogonal))
+    else:
+        monkeypatch.setattr(fbm, "_block_panels", yielding(fbm._block_panels, drawn))
+        assert sample_paths(cov, 2 * fbm.PATH_BLOCK + 10, seed=13, block=block,
+                            orthogonal=orthogonal,
+                            each_panel=lambda lo, panel: bundles.append(panel)) is None
+    assert len(drawn) == 1 and len(transformed) == 1 and len(bundles) == 1
     (z, w_tilde), ((z_in, w_tilde_in, cov_in), result) = drawn[0][1], transformed[0]
     assert z_in is z and w_tilde_in is w_tilde and cov_in is cov
     assert (w_tilde is None) == (not orthogonal)
+    bundle, = bundles
     assert bundle is result
     assert bundle.fbm_paths.shape[0] == (10 if block == 2 else z.shape[0])
 
@@ -840,18 +888,101 @@ def test_block_draws_are_the_one_shot_stream(monkeypatch, orthogonal, chunk):
             assert z_tilde is None
 
 
-def _spy(monkeypatch, name: str) -> list:
-    """Record the return values of the draw ``fbm.<name>`` for the rest of the test,
-    each with a copy of its [dW | Z_B] as drawn: `sample_paths` forms B^H over Z_B."""
-    calls, real = [], getattr(fbm, name)
+@pytest.mark.parametrize("height", [256, 300], ids=["divides", "does-not-divide"])
+@pytest.mark.parametrize("orthogonal", [True, False], ids=["orthogonal", "no-orthogonal"])
+def test_block_panels_are_the_one_shot_rows(monkeypatch, height, orthogonal):
+    # the panel stream reads the block stream in order, so each panel holds its rows of
+    # _block_normals' one-shot draw: for 1024-row panels whose draw-panel height of 256
+    # or 300 rows does or does not divide them, on a full block and on a short last one
+    # (1024, 1024 and 952 rows); with dW~, which follows all of Z, a block is one panel
+    grid = TimeGrid.with_maturities([0.21, 0.5, 1.0], 24)
+    n, seed, path_count = grid.n, 17, fbm.PATH_BLOCK + 3000
+    monkeypatch.setattr(fbm, "_PANEL_ENTRIES", 1024 * 2 * n)
+    monkeypatch.setattr(fbm, "_CHUNK_ENTRIES", height * 2 * n)
+    assert fbm._panel_rows(n) == 1024
+    for b, rows in ((0, fbm.PATH_BLOCK), (1, 3000)):
+        z, z_tilde = fbm._block_normals(seed, b, path_count, grid, orthogonal)
+        panels = fbm._block_panels(seed, b, path_count, grid, orthogonal)
+        spans = []
+        for lo, part, part_tilde in panels:
+            assert part.strides[0] == part.itemsize  # time-major
+            assert np.array_equal(part, z[lo: lo + part.shape[0]])
+            if orthogonal:
+                assert np.array_equal(part_tilde, z_tilde)
+            else:
+                assert part_tilde is None
+            spans.append((lo, part.shape[0]))
+        if orthogonal:
+            assert spans == [(0, rows)]
+        else:
+            expected = [(lo, min(1024, rows - lo)) for lo in range(0, rows, 1024)]
+            assert spans == expected and spans[-1][1] == (1024 if b == 0 else 952)
 
-    def wrapper(*args, **kwargs):
-        result = real(*args, **kwargs)
-        calls.append((result, result[0].copy(order="F")))
-        return result
 
-    monkeypatch.setattr(fbm, name, wrapper)
-    return calls
+@pytest.mark.parametrize("panel_rows", [1024, 2048, None], ids=["1024", "2048", "rule"])
+@pytest.mark.parametrize("rows", [fbm.PATH_BLOCK, 1808], ids=["full-block", "short-block"])
+@pytest.mark.parametrize("steps_per_year, n", [(48, 51), (252, 255), (1008, 1011)],
+                         ids=["n51", "n255", "n1011"])
+def test_panel_transforms_are_the_rows_of_the_block_transform(monkeypatch, steps_per_year,
+                                                              n, rows, panel_rows):
+    # each row panel's paths are its rows of the whole block's transform bit for bit.
+    # This rests on BLAS: a GEMM over a power-of-two share of the rows rounds each row
+    # as the GEMM over the whole block does, and the rule's panel rows are powers of
+    # two (1024 at n = 1011, the whole block at n = 51 and 255). It is no law: a
+    # 333-row split moved paths by up to 5.3e-15. At 1024-row panels the 1808-row
+    # block (the last one of 10k paths) ends in a short panel of 784 rows, a row
+    # slice of the panel buffer.
+    cov = _readme_covariance(steps_per_year, 0.2)
+    assert cov.grid.n == n
+    if panel_rows is not None:
+        monkeypatch.setattr(fbm, "_panel_rows", lambda steps: panel_rows)
+    z, _ = fbm._block_normals(5, 0, rows, cov.grid, orthogonal=False)
+    whole = transform_normals(z, None, cov).fbm_paths
+    spans = []
+
+    def check(lo, bundle):
+        height = bundle.fbm_paths.shape[0]
+        assert np.array_equal(bundle.fbm_paths, whole[lo: lo + height])
+        spans.append((lo, height))
+
+    sample_paths(cov, rows, 5, block=0, orthogonal=False, each_panel=check)
+    height = panel_rows or fbm._panel_rows(n)
+    assert spans == [(lo, min(height, rows - lo)) for lo in range(0, rows, height)]
+
+
+def _check_formed(monkeypatch, cov, path_count: int, seed: int, block, check,
+                  orthogonal: bool = True) -> int:
+    """Call ``check(lo, bundle, z, w_tilde, as_drawn)`` on every bundle that
+    `sample_paths` forms: the whole draw's (``block`` None, lo = 0), or each row panel's
+    of path block ``block`` while it is live (the stream draws every panel into one
+    buffer), lo its first row in the block. z and w_tilde are the draws it was formed
+    from, as `draw_normal_bundle` returned or `_block_panels` yielded them, and
+    as_drawn a copy of z as drawn: `sample_paths` forms B^H over Z_B. Returns the
+    number of bundles."""
+    drawn = []
+
+    def record(lo, z, w_tilde):
+        drawn.append((lo, z, w_tilde, z.copy(order="F")))
+        return z, w_tilde
+
+    if block is None:
+        real = fbm.draw_normal_bundle
+        monkeypatch.setattr(fbm, "draw_normal_bundle",
+                            lambda *args, **kwargs: record(0, *real(*args, **kwargs)))
+        bundle = sample_paths(cov, path_count, seed, orthogonal=orthogonal)
+        check(0, bundle, *drawn[-1][1:])
+        return len(drawn)
+    real = fbm._block_panels
+    monkeypatch.setattr(fbm, "_block_panels", lambda *args, **kwargs: (
+        (lo, *record(lo, z, w_tilde)) for lo, z, w_tilde in real(*args, **kwargs)))
+
+    def each_panel(lo, bundle):
+        assert lo == drawn[-1][0]
+        check(lo, bundle, *drawn[-1][1:])
+
+    sample_paths(cov, path_count, seed, block=block, orthogonal=orthogonal,
+                 each_panel=each_panel)
+    return len(drawn)
 
 
 @pytest.mark.parametrize("block", [None, 0, 1])
@@ -861,19 +992,22 @@ def test_increments_are_views_of_the_scaled_draws(monkeypatch, block):
     grid = TimeGrid.with_maturities([0.21, 0.5], 24)
     cov = build_joint_covariance(grid, 0.15)
     n, path_count, seed = grid.n, fbm.PATH_BLOCK + 10, 21
-    drawn = _spy(monkeypatch, "draw_normal_bundle" if block is None else "_block_normals")
-    bundle = sample_paths(cov, path_count, seed=seed, block=block)
-    ((z, w_tilde), as_drawn), = drawn
-    assert np.shares_memory(bundle.w_increments, z)
-    assert bundle.w_tilde_increments is w_tilde
     scale = np.sqrt(grid.deltas)
-    for b in range(2) if block is None else [block]:
-        lo = b * fbm.PATH_BLOCK if block is None else 0
-        rows = slice(lo, lo + min(fbm.PATH_BLOCK, path_count - b * fbm.PATH_BLOCK))
-        stream_z, stream_zt = block_stream_normals(seed, b, rows.stop - rows.start, n)
-        assert np.array_equal(bundle.w_increments[rows], stream_z[:, :n] * scale)
-        assert np.array_equal(as_drawn[rows, n:], stream_z[:, n:])
-        assert np.array_equal(bundle.w_tilde_increments[rows], stream_zt * scale)
+    streams = [block_stream_normals(seed, b, min(fbm.PATH_BLOCK,
+                                                 path_count - b * fbm.PATH_BLOCK), n)
+               for b in range(2)]
+    stream_z, stream_zt = (np.concatenate(parts) for parts in zip(*streams))
+
+    def check(lo, bundle, z, w_tilde, as_drawn):
+        assert np.shares_memory(bundle.w_increments, z)
+        assert bundle.w_tilde_increments is w_tilde
+        first = lo + (0 if block is None else block * fbm.PATH_BLOCK)
+        rows = slice(first, first + z.shape[0])
+        assert np.array_equal(bundle.w_increments, stream_z[rows, :n] * scale)
+        assert np.array_equal(as_drawn[:, n:], stream_z[rows, n:])
+        assert np.array_equal(bundle.w_tilde_increments, stream_zt[rows] * scale)
+
+    assert _check_formed(monkeypatch, cov, path_count, seed, block, check) == 1
 
 
 @pytest.mark.parametrize("block", [None, 0, 1])
@@ -882,8 +1016,8 @@ def test_skipping_the_orthogonal_draw_keeps_the_other_bits(block):
     grid = TimeGrid.with_maturities([0.21, 0.5], 24)
     cov = build_joint_covariance(grid, 0.15)
     path_count = fbm.PATH_BLOCK + 10
-    full = sample_paths(cov, path_count, seed=21, block=block)
-    lean = sample_paths(cov, path_count, seed=21, block=block, orthogonal=False)
+    full = sampled(cov, path_count, 21, block)
+    lean = sampled(cov, path_count, 21, block, orthogonal=False)
     assert lean.w_tilde_increments is None
     assert np.array_equal(lean.fbm_paths, full.fbm_paths)
     assert np.array_equal(lean.w_increments, full.w_increments)
@@ -898,7 +1032,18 @@ def test_block_out_of_range(block):
     grid = TimeGrid.regular(1.0, 4)
     cov = build_joint_covariance(grid, 0.2)
     with pytest.raises(ValueError, match="block"):
-        sample_paths(cov, 2 * fbm.PATH_BLOCK + 10, seed=1, block=block)
+        sample_paths(cov, 2 * fbm.PATH_BLOCK + 10, seed=1, block=block,
+                     each_panel=lambda lo, bundle: None)
+
+
+@pytest.mark.parametrize("block, each_panel", [(0, None), (None, print)],
+                         ids=["block-alone", "each-panel-alone"])
+def test_a_block_streams_its_panels_to_each_panel_only(block, each_panel):
+    # a block has no whole-block bundle to return: its panels go to each_panel, which
+    # serves no whole draw
+    cov = build_joint_covariance(TimeGrid.regular(1.0, 4), 0.2)
+    with pytest.raises(ValueError, match="block and each_panel go together"):
+        sample_paths(cov, 100, seed=1, block=block, each_panel=each_panel)
 
 
 def test_transform_normals_reproduces_sample_paths():
@@ -942,18 +1087,20 @@ def test_paths_formed_over_their_draws_keep_the_bits_of_a_separate_transform(
         monkeypatch, steps_per_year, n, H, block, orthogonal):
     # sample_paths writes B^H over the Z_B half of the draws it made; its paths and
     # increments equal, bit for bit, the ones transform_normals forms into a new array
-    # from a copy of the same draws: for the whole draw, a full and a short block
+    # from a copy of the same draws: for the whole draw, a full and a short block, and
+    # each row panel of a block (four of 1024 rows at n = 1011 without dW~)
     cov = _readme_covariance(steps_per_year, H)
     assert cov.grid.n == n
-    drawn = _spy(monkeypatch, "draw_normal_bundle" if block is None else "_block_normals")
-    bundle = sample_paths(cov, fbm.PATH_BLOCK + 10, seed=31, block=block,
-                          orthogonal=orthogonal)
-    ((z, w_tilde), as_drawn), = drawn
-    assert np.shares_memory(bundle.fbm_paths, z) and bundle.w_tilde_increments is w_tilde
-    separate = transform_normals(as_drawn, w_tilde, cov)
-    assert not np.shares_memory(separate.fbm_paths, as_drawn)
-    assert np.array_equal(bundle.fbm_paths, separate.fbm_paths)
-    assert np.array_equal(bundle.w_increments, separate.w_increments)
+
+    def check(lo, bundle, z, w_tilde, as_drawn):
+        assert np.shares_memory(bundle.fbm_paths, z)
+        assert bundle.w_tilde_increments is w_tilde
+        separate = transform_normals(as_drawn, w_tilde, cov)
+        assert not np.shares_memory(separate.fbm_paths, as_drawn)
+        assert np.array_equal(bundle.fbm_paths, separate.fbm_paths)
+        assert np.array_equal(bundle.w_increments, separate.w_increments)
+
+    _check_formed(monkeypatch, cov, fbm.PATH_BLOCK + 10, 31, block, check, orthogonal)
 
 
 @pytest.mark.parametrize("H", [0.2, 0.5, 0.7])
@@ -975,13 +1122,15 @@ def test_a_fresh_block_allocates_its_draws_and_panel_temporaries_only(orthogonal
     rows, n = fbm.PATH_BLOCK, grid.n
     draws = rows * (3 if orthogonal else 2) * n * 8
     panel = fbm._TRANSFORM_PANEL * rows * 8
+    shapes = []
     tracemalloc.start()
     try:
-        bundle = sample_paths(cov, rows, seed=3, block=0, orthogonal=orthogonal)
+        sample_paths(cov, rows, seed=3, block=0, orthogonal=orthogonal,
+                     each_panel=lambda lo, bundle: shapes.append(bundle.fbm_paths.shape))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert bundle.fbm_paths.shape == (rows, n)
+    assert shapes == [(rows, n)]
     assert peak <= draws + 2 * panel
 
 

@@ -15,7 +15,9 @@ from scipy import special
 
 from roughvol import calibration, pricing, stats
 from roughvol.calibration import CalibrationConfig, FrozenPricer, ParamBounds
-from roughvol.fbm import PATH_BLOCK, TimeGrid, build_joint_covariance, sample_paths
+from roughvol import fbm
+from roughvol.fbm import (PATH_BLOCK, PathBundle, TimeGrid, build_joint_covariance,
+                          sample_paths)
 from roughvol.market import OptionQuote, OptionStructure, compute_weights
 from roughvol.model import MarketEnv, ModelParams, volatility_paths
 from roughvol.pricing import (
@@ -222,6 +224,14 @@ def test_significance_rejects_bad_inputs(bad, msg, monkeypatch):
     assert builds == []
 
 
+def _block_of(bundle: PathBundle, b: int) -> PathBundle:
+    """Path block b of a whole draw: a bundle of views of its rows."""
+    rows = slice(b * PATH_BLOCK, (b + 1) * PATH_BLOCK)
+    w_tilde = bundle.w_tilde_increments
+    return PathBundle(bundle.fbm_paths[rows], bundle.w_increments[rows],
+                      None if w_tilde is None else w_tilde[rows], bundle.grid)
+
+
 def test_price_chain_matches_manual_assembly():
     # 16 000 priced paths are 8000 base draws with their mirrors, in two blocks
     env = MarketEnv(spot=100.0, rate=0.0)
@@ -231,10 +241,12 @@ def test_price_chain_matches_manual_assembly():
 
     grid = TimeGrid.with_maturities([0.5, 1.0], 12)
     cov = build_joint_covariance(grid, FIT_PARAMS.H)
-    # the reference prices each path block on its own and pools the blocks in order
+    bundle = sample_paths(cov, 8000, seed=31)
+    # the reference prices each path block of the whole draw on its own and pools the
+    # blocks in order
     per_block = []
     for b in range(2):
-        part = sample_paths(cov, 8000, seed=31, block=b)
+        part = _block_of(bundle, b)
         per_block.append([chain_estimates(part, FIT_PARAMS, env, [(k, t)])[0]
                           for k, t in options])
     for est, parts in zip(chain, zip(*per_block)):
@@ -243,11 +255,63 @@ def test_price_chain_matches_manual_assembly():
         assert est.std_error == manual.std_error
         assert est.path_count == 16_000
     # and agrees with one whole-bundle assembly up to the rounding of the pooled sums
-    bundle = sample_paths(cov, 8000, seed=31)
     for (strike, maturity), est in zip(options, chain):
         whole = chain_estimates(bundle, FIT_PARAMS, env, [(strike, maturity)])[0]
         assert est.price == pytest.approx(whole.price, rel=1e-13)
         assert est.std_error == pytest.approx(whole.std_error, rel=1e-10)
+
+
+#: a grid of n = 303 steps, whose fresh conditional blocks stream in two row panels of
+#: 2048 paths; the last block of 7096 base paths has 3000 rows, so a short last panel
+PANEL_GRID_STEPS, PANEL_DRAWS = 300, PATH_BLOCK + 3000
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_price_chain_over_row_panels_prices_the_whole_draw(estimator, threads):
+    # a conditional block priced from the unit sums of its row panels, and a plain one
+    # from its single panel (dW~ follows all of Z), give the estimates, moments
+    # included, of pricing the blocks of the whole sample_paths draw
+    env = MarketEnv(spot=100.0, rate=0.01)
+    options = ((90.0, 0.25), (100.0, 0.25), (105.0, 0.5), (100.0, 1.0), (90.0, 0.25))
+    grid = TimeGrid.with_maturities([0.25, 0.5, 1.0], PANEL_GRID_STEPS)
+    assert fbm._panel_rows(grid.n) == 2048 and PANEL_DRAWS % 2048 == 952
+    path_count = PANEL_DRAWS * (2 if estimator == "conditional_mixed" else 1)
+    chain = price_chain(options, env, FIT_PARAMS, path_count, PANEL_GRID_STEPS, seed=19,
+                        estimator=estimator, threads=threads)
+    cov = build_joint_covariance(grid, FIT_PARAMS.H)
+    bundle = sample_paths(cov, PANEL_DRAWS, seed=19, orthogonal=estimator == "plain")
+    per_block = [chain_estimates(_block_of(bundle, b), FIT_PARAMS, env, options,
+                                 estimator=estimator) for b in range(2)]
+    for est, parts in zip(chain, zip(*per_block)):
+        whole = _pool_estimates(parts)
+        assert est == whole and est._moments == whole._moments
+        assert est.path_count == path_count
+
+
+def test_a_fresh_block_over_row_panels_holds_one_panel_of_draws():
+    # a conditional block at n = 1011 streams four panels of 1024 rows: pricing it
+    # allocates one panel of draws (16.6 MB, a quarter of the block's 66 MB), the draw
+    # and left-point panel temporaries (2 MB each, at most two at a time) and the sums
+    # (I2 and I1 of each path and its mirror at two maturities: 0.26 MB for the block,
+    # a quarter of that per panel), under a third of the block's draws in all
+    grid = TimeGrid.with_maturities([0.25, 1.0], 1008)
+    cov = build_joint_covariance(grid, FIT_PARAMS.H)
+    options = ((95.0, 0.25), (100.0, 0.25), (105.0, 1.0))
+    n, rows = grid.n, fbm._panel_rows(grid.n)
+    assert rows == 1024
+    panel, block = rows * 2 * n * 8, PATH_BLOCK * 2 * n * 8
+    temporaries = 2 * fbm._CHUNK_ENTRIES * 8
+    sums = 2 * 2 * (2 * PATH_BLOCK) * 8
+    tracemalloc.start()
+    try:
+        (est, *_) = pricing._fresh_blocks(cov, FIT_PARAMS, MarketEnv(spot=100.0), options,
+                                          2 * PATH_BLOCK, 3, "conditional_mixed", 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.path_count == 2 * PATH_BLOCK
+    assert panel < peak <= panel + temporaries + 2 * sums < block / 3
 
 
 def test_price_chain_plain_estimator():
