@@ -203,11 +203,13 @@ class FrozenPricer:
     Construction draws once (per config seed) on the union grid of the chain's
     maturities: [dW | Z_B] for ceil(path_count / 2) base paths, which does not depend
     on H, drawn block by block on the calling thread (``config.threads`` is read by
-    the genetic stage only). The conditional estimator prices each base path with its
-    antithetic mirror and integrates out the orthogonal increments, so neither the
-    mirrors nor dW~ are drawn or stored. The pricer holds one path set, as one slot
-    (H, one bundle per PATH_BLOCK row slice of the draws), whose increments are views
-    of the draws, so the slot adds only its fBm paths. A call at a new H drops the
+    the genetic stage only) and copied from the row panels of each block's stream, so
+    construction holds one panel beyond the draws (`draw_normal_bundle`). The
+    conditional estimator prices each base path with its antithetic mirror and
+    integrates out the orthogonal increments, so neither the mirrors nor dW~ are drawn
+    or stored. The pricer holds one path set, as one slot (H, one bundle per
+    PATH_BLOCK row slice of the draws), whose increments are views of the draws, so
+    the slot adds only its fBm paths. A call at a new H drops the
     slot, builds the covariance once, transforms every slice under it and stores the
     new slot; a call at the cached H prices from the slot. Each bundle carries the
     one-slot memo of its unit-sigma0 sums (`PathBundle.unit_sums`, keyed by

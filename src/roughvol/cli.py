@@ -154,9 +154,10 @@ class _Settings:
     read, the parameters belong in it, so their flag names are no keys. Any other key
     is refused before the command does any work.
 
-    ``threads`` is resolved and checked on construction (`--threads`, then the config,
-    then the cores this process may run on; a count below 1 raises ValueError naming
-    its source), so each command refuses it before reading any other input.
+    ``threads`` and ``seed`` are resolved and checked on construction (the flag, then
+    the config, then the cores this process may run on or `_SEED`; a thread count
+    below 1 or a negative seed raises ValueError naming its source), so each command
+    refuses them before reading any other input.
     """
 
     def __init__(self, args: argparse.Namespace, blocks: tuple = ()):
@@ -180,6 +181,10 @@ class _Settings:
         self.threads = json_kind(value, int, source)
         if self.threads < 1:
             raise ValueError(f"{source} must be at least 1, got {self.threads}")
+        value, source = self._lookup("seed")
+        self.seed = _SEED if value is None else json_kind(value, int, source)
+        if self.seed < 0:
+            raise ValueError(f"{source} must be non-negative, got {self.seed}")
 
     def _lookup(self, name: str):
         """(value, source): the flag if given, else the config value (None if absent)."""
@@ -208,10 +213,6 @@ class _Settings:
         if not isinstance(value, list):
             value = [_number_or_text(x) for x in self.require(name).split(",") if x.strip()]
         return [json_kind(x, kind, f"{source} entry") for x in value]
-
-    @property
-    def seed(self) -> int:
-        return self.get("seed", _SEED)
 
     @property
     def weight_rule(self) -> str:

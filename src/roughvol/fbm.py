@@ -27,9 +27,9 @@ path itself, with no second draw and no second product.
 
 The factorization puts W first. With Z = (Z_W, Z_B) standard normal, the Wiener
 increments are dW_j = sqrt(dt_j) Z_W[j], which do not depend on H. The draws are
-scaled where they are drawn (`_block_normals`), so every draw already holds the
-increments [dW | Z_B] and the orthogonal increments dW~; W itself, the cumulative sum
-of dW, is never formed. The fBm is B^H = K~ dW + L_S Z_B, where the step-average kernel
+scaled where they are drawn (`_draw`), so every draw already holds the increments
+[dW | Z_B] and the orthogonal increments dW~; W itself, the cumulative sum of dW, is
+never formed. The fBm is B^H = K~ dW + L_S Z_B, where the step-average kernel
 
     K~[i, j] = E[B^H_{t_i} dW_j] / dt_j = int_{t_{j-1}}^{t_j} K_H(t_i, u) du / dt_j
 
@@ -45,8 +45,10 @@ written over their own Z_B half, which the panels, run from the last to the firs
 never read again. Each path's B^H depends on its own row of draws alone, so a fresh
 block is drawn and formed in row panels of at most _PANEL_ENTRIES draws
 (`_block_panels`), one [dW | B^H] panel at a time in one buffer, and its caller reads
-each panel before the next is drawn. At H = 1/2 the kernel is identically 1, B^H = W
-and S = 0, so no Cholesky is taken and the fBm paths are the cumulative sum of dW.
+each panel before the next is drawn. The frozen draw (`draw_normal_bundle`) copies
+the same panels into its arrays, so a block's stream has this one reader. At H = 1/2
+the kernel is identically 1, B^H = W and S = 0, so no Cholesky is taken and the fBm
+paths are the cumulative sum of dW.
 
 The inner integral of the kernel reduces to an incomplete-Beta-type "tail" integral
 
@@ -98,12 +100,12 @@ log = logging.getLogger(__name__)
 
 #: fixed path-block size in sampled paths (the conditional estimator prices each with
 #: its mirror); the unit of RNG-stream derivation, parallel dispatch, pricing and the
-#: frozen pricer's path cache: every price pools per-block estimates. A fresh block in
-#: flight holds one row panel of its draws per worker (`_panel_rows`), and the frozen
-#: pricer holds its whole draw.
+#: frozen pricer's path cache: every price pools per-block estimates. A block's draws
+#: are read one row panel at a time (`_panel_rows`): a fresh block in flight holds one
+#: panel per worker, and the frozen draw one panel beyond the whole draw it keeps.
 PATH_BLOCK = 4096
 
-#: draws per row panel of a fresh block, [dW | Z_B] (16 MB of float64): the panel
+#: draws per row panel of a block's stream, [dW | Z_B] (16 MB of float64): the panel
 #: rows are the largest power of two up to PATH_BLOCK that fit (`_panel_rows`)
 _PANEL_ENTRIES = 1 << 21
 
@@ -435,22 +437,6 @@ def _draw(rng: np.random.Generator, out: np.ndarray, scale: np.ndarray) -> np.nd
     return out
 
 
-def _block_normals(seed: int, b: int, path_count: int, grid: TimeGrid,
-                   orthogonal: bool = True):
-    """Block b's draws from its own stream, Z (rows x 2n) first, then Z_tilde (rows x n),
-    returned as [dW | Z_B] and dW~.
-
-    Both arrays are time-major (Fortran order), and every (row, column) holds its value
-    in a one-shot ``standard_normal`` draw of the whole block (`_draw`). Without
-    ``orthogonal`` Z_tilde is not drawn and dW~ is None; Z keeps its bits, since it
-    comes first in the stream."""
-    n, rng = grid.n, _block_rng(seed, b)
-    rows = min(PATH_BLOCK, path_count - b * PATH_BLOCK)
-    scale = np.sqrt(grid.deltas)
-    z = _draw(rng, np.empty((rows, 2 * n), order="F"), scale)
-    return z, _draw(rng, np.empty((rows, n), order="F"), scale) if orthogonal else None
-
-
 def _panel_rows(n: int) -> int:
     """Rows per panel of a fresh block on n grid steps: the largest power of two up to
     PATH_BLOCK whose [dW | Z_B] panel holds at most _PANEL_ENTRIES draws, so 1024 at
@@ -467,12 +453,17 @@ def _block_panels(seed: int, b: int, path_count: int, grid: TimeGrid,
                   orthogonal: bool = True):
     """Block b's draws from its own stream, in row panels, in order: yields
     ``(lo, z, w_tilde)`` for the block's rows [lo, lo + z.shape[0]), with z their
-    [dW | Z_B] and w_tilde their dW~ or None, as `_block_normals` gives those rows.
+    [dW | Z_B] and w_tilde their dW~, or None without ``orthogonal``. The only reader
+    of a block's stream: fresh blocks are formed from its panels, and the frozen draw
+    (`draw_normal_bundle`) copies them.
 
+    Each (row, column) holds its value in a one-shot ``standard_normal`` draw of the
+    block's Z (rows x 2n), then of its Z_tilde (rows x n), scaled as drawn (`_draw`).
     The panels have `_panel_rows` rows, the last one fewer, and are drawn into one
     time-major buffer: a panel is overwritten by the next, so its reader must be done
-    with it first. dW~ follows all of Z in the stream, so with ``orthogonal`` the
-    block is a single panel and dW~ its own array."""
+    with it first, and the buffer is freed once the stream ends and the reader drops
+    the last panel. dW~ follows all of Z in the stream, so with ``orthogonal`` the
+    block is a single panel and dW~ its own array; Z keeps its bits without it."""
     n, rng = grid.n, _block_rng(seed, b)
     rows = min(PATH_BLOCK, path_count - b * PATH_BLOCK)
     scale = np.sqrt(grid.deltas)
@@ -514,11 +505,13 @@ def draw_normal_bundle(grid: TimeGrid, path_count: int, seed: int, *,
     that drive the part of B^H independent of W (see `JointCovariance`); none depends
     on H. Without ``orthogonal`` dW~ is neither drawn nor stored, and is None. Both
     arrays are time-major (Fortran order), shapes unchanged, and each value sits where
-    a row-major draw of the block puts it. Block b draws from the same per-block stream
-    as `sample_paths` with ``block=b``, so `transform_normals` of any PATH_BLOCK row
-    slice of these draws reproduces that block bit for bit. The blocks are drawn in
-    order on the calling thread. This is the object a common-random-numbers calibration
-    freezes, and the whole draw of `sample_paths`.
+    a row-major draw of the block puts it. Block b's rows are copied from the row
+    panels of its stream (`_block_panels`), the ones `sample_paths` with ``block=b``
+    forms, so `transform_normals` of any PATH_BLOCK row slice of these draws
+    reproduces that block bit for bit. The blocks are drawn in order on the calling
+    thread, which holds one panel of draws beyond the outputs: the whole block at
+    n <= 256, 1024 rows at n = 1011. This is the object a common-random-numbers
+    calibration freezes, and the whole draw of `sample_paths`.
     """
     if path_count < 1:
         raise ValueError("path_count must be >= 1")
@@ -526,21 +519,24 @@ def draw_normal_bundle(grid: TimeGrid, path_count: int, seed: int, *,
     z = np.empty((path_count, 2 * n), order="F")
     z_tilde = np.empty((path_count, n), order="F") if orthogonal else None
     for b in range(_block_count(path_count)):
-        z_b, zt_b = _block_normals(seed, b, path_count, grid, orthogonal)
-        rows = slice(b * PATH_BLOCK, b * PATH_BLOCK + z_b.shape[0])
-        # Keep this copy and the free of the block buffer after it: freeing a block's
-        # draws (an mmap) raises glibc's dynamic mmap threshold to its size, and the
-        # heap trim threshold to twice that, so the per-block temporaries that follow
-        # come from a heap that is not trimmed after every call. Drawing in place left
-        # only the 2 MB draw panel to set them, and a desk calibration faulted in 81k
-        # pages against 17k. Since a call at a new H forms the whole path set before
-        # it prices a block, the free no longer covers all of that churn: a desk
-        # calibration (48/yr, 20k paths, GA 16x2) faults in 47.6k pages, and 19.0k
-        # with the mmap and trim thresholds pinned at 64 and 128 MiB.
-        z[rows] = z_b
-        if orthogonal:
-            z_tilde[rows] = zt_b
-        del z_b, zt_b
+        for lo, z_p, zt_p in _block_panels(seed, b, path_count, grid, orthogonal):
+            rows = slice(b * PATH_BLOCK + lo, b * PATH_BLOCK + lo + z_p.shape[0])
+            z[rows] = z_p
+            if orthogonal:
+                z_tilde[rows] = zt_p
+        # Keep this copy and the free of the panel buffer before the next block: the
+        # finished stream drops the buffer, and this del its last views. Freeing an
+        # mmapped buffer of up to 32 MiB raises glibc's dynamic mmap threshold to its
+        # size, and the heap trim threshold to twice that, so the per-block temporaries
+        # that follow come from a heap that is not trimmed after every call (at n <= 256
+        # the buffer is the whole block). Drawing in place left only the 2 MB draw panel
+        # to set them, and a desk calibration faulted in 81k pages against 17k. Since a
+        # call at a new H forms the whole path set before it prices a block, the free no
+        # longer covers all of that churn: a desk calibration (48/yr, 20k paths, GA 16x2)
+        # faults in 47.6k pages, and 19.0k with the mmap and trim thresholds pinned at
+        # 64 and 128 MiB. Kept alive into the next block, the views raised the traced
+        # peak of a 10k-path draw on the README chain at 48/yr from 13.2 to 16.3 MiB.
+        del z_p, zt_p
     return z, z_tilde
 
 
@@ -619,8 +615,9 @@ def transform_normals(z: np.ndarray, w_tilde_increments: np.ndarray | None,
     """The path kernel: form the paths of draws under a covariance.
 
     ``z`` and ``w_tilde_increments`` are (row slices of) the two arrays of
-    `draw_normal_bundle` or one row panel of a block's draw: [dW | Z_B] and dW~ (or
-    None), neither of which depends on H. dW is a view of ``z`` and
+    `draw_normal_bundle` or one row panel of a block's draw: [dW | Z_B] (rows x 2n) and
+    dW~ (rows x n, or None), neither of which depends on H; other shapes raise
+    ValueError, so a dW~ of other rows never broadcasts. dW is a view of ``z`` and
     B^H = [dW | Z_B] @ [K~ | L_S]^T under ``cov`` (see `JointCovariance`), formed as
     ([K~ | L_S] @ [dW | Z_B]^T)^T so that it comes out time-major, panel by panel of
     grid steps (`_block_transform`), per PATH_BLOCK rows: BLAS may round a product over
@@ -641,7 +638,7 @@ def transform_normals(z: np.ndarray, w_tilde_increments: np.ndarray | None,
     """
     n = cov.grid.n
     if z.shape[1] != 2 * n or (w_tilde_increments is not None
-                               and w_tilde_increments.shape[1] != n):
+                               and w_tilde_increments.shape != (z.shape[0], n)):
         raise ValueError("normal draw shapes do not match the covariance grid")
     dw = z[:, :n]
     out = np.empty(dw.shape, order="F") if out is None else out

@@ -796,6 +796,28 @@ def test_thread_count_is_checked_before_any_other_input(tmp_path, capsys, comman
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["synth-chain", "price", "calibrate", "bootstrap",
+                                     "significance"])
+@pytest.mark.parametrize("source", ["flag", "config-key"])
+def test_negative_seed_is_refused_before_any_other_input(tmp_path, capsys, command,
+                                                        source):
+    # the five commands that draw take a seed; with no required input given, a command
+    # that read any before the seed would report that input missing instead
+    out, cfg = tmp_path / "out", tmp_path / "config.json"
+    argv = [command, "--out", str(out)]
+    if source == "flag":
+        argv += ["--seed=-1"]
+        message = "flag --seed must be non-negative, got -1"
+    else:
+        cfg.write_text(json.dumps({"seed": -1}))
+        argv += ["--config", str(cfg)]
+        message = f"{cfg}: 'seed' must be non-negative, got -1"
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError",
+                                                   "message": message}
+    assert not out.exists()
+
+
 def test_covariance_builds_get_threads_only_where_the_caller_is_serial(
         pipeline, tmp_path, monkeypatch):
     # --threads 2 splits the builds of price, synth-chain and significance; a build in

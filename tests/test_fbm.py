@@ -862,61 +862,80 @@ def test_panel_transform_skips_the_zero_triangles(monkeypatch, panel):
     assert np.array_equal(paths, transform_normals(z, None, cov).fbm_paths)
 
 
-@pytest.mark.parametrize("orthogonal", [True, False])
-@pytest.mark.parametrize("chunk", [None, 997], ids=["default-panel", "small-panel"])
-def test_block_draws_are_the_one_shot_stream(monkeypatch, orthogonal, chunk):
-    # the panels read the block stream in row-major order: each (row, column) of the
-    # time-major draws holds the value of one standard_normal((rows, 2n)) call, then
-    # dW~ that of the following standard_normal((rows, n)), scaled as drawn; the row
-    # counts are no multiple of the panel height (997 // 2n or 2^18 // 2n)
+#: block-stream cases: (steps per year, _PANEL_ENTRIES rows, _CHUNK_ENTRIES rows or
+#: entries, last block's rows). The default sizes give one panel per block; 997 entries
+#: make draw chunks of no whole number of rows; 1024-row panels read with draw chunks of
+#: 256 or 300 rows, which do and do not divide them, end the short block in 952 rows
+_STREAM_CASES = {"default-chunk": (130, None, None, 1001),
+                 "small-chunk": (24, None, ("entries", 997), 1001),
+                 "chunk-divides-panel": (24, 1024, ("rows", 256), 3000),
+                 "chunk-splits-panel": (24, 1024, ("rows", 300), 3000)}
+
+
+@pytest.mark.parametrize("orthogonal", [True, False], ids=["orthogonal", "no-orthogonal"])
+@pytest.mark.parametrize("case", list(_STREAM_CASES))
+def test_block_panels_are_the_rows_of_the_one_shot_stream(monkeypatch, case, orthogonal):
+    # the panels read the block stream in order: each (row, column) of a time-major
+    # panel holds its row's value in one standard_normal((rows, 2n)) call, dW scaled
+    # as drawn, and dW~ that of the following standard_normal((rows, n)); dW~ follows
+    # all of Z, so with it a block is one panel, and without it the panels have
+    # _panel_rows rows, the last one fewer, on a full block and on a short last one
+    steps_per_year, panel, chunk, last_rows = _STREAM_CASES[case]
+    grid = TimeGrid.with_maturities([0.21, 0.5, 1.0], steps_per_year)
+    n, seed, path_count = grid.n, 17, fbm.PATH_BLOCK + last_rows
+    if panel is not None:
+        monkeypatch.setattr(fbm, "_PANEL_ENTRIES", panel * 2 * n)
     if chunk is not None:
-        monkeypatch.setattr(fbm, "_CHUNK_ENTRIES", chunk)
-    grid = TimeGrid.with_maturities([0.21, 0.5, 1.0], 130 if chunk is None else 24)
-    n, seed, path_count = grid.n, 17, fbm.PATH_BLOCK + 1001
+        unit, size = chunk
+        monkeypatch.setattr(fbm, "_CHUNK_ENTRIES", size * (2 * n if unit == "rows" else 1))
+    height = panel or fbm.PATH_BLOCK
+    assert fbm._panel_rows(n) == height
     scale = np.sqrt(grid.deltas)
-    for b, rows in ((0, fbm.PATH_BLOCK), (1, 1001)):
-        z, z_tilde = fbm._block_normals(seed, b, path_count, grid, orthogonal)
-        assert z.shape == (rows, 2 * n) and z.flags.f_contiguous
+    for b, rows in ((0, fbm.PATH_BLOCK), (1, last_rows)):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0, b]))
         one_shot = rng.standard_normal((rows, 2 * n))
-        assert np.array_equal(z[:, :n], one_shot[:, :n] * scale)
-        assert np.array_equal(z[:, n:], one_shot[:, n:])
-        if orthogonal:
-            assert z_tilde.shape == (rows, n) and z_tilde.flags.f_contiguous
-            assert np.array_equal(z_tilde, rng.standard_normal((rows, n)) * scale)
-        else:
-            assert z_tilde is None
-
-
-@pytest.mark.parametrize("height", [256, 300], ids=["divides", "does-not-divide"])
-@pytest.mark.parametrize("orthogonal", [True, False], ids=["orthogonal", "no-orthogonal"])
-def test_block_panels_are_the_one_shot_rows(monkeypatch, height, orthogonal):
-    # the panel stream reads the block stream in order, so each panel holds its rows of
-    # _block_normals' one-shot draw: for 1024-row panels whose draw-panel height of 256
-    # or 300 rows does or does not divide them, on a full block and on a short last one
-    # (1024, 1024 and 952 rows); with dW~, which follows all of Z, a block is one panel
-    grid = TimeGrid.with_maturities([0.21, 0.5, 1.0], 24)
-    n, seed, path_count = grid.n, 17, fbm.PATH_BLOCK + 3000
-    monkeypatch.setattr(fbm, "_PANEL_ENTRIES", 1024 * 2 * n)
-    monkeypatch.setattr(fbm, "_CHUNK_ENTRIES", height * 2 * n)
-    assert fbm._panel_rows(n) == 1024
-    for b, rows in ((0, fbm.PATH_BLOCK), (1, 3000)):
-        z, z_tilde = fbm._block_normals(seed, b, path_count, grid, orthogonal)
-        panels = fbm._block_panels(seed, b, path_count, grid, orthogonal)
+        one_shot[:, :n] *= scale
+        one_shot_tilde = rng.standard_normal((rows, n)) * scale
         spans = []
-        for lo, part, part_tilde in panels:
+        for lo, part, part_tilde in fbm._block_panels(seed, b, path_count, grid,
+                                                       orthogonal):
             assert part.strides[0] == part.itemsize  # time-major
-            assert np.array_equal(part, z[lo: lo + part.shape[0]])
+            assert np.array_equal(part, one_shot[lo: lo + part.shape[0]])
             if orthogonal:
-                assert np.array_equal(part_tilde, z_tilde)
+                assert part_tilde.shape == (rows, n) and part_tilde.flags.f_contiguous
+                assert np.array_equal(part_tilde, one_shot_tilde)
             else:
                 assert part_tilde is None
             spans.append((lo, part.shape[0]))
         if orthogonal:
             assert spans == [(0, rows)]
         else:
-            expected = [(lo, min(1024, rows - lo)) for lo in range(0, rows, 1024)]
-            assert spans == expected and spans[-1][1] == (1024 if b == 0 else 952)
+            expected = [(lo, min(height, rows - lo)) for lo in range(0, rows, height)]
+            assert spans == expected
+            assert spans[-1][1] == (min(height, rows) if b == 0 else rows % height)
+
+
+@pytest.mark.parametrize("orthogonal", [True, False], ids=["orthogonal", "no-orthogonal"])
+def test_the_frozen_draw_holds_one_panel_beyond_its_outputs(monkeypatch, orthogonal):
+    # a block of 1024-row panels at n = 51 (four, then two of 1024 and 784 rows): the
+    # draw copies each panel out of one buffer, which it frees before the next block,
+    # so beyond its outputs it holds one panel and one draw chunk of _CHUNK_ENTRIES.
+    # With dW~, which follows all of Z, the panel is the whole block and its dW~.
+    grid = TimeGrid.regular(1.0, 51)
+    n, path_count = grid.n, fbm.PATH_BLOCK + 1808
+    monkeypatch.setattr(fbm, "_PANEL_ENTRIES", 1024 * 2 * n)
+    assert fbm._panel_rows(n) == 1024
+    width = 3 * n if orthogonal else 2 * n
+    outputs = path_count * width * 8
+    panel = (fbm.PATH_BLOCK if orthogonal else 1024) * width * 8
+    tracemalloc.start()
+    try:
+        z, z_tilde = draw_normal_bundle(grid, path_count, seed=3, orthogonal=orthogonal)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert z.shape == (path_count, 2 * n) and (z_tilde is None) == (not orthogonal)
+    assert peak <= outputs + panel + fbm._CHUNK_ENTRIES * 8
 
 
 @pytest.mark.parametrize("panel_rows", [1024, 2048, None], ids=["1024", "2048", "rule"])
@@ -925,7 +944,8 @@ def test_block_panels_are_the_one_shot_rows(monkeypatch, height, orthogonal):
                          ids=["n51", "n255", "n1011"])
 def test_panel_transforms_are_the_rows_of_the_block_transform(monkeypatch, steps_per_year,
                                                               n, rows, panel_rows):
-    # each row panel's paths are its rows of the whole block's transform bit for bit.
+    # each row panel's paths are its rows of the frozen draw's block transform bit for
+    # bit.
     # This rests on BLAS: a GEMM over a power-of-two share of the rows rounds each row
     # as the GEMM over the whole block does, and the rule's panel rows are powers of
     # two (1024 at n = 1011, the whole block at n = 51 and 255). It is no law: a
@@ -936,7 +956,7 @@ def test_panel_transforms_are_the_rows_of_the_block_transform(monkeypatch, steps
     assert cov.grid.n == n
     if panel_rows is not None:
         monkeypatch.setattr(fbm, "_panel_rows", lambda steps: panel_rows)
-    z, _ = fbm._block_normals(5, 0, rows, cov.grid, orthogonal=False)
+    z, _ = draw_normal_bundle(cov.grid, rows, 5, orthogonal=False)
     whole = transform_normals(z, None, cov).fbm_paths
     spans = []
 
@@ -1057,11 +1077,15 @@ def test_transform_normals_reproduces_sample_paths():
     assert np.array_equal(direct.w_tilde_increments, rebuilt.w_tilde_increments)
 
 
-def test_transform_normals_shape_mismatch():
+@pytest.mark.parametrize("z_shape, w_tilde_shape",
+                         [((10, 5), (10, 8)), ((10, 16), (1, 8)), ((10, 16), (11, 8))],
+                         ids=["z-steps", "w-tilde-one-row", "w-tilde-rows-plus-one"])
+def test_transform_normals_shape_mismatch(z_shape, w_tilde_shape):
+    # dW~ needs one row per path of z: a single row would broadcast over every path
     grid = TimeGrid.regular(1.0, 8)
     cov = build_joint_covariance(grid, 0.22)
-    with pytest.raises(ValueError):
-        transform_normals(np.zeros((10, 5)), np.zeros((10, 8)), cov)
+    with pytest.raises(ValueError, match="normal draw shapes do not match"):
+        transform_normals(np.zeros(z_shape), np.zeros(w_tilde_shape), cov)
 
 
 #: the README chain's maturities: n = 51 at 48 steps/yr (one dense product, whose
